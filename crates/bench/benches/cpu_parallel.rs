@@ -5,7 +5,6 @@
 
 use cds_cpu::engine::CpuCdsEngine;
 use cds_cpu::parallel::price_parallel;
-use cds_cpu::soa::price_batch_soa;
 use cds_quant::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -29,24 +28,5 @@ fn bench_cpu_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_soa(c: &mut Criterion) {
-    let market = MarketData::paper_workload(42);
-    let engine = CpuCdsEngine::new(&market);
-    // Schedule-identical batch: the fused lane kernel applies throughout.
-    let options: Vec<CdsOption> = (0..BATCH)
-        .map(|i| CdsOption::new(5.5, PaymentFrequency::Quarterly, 0.2 + 0.0002 * i as f64))
-        .collect();
-
-    let mut group = c.benchmark_group("cpu_soa_vs_scalar");
-    group.throughput(Throughput::Elements(BATCH as u64));
-    group.bench_function("scalar", |b| {
-        b.iter(|| black_box(engine.price_batch(black_box(&options))));
-    });
-    group.bench_function("soa_fused", |b| {
-        b.iter(|| black_box(price_batch_soa(black_box(&engine), black_box(&options))));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cpu_scaling, bench_soa);
+criterion_group!(benches, bench_cpu_scaling);
 criterion_main!(benches);

@@ -34,7 +34,7 @@ pub struct CpuBatchStats {
     /// partial group (0 for scalar paths).
     pub fused_groups: u64,
     /// Options that fell back to the scalar pricer within a batch.
-    /// Always 0 since the lane kernel subsumed the fused-run SoA path —
+    /// Always 0 since the lane kernel subsumed the earlier fused-run path —
     /// every option takes the lane path regardless of its neighbours;
     /// the field is kept for schema stability.
     pub scalar_fallbacks: u64,

@@ -14,9 +14,6 @@
 //! * [`parallel`] — chunked multi-threading over `std::thread::scope`
 //!   (the OpenMP analogue), for numerical verification and host-machine
 //!   benchmarking;
-//! * [`soa::price_batch_soa`] — the earlier structure-of-arrays batch
-//!   kernel that fuses schedule-identical options into SIMD-friendly
-//!   lane groups, kept as an independent cross-check route;
 //! * [`model::CpuPerfModel`] — a calibrated Cascade Lake performance
 //!   model reproducing the paper's measured CPU rows (8738.92 options/s
 //!   single-core; 8.68× scaling at 24 cores), since the paper's exact
@@ -29,10 +26,8 @@ pub mod engine;
 pub mod lanes;
 pub mod model;
 pub mod parallel;
-pub mod soa;
 
 pub use engine::{CpuBatchStats, CpuCdsEngine};
 pub use lanes::LaneKernel;
 pub use model::{CpuPerfModel, LANE_KERNEL_SPEEDUP};
 pub use parallel::price_parallel;
-pub use soa::price_batch_soa;

@@ -80,46 +80,6 @@ pub fn price_parallel_stats(
     (spreads, stats)
 }
 
-/// As [`price_parallel`] but using the structure-of-arrays fused kernel
-/// within each thread's chunk — the fastest host path for books of
-/// standardised (schedule-identical) contracts.
-pub fn price_parallel_soa(
-    engine: &CpuCdsEngine,
-    options: &[CdsOption],
-    threads: usize,
-) -> Vec<f64> {
-    assert!(threads > 0, "need at least one thread");
-    if options.is_empty() {
-        return Vec::new();
-    }
-    if threads == 1 || options.len() == 1 {
-        return crate::soa::price_batch_soa(engine, options);
-    }
-    let chunk_size = options.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = options
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || crate::soa::price_batch_soa(engine, chunk)))
-            .collect();
-        handles.into_iter().flat_map(join_or_propagate).collect()
-    })
-}
-
-/// Measure host throughput in options/second with the given thread count
-/// (used by the harness to report the real machine alongside the paper's
-/// modelled Cascade Lake).
-pub fn measure_throughput(engine: &CpuCdsEngine, options: &[CdsOption], threads: usize) -> f64 {
-    let start = std::time::Instant::now();
-    let spreads = price_parallel(engine, options, threads);
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(spreads.len(), options.len());
-    if elapsed > 0.0 {
-        options.len() as f64 / elapsed
-    } else {
-        f64::INFINITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,19 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_parallel_matches_scalar_parallel() {
-        let market = MarketData::paper_workload(21);
-        let engine = CpuCdsEngine::new(&market);
-        // Mixed book: fused groups plus scalar fallback inside chunks.
-        let options = PortfolioGenerator::new(8).portfolio(83);
-        let scalar = price_parallel(&engine, &options, 3);
-        let fused = price_parallel_soa(&engine, &options, 3);
-        for (a, b) in scalar.iter().zip(&fused) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn parallel_stats_account_all_work() {
         let market = MarketData::paper_workload(21);
         let engine = CpuCdsEngine::new(&market);
@@ -190,14 +137,5 @@ mod tests {
         assert!(seq_stats.time_points > 0);
         assert_eq!(seq_stats.threads, 1);
         assert_eq!(par_stats.threads, 4);
-    }
-
-    #[test]
-    fn throughput_measurable() {
-        let market = MarketData::paper_workload(21);
-        let engine = CpuCdsEngine::new(&market);
-        let options = PortfolioGenerator::new(4).portfolio(64);
-        let rate = measure_throughput(&engine, &options, 2);
-        assert!(rate > 0.0);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The repository has grown five ways to price a batch (the four Table-I
 //! engine variants, the multi-engine deployment in three simulation
-//! fidelities, the streaming ingress, and the four CPU engines), plus
+//! fidelities, the streaming ingress, and the three CPU engines), plus
 //! the robustness layers wrapped around them (resilient re-sharding,
 //! result scrubbing, write-ahead checkpoint/resume). Every one of them
 //! must produce the same spreads, which means every one of them must be
@@ -20,7 +20,7 @@ use crate::retry::RetryPolicy;
 use crate::scrub::ScrubPolicy;
 use crate::streaming::{run_streaming_checkpointed, run_streaming_with, StreamingPolicy};
 use crate::FpgaCdsEngine;
-use cds_cpu::{price_batch_soa, price_parallel, CpuCdsEngine};
+use cds_cpu::{price_parallel, CpuCdsEngine};
 use cds_quant::option::{CdsOption, MarketData};
 use dataflow_sim::fault::FaultPlan;
 use dataflow_sim::Cycle;
@@ -86,15 +86,13 @@ pub enum PriceRoute {
     CpuLanes,
     /// The chunked multi-threaded CPU engine (three threads).
     CpuParallel,
-    /// The structure-of-arrays fused-lane CPU engine.
-    CpuSoa,
 }
 
 impl PriceRoute {
     /// Every route, in a stable order: the four engine variants first,
     /// then the multi-engine deployments, the robustness layers, the
     /// streaming paths, and the CPU engines.
-    pub const ALL: [PriceRoute; 17] = [
+    pub const ALL: [PriceRoute; 16] = [
         PriceRoute::Variant(EngineVariant::XilinxBaseline),
         PriceRoute::Variant(EngineVariant::OptimisedDataflow),
         PriceRoute::Variant(EngineVariant::InterOption),
@@ -111,7 +109,6 @@ impl PriceRoute {
         PriceRoute::CpuScalar,
         PriceRoute::CpuLanes,
         PriceRoute::CpuParallel,
-        PriceRoute::CpuSoa,
     ];
 
     /// Stable machine-readable label (used in reports and corpus files).
@@ -134,7 +131,6 @@ impl PriceRoute {
             PriceRoute::CpuScalar => "cpu/scalar",
             PriceRoute::CpuLanes => "cpu/lanes",
             PriceRoute::CpuParallel => "cpu/parallel",
-            PriceRoute::CpuSoa => "cpu/soa",
         }
     }
 
@@ -264,7 +260,6 @@ impl PriceRoute {
             PriceRoute::CpuScalar => Ok(CpuCdsEngine::new(market).price_batch_scalar(options)),
             PriceRoute::CpuLanes => Ok(CpuCdsEngine::new(market).price_batch(options)),
             PriceRoute::CpuParallel => Ok(price_parallel(&CpuCdsEngine::new(market), options, 3)),
-            PriceRoute::CpuSoa => Ok(price_batch_soa(&CpuCdsEngine::new(market), options)),
         }
     }
 
@@ -353,7 +348,6 @@ mod tests {
         for route in [
             PriceRoute::CpuScalar,
             PriceRoute::CpuLanes,
-            PriceRoute::CpuSoa,
             PriceRoute::Variant(EngineVariant::XilinxBaseline),
             PriceRoute::MultiModelled,
         ] {

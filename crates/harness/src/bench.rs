@@ -5,12 +5,13 @@
 //! load points and the CPU thread sweep — entirely on deterministic
 //! models (the cycle-accurate simulator for the FPGA backends, the
 //! calibrated Cascade Lake model for the CPU; never wall clock), so two
-//! runs with the same seed produce byte-identical reports. [`compare`]
-//! gates one report against a committed baseline
+//! runs with the same seed produce byte-identical reports. [`GATE`]
+//! checks one report against a committed baseline
 //! (`results/bench_baseline.json`): throughput may not drop and latency
-//! may not rise by more than the tolerance, and the metric set itself
+//! may not rise by more than [`TOLERANCE`], and the metric set itself
 //! may not silently drift.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use crate::metrics::RunMetrics;
 use crate::workload::Workload;
@@ -28,6 +29,25 @@ use std::rc::Rc;
 /// Version of the bench JSON schema. Bump on any incompatible change to
 /// the report layout so `--check` refuses stale baselines loudly.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// Relative width of the ladder's throughput floors and latency
+/// ceilings. The ladder is deterministic, so this only absorbs
+/// deliberate model recalibrations below 10%.
+pub const TOLERANCE: f64 = 0.10;
+
+/// The `bench --check` gate: same seed and batch, then per metric a
+/// throughput floor and p99/max latency ceilings.
+pub static GATE: Gate = Gate {
+    name: "bench",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("batch"),
+        Check::min("options_per_second", TOLERANCE).within("metrics"),
+        Check::max("p99_latency_us", TOLERANCE).within("metrics"),
+        Check::max("max_latency_us", TOLERANCE).within("metrics"),
+    ],
+};
 
 /// Default option-batch size for `bench` runs — smaller than the
 /// table-rendering default so the five-engine simulations stay quick in
@@ -68,45 +88,6 @@ impl BenchReport {
             ("batch", Json::Number(self.batch as f64)),
             ("metrics", Json::Array(self.metrics.iter().map(RunMetrics::to_json).collect())),
         ])
-    }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("bench report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "bench schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let metrics = value
-            .get("metrics")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "bench report missing 'metrics' array".to_string())?
-            .iter()
-            .map(RunMetrics::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport {
-            schema_version,
-            seed: num("seed")? as u64,
-            batch: num("batch")? as usize,
-            metrics,
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
     }
 }
 
@@ -214,58 +195,6 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
     BenchReport { schema_version: SCHEMA_VERSION, seed, batch, metrics }
 }
 
-/// Gate `current` against `baseline`: returns one message per detected
-/// regression (empty = pass). With tolerance `t`, throughput below
-/// `baseline·(1−t)` and latency above `baseline·(1+t)` regress; metrics
-/// present on only one side are schema drift and also fail.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    for base in &baseline.metrics {
-        let Some(cur) = current.find(&base.name) else {
-            problems.push(format!("metric '{}' missing from current run", base.name));
-            continue;
-        };
-        if base.options_per_second > 0.0
-            && cur.options_per_second < base.options_per_second * (1.0 - tolerance)
-        {
-            problems.push(format!(
-                "{}: throughput regressed {:.2} -> {:.2} options/s (tolerance {:.0}%)",
-                base.name,
-                base.options_per_second,
-                cur.options_per_second,
-                tolerance * 100.0
-            ));
-        }
-        for (what, b, c) in [
-            ("p99 latency", base.p99_latency_us, cur.p99_latency_us),
-            ("max latency", base.max_latency_us, cur.max_latency_us),
-        ] {
-            if b > 0.0 && c > b * (1.0 + tolerance) {
-                problems.push(format!(
-                    "{}: {what} regressed {b:.2} -> {c:.2} us (tolerance {:.0}%)",
-                    base.name,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    for cur in &current.metrics {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "metric '{}' not in baseline — regenerate results/bench_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +211,7 @@ mod tests {
         let a = run(7, 12);
         let b = run(7, 12);
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.pretty(), b.pretty());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -319,62 +248,5 @@ mod tests {
         assert!(over.p50_latency_us <= over.p99_latency_us);
         assert!(over.p99_latency_us <= over.max_latency_us);
         assert!(over.backpressure_events > 0, "overload must backpressure");
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = small_run();
-        let text = r.pretty();
-        let back = BenchReport::parse(&text).expect("parse own output");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = small_run();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = BenchReport::parse(&r.pretty()).unwrap_err();
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_passes_identical_runs() {
-        let r = small_run();
-        assert!(compare(&r, &r, 0.10).is_empty());
-    }
-
-    #[test]
-    fn compare_flags_artificial_slowdown() {
-        let base = small_run();
-        let mut slow = base.clone();
-        // Slow one variant by 15% — beyond the 10% gate.
-        let m = slow.metrics.iter_mut().find(|m| m.name == "table1/vectorised").unwrap();
-        m.options_per_second *= 0.85;
-        let problems = compare(&base, &slow, 0.10);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("table1/vectorised"), "{problems:?}");
-        assert!(problems[0].contains("throughput"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_latency_regression_and_drift() {
-        let base = small_run();
-        let mut bad = base.clone();
-        let m = bad.metrics.iter_mut().find(|m| m.name == "streaming/saturated").unwrap();
-        m.p99_latency_us *= 2.0;
-        bad.metrics.retain(|m| m.name != "cpu/threads-4");
-        let problems = compare(&base, &bad, 0.10);
-        assert!(problems.iter().any(|p| p.contains("p99 latency")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("missing from current")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_tolerates_small_jitter() {
-        let base = small_run();
-        let mut wiggle = base.clone();
-        for m in &mut wiggle.metrics {
-            m.options_per_second *= 0.95; // within the 10% gate
-        }
-        assert!(compare(&base, &wiggle, 0.10).is_empty());
     }
 }

@@ -8,10 +8,11 @@
 //! the streaming and multi-engine deployments. Every scenario is **deterministic**
 //! (seeded fault placement, discrete-event timing, no wall clock), so two
 //! runs produce byte-identical reports and the committed baseline
-//! (`results/chaos_baseline.json`) can be gated with **exact** equality:
-//! any change in survival behaviour, retry counts, or shed counts is a
-//! regression.
+//! (`results/chaos_baseline.json`) is gated by [`GATE`] with **exact**
+//! equality: any change in survival behaviour, retry counts, or shed
+//! counts is a regression.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_engine::config::EngineVariant;
 use cds_engine::multi::MultiEngine;
@@ -31,6 +32,28 @@ use std::rc::Rc;
 /// v2 added `options_quarantined`, per-case `fault_events` hit lists and
 /// the corrupt-scrub / kill-resume scenarios.
 pub const SCHEMA_VERSION: u64 = 2;
+
+/// The `chaos --check` gate. The matrix is deterministic, so every field
+/// of every scenario must equal the baseline, and the seed must match.
+pub static GATE: Gate = Gate {
+    name: "chaos",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("faults_injected").within("cases"),
+        Check::eq("options_total").within("cases"),
+        Check::eq("options_completed").within("cases"),
+        Check::eq("options_retried").within("cases"),
+        Check::eq("options_shed").within("cases"),
+        Check::eq("options_lost").within("cases"),
+        Check::eq("options_quarantined").within("cases"),
+        Check::eq("fault_events").within("cases"),
+        Check::eq("degraded").within("cases"),
+        Check::eq("spreads_match_clean").within("cases"),
+        Check::eq("p99_bounded").within("cases"),
+        Check::eq("survived").within("cases"),
+    ],
+};
 
 /// Outcome of one chaos scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,51 +110,6 @@ impl ChaosCase {
             ("survived", Json::Bool(self.survived)),
         ])
     }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .map(|x| x as u64)
-                .ok_or_else(|| format!("chaos case missing numeric field '{key}'"))
-        };
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("chaos case missing boolean field '{key}'")),
-            }
-        };
-        Ok(ChaosCase {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("chaos case missing 'name'")?
-                .to_string(),
-            faults_injected: num("faults_injected")?,
-            options_total: num("options_total")?,
-            options_completed: num("options_completed")?,
-            options_retried: num("options_retried")?,
-            options_shed: num("options_shed")?,
-            options_lost: num("options_lost")?,
-            options_quarantined: num("options_quarantined")?,
-            fault_events: value
-                .get("fault_events")
-                .and_then(Json::as_array)
-                .ok_or("chaos case missing 'fault_events' array")?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string fault_events entry".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            degraded: flag("degraded")?,
-            spreads_match_clean: flag("spreads_match_clean")?,
-            p99_bounded: flag("p99_bounded")?,
-            survived: flag("survived")?,
-        })
-    }
 }
 
 /// A full chaos-matrix run.
@@ -164,80 +142,6 @@ impl ChaosReport {
             ("cases", Json::Array(self.cases.iter().map(ChaosCase::to_json).collect())),
         ])
     }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("chaos report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "chaos schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let cases = value
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "chaos report missing 'cases' array".to_string())?
-            .iter()
-            .map(ChaosCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ChaosReport { schema_version, seed: num("seed")? as u64, cases })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
-    }
-}
-
-/// Gate `current` against `baseline`. The matrix is fully deterministic,
-/// so the comparison is **exact**: every baseline case must be present
-/// and field-for-field identical, and no new cases may appear silently.
-pub fn compare(baseline: &ChaosReport, current: &ChaosReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.seed != current.seed {
-        problems.push(format!(
-            "seed mismatch: baseline {} vs current {} — rerun with --seed {}",
-            baseline.seed, current.seed, baseline.seed
-        ));
-    }
-    for base in &baseline.cases {
-        match current.find(&base.name) {
-            None => problems.push(format!("case '{}' missing from current run", base.name)),
-            Some(cur) if cur != base => {
-                problems.push(format!(
-                    "case '{}' changed: baseline {base:?} vs current {cur:?}",
-                    base.name
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for cur in &current.cases {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "case '{}' not in baseline — regenerate results/chaos_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
 }
 
 /// Near-equality for recovered spreads: the CPU fallback is numerically
@@ -631,7 +535,7 @@ mod tests {
         let a = run(7);
         let b = run(7);
         assert_eq!(a, b);
-        assert_eq!(a.pretty(), b.pretty());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -700,37 +604,5 @@ mod tests {
             "{:?}",
             c.fault_events
         );
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = report();
-        let back = ChaosReport::parse(&r.pretty()).expect("parse own output");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = report();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = match ChaosReport::parse(&r.pretty()) {
-            Err(e) => e,
-            Ok(_) => panic!("future schema must be rejected"),
-        };
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_is_exact() {
-        let base = report();
-        assert!(compare(&base, &base).is_empty());
-        let mut changed = base.clone();
-        changed.cases[0].options_retried += 1;
-        let problems = compare(&base, &changed);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("changed"), "{problems:?}");
-        let mut missing = base.clone();
-        missing.cases.pop();
-        assert!(compare(&base, &missing).iter().any(|p| p.contains("missing")));
     }
 }

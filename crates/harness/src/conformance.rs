@@ -24,7 +24,7 @@ use cds_quant::ulp::UlpComparator;
 use std::path::Path;
 
 /// Default number of fuzz cases per `conformance` run (each case prices
-/// 1–5 options through all seventeen routes).
+/// 1–5 options through all sixteen routes).
 pub const DEFAULT_FUZZ_CASES: u64 = 48;
 
 /// One relation×model verdict from the sweep.
@@ -246,7 +246,7 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         assert!(report.clean(), "{:?}", report.to_json().pretty());
-        // 1 reference + 17 routes, 8 relations each.
+        // 1 reference + 16 routes, 8 relations each.
         assert_eq!(report.relations.len(), (1 + PriceRoute::ALL.len()) * Relation::ALL.len());
     }
 

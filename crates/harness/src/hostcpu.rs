@@ -7,7 +7,8 @@
 
 use crate::workload::Workload;
 use cds_cpu::engine::CpuCdsEngine;
-use cds_cpu::parallel::measure_throughput;
+use cds_cpu::parallel::price_parallel;
+use std::time::Instant;
 
 /// One measured point of host CPU scaling.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +29,9 @@ pub fn host_report(workload: &Workload, thread_counts: &[usize]) -> Vec<HostCpuR
     let mut rows = Vec::new();
     let mut single = None;
     for &threads in thread_counts {
-        let rate = measure_throughput(&engine, &workload.options, threads);
+        let start = Instant::now();
+        let priced = price_parallel(&engine, &workload.options, threads).len();
+        let rate = priced as f64 / start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         let base = *single.get_or_insert(rate);
         rows.push(HostCpuRow { threads, options_per_second: rate, speedup: rate / base });
     }

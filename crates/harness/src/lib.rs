@@ -35,7 +35,9 @@
 //! gates its latency quantiles against committed SLO ceilings, and the
 //! [`server_chaos`] module replays serving failure modes (shard death
 //! mid-burst, drain-deadline checkpoints, slow consumers, sustained
-//! overload) against a boolean survival baseline.
+//! overload) against a boolean survival baseline. Every one of these
+//! `--check` gates is a static check list run by the one evaluator in
+//! [`gate`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -46,6 +48,7 @@ pub mod chaos;
 pub mod conformance;
 pub mod figures;
 pub mod format;
+pub mod gate;
 pub mod hostcpu;
 pub mod journal;
 pub mod json;

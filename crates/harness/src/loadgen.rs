@@ -18,6 +18,7 @@
 //! SLO ceilings (generous enough for CI-runner noise — the gate is for
 //! "the server stopped answering" regressions, not microbenchmarking).
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_cpu::engine::CpuCdsEngine;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
@@ -128,12 +129,16 @@ impl LoadgenReport {
         self.priced + self.shed + self.rejected + self.errored
     }
 
-    /// Serialise to the versioned JSON schema.
+    /// Serialise to the versioned JSON schema, including the answered
+    /// and priced fractions of the sent requests that [`GATE`] floors.
     pub fn to_json(&self) -> Json {
+        let sent = self.sent.max(1) as f64;
         Json::object(vec![
             ("schema_version", Json::Number(self.schema_version as f64)),
             ("seed", Json::Number(self.seed as f64)),
             ("sent", Json::Number(self.sent as f64)),
+            ("answered_fraction", Json::Number(self.answered() as f64 / sent)),
+            ("priced_fraction", Json::Number(self.priced as f64 / sent)),
             ("priced", Json::Number(self.priced as f64)),
             ("shed", Json::Number(self.shed as f64)),
             ("rejected", Json::Number(self.rejected as f64)),
@@ -147,87 +152,22 @@ impl LoadgenReport {
             ("worst_rung", Json::Number(self.worst_rung as f64)),
         ])
     }
-
-    /// Pretty-printed JSON document.
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
 }
 
-/// Committed SLO ceilings (`results/server_slo_baseline.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloBaseline {
-    /// Schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Ceiling on the p50 of priced replies, microseconds.
-    pub p50_micros_max: u64,
-    /// Ceiling on the p99 of priced replies, microseconds.
-    pub p99_micros_max: u64,
-    /// Ceiling on the p999 of priced replies, microseconds.
-    pub p999_micros_max: u64,
-    /// Every sent request must be answered at least this fraction.
-    pub min_answer_fraction: f64,
-    /// At least this fraction of sent requests must come back priced.
-    pub min_priced_fraction: f64,
-}
-
-impl SloBaseline {
-    /// Parse from JSON text, validating the schema version.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let value = crate::json::parse(text)?;
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("SLO baseline missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "SLO schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        Ok(SloBaseline {
-            schema_version,
-            p50_micros_max: num("p50_micros_max")? as u64,
-            p99_micros_max: num("p99_micros_max")? as u64,
-            p999_micros_max: num("p999_micros_max")? as u64,
-            min_answer_fraction: num("min_answer_fraction")?,
-            min_priced_fraction: num("min_priced_fraction")?,
-        })
-    }
-}
-
-/// Gate a run against the committed SLO ceilings. Returns the violated
-/// SLOs; empty means the gate passes.
-pub fn check_slo(baseline: &SloBaseline, report: &LoadgenReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    let mut ceiling = |name: &str, got: u64, max: u64| {
-        if got > max {
-            problems.push(format!("{name} = {got}us exceeds the SLO ceiling of {max}us"));
-        }
-    };
-    ceiling("p50", report.quantiles.p50_micros, baseline.p50_micros_max);
-    ceiling("p99", report.quantiles.p99_micros, baseline.p99_micros_max);
-    ceiling("p999", report.quantiles.p999_micros, baseline.p999_micros_max);
-    let sent = report.sent.max(1) as f64;
-    let answered = report.answered() as f64 / sent;
-    if answered < baseline.min_answer_fraction {
-        problems.push(format!(
-            "answered fraction {answered:.4} below the SLO floor of {:.4} — the server went silent on {} request(s)",
-            baseline.min_answer_fraction,
-            report.sent - report.answered()
-        ));
-    }
-    let priced = report.priced as f64 / sent;
-    if priced < baseline.min_priced_fraction {
-        problems.push(format!(
-            "priced fraction {priced:.4} below the SLO floor of {:.4}",
-            baseline.min_priced_fraction
-        ));
-    }
-    problems
-}
+/// The `loadgen --check` gate against the committed SLO ceilings
+/// (`results/server_slo_baseline.json`): each latency quantile under its
+/// ceiling, and the answered and priced fractions above their floors.
+pub static GATE: Gate = Gate {
+    name: "SLO",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::at_most("p50_micros", "p50_micros_max"),
+        Check::at_most("p99_micros", "p99_micros_max"),
+        Check::at_most("p999_micros", "p999_micros_max"),
+        Check::at_least("answered_fraction", "min_answer_fraction"),
+        Check::at_least("priced_fraction", "min_priced_fraction"),
+    ],
+};
 
 /// One zipf draw over `PORTFOLIO_SHAPES` ranks: inverse-CDF over the
 /// truncated zeta weights, uniform input from [`splitmix64`].
@@ -890,33 +830,16 @@ mod tests {
             achieved_rate_per_s: 100.0,
             worst_rung: 1,
         };
-        let baseline = SloBaseline {
-            schema_version: SCHEMA_VERSION,
-            p50_micros_max: 100,
-            p99_micros_max: 1_000,
-            p999_micros_max: 10_000,
-            min_answer_fraction: 0.9,
-            min_priced_fraction: 0.3,
-        };
-        let problems = check_slo(&baseline, &report);
+        let baseline = crate::gate::parse_baseline(
+            &GATE,
+            r#"{"schema_version": 1, "p50_micros_max": 100, "p99_micros_max": 1000,
+                "p999_micros_max": 10000, "min_answer_fraction": 0.9,
+                "min_priced_fraction": 0.3}"#,
+        )
+        .expect("valid SLO baseline");
+        let problems = crate::gate::evaluate(&GATE, &baseline, &report.to_json());
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].contains("p99"), "{problems:?}");
-        assert!(problems[1].contains("answered fraction"), "{problems:?}");
-    }
-
-    #[test]
-    fn baseline_parse_round_trips() {
-        let text = r#"{
-            "schema_version": 1,
-            "p50_micros_max": 50000,
-            "p99_micros_max": 500000,
-            "p999_micros_max": 2000000,
-            "min_answer_fraction": 1.0,
-            "min_priced_fraction": 0.5
-        }"#;
-        let parsed = SloBaseline::parse(text).expect("parse");
-        assert_eq!(parsed.p99_micros_max, 500_000);
-        let bad = text.replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(SloBaseline::parse(&bad).expect_err("version gate").contains("regenerate"));
+        assert!(problems[1].contains("answered_fraction"), "{problems:?}");
     }
 }

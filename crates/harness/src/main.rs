@@ -34,26 +34,23 @@
 //!   all                 everything above (except replay, which needs a path)
 //! ```
 //!
-//! `bench` and `chaos` additionally take `--json PATH` (write the
-//! report) and `--check BASELINE` (exit 1 on regression against a
-//! committed baseline); `bench` also takes `--tolerance F` (relative
-//! gate width, default 0.10 — the chaos gate is exact). With
+//! `bench`, `chaos`, `loadgen`, `server-chaos` and `storage-chaos`
+//! additionally take `--json PATH` (write the report) and
+//! `--check BASELINE` (exit 1 on regression against a committed
+//! baseline). Every such gate is a static check list in its report's
+//! module, run by the one evaluator in `cds_harness::gate`; the
+//! baseline is read and validated before the measurement starts. With
 //! `--throughput`, `bench` instead *times* the CPU engines on this
 //! machine (warm-up pass, then repeated timed passes) and reports
 //! wall-clock options/s; `--threads N` pins the multi-threaded row
-//! (default 2), the gate tolerance defaults to 0.40 for runner noise,
-//! and `--check results/throughput_baseline.json` additionally enforces
-//! the ≥4x lane-kernel speedup floor. With `--tick-storm`, `bench`
-//! storms the incremental repricing engine with single-point curve
-//! ticks against a resident book (`--options` sets the book size,
-//! default 1,048,576) and `--check results/tick_storm_baseline.json`
-//! enforces the ≥100x incremental-vs-full speedup ratio plus bitwise
-//! cleanliness of the stored spreads. `replay --json`
+//! (default 2). With `--tick-storm`, `bench` storms the incremental
+//! repricing engine with single-point curve ticks against a resident
+//! book (`--options` sets the book size, default 1,048,576). `replay --json`
 //! records a checkpointed run as a journal (`--scenario` picks the named
 //! fault scenario, default `corrupt-spread`); `replay --check` re-executes
 //! a journal and exits 1 unless the spreads and write-ahead checkpoint
 //! stream are bit-identical. `conformance` checks every metamorphic
-//! relation against the reference and all seventeen price routes, fuzzes
+//! relation against the reference and all sixteen price routes, fuzzes
 //! `--options N` adversarial cases differentially, and with
 //! `--check CORPUS_DIR` replays the committed corpus; any divergence or
 //! violated relation exits 1. IO and usage errors exit 2 with a message;
@@ -64,8 +61,10 @@ use cds_harness::bench;
 use cds_harness::chaos;
 use cds_harness::figures;
 use cds_harness::format::{rate, ratio, render_csv, render_table};
+use cds_harness::gate::{self, Gate};
 use cds_harness::hostcpu;
 use cds_harness::journal;
+use cds_harness::json::Json;
 use cds_harness::loadgen;
 use cds_harness::server_chaos;
 use cds_harness::storage_chaos;
@@ -83,9 +82,6 @@ struct Args {
     csv_dir: Option<PathBuf>,
     json_path: Option<PathBuf>,
     check_baseline: Option<PathBuf>,
-    /// `--tolerance`, when given; each gate applies its own default
-    /// (bench 0.10, throughput 0.40).
-    tolerance: Option<f64>,
     throughput: bool,
     /// `--tick-storm`, run the incremental tick-storm bench instead of
     /// the ladder.
@@ -129,7 +125,6 @@ fn parse_args() -> Args {
         csv_dir: None,
         json_path: None,
         check_baseline: None,
-        tolerance: None,
         throughput: false,
         tick_storm: false,
         threads: None,
@@ -173,14 +168,6 @@ fn parse_args() -> Args {
                 parsed.scenario =
                     args.next().unwrap_or_else(|| usage("--scenario needs a scenario name"));
             }
-            "--tolerance" => {
-                parsed.tolerance = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|t: &f64| (0.0..1.0).contains(t))
-                        .unwrap_or_else(|| usage("--tolerance needs a fraction in [0, 1)")),
-                );
-            }
             "--throughput" => parsed.throughput = true,
             "--tick-storm" => parsed.tick_storm = true,
             "--rate" => {
@@ -213,7 +200,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: cds-harness <table1|table2|fig1|fig2|fig3|listing1|ablation-vector|\
          ablation-ii|ablation-depth|ablation-precision|ablation-curve|ablation-restart|fit|futurework|streaming|validate|trace|host-cpu|bench|chaos|loadgen|server-chaos|storage-chaos|replay|conformance|all> \
-         [--options N] [--seed S] [--csv DIR] [--json PATH] [--check BASELINE] [--tolerance F] [--throughput] [--tick-storm] [--threads N] [--scenario NAME] [--rate R] [--no-faults] [--abuser] [--isolation]"
+         [--options N] [--seed S] [--csv DIR] [--json PATH] [--check BASELINE] [--throughput] [--tick-storm] [--threads N] [--scenario NAME] [--rate R] [--no-faults] [--abuser] [--isolation]"
     );
     std::process::exit(2);
 }
@@ -256,6 +243,55 @@ fn write_json_report(path: &Path, pretty: &str) -> CliResult {
         create_dir(dir)?;
     }
     write_file(path, pretty)
+}
+
+/// A `--check` baseline, read and validated against its gate before the
+/// measurement runs.
+struct Baseline<'a> {
+    path: &'a Path,
+    gate: &'static Gate,
+    json: Json,
+}
+
+fn read_gate_baseline<'a>(
+    path: Option<&'a PathBuf>,
+    gate: &'static Gate,
+) -> Result<Option<Baseline<'a>>, CliError> {
+    path.map(|path| {
+        let json = read_baseline(path, |text| gate::parse_baseline(gate, text))?;
+        Ok(Baseline { path, gate, json })
+    })
+    .transpose()
+}
+
+/// The tail of every gated command: write the `--json` report, then gate
+/// it against the baseline read up front (exit 1 on any problem).
+fn publish(
+    json_path: Option<&PathBuf>,
+    what: &str,
+    report: &Json,
+    baseline: Option<Baseline>,
+) -> CliResult {
+    if let Some(path) = json_path {
+        write_json_report(path, &report.pretty())?;
+        println!("[{what} report written to {}]", path.display());
+    }
+    let Some(Baseline { path, gate, json }) = baseline else { return Ok(()) };
+    let problems = gate::evaluate(gate, &json, report);
+    if problems.is_empty() {
+        println!(
+            "{} check against {}: PASS ({} checks)",
+            gate.name,
+            path.display(),
+            gate.checks.len()
+        );
+        return Ok(());
+    }
+    eprintln!("{} check against {}: FAIL", gate.name, path.display());
+    for p in &problems {
+        eprintln!("  {p}");
+    }
+    Err(CliError::GateFailed)
 }
 
 fn cmd_table1(w: &Workload, csv: &Option<PathBuf>) -> CliResult {
@@ -536,12 +572,7 @@ fn cmd_hostcpu(w: &Workload, csv: &Option<PathBuf>) -> CliResult {
 fn cmd_bench_throughput(args: &Args) -> CliResult {
     let batch = args.options.unwrap_or(throughput::DEFAULT_THROUGHPUT_BATCH);
     let threads = args.threads.unwrap_or(throughput::DEFAULT_THROUGHPUT_THREADS);
-    let tolerance = args.tolerance.unwrap_or(throughput::DEFAULT_THROUGHPUT_TOLERANCE);
-    // Fail fast on an unreadable/malformed baseline before measuring.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, throughput::ThroughputReport::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &throughput::GATE)?;
     println!(
         "== Wall-clock throughput (seed {}, batch {batch}, {threads} pinned threads) ==\n",
         args.seed
@@ -556,39 +587,12 @@ fn cmd_bench_throughput(args: &Args) -> CliResult {
         ratio(report.lane_speedup_1t),
         ratio(report.min_lane_speedup)
     );
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[throughput report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = throughput::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} rows within {:.0}%, speedup floor {:.2}x cleared)",
-                path.display(),
-                baseline.rows.len(),
-                tolerance * 100.0,
-                baseline.min_lane_speedup
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    publish(args.json_path.as_ref(), "throughput", &report.to_json(), baseline)
 }
 
 fn cmd_bench_tick_storm(args: &Args) -> CliResult {
     let residents = args.options.unwrap_or(tick_storm::DEFAULT_TICK_RESIDENTS);
-    let tolerance = args.tolerance.unwrap_or(tick_storm::DEFAULT_TICK_TOLERANCE);
-    // Fail fast on an unreadable/malformed baseline before measuring.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, tick_storm::TickStormReport::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &tick_storm::GATE)?;
     println!("== Incremental tick storm (seed {}, {residents} resident options) ==\n", args.seed);
     let report = tick_storm::run(args.seed, residents);
     let headers = ["Row", "Per second"];
@@ -608,29 +612,7 @@ fn cmd_bench_tick_storm(args: &Args) -> CliResult {
         report.bit_mismatches,
         if report.zero_delta_clean { "clean" } else { "VIOLATED" }
     );
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[tick-storm report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = tick_storm::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} rows within {:.0}%, speedup floor {:.1}x cleared)",
-                path.display(),
-                baseline.rows.len(),
-                tolerance * 100.0,
-                baseline.min_tick_speedup
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    publish(args.json_path.as_ref(), "tick-storm", &report.to_json(), baseline)
 }
 
 fn cmd_bench(args: &Args) -> CliResult {
@@ -641,11 +623,7 @@ fn cmd_bench(args: &Args) -> CliResult {
         return cmd_bench_tick_storm(args);
     }
     let batch = args.options.unwrap_or(bench::DEFAULT_BENCH_BATCH);
-    // Fail fast on an unreadable/malformed baseline before the ladder runs.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, bench::BenchReport::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &bench::GATE)?;
     println!("== Machine-readable benchmark ladder (seed {}, batch {batch}) ==\n", args.seed);
     let report = bench::run(args.seed, batch);
     let headers = ["Metric", "Backend", "Options/s", "p99 (us)", "Util", "Backpressure"];
@@ -672,37 +650,12 @@ fn cmd_bench(args: &Args) -> CliResult {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[bench report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let tolerance = args.tolerance.unwrap_or(0.10);
-        let problems = bench::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} metrics within {:.0}%)",
-                path.display(),
-                baseline.metrics.len(),
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    publish(args.json_path.as_ref(), "bench", &report.to_json(), baseline)
 }
 
 fn cmd_chaos(args: &Args, standalone: bool) -> CliResult {
-    // Fail fast on an unreadable/malformed baseline before the matrix runs.
-    let baseline = match args.check_baseline.as_ref().filter(|_| standalone) {
-        Some(path) => Some((path, read_baseline(path, chaos::ChaosReport::parse)?)),
-        None => None,
-    };
+    let baseline =
+        read_gate_baseline(args.check_baseline.as_ref().filter(|_| standalone), &chaos::GATE)?;
     println!("== Fault-injection chaos matrix (seed {}) ==\n", args.seed);
     let report = chaos::run(args.seed);
     let headers = [
@@ -748,30 +701,19 @@ fn cmd_chaos(args: &Args, standalone: bool) -> CliResult {
         println!("  {}: {shown}{tail}", c.name);
     }
     println!();
-    if let Some(path) = args.json_path.as_ref().filter(|_| standalone) {
-        write_json_report(path, &report.pretty())?;
-        println!("[chaos report written to {}]", path.display());
+    let gated = baseline.is_some();
+    publish(args.json_path.as_ref().filter(|_| standalone), "chaos", &report.to_json(), baseline)?;
+    survival_only(gated, report.all_survived(), "chaos matrix")
+}
+
+/// Without a baseline, a chaos matrix still fails when a scenario did
+/// not survive.
+fn survival_only(gated: bool, all_survived: bool, what: &str) -> CliResult {
+    if gated || all_survived {
+        return Ok(());
     }
-    if let Some((path, baseline)) = baseline {
-        let problems = chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios identical)",
-                path.display(),
-                baseline.cases.len()
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if !report.all_survived() {
-        eprintln!("chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+    eprintln!("{what}: FAIL (a scenario did not survive)");
+    Err(CliError::GateFailed)
 }
 
 /// Options per journalled replay run: small enough to re-execute in a
@@ -969,11 +911,7 @@ fn cmd_loadgen(args: &Args) -> CliResult {
     if args.abuser {
         return cmd_loadgen_abuse(args);
     }
-    // Fail fast on an unreadable/malformed baseline before the run.
-    let baseline = match args.check_baseline.as_ref() {
-        Some(path) => Some((path, read_baseline(path, loadgen::SloBaseline::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &loadgen::GATE)?;
     let config = loadgen::LoadgenConfig {
         seed: args.seed,
         requests: args.options.unwrap_or(loadgen::DEFAULT_REQUESTS),
@@ -1004,22 +942,9 @@ fn cmd_loadgen(args: &Args) -> CliResult {
         vec!["worst rung".to_string(), report.worst_rung.to_string()],
     ];
     println!("{}", render_table(&["Metric", "Value"], &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[loadgen report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = loadgen::check_slo(&baseline, &report);
-        if problems.is_empty() {
-            println!("SLO check against {}: PASS", path.display());
-        } else {
-            eprintln!("SLO check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  violated: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if report.answered() < report.sent {
+    let gated = baseline.is_some();
+    publish(args.json_path.as_ref(), "loadgen", &report.to_json(), baseline)?;
+    if !gated && report.answered() < report.sent {
         eprintln!("loadgen: FAIL ({} request(s) never answered)", report.sent - report.answered());
         return Err(CliError::GateFailed);
     }
@@ -1027,10 +952,7 @@ fn cmd_loadgen(args: &Args) -> CliResult {
 }
 
 fn cmd_server_chaos(args: &Args) -> CliResult {
-    let baseline = match args.check_baseline.as_ref() {
-        Some(path) => Some((path, read_baseline(path, server_chaos::ServerChaosReport::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &server_chaos::GATE)?;
     if args.isolation {
         println!("== Tenant-isolation matrix (seed {}) ==\n", args.seed);
     } else {
@@ -1059,37 +981,13 @@ fn cmd_server_chaos(args: &Args) -> CliResult {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[server-chaos report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = server_chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios' verdicts identical)",
-                path.display(),
-                baseline.cases.len()
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if !report.all_survived() {
-        eprintln!("server-chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+    let gated = baseline.is_some();
+    publish(args.json_path.as_ref(), "server-chaos", &report.to_json(), baseline)?;
+    survival_only(gated, report.all_survived(), "server-chaos matrix")
 }
 
 fn cmd_storage_chaos(args: &Args) -> CliResult {
-    let baseline = match args.check_baseline.as_ref() {
-        Some(path) => Some((path, read_baseline(path, storage_chaos::StorageChaosReport::parse)?)),
-        None => None,
-    };
+    let baseline = read_gate_baseline(args.check_baseline.as_ref(), &storage_chaos::GATE)?;
     println!("== Storage-fault crash-consistency matrix (seed {}) ==\n", args.seed);
     let report = storage_chaos::run(args.seed)
         .map_err(|e| fatal(format!("storage-chaos scenario failed: {e}")))?;
@@ -1110,30 +1008,9 @@ fn cmd_storage_chaos(args: &Args) -> CliResult {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[storage-chaos report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = storage_chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios' verdicts identical)",
-                path.display(),
-                baseline.cases.len()
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if !report.all_survived() {
-        eprintln!("storage-chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+    let gated = baseline.is_some();
+    publish(args.json_path.as_ref(), "storage-chaos", &report.to_json(), baseline)?;
+    survival_only(gated, report.all_survived(), "storage-chaos matrix")
 }
 
 fn run(args: &Args) -> CliResult {

@@ -34,6 +34,7 @@
 //! of each scenario — survived, degraded, shed-occurred,
 //! spreads-match — never counts or latencies.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use crate::loadgen::{compliant_trip, flood_as_tenant, quantile, slowloris_probe, LineClient};
 use cds_cpu::engine::CpuCdsEngine;
@@ -50,6 +51,21 @@ use std::time::{Duration, Instant};
 
 /// Version of the server-chaos JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// The `server-chaos --check` gate (with and without `--isolation`): the
+/// same seed, and every scenario's boolean verdicts equal to the
+/// baseline's. Counts are not gated (wall clock varies).
+pub static GATE: Gate = Gate {
+    name: "server-chaos",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("degraded").within("cases"),
+        Check::eq("shed_occurred").within("cases"),
+        Check::eq("spreads_match_clean").within("cases"),
+        Check::eq("survived").within("cases"),
+    ],
+};
 
 /// Outcome of one serving chaos scenario. Only the boolean verdicts are
 /// baseline-gated; the counts are informational (wall clock varies).
@@ -83,34 +99,6 @@ impl ServerChaosCase {
             ("survived", Json::Bool(self.survived)),
         ])
     }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("server-chaos case missing boolean field '{key}'")),
-            }
-        };
-        Ok(ServerChaosCase {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("server-chaos case missing 'name'")?
-                .to_string(),
-            degraded: flag("degraded")?,
-            shed_occurred: flag("shed_occurred")?,
-            spreads_match_clean: flag("spreads_match_clean")?,
-            survived: flag("survived")?,
-            sent: 0,
-            priced: 0,
-            shed: 0,
-        })
-    }
-
-    /// The gated projection: everything except the volatile counts.
-    fn verdicts(&self) -> (bool, bool, bool, bool) {
-        (self.degraded, self.shed_occurred, self.spreads_match_clean, self.survived)
-    }
 }
 
 /// A full serving chaos run.
@@ -125,11 +113,6 @@ pub struct ServerChaosReport {
 }
 
 impl ServerChaosReport {
-    /// Look a scenario up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&ServerChaosCase> {
-        self.cases.iter().find(|c| c.name == name)
-    }
-
     /// True when every scenario survived.
     pub fn all_survived(&self) -> bool {
         self.cases.iter().all(|c| c.survived)
@@ -143,78 +126,6 @@ impl ServerChaosReport {
             ("cases", Json::Array(self.cases.iter().map(ServerChaosCase::to_json).collect())),
         ])
     }
-
-    /// Pretty-printed JSON document.
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let value = crate::json::parse(text)?;
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("server-chaos report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "server-chaos schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let cases = value
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "server-chaos report missing 'cases' array".to_string())?
-            .iter()
-            .map(ServerChaosCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServerChaosReport { schema_version, seed: num("seed")? as u64, cases })
-    }
-}
-
-/// Gate `current` against `baseline`: every baseline scenario must be
-/// present with identical boolean verdicts, and no scenario may appear
-/// or vanish silently. Counts are *not* compared (wall clock varies).
-pub fn compare(baseline: &ServerChaosReport, current: &ServerChaosReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    for base in &baseline.cases {
-        match current.find(&base.name) {
-            None => problems.push(format!("scenario '{}' missing from current run", base.name)),
-            Some(cur) if cur.verdicts() != base.verdicts() => {
-                problems.push(format!(
-                    "scenario '{}' changed: baseline (degraded={}, shed={}, match={}, survived={}) vs current (degraded={}, shed={}, match={}, survived={})",
-                    base.name,
-                    base.degraded,
-                    base.shed_occurred,
-                    base.spreads_match_clean,
-                    base.survived,
-                    cur.degraded,
-                    cur.shed_occurred,
-                    cur.spreads_match_clean,
-                    cur.survived,
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for cur in &current.cases {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "scenario '{}' not in baseline — regenerate results/server_chaos_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
 }
 
 struct Client {
@@ -674,7 +585,7 @@ fn scenario_protocol_fuzz(seed: u64) -> Result<ServerChaosCase, String> {
 
 /// Execute the tenant-isolation matrix against in-process servers. The
 /// committed baseline lives in `results/tenant_isolation_baseline.json`
-/// and is gated with the same verdict-only [`compare`] as the chaos
+/// and is gated by the same verdict-only [`GATE`] as the chaos
 /// matrix.
 pub fn run_isolation(seed: u64) -> Result<ServerChaosReport, String> {
     let cases = vec![
@@ -683,62 +594,4 @@ pub fn run_isolation(seed: u64) -> Result<ServerChaosReport, String> {
         scenario_protocol_fuzz(seed)?,
     ];
     Ok(ServerChaosReport { schema_version: SCHEMA_VERSION, seed, cases })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn case(name: &str, survived: bool) -> ServerChaosCase {
-        ServerChaosCase {
-            name: name.to_string(),
-            degraded: false,
-            shed_occurred: true,
-            spreads_match_clean: true,
-            survived,
-            sent: 10,
-            priced: 5,
-            shed: 5,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_and_gates_on_verdicts_only() {
-        let report = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/a", true), case("server/b", true)],
-        };
-        let parsed = ServerChaosReport::parse(&report.pretty()).expect("parse");
-        // Counts are not serialised; verdict comparison still passes.
-        assert!(compare(&parsed, &report).is_empty());
-        let mut flipped = report.clone();
-        flipped.cases[1].survived = false;
-        let problems = compare(&parsed, &flipped);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("server/b"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_and_new_scenarios() {
-        let baseline = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/a", true)],
-        };
-        let current = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/new", true)],
-        };
-        let problems = compare(&baseline, &current);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let report = ServerChaosReport { schema_version: SCHEMA_VERSION, seed: 1, cases: vec![] };
-        let bumped = report.pretty().replace("\"schema_version\": 1", "\"schema_version\": 9");
-        assert!(ServerChaosReport::parse(&bumped).expect_err("gate").contains("regenerate"));
-    }
 }

@@ -32,6 +32,7 @@
 //! Counts (crash states enumerated, typed failures, clean resumes)
 //! are informational only; the verdict booleans are the gate.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_cpu::engine::CpuCdsEngine;
 use cds_engine::journal_io::{
@@ -54,6 +55,19 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Scenario label stamped on the engine-sidecar checkpoints.
 const STREAM_SCENARIO: &str = "storage-chaos-stream";
+
+/// The `storage-chaos --check` gate: the same seed, and every scenario's
+/// boolean verdicts equal to the baseline's. Counts are not gated.
+pub static GATE: Gate = Gate {
+    name: "storage-chaos",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("zero_silent_corruption").within("cases"),
+        Check::eq("ordering_held").within("cases"),
+        Check::eq("survived").within("cases"),
+    ],
+};
 
 /// Outcome of one storage chaos scenario. Only the boolean verdicts
 /// are baseline-gated; the counts are informational.
@@ -86,33 +100,6 @@ impl StorageChaosCase {
             ("survived", Json::Bool(self.survived)),
         ])
     }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("storage-chaos case missing boolean field '{key}'")),
-            }
-        };
-        Ok(StorageChaosCase {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("storage-chaos case missing 'name'")?
-                .to_string(),
-            zero_silent_corruption: flag("zero_silent_corruption")?,
-            ordering_held: flag("ordering_held")?,
-            survived: flag("survived")?,
-            states: 0,
-            typed: 0,
-            resumed: 0,
-        })
-    }
-
-    /// The gated projection: everything except the volatile counts.
-    fn verdicts(&self) -> (bool, bool, bool) {
-        (self.zero_silent_corruption, self.ordering_held, self.survived)
-    }
 }
 
 /// A full storage chaos run.
@@ -127,11 +114,6 @@ pub struct StorageChaosReport {
 }
 
 impl StorageChaosReport {
-    /// Look a scenario up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&StorageChaosCase> {
-        self.cases.iter().find(|c| c.name == name)
-    }
-
     /// True when every scenario survived.
     pub fn all_survived(&self) -> bool {
         self.cases.iter().all(|c| c.survived)
@@ -145,76 +127,6 @@ impl StorageChaosReport {
             ("cases", Json::Array(self.cases.iter().map(StorageChaosCase::to_json).collect())),
         ])
     }
-
-    /// Pretty-printed JSON document.
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let value = crate::json::parse(text)?;
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("storage-chaos report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "storage-chaos schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let cases = value
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "storage-chaos report missing 'cases' array".to_string())?
-            .iter()
-            .map(StorageChaosCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StorageChaosReport { schema_version, seed: num("seed")? as u64, cases })
-    }
-}
-
-/// Gate `current` against `baseline`: every baseline scenario must be
-/// present with identical boolean verdicts, and no scenario may appear
-/// or vanish silently. Counts are *not* compared.
-pub fn compare(baseline: &StorageChaosReport, current: &StorageChaosReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    for base in &baseline.cases {
-        match current.find(&base.name) {
-            None => problems.push(format!("scenario '{}' missing from current run", base.name)),
-            Some(cur) if cur.verdicts() != base.verdicts() => {
-                problems.push(format!(
-                    "scenario '{}' changed: baseline (zero_silent={}, ordering={}, survived={}) vs current (zero_silent={}, ordering={}, survived={})",
-                    base.name,
-                    base.zero_silent_corruption,
-                    base.ordering_held,
-                    base.survived,
-                    cur.zero_silent_corruption,
-                    cur.ordering_held,
-                    cur.survived,
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for cur in &current.cases {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "scenario '{}' not in baseline — regenerate results/storage_chaos_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
 }
 
 // ---------------------------------------------------------------------
@@ -540,58 +452,6 @@ pub fn run(seed: u64) -> Result<StorageChaosReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn case(name: &str, survived: bool) -> StorageChaosCase {
-        StorageChaosCase {
-            name: name.to_string(),
-            zero_silent_corruption: true,
-            ordering_held: true,
-            survived,
-            states: 100,
-            typed: 40,
-            resumed: 60,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_and_gates_on_verdicts_only() {
-        let report = StorageChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("storage/a", true), case("storage/b", true)],
-        };
-        let parsed = StorageChaosReport::parse(&report.pretty()).expect("parse");
-        // Counts are not serialised; verdict comparison still passes.
-        assert!(compare(&parsed, &report).is_empty());
-        let mut flipped = report.clone();
-        flipped.cases[1].ordering_held = false;
-        let problems = compare(&parsed, &flipped);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("storage/b"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_and_new_scenarios() {
-        let baseline = StorageChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("storage/a", true)],
-        };
-        let current = StorageChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("storage/new", true)],
-        };
-        let problems = compare(&baseline, &current);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let report = StorageChaosReport { schema_version: SCHEMA_VERSION, seed: 1, cases: vec![] };
-        let bumped = report.pretty().replace("\"schema_version\": 1", "\"schema_version\": 9");
-        assert!(StorageChaosReport::parse(&bumped).expect_err("gate").contains("regenerate"));
-    }
 
     /// The full sweep is the CI gate's job; here one cheap scenario
     /// proves the machinery end to end (enumerate → materialise →

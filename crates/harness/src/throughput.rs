@@ -5,13 +5,14 @@
 //! times the CPU engines on the machine it runs on and reports
 //! options/second. [`run`] measures three rows (scalar reference on one
 //! thread, lane kernel on one thread, lane kernel across a pinned thread
-//! count) after a warm-up pass; [`compare`] gates a report against a
+//! count) after a warm-up pass; [`GATE`] checks a report against a
 //! committed baseline (`results/throughput_baseline.json`) with a
-//! generous relative tolerance for runner noise, plus one *relative*
+//! generous relative [`TOLERANCE`] for runner noise, plus one *relative*
 //! invariant that is immune to machine speed: the lane kernel must stay
 //! at least [`MIN_LANE_SPEEDUP`]× faster than the scalar reference on a
 //! single thread.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use crate::workload::Workload;
 use cds_cpu::parallel::price_parallel;
@@ -28,10 +29,10 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// second even for the scalar row.
 pub const DEFAULT_THROUGHPUT_BATCH: usize = 8192;
 
-/// Default relative gate width — deliberately generous, since CI runners
-/// share hardware and wall-clock numbers jitter far more than the
-/// deterministic ladder's.
-pub const DEFAULT_THROUGHPUT_TOLERANCE: f64 = 0.40;
+/// Relative width of the per-row throughput floors — deliberately
+/// generous, since CI runners share hardware and wall-clock numbers
+/// jitter far more than the deterministic ladder's.
+pub const TOLERANCE: f64 = 0.40;
 
 /// Default pinned thread count of the multi-threaded row — kept at two
 /// so the row measures the same parallelism on a laptop, a CI runner and
@@ -43,6 +44,21 @@ pub const DEFAULT_THROUGHPUT_THREADS: usize = 2;
 /// (the ISSUE's ≥4x acceptance criterion). Checked without tolerance —
 /// both sides of the ratio see the same machine noise.
 pub const MIN_LANE_SPEEDUP: f64 = 4.0;
+
+/// The `bench --throughput --check` gate: same seed, batch and pinned
+/// thread count (so floors stay comparable), a throughput floor per row,
+/// and the tolerance-free lane-speedup floor.
+pub static GATE: Gate = Gate {
+    name: "throughput",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("batch"),
+        Check::eq("pinned_threads"),
+        Check::min("options_per_second", TOLERANCE).within("rows"),
+        Check::at_least("lane_speedup_1t", "min_lane_speedup"),
+    ],
+};
 
 /// Minimum timed window per row; iteration continues until both this
 /// and [`MIN_SAMPLE_ITERS`] are reached.
@@ -113,58 +129,6 @@ impl ThroughputReport {
             ),
         ])
     }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("throughput report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "throughput schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let rows = value
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "throughput report missing 'rows' array".to_string())?
-            .iter()
-            .map(|row| {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "throughput row missing 'name'".to_string())?;
-                let ops = row
-                    .get("options_per_second")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| "throughput row missing 'options_per_second'".to_string())?;
-                Ok(ThroughputRow { name: name.to_string(), options_per_second: ops })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ThroughputReport {
-            schema_version,
-            seed: num("seed")? as u64,
-            batch: num("batch")? as usize,
-            pinned_threads: num("pinned_threads")? as usize,
-            lane_speedup_1t: num("lane_speedup_1t")?,
-            min_lane_speedup: num("min_lane_speedup")?,
-            rows,
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
-    }
 }
 
 /// Time repeated passes of `pass` (which returns options priced per
@@ -233,63 +197,6 @@ pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -
     }
 }
 
-/// Gate `current` against `baseline`: one message per problem (empty =
-/// pass). Throughput may not drop below `baseline·(1−tolerance)`, the
-/// row set and pinned thread count may not drift, and the current run's
-/// lane speedup must clear the baseline's recorded floor (no tolerance —
-/// the ratio cancels machine speed).
-pub fn compare(
-    baseline: &ThroughputReport,
-    current: &ThroughputReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.pinned_threads != current.pinned_threads {
-        problems.push(format!(
-            "pinned thread count changed: baseline {} vs current {} — floors are not comparable",
-            baseline.pinned_threads, current.pinned_threads
-        ));
-    }
-    for base in &baseline.rows {
-        let Some(cur) = current.find(&base.name) else {
-            problems.push(format!("row '{}' missing from current run", base.name));
-            continue;
-        };
-        if base.options_per_second > 0.0
-            && cur.options_per_second < base.options_per_second * (1.0 - tolerance)
-        {
-            problems.push(format!(
-                "{}: throughput regressed {:.0} -> {:.0} options/s (tolerance {:.0}%)",
-                base.name,
-                base.options_per_second,
-                cur.options_per_second,
-                tolerance * 100.0
-            ));
-        }
-    }
-    for cur in &current.rows {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "row '{}' not in baseline — regenerate results/throughput_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    if current.lane_speedup_1t < baseline.min_lane_speedup {
-        problems.push(format!(
-            "lane kernel speedup {:.2}x fell below the required {:.2}x floor",
-            current.lane_speedup_1t, baseline.min_lane_speedup
-        ));
-    }
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,70 +217,5 @@ mod tests {
         assert!(r.lane_speedup_1t > 0.0);
         assert_eq!(r.min_lane_speedup, MIN_LANE_SPEEDUP);
         assert_eq!(r.pinned_threads, 2);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = quick_run();
-        let back = match ThroughputReport::parse(&r.pretty()) {
-            Ok(b) => b,
-            Err(e) => panic!("parse own output: {e}"),
-        };
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = quick_run();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = match ThroughputReport::parse(&r.pretty()) {
-            Ok(_) => panic!("stale schema must be rejected"),
-            Err(e) => e,
-        };
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_passes_identical_runs_when_speedup_clears_floor() {
-        let mut r = quick_run();
-        r.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0; // decouple from noise
-        assert_eq!(compare(&r, &r, DEFAULT_THROUGHPUT_TOLERANCE), Vec::<String>::new());
-    }
-
-    #[test]
-    fn compare_flags_regression_drift_and_speedup_floor() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut bad = base.clone();
-        bad.rows[1].options_per_second = base.rows[1].options_per_second * 0.5;
-        bad.rows.push(ThroughputRow { name: "cpu/new".to_string(), options_per_second: 1.0 });
-        bad.pinned_threads += 1;
-        bad.lane_speedup_1t = MIN_LANE_SPEEDUP - 1.0;
-        let problems = compare(&base, &bad, DEFAULT_THROUGHPUT_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("throughput regressed")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("not in baseline")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("pinned thread count")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("fell below")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_row() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut cur = base.clone();
-        cur.rows.remove(0);
-        let problems = compare(&base, &cur, DEFAULT_THROUGHPUT_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("missing from current")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_tolerates_runner_noise() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut wiggle = base.clone();
-        for row in &mut wiggle.rows {
-            row.options_per_second *= 1.0 - DEFAULT_THROUGHPUT_TOLERANCE + 0.05;
-        }
-        assert_eq!(compare(&base, &wiggle, DEFAULT_THROUGHPUT_TOLERANCE), Vec::<String>::new());
     }
 }

@@ -18,8 +18,8 @@
 //!   Reported and floored, but excluded from the speedup gate: no
 //!   arrangement can make a tick that every option reads cheap.
 //!
-//! [`compare`] gates a run against `results/tick_storm_baseline.json`:
-//! absolute per-row floors carry the runner-noise tolerance, while the
+//! [`GATE`] checks a run against `results/tick_storm_baseline.json`:
+//! absolute per-row floors carry the runner-noise [`TOLERANCE`], while the
 //! headline `incremental_speedup` (off-lattice ticks/s over full
 //! passes/s) is checked **without tolerance** against
 //! [`MIN_TICK_SPEEDUP`] — both sides of the ratio see the same machine.
@@ -29,6 +29,7 @@
 //! a zero-delta no-op, and a zero-delta probe must report an empty
 //! affected set.
 
+use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_engine::incremental::{CurveKind, CurveTick, IncrementalEngine};
 use cds_quant::option::{MarketData, PortfolioGenerator};
@@ -41,15 +42,32 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Default resident book of a tick-storm run: the ISSUE's ≥1M options.
 pub const DEFAULT_TICK_RESIDENTS: usize = 1_048_576;
 
-/// Default relative gate width for the absolute per-row floors (same
-/// rationale as the throughput gate: shared CI runners jitter).
-pub const DEFAULT_TICK_TOLERANCE: f64 = 0.40;
+/// Relative width of the absolute per-row floors (same rationale as the
+/// throughput gate: shared CI runners jitter).
+pub const TOLERANCE: f64 = 0.40;
 
 /// Machine-independent floor on `incremental_speedup`: off-lattice
 /// single-point ticks must process at least this many times faster than
 /// full-book repricing. Checked without tolerance — the ratio cancels
 /// machine speed.
 pub const MIN_TICK_SPEEDUP: f64 = 100.0;
+
+/// The `bench --tick-storm --check` gate: same seed, book and curve, a
+/// rate floor per row, the tolerance-free speedup floor, and bitwise
+/// cleanliness as literals no baseline can relax.
+pub static GATE: Gate = Gate {
+    name: "tick-storm",
+    schema_version: SCHEMA_VERSION,
+    checks: &[
+        Check::eq("seed"),
+        Check::eq("residents"),
+        Check::eq("knots"),
+        Check::min("per_second", TOLERANCE).within("rows"),
+        Check::at_least("incremental_speedup", "min_tick_speedup"),
+        Check::literal("bit_mismatches", Json::Number(0.0)),
+        Check::literal("zero_delta_clean", Json::Bool(true)),
+    ],
+};
 
 /// Minimum timed window per row.
 const DEFAULT_MIN_SAMPLE: Duration = Duration::from_millis(300);
@@ -133,66 +151,6 @@ impl TickStormReport {
                 ),
             ),
         ])
-    }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("tick-storm report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "tick-storm schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let zero_delta_clean = match value.get("zero_delta_clean") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("tick-storm report missing boolean 'zero_delta_clean'".to_string()),
-        };
-        let rows = value
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "tick-storm report missing 'rows' array".to_string())?
-            .iter()
-            .map(|row| {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "tick-storm row missing 'name'".to_string())?;
-                let per_second = row
-                    .get("per_second")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| "tick-storm row missing 'per_second'".to_string())?;
-                Ok(TickStormRow { name: name.to_string(), per_second })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(TickStormReport {
-            schema_version,
-            seed: num("seed")? as u64,
-            residents: num("residents")? as usize,
-            knots: num("knots")? as usize,
-            free_knots: num("free_knots")? as usize,
-            mean_affected: num("mean_affected")?,
-            incremental_speedup: num("incremental_speedup")?,
-            min_tick_speedup: num("min_tick_speedup")?,
-            bit_mismatches: num("bit_mismatches")? as u64,
-            zero_delta_clean,
-            rows,
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
     }
 }
 
@@ -341,80 +299,6 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
     }
 }
 
-/// Gate `current` against `baseline`: one message per problem (empty =
-/// pass). Per-row rates may not drop below `baseline·(1−tolerance)` and
-/// the row set, resident count and knot count may not drift; the
-/// headline speedup must clear the baseline's recorded floor and the
-/// run must be bitwise clean — all three checked without tolerance.
-pub fn compare(
-    baseline: &TickStormReport,
-    current: &TickStormReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.residents != current.residents {
-        problems.push(format!(
-            "resident book changed: baseline {} vs current {} options — floors are not comparable",
-            baseline.residents, current.residents
-        ));
-    }
-    if baseline.knots != current.knots {
-        problems.push(format!(
-            "knot count changed: baseline {} vs current {} — floors are not comparable",
-            baseline.knots, current.knots
-        ));
-    }
-    for base in &baseline.rows {
-        let Some(cur) = current.find(&base.name) else {
-            problems.push(format!("row '{}' missing from current run", base.name));
-            continue;
-        };
-        if base.per_second > 0.0 && cur.per_second < base.per_second * (1.0 - tolerance) {
-            problems.push(format!(
-                "{}: rate regressed {:.1} -> {:.1} per second (tolerance {:.0}%)",
-                base.name,
-                base.per_second,
-                cur.per_second,
-                tolerance * 100.0
-            ));
-        }
-    }
-    for cur in &current.rows {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "row '{}' not in baseline — regenerate results/tick_storm_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    if current.incremental_speedup < baseline.min_tick_speedup {
-        problems.push(format!(
-            "incremental speedup {:.1}x fell below the required {:.1}x floor",
-            current.incremental_speedup, baseline.min_tick_speedup
-        ));
-    }
-    if current.bit_mismatches != 0 {
-        problems.push(format!(
-            "{} stored spreads differ bitwise from a full reprice — incremental state corrupt",
-            current.bit_mismatches
-        ));
-    }
-    if !current.zero_delta_clean {
-        problems.push(
-            "zero-delta contract violated: a no-op tick invalidated options or a measured \
-             tick degenerated"
-                .to_string(),
-        );
-    }
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,71 +322,5 @@ mod tests {
         assert!(r.free_knots > 0, "paper curves should have lattice-free knots");
         assert_eq!(r.residents, 512);
         assert_eq!(r.knots, 1024);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = quick_run();
-        let back = match TickStormReport::parse(&r.pretty()) {
-            Ok(b) => b,
-            Err(e) => panic!("parse own output: {e}"),
-        };
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = quick_run();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = match TickStormReport::parse(&r.pretty()) {
-            Ok(_) => panic!("stale schema must be rejected"),
-            Err(e) => e,
-        };
-        assert!(err.contains("regenerate the baseline"), "{err}");
-    }
-
-    #[test]
-    fn compare_passes_identical_clean_runs_above_the_floor() {
-        let mut r = quick_run();
-        r.incremental_speedup = MIN_TICK_SPEEDUP + 50.0; // decouple from tiny-run noise
-        assert_eq!(compare(&r, &r, DEFAULT_TICK_TOLERANCE), Vec::<String>::new());
-    }
-
-    #[test]
-    fn compare_flags_every_gate_axis() {
-        let mut base = quick_run();
-        base.incremental_speedup = MIN_TICK_SPEEDUP + 50.0;
-        let mut bad = base.clone();
-        bad.rows[1].per_second = base.rows[1].per_second * 0.4;
-        bad.rows.push(TickStormRow { name: "incremental/new".to_string(), per_second: 1.0 });
-        bad.residents += 1;
-        bad.knots += 1;
-        bad.incremental_speedup = MIN_TICK_SPEEDUP - 1.0;
-        bad.bit_mismatches = 3;
-        bad.zero_delta_clean = false;
-        let problems = compare(&base, &bad, DEFAULT_TICK_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("rate regressed")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("not in baseline")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("resident book changed")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("knot count changed")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("fell below")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("differ bitwise")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("zero-delta contract")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_row_and_tolerates_noise() {
-        let mut base = quick_run();
-        base.incremental_speedup = MIN_TICK_SPEEDUP + 50.0;
-        let mut cur = base.clone();
-        cur.rows.remove(0);
-        let problems = compare(&base, &cur, DEFAULT_TICK_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("missing from current")), "{problems:?}");
-
-        let mut wiggle = base.clone();
-        for row in &mut wiggle.rows {
-            row.per_second *= 1.0 - DEFAULT_TICK_TOLERANCE + 0.05;
-        }
-        assert_eq!(compare(&base, &wiggle, DEFAULT_TICK_TOLERANCE), Vec::<String>::new());
     }
 }

@@ -68,6 +68,27 @@ fn bench_with_malformed_baseline_exits_2() {
 }
 
 #[test]
+fn bench_check_with_a_foreign_seed_names_the_seed() {
+    // A different seed changes every number of the ladder; the gate must
+    // name the cause instead of only listing the drifted metrics.
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_baseline.json");
+    let out = harness()
+        .args(["bench", "--seed", "7", "--check", baseline])
+        .output()
+        .expect("spawn harness");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("seed"), "{stderr}");
+}
+
+#[test]
+fn tolerance_flag_is_unknown() {
+    let out = harness().args(["bench", "--tolerance", "0.10"]).output().expect("spawn harness");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --tolerance"));
+}
+
+#[test]
 fn throughput_with_nonexistent_baseline_exits_2_fast() {
     let out = harness()
         .args(["bench", "--throughput", "--check", "/nonexistent/dir/throughput_baseline.json"])
