@@ -17,9 +17,11 @@
 //! ```
 //!
 //! Lines starting with `#` are comments (the writer emits the decimal
-//! rendering of every float as a comment for the human reader). Parsing
-//! returns typed errors and never panics, whatever the input.
+//! rendering of every float as a comment for the human reader). Payloads
+//! decode through the strict [`cds_engine::codec`]; parsing returns typed
+//! errors and never panics, whatever the input.
 
+use cds_engine::codec::{f64_to_token, CodecError, Fields};
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_quant::QuantError;
 use rand::rngs::StdRng;
@@ -123,20 +125,24 @@ impl MarketSpec {
             MarketSpec::Paper { seed } => format!("paper seed={seed}"),
             MarketSpec::Stressed { seed } => format!("stressed seed={seed}"),
             MarketSpec::Flat { rate, hazard, knots } => {
-                format!("flat rate={} hazard={} knots={knots}", hex(rate), hex(hazard))
+                format!(
+                    "flat rate={} hazard={} knots={knots}",
+                    f64_to_token(rate),
+                    f64_to_token(hazard)
+                )
             }
             MarketSpec::NearFlat { rate, hazard, wobble, seed, knots } => format!(
                 "nearflat rate={} hazard={} wobble={} seed={seed} knots={knots}",
-                hex(rate),
-                hex(hazard),
-                hex(wobble)
+                f64_to_token(rate),
+                f64_to_token(hazard),
+                f64_to_token(wobble)
             ),
             MarketSpec::StepHazard { rate, low, high, step_tenor, knots } => format!(
                 "step rate={} low={} high={} step_tenor={} knots={knots}",
-                hex(rate),
-                hex(low),
-                hex(high),
-                hex(step_tenor)
+                f64_to_token(rate),
+                f64_to_token(low),
+                f64_to_token(high),
+                f64_to_token(step_tenor)
             ),
         }
     }
@@ -193,22 +199,6 @@ impl std::fmt::Display for CorpusError {
 
 impl std::error::Error for CorpusError {}
 
-/// Render an `f64` by its bit pattern.
-fn hex(x: f64) -> String {
-    format!("0x{:016x}", x.to_bits())
-}
-
-/// Parse a float written either as `0x<16 hex digits>` (bit pattern) or
-/// as a plain decimal.
-fn parse_f64(s: &str) -> Result<f64, String> {
-    if let Some(bits) = s.strip_prefix("0x") {
-        let bits = u64::from_str_radix(bits, 16).map_err(|e| format!("bad f64 bits {s}: {e}"))?;
-        Ok(f64::from_bits(bits))
-    } else {
-        s.parse::<f64>().map_err(|e| format!("bad f64 {s}: {e}"))
-    }
-}
-
 fn freq_name(f: PaymentFrequency) -> &'static str {
     match f {
         PaymentFrequency::Annual => "annual",
@@ -219,22 +209,8 @@ fn freq_name(f: PaymentFrequency) -> &'static str {
 }
 
 fn parse_freq(s: &str) -> Result<PaymentFrequency, String> {
-    match s {
-        "annual" => Ok(PaymentFrequency::Annual),
-        "semiannual" => Ok(PaymentFrequency::SemiAnnual),
-        "quarterly" => Ok(PaymentFrequency::Quarterly),
-        "monthly" => Ok(PaymentFrequency::Monthly),
-        other => Err(format!("unknown payment frequency {other}")),
-    }
-}
-
-/// Split `key=value` tokens of a payload into an association list.
-fn fields(payload: &str) -> Vec<(&str, &str)> {
-    payload.split_whitespace().filter_map(|tok| tok.split_once('=')).collect()
-}
-
-fn get<'a>(kv: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, String> {
-    kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v).ok_or(format!("missing field {key}"))
+    let freq = PaymentFrequency::ALL.into_iter().find(|&f| freq_name(f) == s);
+    freq.ok_or_else(|| format!("unknown payment frequency {s}"))
 }
 
 impl ConformanceCase {
@@ -256,9 +232,9 @@ impl ConformanceCase {
             ));
             out.push_str(&format!(
                 "option: maturity={} frequency={} recovery={}\n",
-                hex(o.maturity),
+                f64_to_token(o.maturity),
                 freq_name(o.frequency),
-                hex(o.recovery_rate)
+                f64_to_token(o.recovery_rate)
             ));
         }
         out
@@ -279,6 +255,7 @@ impl ConformanceCase {
         let mut options = Vec::new();
         for (i, raw) in lines {
             let line_no = i + 1;
+            let codec = |e: CodecError| err(line_no, e.to_string());
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -292,51 +269,39 @@ impl ConformanceCase {
                 "note" => note = payload.to_string(),
                 "market" => {
                     let (shape, rest) = payload.split_once(' ').unwrap_or((payload, ""));
-                    let kv = fields(rest);
-                    let f = |k: &str| get(&kv, k).and_then(parse_f64);
-                    let u = |k: &str| {
-                        get(&kv, k).and_then(|v| {
-                            v.parse::<u64>().map_err(|e| format!("bad integer {v}: {e}"))
-                        })
-                    };
+                    let f = Fields::parse(rest.split_whitespace()).map_err(codec)?;
                     let spec = match shape {
-                        "paper" => {
-                            MarketSpec::Paper { seed: u("seed").map_err(|e| err(line_no, e))? }
-                        }
-                        "stressed" => {
-                            MarketSpec::Stressed { seed: u("seed").map_err(|e| err(line_no, e))? }
-                        }
+                        "paper" => MarketSpec::Paper { seed: f.dec("seed").map_err(codec)? },
+                        "stressed" => MarketSpec::Stressed { seed: f.dec("seed").map_err(codec)? },
                         "flat" => MarketSpec::Flat {
-                            rate: f("rate").map_err(|e| err(line_no, e))?,
-                            hazard: f("hazard").map_err(|e| err(line_no, e))?,
-                            knots: u("knots").map_err(|e| err(line_no, e))? as usize,
+                            rate: f.f64("rate").map_err(codec)?,
+                            hazard: f.f64("hazard").map_err(codec)?,
+                            knots: f.dec("knots").map_err(codec)?,
                         },
                         "nearflat" => MarketSpec::NearFlat {
-                            rate: f("rate").map_err(|e| err(line_no, e))?,
-                            hazard: f("hazard").map_err(|e| err(line_no, e))?,
-                            wobble: f("wobble").map_err(|e| err(line_no, e))?,
-                            seed: u("seed").map_err(|e| err(line_no, e))?,
-                            knots: u("knots").map_err(|e| err(line_no, e))? as usize,
+                            rate: f.f64("rate").map_err(codec)?,
+                            hazard: f.f64("hazard").map_err(codec)?,
+                            wobble: f.f64("wobble").map_err(codec)?,
+                            seed: f.dec("seed").map_err(codec)?,
+                            knots: f.dec("knots").map_err(codec)?,
                         },
                         "step" => MarketSpec::StepHazard {
-                            rate: f("rate").map_err(|e| err(line_no, e))?,
-                            low: f("low").map_err(|e| err(line_no, e))?,
-                            high: f("high").map_err(|e| err(line_no, e))?,
-                            step_tenor: f("step_tenor").map_err(|e| err(line_no, e))?,
-                            knots: u("knots").map_err(|e| err(line_no, e))? as usize,
+                            rate: f.f64("rate").map_err(codec)?,
+                            low: f.f64("low").map_err(codec)?,
+                            high: f.f64("high").map_err(codec)?,
+                            step_tenor: f.f64("step_tenor").map_err(codec)?,
+                            knots: f.dec("knots").map_err(codec)?,
                         },
                         other => return Err(err(line_no, format!("unknown market shape {other}"))),
                     };
                     market = Some(spec);
                 }
                 "option" => {
-                    let kv = fields(payload);
-                    let maturity =
-                        get(&kv, "maturity").and_then(parse_f64).map_err(|e| err(line_no, e))?;
-                    let frequency =
-                        get(&kv, "frequency").and_then(parse_freq).map_err(|e| err(line_no, e))?;
-                    let recovery =
-                        get(&kv, "recovery").and_then(parse_f64).map_err(|e| err(line_no, e))?;
+                    let f = Fields::parse(payload.split_whitespace()).map_err(codec)?;
+                    let maturity = f.f64("maturity").map_err(codec)?;
+                    let frequency = parse_freq(f.get("frequency").map_err(codec)?)
+                        .map_err(|e| err(line_no, e))?;
+                    let recovery = f.f64("recovery").map_err(codec)?;
                     let option = CdsOption::validated(maturity, frequency, recovery)
                         .map_err(|e| err(line_no, format!("invalid option: {e}")))?;
                     options.push(option);
@@ -444,13 +409,50 @@ mod tests {
         }
     }
 
+    /// The writer is unchanged: every committed corpus file is exactly
+    /// what its parsed case serialises back to.
     #[test]
-    fn decimal_floats_are_accepted_on_input() {
-        let text = "cds-conformance-case v1\nname: d\nmarket: flat rate=0.02 hazard=0.015 knots=16\noption: maturity=5.0 frequency=quarterly recovery=0.4\n";
-        let case = match ConformanceCase::parse(text) {
-            Ok(c) => c,
-            Err(e) => panic!("{e}"),
-        };
-        assert_eq!(case.options[0].maturity, 5.0);
+    fn committed_corpus_round_trips_byte_for_byte() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/conformance_corpus");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("committed corpus directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|e| e == "case") {
+                let text = std::fs::read_to_string(&path).expect("readable case");
+                let case = ConformanceCase::parse(&text)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert_eq!(case.to_text(), text, "{}", path.display());
+                files += 1;
+            }
+        }
+        assert!(files > 0, "no .case files under {}", dir.display());
+    }
+
+    #[test]
+    fn non_canonical_fields_are_typed_errors_naming_the_field() {
+        let head = "cds-conformance-case v1\nname: d\nmarket: paper seed=1\n";
+        let option = "frequency=quarterly recovery=0x3fd999999999999a";
+        for (line, needle) in [
+            // A truncated bit pattern is a valid tiny float to a lenient
+            // parser; a decimal is no bit pattern at all.
+            (format!("option: maturity=0x4014 {option}"), "field `maturity`"),
+            (format!("option: maturity=5.0 {option}"), "field `maturity`"),
+            (format!("option: maturity=0x4014000000000000 {option} stray"), "`stray`"),
+            (
+                format!("option: maturity=0x4014000000000000 {option} maturity=0x4014000000000000"),
+                "duplicate field `maturity`",
+            ),
+            ("market: paper seed=+1".to_string(), "field `seed`"),
+        ] {
+            let text = format!("{head}{line}\n");
+            match ConformanceCase::parse(&text) {
+                Err(e) => {
+                    assert_eq!(e.line, 4, "{line}: {e}");
+                    assert!(e.reason.contains(needle), "{line}: `{e}` should name {needle}");
+                }
+                Ok(case) => panic!("accepted {line:?} as {case:?}"),
+            }
+        }
     }
 }

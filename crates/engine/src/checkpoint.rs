@@ -19,6 +19,7 @@
 //! list — fails parsing instead of silently passing for a checkpoint
 //! with fewer completions.
 
+use crate::codec::{self, bits_to_hex, CodecError, Fields};
 use crate::error::CdsError;
 use crate::streaming::StreamingReport;
 use dataflow_sim::Cycle;
@@ -90,7 +91,9 @@ impl Checkpoint {
         let completed = self
             .completed
             .iter()
-            .map(|c| format!("{}:{}:{:016x}", c.index, c.done_cycle, c.spread_bps.to_bits()))
+            .map(|c| {
+                format!("{}:{}:{}", c.index, c.done_cycle, bits_to_hex(c.spread_bps.to_bits()))
+            })
             .collect::<Vec<_>>()
             .join(",");
         let fault_seed = self.fault_seed.map_or_else(|| "none".to_string(), |s| s.to_string());
@@ -145,90 +148,50 @@ impl Checkpoint {
         Checkpoint::parse(&text)
     }
 
-    /// Parse the text format. Every malformation is a typed
-    /// [`CdsError::Journal`] — this never panics.
+    /// Parse the text format through the strict [`crate::codec`]. Every
+    /// malformation is a typed [`CdsError::Journal`] — this never panics.
     pub fn parse(text: &str) -> Result<Checkpoint, CdsError> {
         let journal = |reason: String| CdsError::Journal { reason };
         let mut lines = text.lines();
         if lines.next().map(str::trim) != Some(CHECKPOINT_MAGIC) {
             return Err(journal(format!("missing magic line `{CHECKPOINT_MAGIC}`")));
         }
-        let mut fields = std::collections::BTreeMap::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| journal(format!("malformed line `{line}` (expected key=value)")))?;
-            fields.insert(key.to_string(), value.to_string());
-        }
-        let take = |key: &str| -> Result<String, CdsError> {
-            fields.get(key).cloned().ok_or_else(|| journal(format!("missing field `{key}`")))
+        let fields = Fields::parse(lines.map(str::trim).filter(|l| !l.is_empty()))?;
+        // A comma-separated list; an empty value is an empty list.
+        let list = |key: &'static str| {
+            fields.get(key).map(|raw| raw.split(',').filter(move |_| !raw.is_empty()))
         };
-        let int = |key: &str| -> Result<u64, CdsError> {
-            let raw = take(key)?;
-            raw.parse::<u64>()
-                .map_err(|_| journal(format!("field `{key}` is not an integer: `{raw}`")))
-        };
-        let id_list = |key: &str| -> Result<Vec<u32>, CdsError> {
-            let raw = take(key)?;
-            if raw.is_empty() {
-                return Ok(Vec::new());
-            }
-            raw.split(',')
-                .map(|s| {
-                    s.parse::<u32>()
-                        .map_err(|_| journal(format!("field `{key}` has a bad index: `{s}`")))
-                })
-                .collect()
+        let id_list = |key: &'static str| -> Result<Vec<u32>, CodecError> {
+            list(key)?.map(|s| codec::dec(s).map_err(|e| e.in_field(key))).collect()
         };
 
-        let schema_version = int("schema_version")? as u32;
+        let schema_version: u32 = fields.dec("schema_version")?;
         if schema_version != CHECKPOINT_SCHEMA_VERSION {
             return Err(journal(format!(
                 "unsupported schema_version {schema_version} (expected {CHECKPOINT_SCHEMA_VERSION})"
             )));
         }
-        let fault_seed = match take("fault_seed")?.as_str() {
+        let fault_seed = match fields.get("fault_seed")? {
             "none" => None,
-            raw => Some(
-                raw.parse::<u64>()
-                    .map_err(|_| journal(format!("fault_seed is not an integer: `{raw}`")))?,
-            ),
+            _ => Some(fields.dec("fault_seed")?),
         };
-        let completed_raw = take("completed")?;
         let mut completed = Vec::new();
-        if !completed_raw.is_empty() {
-            for item in completed_raw.split(',') {
-                let mut parts = item.split(':');
-                let (Some(idx), Some(cycle), Some(bits), None) =
-                    (parts.next(), parts.next(), parts.next(), parts.next())
-                else {
-                    return Err(journal(format!("completed entry `{item}` is not idx:cycle:bits")));
-                };
-                let index = idx
-                    .parse::<u32>()
-                    .map_err(|_| journal(format!("completed entry `{item}` has a bad index")))?;
-                let done_cycle = cycle
-                    .parse::<Cycle>()
-                    .map_err(|_| journal(format!("completed entry `{item}` has a bad cycle")))?;
-                let bits = u64::from_str_radix(bits, 16).map_err(|_| {
-                    journal(format!("completed entry `{item}` has bad spread bits"))
-                })?;
-                completed.push(CompletedOption {
-                    index,
-                    done_cycle,
-                    spread_bps: f64::from_bits(bits),
-                });
-            }
+        for item in list("completed")? {
+            let [idx, cycle, bits] = item.split(':').collect::<Vec<_>>()[..] else {
+                return Err(journal(format!("completed entry `{item}` is not idx:cycle:bits")));
+            };
+            let field = |e: CodecError| CdsError::from(e.in_field("completed"));
+            completed.push(CompletedOption {
+                index: codec::dec(idx).map_err(field)?,
+                done_cycle: codec::dec_u64(cycle).map_err(field)?,
+                spread_bps: f64::from_bits(codec::hex_to_bits(bits).map_err(field)?),
+            });
         }
         // The commit marker makes truncation detectable: a journal cut
         // short loses the marker line (missing field) or keeps it while
         // losing completion entries (count mismatch) — either way a
         // typed error, never a silently smaller checkpoint.
-        let commit = int("commit")? as usize;
+        let commit: usize = fields.dec("commit")?;
         if commit != completed.len() {
             return Err(journal(format!(
                 "commit marker records {commit} completions but the journal holds {} \
@@ -239,13 +202,13 @@ impl Checkpoint {
 
         let checkpoint = Checkpoint {
             schema_version,
-            total_options: int("total_options")? as u32,
-            cadence: int("cadence")? as u32,
-            watermark_cycle: int("watermark_cycle")?,
+            total_options: fields.dec("total_options")?,
+            cadence: fields.dec("cadence")?,
+            watermark_cycle: fields.dec("watermark_cycle")?,
             fault_seed,
             // Optional for backward compatibility: journals written
             // before scenario labels existed parse as unlabelled.
-            scenario: fields.get("scenario").cloned(),
+            scenario: fields.get("scenario").ok().map(str::to_string),
             admitted: id_list("admitted")?,
             shed: id_list("shed")?,
             completed,
@@ -461,6 +424,27 @@ mod tests {
                  watermark_cycle=9\nfault_seed=none\nadmitted=0,1\nshed=\n\
                  completed=0:9:4056000000000000\ncommit=2\n",
                 "truncated journal",
+            ),
+            // Spread bits must be exactly 16 hex digits: a truncated
+            // pattern is a valid tiny float to a lenient parser.
+            (
+                "cds-checkpoint v1\nschema_version=1\ntotal_options=1\ncadence=1\n\
+                 watermark_cycle=5\nfault_seed=none\nadmitted=0\nshed=\n\
+                 completed=0:5:4059\ncommit=1\n",
+                "field `completed`: bad bit pattern `4059`",
+            ),
+            (
+                "cds-checkpoint v1\nschema_version=1\ntotal_options=1\ncadence=1\n\
+                 watermark_cycle=5\nfault_seed=none\nadmitted=0\nshed=\n\
+                 completed=0:5:+405900000000000\ncommit=1\n",
+                "field `completed`: bad bit pattern `+405900000000000`",
+            ),
+            // A repeated line is an error, not "the last one wins".
+            (
+                "cds-checkpoint v1\nschema_version=1\ntotal_options=1\ncadence=1\n\
+                 watermark_cycle=5\nfault_seed=none\nadmitted=0\nshed=\n\
+                 completed=0:5:4059000000000000\ncompleted=\ncommit=1\n",
+                "duplicate field `completed`",
             ),
         ];
         for (text, needle) in cases {

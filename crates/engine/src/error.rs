@@ -8,6 +8,7 @@
 //! Panics remain only for *internal invariants* — states a correct engine
 //! cannot reach regardless of caller input.
 
+use crate::codec::CodecError;
 use crate::multi::MultiEngineError;
 use cds_quant::QuantError;
 use dataflow_sim::graph::SimError;
@@ -116,6 +117,13 @@ impl From<SimError> for CdsError {
 impl From<MultiEngineError> for CdsError {
     fn from(e: MultiEngineError) -> Self {
         CdsError::Deployment(e)
+    }
+}
+
+/// A checkpoint field that fails the strict codec is a journal error.
+impl From<CodecError> for CdsError {
+    fn from(e: CodecError) -> Self {
+        CdsError::Journal { reason: e.to_string() }
     }
 }
 

@@ -34,6 +34,7 @@
 
 pub mod analytic;
 pub mod checkpoint;
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod host;

@@ -461,6 +461,48 @@ mod tests {
         }
     }
 
+    /// Each percentage in a row of the Gates table of docs/TESTING.md.
+    fn documented_percentages(doc: &str, gate: &str) -> Vec<f64> {
+        let row = doc
+            .lines()
+            .find(|l| l.starts_with(&format!("| `{gate}` |")))
+            .unwrap_or_else(|| panic!("docs/TESTING.md has no Gates row for `{gate}`"));
+        row.split('%')
+            .rev()
+            .skip(1)
+            .filter_map(|before| {
+                let digits =
+                    before.chars().rev().take_while(|c| c.is_ascii_digit() || *c == '.').count();
+                before[before.len() - digits..].parse().ok()
+            })
+            .collect()
+    }
+
+    /// The documented tolerances and the check lists cannot drift apart:
+    /// editing either one alone fails here.
+    #[test]
+    fn documented_tolerances_match_the_check_lists() {
+        let doc = include_str!("../../../docs/TESTING.md");
+        for (name, gate, tolerance) in [
+            ("bench", &crate::bench::GATE, crate::bench::TOLERANCE),
+            ("throughput", &crate::throughput::GATE, crate::throughput::TOLERANCE),
+            ("tick-storm", &crate::tick_storm::GATE, crate::tick_storm::TOLERANCE),
+        ] {
+            let documented = documented_percentages(doc, name);
+            assert!(!documented.is_empty(), "`{name}` row states no tolerance");
+            for pct in documented {
+                assert_eq!(pct, tolerance * 100.0, "`{name}`: documented {pct}% vs TOLERANCE");
+            }
+            for check in gate.checks {
+                if let Kind::Min(t) | Kind::Max(t) = check.kind {
+                    if check.reference == Reference::Recorded {
+                        assert_eq!(t, tolerance, "`{name}` check `{}`", check.field);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn dropped_and_added_records_are_reported_by_name() {
         for (name, gate, text) in committed() {

@@ -16,6 +16,7 @@
 
 use crate::json::Json;
 use cds_engine::checkpoint::Checkpoint;
+use cds_engine::codec::{bits_to_hex, hex_to_bits};
 use cds_engine::config::{EngineConfig, EngineVariant};
 use cds_engine::scrub::ScrubPolicy;
 use cds_engine::streaming::{
@@ -97,9 +98,7 @@ impl RunJournal {
             ),
             (
                 "spread_bits",
-                Json::Array(
-                    self.spread_bits.iter().map(|b| Json::Str(format!("{b:016x}"))).collect(),
-                ),
+                Json::Array(self.spread_bits.iter().map(|&b| Json::Str(bits_to_hex(b))).collect()),
             ),
         ])
     }
@@ -138,9 +137,7 @@ impl RunJournal {
         };
         let spread_bits = strings("spread_bits")?
             .iter()
-            .map(|h| {
-                u64::from_str_radix(h, 16).map_err(|_| format!("bad spread bits '{h}' in journal"))
-            })
+            .map(|h| hex_to_bits(h).map_err(|e| format!("journal {}", e.in_field("spread_bits"))))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RunJournal {
             schema_version,
@@ -377,6 +374,18 @@ mod tests {
             Ok(p) => panic!("unknown scenario must be fatal, got problems {p:?}"),
         };
         assert!(err.contains("unknown fault scenario"), "{err}");
+    }
+
+    #[test]
+    fn spread_bits_must_be_exactly_16_hex_digits() {
+        let j = ok(record(42, 4, 40_000, "none", 2));
+        let first = format!("\"{}\"", bits_to_hex(j.spread_bits[0]));
+        for bad in ["4059", "+405900000000000", "0x4059000000000000", " 4059000000000000"] {
+            let text = j.pretty().replacen(&first, &format!("\"{bad}\""), 1);
+            let err = RunJournal::parse(&text).expect_err(bad);
+            let want = format!("field `spread_bits`: bad bit pattern `{bad}`");
+            assert!(err.contains(&want), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -21,9 +21,10 @@
 use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::fuzz::fuzz_lines;
-use cds_server::proto::{f64_to_wire, parse_response, Response};
+use cds_server::proto::{parse_response, Response};
 use cds_server::server::{serve, ServerConfig, ServerError};
 use cds_server::tenant::TenantLimits;
 use dataflow_sim::fault::splitmix64;
@@ -266,8 +267,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, ServerError> {
         writeln!(
             writer,
             "QUOTE {id} {} Q {}{priority}",
-            f64_to_wire(maturity),
-            f64_to_wire(recovery)
+            f64_to_token(maturity),
+            f64_to_token(recovery)
         )?;
         writer.flush()?;
     }
@@ -505,7 +506,7 @@ pub(crate) struct Trip {
 }
 
 pub(crate) fn compliant_trip(client: &mut LineClient, id: u64) -> Result<Trip, String> {
-    let line = format!("QUOTE {id} {} Q {}", f64_to_wire(5.0), f64_to_wire(0.4));
+    let line = format!("QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4));
     let (mut throttles, mut sheds) = (0u64, 0u64);
     for _ in 0..200 {
         let t0 = Instant::now();
@@ -589,7 +590,7 @@ pub(crate) fn flood_as_tenant(
         (priced, throttled, shed, retry_hint_positive)
     });
     for id in 0..requests {
-        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_wire(5.0), f64_to_wire(0.4))
+        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4))
             .map_err(|e| e.to_string())?;
     }
     writeln!(writer, "PING").map_err(|e| e.to_string())?;

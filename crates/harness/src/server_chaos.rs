@@ -38,10 +38,11 @@ use crate::gate::{Check, Gate};
 use crate::json::Json;
 use crate::loadgen::{compliant_trip, flood_as_tenant, quantile, slowloris_probe, LineClient};
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::fuzz::{fuzz_lines, torn_lines};
 use cds_server::ladder::LadderConfig;
-use cds_server::proto::{f64_to_wire, parse_response, Response};
+use cds_server::proto::{parse_response, Response};
 use cds_server::server::{resume_journal, serve, ServerConfig, ServerHandle};
 use cds_server::tenant::TenantLimits;
 use std::io::{BufRead, BufReader, Write};
@@ -166,7 +167,7 @@ fn reference_bits(seed: u64, maturity: f64, recovery: f64) -> u64 {
 
 fn quote_line(id: u64, maturity: f64, recovery: f64, low_priority: bool) -> String {
     let tail = if low_priority { " LO" } else { "" };
-    format!("QUOTE {id} {} Q {}{tail}", f64_to_wire(maturity), f64_to_wire(recovery))
+    format!("QUOTE {id} {} Q {}{tail}", f64_to_token(maturity), f64_to_token(recovery))
 }
 
 /// A shard dies while a closed-loop burst is in flight; retries and the

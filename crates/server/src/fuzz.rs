@@ -133,6 +133,9 @@ fn gen_line(state: &mut u64, max_line_bytes: usize) -> FuzzLine {
                 // quote param. `1e` fails the f64 parse itself.
                 b"QUOTE 7 1e Q 0.3",
                 b"QUOTE 7 0xZZZZ Q 0x3fd0000000000000",
+                // Non-canonical: a short bit pattern, a signed id.
+                b"QUOTE 7 0x4014 Q 0x3fd0000000000000",
+                b"QUOTE +7 0x3ff0000000000000 Q 0x3fd0000000000000",
                 b"QUOTE 99999999999999999999999999 0x1 Q 0x1",
                 b"QUOTE 7 0x3ff0000000000000 MEDIUM 0x3fd0000000000000",
                 b"TICK 0xnope",

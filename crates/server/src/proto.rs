@@ -1,10 +1,12 @@
 //! The `cds-server` line protocol.
 //!
 //! One request per line, one response line per request, UTF-8, newline
-//! terminated. Floating-point fields that must survive the wire
-//! bit-exactly travel as `0x`-prefixed 64-bit hex bit patterns; plain
-//! decimals are accepted on input for human use. Responses carry the
-//! spread both ways: a decimal for eyeballs and `bits=` for machines.
+//! terminated. Floats that must survive the wire bit-exactly travel as
+//! `0x` + exactly 16 hex digits, decoded by [`cds_engine::codec`]; any
+//! other `0x` token is an error, never a different float. Decimals are
+//! accepted only in request floats (`QUOTE`, `TICKPT`), for human use.
+//! Responses carry the spread both ways: a decimal for eyeballs and a
+//! strict `bits=` token for machines. Integers are ASCII digits only.
 //!
 //! ```text
 //! QUOTE <id> <maturity> <A|S|Q|M> <recovery> [HI|LO]
@@ -24,6 +26,7 @@
 //! sibling of the ladder's `REJECT ... retry_after_ms=`.
 
 use crate::ladder::Rung;
+use cds_engine::codec::{self, f64_to_token, CodecError, Fields};
 use cds_engine::incremental::CurveKind;
 use cds_quant::option::PaymentFrequency;
 use std::fmt;
@@ -35,6 +38,16 @@ pub enum Priority {
     High,
     /// First to be shed under pressure.
     Low,
+}
+
+impl Priority {
+    /// Stable wire name (`HI` / `LO`).
+    pub fn wire(self) -> &'static str {
+        match self {
+            Priority::High => "HI",
+            Priority::Low => "LO",
+        }
+    }
 }
 
 /// A parsed `QUOTE` line. Parameters are raw (not yet validated against
@@ -289,7 +302,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn bad(reason: impl Into<String>) -> ParseError {
+impl From<CodecError> for ParseError {
+    fn from(e: CodecError) -> Self {
+        bad(e.to_string())
+    }
+}
+
+pub(crate) fn bad(reason: impl Into<String>) -> ParseError {
     ParseError { reason: reason.into() }
 }
 
@@ -320,42 +339,27 @@ pub fn oversize_error(max_line_bytes: usize) -> ParseError {
     bad(format!("request line exceeds {max_line_bytes} bytes"))
 }
 
-/// Format an `f64` as a bit-exact wire token (`0x`-prefixed hex bits).
-pub fn f64_to_wire(v: f64) -> String {
-    format!("0x{:016x}", v.to_bits())
-}
-
-/// Parse a wire float: `0x<hex>` is exact f64 bits, anything else is a
-/// decimal literal.
-pub fn f64_from_wire(tok: &str) -> Result<f64, ParseError> {
-    if let Some(hex) = tok.strip_prefix("0x") {
-        let bits = u64::from_str_radix(hex, 16)
-            .map_err(|_| bad(format!("bad f64 bit pattern `{tok}`")))?;
-        Ok(f64::from_bits(bits))
+/// Decode the request float `field`: a strict `0x` bit pattern, or a
+/// decimal typed by a human.
+fn request_f64(tok: &str, field: &str) -> Result<f64, ParseError> {
+    if tok.starts_with("0x") {
+        Ok(codec::f64_from_token(tok).map_err(|e| e.in_field(field))?)
     } else {
-        tok.parse::<f64>().map_err(|_| bad(format!("bad float `{tok}`")))
+        tok.parse::<f64>().map_err(|_| bad(format!("field `{field}`: bad float `{tok}`")))
     }
 }
 
-fn parse_u64(tok: &str, what: &str) -> Result<u64, ParseError> {
-    tok.parse::<u64>().map_err(|_| bad(format!("bad {what} `{tok}`")))
+/// Decode the positional unsigned integer `field`.
+fn dec<T: TryFrom<u64>>(tok: &str, field: &str) -> Result<T, ParseError> {
+    Ok(codec::dec(tok).map_err(|e| e.in_field(field))?)
 }
 
-fn parse_usize(tok: &str, what: &str) -> Result<usize, ParseError> {
-    tok.parse::<usize>().map_err(|_| bad(format!("bad {what} `{tok}`")))
+pub(crate) fn frequency_from_wire(tok: &str) -> Result<PaymentFrequency, ParseError> {
+    let freq = PaymentFrequency::ALL.into_iter().find(|&f| frequency_to_wire(f) == tok);
+    freq.ok_or_else(|| bad(format!("bad frequency `{tok}` (want A|S|Q|M)")))
 }
 
-fn frequency_from_wire(tok: &str) -> Result<PaymentFrequency, ParseError> {
-    match tok {
-        "A" => Ok(PaymentFrequency::Annual),
-        "S" => Ok(PaymentFrequency::SemiAnnual),
-        "Q" => Ok(PaymentFrequency::Quarterly),
-        "M" => Ok(PaymentFrequency::Monthly),
-        other => Err(bad(format!("bad frequency `{other}` (want A|S|Q|M)"))),
-    }
-}
-
-fn frequency_to_wire(f: PaymentFrequency) -> &'static str {
+pub(crate) fn frequency_to_wire(f: PaymentFrequency) -> &'static str {
     match f {
         PaymentFrequency::Annual => "A",
         PaymentFrequency::SemiAnnual => "S",
@@ -382,23 +386,21 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             }
         }
         Some((&"TENANT", _)) => Err(bad("usage: TENANT <name>")),
-        Some((&"TICK", [seed])) => Ok(Request::Tick { seed: parse_u64(seed, "seed")? }),
+        Some((&"TICK", [seed])) => Ok(Request::Tick { seed: dec(seed, "seed")? }),
         Some((&"TICKPT", [curve, knot, value])) => Ok(Request::TickPoint {
             curve: curve.parse::<CurveKind>().map_err(bad)?,
-            knot: parse_usize(knot, "knot")?,
-            value: f64_from_wire(value)?,
+            knot: dec(knot, "knot")?,
+            value: request_f64(value, "value")?,
         }),
         Some((&"TICKPT", _)) => Err(bad("usage: TICKPT <interest|hazard> <knot> <value>")),
         Some((&"FAULT", rest)) => match rest {
-            ["KILL", shard] => {
-                Ok(Request::Fault(FaultCmd::Kill { shard: parse_usize(shard, "shard")? }))
-            }
+            ["KILL", shard] => Ok(Request::Fault(FaultCmd::Kill { shard: dec(shard, "shard")? })),
             ["REVIVE", shard] => {
-                Ok(Request::Fault(FaultCmd::Revive { shard: parse_usize(shard, "shard")? }))
+                Ok(Request::Fault(FaultCmd::Revive { shard: dec(shard, "shard")? }))
             }
             ["STALL", shard, millis] => Ok(Request::Fault(FaultCmd::Stall {
-                shard: parse_usize(shard, "shard")?,
-                millis: parse_u64(millis, "stall millis")?,
+                shard: dec(shard, "shard")?,
+                millis: dec(millis, "stall millis")?,
             })),
             _ => Err(bad("usage: FAULT KILL|REVIVE <shard> | FAULT STALL <shard> <millis>")),
         },
@@ -411,10 +413,10 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             };
             let (id, maturity, freq, recovery) = core;
             Ok(Request::Quote(QuoteRequest {
-                id: parse_u64(id, "request id")?,
-                maturity: f64_from_wire(maturity)?,
+                id: dec(id, "request id")?,
+                maturity: request_f64(maturity, "maturity")?,
                 frequency: frequency_from_wire(freq)?,
-                recovery: f64_from_wire(recovery)?,
+                recovery: request_f64(recovery, "recovery")?,
                 priority,
             }))
         }
@@ -432,7 +434,7 @@ pub fn format_request(req: &Request) -> String {
         Request::Tenant { name } => format!("TENANT {name}"),
         Request::Tick { seed } => format!("TICK {seed}"),
         Request::TickPoint { curve, knot, value } => {
-            format!("TICKPT {curve} {knot} {}", f64_to_wire(*value))
+            format!("TICKPT {curve} {knot} {}", f64_to_token(*value))
         }
         Request::Fault(FaultCmd::Kill { shard }) => format!("FAULT KILL {shard}"),
         Request::Fault(FaultCmd::Revive { shard }) => format!("FAULT REVIVE {shard}"),
@@ -440,16 +442,13 @@ pub fn format_request(req: &Request) -> String {
             format!("FAULT STALL {shard} {millis}")
         }
         Request::Quote(q) => {
-            let prio = match q.priority {
-                Priority::High => "HI",
-                Priority::Low => "LO",
-            };
             format!(
-                "QUOTE {} {} {} {} {prio}",
+                "QUOTE {} {} {} {} {}",
                 q.id,
-                f64_to_wire(q.maturity),
+                f64_to_token(q.maturity),
                 frequency_to_wire(q.frequency),
-                f64_to_wire(q.recovery),
+                f64_to_token(q.recovery),
+                q.priority.wire(),
             )
         }
     }
@@ -501,7 +500,7 @@ pub fn format_response(resp: &Response) -> String {
                 "OK {} spread={} bits={} epoch={} shard={shard} attempts={} hedged={} cached={}",
                 q.id,
                 q.spread_bps,
-                f64_to_wire(q.spread_bps),
+                f64_to_token(q.spread_bps),
                 q.epoch,
                 q.attempts,
                 u8::from(q.hedged),
@@ -521,20 +520,6 @@ pub fn format_response(resp: &Response) -> String {
     }
 }
 
-fn kv<'a>(toks: &[&'a str]) -> Result<Vec<(&'a str, &'a str)>, ParseError> {
-    toks.iter()
-        .map(|t| t.split_once('=').ok_or_else(|| bad(format!("expected key=value, got `{t}`"))))
-        .collect()
-}
-
-fn kv_get<'a>(pairs: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, ParseError> {
-    pairs
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| bad(format!("missing field `{key}`")))
-}
-
 fn rung_from_wire(tok: &str) -> Result<Rung, ParseError> {
     Rung::from_name(tok).ok_or_else(|| bad(format!("unknown rung `{tok}`")))
 }
@@ -546,63 +531,55 @@ pub fn parse_response(line: &str) -> Result<Response, ParseError> {
         None => Err(bad("empty response")),
         Some((&"PONG", [])) => Ok(Response::Pong),
         Some((&"THROTTLE", [id, rest @ ..])) => {
-            let pairs = kv(rest)?;
+            let f = Fields::parse(rest.iter().copied())?;
             Ok(Response::Throttle {
-                id: parse_u64(id, "request id")?,
-                retry_after_ms: parse_u64(kv_get(&pairs, "retry_after_ms")?, "retry_after_ms")?,
-                tenant: kv_get(&pairs, "tenant")?.to_string(),
+                id: dec(id, "request id")?,
+                retry_after_ms: f.dec("retry_after_ms")?,
+                tenant: f.get("tenant")?.to_string(),
             })
         }
-        Some((&"SHED", [id, rest @ ..])) => {
-            let pairs = kv(rest)?;
-            Ok(Response::Shed {
-                id: parse_u64(id, "request id")?,
-                retry_after_ms: parse_u64(kv_get(&pairs, "retry_after_ms")?, "retry_after_ms")?,
-                rung: rung_from_wire(kv_get(&pairs, "rung")?)?,
-            })
-        }
-        Some((&"REJECT", [id, rest @ ..])) => {
-            let pairs = kv(rest)?;
-            Ok(Response::Reject {
-                id: parse_u64(id, "request id")?,
-                retry_after_ms: parse_u64(kv_get(&pairs, "retry_after_ms")?, "retry_after_ms")?,
-                rung: rung_from_wire(kv_get(&pairs, "rung")?)?,
+        Some((&verb @ ("SHED" | "REJECT"), [id, rest @ ..])) => {
+            let f = Fields::parse(rest.iter().copied())?;
+            let (id, retry_after_ms) = (dec(id, "request id")?, f.dec("retry_after_ms")?);
+            let rung = rung_from_wire(f.get("rung")?)?;
+            Ok(if verb == "SHED" {
+                Response::Shed { id, retry_after_ms, rung }
+            } else {
+                Response::Reject { id, retry_after_ms, rung }
             })
         }
         Some((&"ERR", [id, reason @ ..])) => Ok(Response::Error {
-            id: if *id == "-" { None } else { Some(parse_u64(id, "request id")?) },
+            id: if *id == "-" { None } else { Some(dec(id, "request id")?) },
             reason: reason.join(" "),
         }),
         Some((&"OK", ["DRAIN"])) => Ok(Response::DrainAck),
-        Some((&"OK", ["TENANT", rest @ ..])) => {
-            let pairs = kv(rest)?;
-            Ok(Response::TenantAck { name: kv_get(&pairs, "name")?.to_string() })
-        }
+        Some((&"OK", ["TENANT", rest @ ..])) => Ok(Response::TenantAck {
+            name: Fields::parse(rest.iter().copied())?.get("name")?.to_string(),
+        }),
         Some((&"OK", ["TICK", rest @ ..])) => {
-            let pairs = kv(rest)?;
-            Ok(Response::TickAck { epoch: parse_u64(kv_get(&pairs, "epoch")?, "epoch")? })
+            Ok(Response::TickAck { epoch: Fields::parse(rest.iter().copied())?.dec("epoch")? })
         }
         Some((&"OK", ["TICKPT", rest @ ..])) => {
-            let pairs = kv(rest)?;
+            let f = Fields::parse(rest.iter().copied())?;
             Ok(Response::TickPointAck {
-                epoch: parse_u64(kv_get(&pairs, "epoch")?, "epoch")?,
-                zero_delta: parse_u64(kv_get(&pairs, "zero_delta")?, "zero_delta")? != 0,
+                epoch: f.dec("epoch")?,
+                zero_delta: f.dec::<u64>("zero_delta")? != 0,
             })
         }
         Some((&"OK", ["FAULT", rest @ ..])) => {
-            let pairs = kv(rest)?;
-            let state = kv_get(&pairs, "state")?;
+            let f = Fields::parse(rest.iter().copied())?;
+            let state = f.get("state")?;
             Ok(Response::FaultAck {
-                shard: parse_usize(kv_get(&pairs, "shard")?, "shard")?,
+                shard: f.dec("shard")?,
                 state: ShardState::from_name(state)
                     .ok_or_else(|| bad(format!("unknown shard state `{state}`")))?,
             })
         }
         Some((&"OK", ["STATS", rest @ ..])) => {
-            let pairs = kv(rest)?;
-            let field = |k: &str| parse_u64(kv_get(&pairs, k)?, k);
+            let f = Fields::parse(rest.iter().copied())?;
+            let field = |k: &str| f.dec::<u64>(k);
             Ok(Response::Stats(StatsReply {
-                rung: rung_from_wire(kv_get(&pairs, "rung")?)?.index() as u8,
+                rung: rung_from_wire(f.get("rung")?)?.index() as u8,
                 accepted: field("accepted")?,
                 completed: field("completed")?,
                 shed: field("shed")?,
@@ -621,20 +598,20 @@ pub fn parse_response(line: &str) -> Result<Response, ParseError> {
             }))
         }
         Some((&"OK", [id, rest @ ..])) => {
-            let pairs = kv(rest)?;
-            let shard = match kv_get(&pairs, "shard")? {
+            let f = Fields::parse(rest.iter().copied())?;
+            let shard = match f.get("shard")? {
                 "cpu" => None,
-                k => Some(parse_usize(k, "shard")?),
+                k => Some(dec(k, "shard")?),
             };
             Ok(Response::Quote(QuoteReply {
-                id: parse_u64(id, "request id")?,
+                id: dec(id, "request id")?,
                 // bits= is authoritative; the decimal field is display-only.
-                spread_bps: f64_from_wire(kv_get(&pairs, "bits")?)?,
-                epoch: parse_u64(kv_get(&pairs, "epoch")?, "epoch")?,
+                spread_bps: f.f64("bits")?,
+                epoch: f.dec("epoch")?,
                 shard,
-                attempts: parse_u64(kv_get(&pairs, "attempts")?, "attempts")? as u32,
-                hedged: parse_u64(kv_get(&pairs, "hedged")?, "hedged")? != 0,
-                cached: parse_u64(kv_get(&pairs, "cached")?, "cached")? != 0,
+                attempts: f.dec("attempts")?,
+                hedged: f.dec::<u64>("hedged")? != 0,
+                cached: f.dec::<u64>("cached")? != 0,
             }))
         }
         Some((verb, _)) => Err(bad(format!("unknown response `{verb}`"))),
@@ -785,6 +762,30 @@ mod tests {
             assert!(parse_request(line).is_err(), "must reject `{line}`");
         }
         assert!(parse_response("OK 1 spread=1.0").is_err(), "missing bits field");
+        // Non-canonical numbers are typed errors naming their field: a
+        // `0x` token is exactly 16 hex digits and an integer has no sign.
+        for (line, field) in [
+            ("QUOTE 1 0x4014 Q 0x3fd9", "maturity"),
+            ("QUOTE 1 0x4014000000000000 Q 0x3fd9", "recovery"),
+            ("QUOTE 7 0x4014 Q 0x3fd0000000000000", "maturity"),
+            ("QUOTE +7 0x3ff0000000000000 Q 0x3fd0000000000000", "request id"),
+            ("TICKPT hazard 3 0x+f847ae147ae147b", "value"),
+            ("TICKPT hazard +3 0x3f847ae147ae147b", "knot"),
+        ] {
+            let err = parse_request(line).expect_err(line);
+            assert!(err.reason.contains(&format!("field `{field}`")), "{line}: {err}");
+        }
+        let quote = "OK 1 spread=1.0 epoch=0 shard=cpu attempts=1 hedged=0 cached=0";
+        for (line, field) in [
+            (format!("{quote} bits=0x4059"), "bits"),
+            (format!("{quote} bits=0x+405900000000000"), "bits"),
+            (format!("{quote} bits=101.25"), "bits"),
+            (format!("{quote} bits=0x4059000000000000 bits=0x4059000000000000"), "bits"),
+            ("OK TICK epoch=+1".to_string(), "epoch"),
+        ] {
+            let err = parse_response(&line).expect_err(&line);
+            assert!(err.reason.contains(&format!("field `{field}`")), "{line}: {err}");
+        }
     }
 
     #[test]

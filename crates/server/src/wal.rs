@@ -44,8 +44,9 @@
 //! worst, so the durable prefix remains resumable. The server surfaces
 //! the flag as the `wal-degraded` ladder observation.
 
-use crate::proto::{f64_from_wire, f64_to_wire, Priority};
+use crate::proto::{bad, frequency_from_wire, frequency_to_wire, ParseError, Priority};
 use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERSION};
+use cds_engine::codec::{f64_to_token, Fields};
 use cds_engine::journal_io::{FileId, JournalIo, OsJournalIo, StorageFaultPlan};
 use cds_engine::CdsError;
 use cds_quant::option::{CdsOption, PaymentFrequency};
@@ -160,25 +161,6 @@ impl AcceptRecord {
     /// server itself accepted, but a hand-edited journal is re-checked.
     pub fn option(&self) -> Result<CdsOption, QuantError> {
         CdsOption::validated(self.maturity, self.frequency, self.recovery)
-    }
-}
-
-fn freq_token(f: PaymentFrequency) -> &'static str {
-    match f {
-        PaymentFrequency::Annual => "A",
-        PaymentFrequency::SemiAnnual => "S",
-        PaymentFrequency::Quarterly => "Q",
-        PaymentFrequency::Monthly => "M",
-    }
-}
-
-fn freq_parse(tok: &str) -> Result<PaymentFrequency, String> {
-    match tok {
-        "A" => Ok(PaymentFrequency::Annual),
-        "S" => Ok(PaymentFrequency::SemiAnnual),
-        "Q" => Ok(PaymentFrequency::Quarterly),
-        "M" => Ok(PaymentFrequency::Monthly),
-        other => Err(format!("bad frequency `{other}`")),
     }
 }
 
@@ -359,15 +341,12 @@ impl WalWriter {
     pub fn accept(&self, id: u64, option: &CdsOption, priority: Priority) -> Result<u32, WalError> {
         let mut inner = lock_recover(&self.inner);
         let seq = inner.accepted;
-        let prio = match priority {
-            Priority::High => "HI",
-            Priority::Low => "LO",
-        };
         let line = format!(
-            "accept seq={seq} id={id} mat={} freq={} rec={} prio={prio}\n",
-            f64_to_wire(option.maturity),
-            freq_token(option.frequency),
-            f64_to_wire(option.recovery_rate),
+            "accept seq={seq} id={id} mat={} freq={} rec={} prio={}\n",
+            f64_to_token(option.maturity),
+            frequency_to_wire(option.frequency),
+            f64_to_token(option.recovery_rate),
+            priority.wire(),
         );
         append_line(&mut inner, &line)?;
         inner.accepted += 1;
@@ -380,7 +359,7 @@ impl WalWriter {
     /// sidecar is never durable ahead of its journal.
     pub fn done(&self, seq: u32, spread_bps: f64) -> Result<(), WalError> {
         let mut inner = lock_recover(&self.inner);
-        append_line(&mut inner, &format!("done seq={seq} bits={}\n", f64_to_wire(spread_bps)))?;
+        append_line(&mut inner, &format!("done seq={seq} bits={}\n", f64_to_token(spread_bps)))?;
         let done_cycle = inner.completions.len() as Cycle;
         inner.completions.push(CompletedOption { index: seq, done_cycle, spread_bps });
         if (inner.completions.len() as u32).is_multiple_of(inner.cadence) {
@@ -460,88 +439,70 @@ impl WalState {
     }
 }
 
-fn parse_kv<'a>(tok: &'a str, key: &str) -> Result<&'a str, String> {
-    tok.strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| format!("expected `{key}=`, got `{tok}`"))
-}
-
-/// Strict journal-side f64 wire parse: exactly `0x` + 16 hex digits.
-///
-/// The TCP protocol's [`f64_from_wire`] is deliberately lenient (it
-/// accepts decimals and short hex from clients), but journal records
-/// are only ever written by [`f64_to_wire`], which always emits 16
-/// digits — so a shorter pattern here can only be a **torn write**,
-/// and accepting it would silently resume a wrong spread (`0x4059`
-/// parses as a valid, tiny f64). Rejecting it instead turns the torn
-/// byte into a dropped tail or a typed corruption.
-fn f64_wire_strict(tok: &str) -> Result<f64, String> {
-    let hex = tok.strip_prefix("0x").ok_or_else(|| format!("bad f64 wire `{tok}`"))?;
-    if hex.len() != 16 {
-        return Err(format!("truncated f64 bit pattern `{tok}` (want 16 hex digits)"));
-    }
-    f64_from_wire(tok).map_err(|e| e.reason)
-}
-
-fn parse_accept(toks: &[&str]) -> Result<AcceptRecord, String> {
-    match toks {
-        [seq, id, mat, freq, rec, prio] => Ok(AcceptRecord {
-            seq: parse_kv(seq, "seq")?.parse::<u32>().map_err(|_| format!("bad seq in `{seq}`"))?,
-            id: parse_kv(id, "id")?.parse::<u64>().map_err(|_| format!("bad id in `{id}`"))?,
-            maturity: f64_wire_strict(parse_kv(mat, "mat")?)?,
-            frequency: freq_parse(parse_kv(freq, "freq")?)?,
-            recovery: f64_wire_strict(parse_kv(rec, "rec")?)?,
-            priority: match parse_kv(prio, "prio")? {
-                "HI" => Priority::High,
-                "LO" => Priority::Low,
-                other => return Err(format!("bad priority `{other}`")),
-            },
-        }),
-        _ => Err("malformed accept record".to_string()),
-    }
-}
-
-fn parse_line(state: &mut WalState, line: &str) -> Result<(), String> {
+/// Decode one journal record. Every field goes through the strict
+/// codec, so a spread is exactly `0x` + 16 hex digits and a torn write
+/// can never resume as a different (valid, wrong) float.
+fn parse_line(state: &mut WalState, line: &str) -> Result<(), ParseError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     match toks.split_first() {
-        Some((&"accept", rest)) => {
-            let rec = parse_accept(rest)?;
+        Some((&"accept", rest @ [_, _, _, _, _, _])) => {
+            let f = Fields::parse(rest.iter().copied())?;
+            let rec = AcceptRecord {
+                seq: f.dec("seq")?,
+                id: f.dec("id")?,
+                maturity: f.f64("mat")?,
+                frequency: frequency_from_wire(f.get("freq")?)?,
+                recovery: f.f64("rec")?,
+                priority: match f.get("prio")? {
+                    "HI" => Priority::High,
+                    "LO" => Priority::Low,
+                    other => return Err(bad(format!("bad priority `{other}`"))),
+                },
+            };
             if rec.seq as usize != state.accepted.len() {
-                return Err(format!(
+                return Err(bad(format!(
                     "accept seq {} out of order (expected {})",
                     rec.seq,
                     state.accepted.len()
-                ));
+                )));
             }
             state.accepted.push(rec);
             Ok(())
         }
-        Some((&"done", [seq, bits])) => {
-            let seq =
-                parse_kv(seq, "seq")?.parse::<u32>().map_err(|_| format!("bad seq in `{seq}`"))?;
+        Some((&"accept", _)) => Err(bad("malformed accept record")),
+        Some((&"done", rest @ [_, _])) => {
+            let f = Fields::parse(rest.iter().copied())?;
+            let seq: u32 = f.dec("seq")?;
             if seq as usize >= state.accepted.len() {
-                return Err(format!("done for unaccepted seq {seq}"));
+                return Err(bad(format!("done for unaccepted seq {seq}")));
             }
-            let spread = f64_wire_strict(parse_kv(bits, "bits")?)?;
-            state.done.insert(seq, spread);
+            state.done.insert(seq, f.f64("bits")?);
             Ok(())
         }
         Some((&"drain", [commit])) => {
-            let commit = parse_kv(commit, "commit")?
-                .parse::<usize>()
-                .map_err(|_| format!("bad commit in `{commit}`"))?;
+            let commit: usize = Fields::parse([*commit])?.dec("commit")?;
             if commit != state.done.len() {
-                return Err(format!(
+                return Err(bad(format!(
                     "drain commit {} disagrees with {} durable completions",
                     commit,
                     state.done.len()
-                ));
+                )));
             }
             state.drained = true;
             Ok(())
         }
-        _ => Err(format!("unknown journal record `{line}`")),
+        _ => Err(bad(format!("unknown journal record `{line}`"))),
     }
+}
+
+/// A corruption of the checkpoint sidecar as a whole (not positional).
+fn sidecar_corrupt(ckpt_path: &Path, cause: String) -> WalError {
+    WalError::Corrupt(CorruptionReport {
+        file: ckpt_path.to_path_buf(),
+        offset: 0,
+        line: None,
+        cause,
+    })
 }
 
 /// Cross-validate the checkpoint sidecar against the journal it
@@ -551,14 +512,7 @@ fn parse_line(state: &mut WalState, line: &str) -> Result<(), String> {
 /// disagreeing spread) is corruption — typed, attributable, never a
 /// silent resume of the wrong work.
 fn cross_validate(state: &WalState, cp: &Checkpoint, ckpt_path: &Path) -> Result<(), WalError> {
-    let corrupt = |cause: String| {
-        WalError::Corrupt(CorruptionReport {
-            file: ckpt_path.to_path_buf(),
-            offset: 0,
-            line: None,
-            cause,
-        })
-    };
+    let corrupt = |cause: String| sidecar_corrupt(ckpt_path, cause);
     if cp.total_options as usize > state.accepted.len() {
         return Err(corrupt(format!(
             "checkpoint summarizes {} accepted quotes but the journal holds {} — the sidecar \
@@ -609,29 +563,20 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         records.push((offset, i as u64 + 1, line));
         offset += seg.len() as u64;
     }
-    let mut rest = records.as_slice();
-    let mut take_header = |expect: &str| -> Result<(u64, u64, &str), WalError> {
-        match rest.split_first() {
-            Some((&(off, line_no, line), tail)) => {
-                rest = tail;
-                Ok((off, line_no, line))
-            }
-            None => Err(corrupt(offset, None, format!("journal missing {expect}"))),
-        }
+    let [(h_off, h_line, header), (s_off, s_line, seed), (c_off, c_line, cadence), body @ ..] =
+        records.as_slice()
+    else {
+        return Err(corrupt(offset, None, "journal missing its header lines".to_string()));
     };
-    let (h_off, h_line, header) = take_header("header")?;
-    if header != WAL_HEADER {
-        return Err(corrupt(h_off, Some(h_line), format!("bad header `{header}`")));
+    if *header != WAL_HEADER {
+        return Err(corrupt(*h_off, Some(*h_line), format!("bad header `{header}`")));
     }
-    let (s_off, s_line, seed_line) = take_header("seed")?;
-    let seed = parse_kv(seed_line, "seed")
-        .and_then(|v| v.parse::<u64>().map_err(|_| "bad seed".to_string()))
-        .map_err(|cause| corrupt(s_off, Some(s_line), cause))?;
-    let (c_off, c_line, cadence_line) = take_header("cadence")?;
-    let cadence = parse_kv(cadence_line, "cadence")
-        .and_then(|v| v.parse::<u32>().map_err(|_| "bad cadence".to_string()))
-        .map_err(|cause| corrupt(c_off, Some(c_line), cause))?;
-    let body = rest;
+    let seed = Fields::parse([*seed])
+        .and_then(|f| f.dec("seed"))
+        .map_err(|e| corrupt(*s_off, Some(*s_line), e.to_string()))?;
+    let cadence = Fields::parse([*cadence])
+        .and_then(|f| f.dec("cadence"))
+        .map_err(|e| corrupt(*c_off, Some(*c_line), e.to_string()))?;
 
     let mut state = WalState {
         seed,
@@ -645,7 +590,7 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         if line.trim().is_empty() {
             continue;
         }
-        if let Err(cause) = parse_line(&mut state, line) {
+        if let Err(ParseError { reason: cause }) = parse_line(&mut state, line) {
             let is_last = i + 1 == body.len();
             if is_last && !ends_clean {
                 break; // torn tail from a mid-write kill: drop it
@@ -657,27 +602,17 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
     let ckpt_path = sidecar_path(path);
     if ckpt_path.exists() {
         let text = std::fs::read_to_string(&ckpt_path)?;
-        let cp = Checkpoint::parse(&text).map_err(|e| {
-            WalError::Corrupt(CorruptionReport {
-                file: ckpt_path.clone(),
-                offset: 0,
-                line: None,
-                cause: format!("checkpoint sidecar: {e}"),
-            })
-        })?;
-        match cp.scenario.as_deref() {
-            Some(SERVER_SCENARIO) => {}
-            other => {
-                return Err(WalError::Corrupt(CorruptionReport {
-                    file: ckpt_path.clone(),
-                    offset: 0,
-                    line: None,
-                    cause: format!(
-                        "checkpoint scenario {other:?} is not `{SERVER_SCENARIO}`; refusing to \
-                         resume someone else's journal"
-                    ),
-                }))
-            }
+        let cp = Checkpoint::parse(&text)
+            .map_err(|e| sidecar_corrupt(&ckpt_path, format!("checkpoint sidecar: {e}")))?;
+        let scenario = cp.scenario.as_deref();
+        if scenario != Some(SERVER_SCENARIO) {
+            return Err(sidecar_corrupt(
+                &ckpt_path,
+                format!(
+                "checkpoint scenario {scenario:?} is not `{SERVER_SCENARIO}`; refusing to resume \
+                 someone else's journal"
+            ),
+            ));
         }
         cross_validate(&state, &cp, &ckpt_path)?;
         state.checkpoint = Some(cp);
@@ -905,15 +840,31 @@ mod tests {
 
     #[test]
     fn truncated_bits_never_misparse_as_a_valid_spread() {
-        assert_eq!(
-            f64_wire_strict("0x4059000000000000").expect("full pattern").to_bits(),
-            0x4059_0000_0000_0000
-        );
+        let path = tmp("bits.wal");
+        let journal = |bits: &str| {
+            let accept = "accept seq=0 id=1 mat=0x4014000000000000 freq=Q \
+                          rec=0x3fd999999999999a prio=HI";
+            let text =
+                format!("{WAL_HEADER}\nseed=7\ncadence=4\n{accept}\ndone seq=0 bits={bits}\n");
+            std::fs::write(&path, text).expect("write journal");
+            read_wal(&path)
+        };
+        let state = journal("0x4059000000000000").expect("full pattern");
+        assert_eq!(state.done[&0].to_bits(), 0x4059_0000_0000_0000);
         // A torn tail of the same record must be rejected, not read as
-        // the (valid, wrong) tiny float 0x4059.
-        assert!(f64_wire_strict("0x4059").is_err());
-        assert!(f64_wire_strict("103.5").is_err());
-        assert!(f64_wire_strict("0x").is_err());
+        // the (valid, wrong) tiny float 0x4059; so must a signed pattern
+        // that still has 16 characters, and a decimal.
+        for bad in ["0x4059", "0x+405900000000000", "0x", "103.5", "0X4059000000000000"] {
+            match journal(bad) {
+                Err(WalError::Corrupt(report)) => {
+                    assert_eq!(report.line, Some(5));
+                    let want = format!("field `bits`: bad bit pattern `{bad}`");
+                    assert!(report.cause.contains(&want), "{bad}: {}", report.cause);
+                }
+                other => panic!("`bits={bad}` must be typed corruption, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 #![cfg(unix)]
 
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::MarketData;
-use cds_server::proto::{f64_to_wire, parse_response, Response};
+use cds_server::proto::{parse_response, Response};
 use cds_server::server::resume_journal;
 use cds_server::wal::{read_wal, sidecar_path};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -70,7 +71,7 @@ fn sigterm_with_enospc_journal_exits_0_and_leaves_a_resumable_prefix() {
     for id in 0..total {
         let maturity = 1.0 + (id % 7) as f64 * 0.75;
         let recovery = 0.1 + (id % 4) as f64 * 0.1;
-        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_wire(maturity), f64_to_wire(recovery))
+        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_token(maturity), f64_to_token(recovery))
             .expect("send");
     }
     writer.flush().expect("flush");

@@ -8,9 +8,10 @@
 #![cfg(unix)]
 
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::fuzz::{fuzz_lines, torn_lines};
-use cds_server::proto::{f64_to_wire, parse_response, Response};
+use cds_server::proto::{parse_response, Response};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -92,7 +93,7 @@ fn reference_bits(maturity: f64, recovery: f64) -> u64 {
 }
 
 fn assert_prices(client: &mut Client, id: u64) {
-    match client.roundtrip(&format!("QUOTE {id} {} Q {}", f64_to_wire(5.0), f64_to_wire(0.4))) {
+    match client.roundtrip(&format!("QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4))) {
         Response::Quote(q) => {
             assert_eq!(q.spread_bps.to_bits(), reference_bits(5.0, 0.4), "spread diverged")
         }
@@ -260,7 +261,7 @@ fn tenant_binding_quotas_throttle_the_abuser_not_the_default_tenant() {
     assert_prices(&mut tiny, 1);
     let mut throttled = false;
     for id in 2..6u64 {
-        match tiny.roundtrip(&format!("QUOTE {id} {} Q {}", f64_to_wire(5.0), f64_to_wire(0.4))) {
+        match tiny.roundtrip(&format!("QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4))) {
             Response::Throttle { id: got, retry_after_ms, tenant } => {
                 assert_eq!(got, id);
                 assert!(retry_after_ms > 0, "retry hint must not invite a busy loop");

@@ -3,8 +3,9 @@
 //! death (retry/hedge + CPU fallback), and graceful drain semantics.
 
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
-use cds_server::proto::{f64_to_wire, parse_response, QuoteReply, Response, StatsReply};
+use cds_server::proto::{parse_response, QuoteReply, Response, StatsReply};
 use cds_server::server::{serve, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -32,7 +33,11 @@ impl Client {
     }
 
     fn quote(&mut self, id: u64, maturity: f64, recovery: f64) -> Response {
-        self.roundtrip(&format!("QUOTE {id} {} Q {}", f64_to_wire(maturity), f64_to_wire(recovery)))
+        self.roundtrip(&format!(
+            "QUOTE {id} {} Q {}",
+            f64_to_token(maturity),
+            f64_to_token(recovery)
+        ))
     }
 
     fn stats(&mut self) -> StatsReply {
@@ -69,7 +74,7 @@ fn point_ticks_publish_incremental_epochs_over_the_wire() {
     let mut market = MarketData::paper_workload(7);
     let knot = 12usize;
     let new_value = market.hazard.points()[knot].value * 1.5;
-    match client.roundtrip(&format!("TICKPT hazard {knot} {}", f64_to_wire(new_value))) {
+    match client.roundtrip(&format!("TICKPT hazard {knot} {}", f64_to_token(new_value))) {
         Response::TickPointAck { epoch: 1, zero_delta: false } => {}
         other => panic!("expected point-tick ack, got {other:?}"),
     }
@@ -86,7 +91,7 @@ fn point_ticks_publish_incremental_epochs_over_the_wire() {
     assert_ne!(q0.spread_bps.to_bits(), q1.spread_bps.to_bits());
 
     // A zero-delta re-publish advances the epoch but changes no quote.
-    match client.roundtrip(&format!("TICKPT hazard {knot} {}", f64_to_wire(new_value))) {
+    match client.roundtrip(&format!("TICKPT hazard {knot} {}", f64_to_token(new_value))) {
         Response::TickPointAck { epoch: 2, zero_delta: true } => {}
         other => panic!("expected zero-delta ack, got {other:?}"),
     }
@@ -250,7 +255,7 @@ fn low_priority_quotes_shed_under_queue_pressure() {
     // watermark, and later LO quotes are shed with Retry-After.
     let mut sent = 0u64;
     for id in 0..24u64 {
-        writeln!(client.writer, "QUOTE {id} {} Q {} LO", f64_to_wire(5.0), f64_to_wire(0.4))
+        writeln!(client.writer, "QUOTE {id} {} Q {} LO", f64_to_token(5.0), f64_to_token(0.4))
             .expect("send");
         sent += 1;
     }
@@ -314,7 +319,7 @@ fn drain_deadline_checkpoints_stuck_quotes_as_pending() {
     // the 120ms drain budget.
     client.roundtrip("FAULT STALL 0 400");
     for id in 0..4u64 {
-        writeln!(client.writer, "QUOTE {id} {} Q {}", f64_to_wire(5.0), f64_to_wire(0.4))
+        writeln!(client.writer, "QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4))
             .expect("send");
     }
     client.writer.flush().expect("flush");

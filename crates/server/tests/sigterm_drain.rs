@@ -7,8 +7,9 @@
 #![cfg(unix)]
 
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::codec::f64_to_token;
 use cds_quant::option::MarketData;
-use cds_server::proto::{f64_to_wire, parse_response, Response};
+use cds_server::proto::{parse_response, Response};
 use cds_server::server::resume_journal;
 use cds_server::wal::{read_wal, sidecar_path};
 use std::io::{BufRead, BufReader, Write};
@@ -84,7 +85,7 @@ fn sigterm_mid_burst_drains_and_resumes_bit_identically() {
     for id in 0..total {
         let maturity = 1.0 + (id % 7) as f64 * 0.75;
         let recovery = 0.1 + (id % 4) as f64 * 0.1;
-        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_wire(maturity), f64_to_wire(recovery))
+        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_token(maturity), f64_to_token(recovery))
             .expect("send");
     }
     writer.flush().expect("flush");
@@ -228,7 +229,7 @@ fn sigterm_under_abuse_load_still_drains_and_resumes_bit_identically() {
     let flooder = std::thread::spawn(move || {
         let _ = writeln!(abuse_writer, "TENANT abuser");
         for id in 0..3000u64 {
-            if writeln!(abuse_writer, "QUOTE {id} {} Q {}", f64_to_wire(3.0), f64_to_wire(0.2))
+            if writeln!(abuse_writer, "QUOTE {id} {} Q {}", f64_to_token(3.0), f64_to_token(0.2))
                 .is_err()
             {
                 break; // drain closed the socket mid-flood: expected
@@ -246,7 +247,7 @@ fn sigterm_under_abuse_load_still_drains_and_resumes_bit_identically() {
     writeln!(victim_writer, "FAULT STALL 1 150").expect("send");
     for id in 0..12u64 {
         let maturity = 1.0 + (id % 7) as f64 * 0.75;
-        writeln!(victim_writer, "QUOTE {id} {} Q {}", f64_to_wire(maturity), f64_to_wire(0.3))
+        writeln!(victim_writer, "QUOTE {id} {} Q {}", f64_to_token(maturity), f64_to_token(0.3))
             .expect("send");
     }
     victim_writer.flush().expect("flush");
@@ -302,7 +303,7 @@ fn kill_during_drain_leaves_a_resumable_journal() {
     writeln!(writer, "FAULT STALL 0 200").expect("send");
     writeln!(writer, "FAULT STALL 1 200").expect("send");
     for id in 0..12u64 {
-        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_wire(4.0), f64_to_wire(0.3)).expect("send");
+        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_token(4.0), f64_to_token(0.3)).expect("send");
     }
     writer.flush().expect("flush");
     std::thread::sleep(Duration::from_millis(150));
