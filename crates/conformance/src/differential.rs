@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn an_exact_comparator_flags_route_divergence() {
-        // The 16 routes do not agree to the last bit everywhere; with
+        // The routes do not agree to the last bit everywhere; with
         // max_ulps = 0 and no floor the differential harness must be
         // able to see a difference somewhere in a small fuzz run,
         // proving the comparison is not vacuous.

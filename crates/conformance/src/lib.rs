@@ -10,9 +10,9 @@
 //!   and the deliberately-broken [`mutants`] that prove each relation
 //!   can fail.
 //! * [`differential`] — a seeded adversarial fuzzer ([`generator`])
-//!   driving the same cases through all sixteen
-//!   [`cds_engine::route::PriceRoute`]s (FPGA variants, multi-engine,
-//!   resilient, checkpoint-resume, scrubbed, streaming, CPU) and
+//!   driving the same cases through every
+//!   [`cds_engine::route::PriceRoute`] (FPGA variants, resilient
+//!   multi-engine, checkpoint-resume, scrubbed, streaming, CPU) and
 //!   comparing spreads to the reference under a ULP-bounded comparator,
 //!   shrinking any disagreement to a minimal reproducer.
 //!

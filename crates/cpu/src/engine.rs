@@ -11,9 +11,10 @@
 //! [`CpuCdsEngine::price`] is the **scalar reference path**: a streaming
 //! per-schedule-point loop that allocates nothing per call (schedule
 //! points are enumerated on the fly rather than collected into a `Vec`).
-//! The batch entry points ([`CpuCdsEngine::price_batch`] /
-//! [`CpuCdsEngine::price_batch_stats`]) dispatch to the lane kernel in
-//! [`crate::lanes`], which is bit-for-bit identical to the scalar path;
+//! The batch entry point [`CpuCdsEngine::price_batch`] dispatches to the
+//! lane kernel in [`crate::lanes`], which is bit-for-bit identical to the
+//! scalar path (its [`crate::LaneKernel::price_into`] also returns work
+//! accounting);
 //! [`CpuCdsEngine::price_batch_scalar`] keeps the per-option loop
 //! reachable for differential tests and benchmarks.
 
@@ -22,8 +23,9 @@ use cds_quant::interp::SegmentIndex;
 use cds_quant::option::{CdsOption, MarketData};
 use cds_quant::QuantError;
 
-/// Work accounting of one CPU batch — the host-side analogue of the
-/// simulator's run counters, consumed by the harness's unified metrics.
+/// Work accounting of one lane-kernel batch
+/// ([`crate::LaneKernel::price_into`]) — the host-side analogue of the
+/// simulator's run counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CpuBatchStats {
     /// Options priced.
@@ -33,25 +35,6 @@ pub struct CpuBatchStats {
     /// Lane groups launched by the batch kernel, including a final
     /// partial group (0 for scalar paths).
     pub fused_groups: u64,
-    /// Options that fell back to the scalar pricer within a batch.
-    /// Always 0 since the lane kernel subsumed the earlier fused-run path —
-    /// every option takes the lane path regardless of its neighbours;
-    /// the field is kept for schema stability.
-    pub scalar_fallbacks: u64,
-    /// OS threads used (1 for the sequential paths).
-    pub threads: u64,
-}
-
-impl CpuBatchStats {
-    /// Fold another batch's accounting into this one (threads takes the
-    /// max — chunks of one parallel batch share the pool).
-    pub fn merge(&mut self, other: &CpuBatchStats) {
-        self.options += other.options;
-        self.time_points += other.time_points;
-        self.fused_groups += other.fused_groups;
-        self.scalar_fallbacks += other.scalar_fallbacks;
-        self.threads = self.threads.max(other.threads);
-    }
 }
 
 /// Precomputed, cache-friendly CPU pricer.
@@ -207,12 +190,6 @@ impl CpuCdsEngine {
     /// with [`CpuCdsEngine::price`], just much faster.
     pub fn price_batch(&self, options: &[CdsOption]) -> Vec<f64> {
         crate::lanes::price_batch_lanes(self, options)
-    }
-
-    /// Price a batch on one thread through the lane kernel, returning
-    /// work accounting alongside the spreads.
-    pub fn price_batch_stats(&self, options: &[CdsOption]) -> (Vec<f64>, CpuBatchStats) {
-        crate::lanes::price_batch_lanes_stats(self, options)
     }
 
     /// Price a batch through the per-option scalar reference path — the

@@ -321,8 +321,6 @@ impl<'e> LaneKernel<'e> {
             options: n as u64,
             time_points,
             fused_groups: (n as u64).div_ceil(LANES as u64),
-            scalar_fallbacks: 0,
-            threads: 1,
         }
     }
 
@@ -345,17 +343,6 @@ impl CpuCdsEngine {
 /// [`CpuCdsEngine::price_batch`] dispatches here.
 pub fn price_batch_lanes(engine: &CpuCdsEngine, options: &[CdsOption]) -> Vec<f64> {
     LaneKernel::new(engine).price_batch(options)
-}
-
-/// One-shot lane pricing with work accounting.
-/// [`CpuCdsEngine::price_batch_stats`] dispatches here.
-pub fn price_batch_lanes_stats(
-    engine: &CpuCdsEngine,
-    options: &[CdsOption],
-) -> (Vec<f64>, CpuBatchStats) {
-    let mut out = Vec::new();
-    let stats = LaneKernel::new(engine).price_into(options, &mut out);
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -446,9 +433,10 @@ mod tests {
     fn empty_batch() {
         let market = MarketData::paper_workload(1);
         let engine = CpuCdsEngine::new(&market);
-        let (out, stats) = price_batch_lanes_stats(&engine, &[]);
+        let mut out = Vec::new();
+        let stats = engine.lane_kernel().price_into(&[], &mut out);
         assert!(out.is_empty());
-        assert_eq!(stats, CpuBatchStats { threads: 1, ..CpuBatchStats::default() });
+        assert_eq!(stats, CpuBatchStats::default());
     }
 
     #[test]
@@ -483,13 +471,11 @@ mod tests {
         let market = MarketData::paper_workload(5);
         let engine = CpuCdsEngine::new(&market);
         let opts = PortfolioGenerator::new(17).portfolio(19);
-        let (_, stats) = price_batch_lanes_stats(&engine, &opts);
+        let stats = engine.lane_kernel().price_into(&opts, &mut Vec::new());
         let expected_points: u64 = opts.iter().map(|o| engine.price(o).time_points as u64).sum();
         assert_eq!(stats.options, 19);
         assert_eq!(stats.time_points, expected_points);
         assert_eq!(stats.fused_groups, 3); // ceil(19 / 8)
-        assert_eq!(stats.scalar_fallbacks, 0);
-        assert_eq!(stats.threads, 1);
     }
 
     #[test]

@@ -10,14 +10,25 @@
 
 use crate::checkpoint::{checkpoint_stream, Checkpoint, CompletedOption};
 use crate::config::{EngineConfig, EnginePrecision, EngineVariant};
+use crate::error::CdsError;
 use crate::report::EngineRunReport;
-use crate::retry::RetryPolicy;
 use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
+use crate::tokens::{corrupted_options, tag_options};
+use crate::variants::dataflow::build_graph_into;
 use crate::FpgaCdsEngine;
 use cds_quant::option::{CdsOption, MarketData};
-use dataflow_sim::fault::{FaultKind, FaultPlan};
+use dataflow_sim::event_sim::EventSim;
+use dataflow_sim::fault::FaultPlan;
+use dataflow_sim::graph::GraphBuilder;
+use dataflow_sim::region::RegionMode;
 use dataflow_sim::resource::{op_cost, uram_for_curve, Device, ResourceUsage};
 use dataflow_sim::trace::Counters;
+use std::rc::Rc;
+
+/// Fault-free re-shard rounds a batch deployment runs after its first
+/// (possibly faulted) round: the recovery depth of the resilient routes
+/// and of most chaos scenarios.
+pub const BATCH_RETRY_ROUNDS: usize = 2;
 
 /// Checkpoint cadence plus the sink receiving each emitted checkpoint.
 type JournalSink<'a> = (u32, &'a mut dyn FnMut(&Checkpoint));
@@ -222,51 +233,63 @@ impl MultiEngine {
     /// contiguous chunks, each engine prices its chunk independently, and
     /// the wall-clock is set by the slowest engine.
     pub fn price_batch(&self, options: &[CdsOption]) -> MultiEngineReport {
-        let n = self.n_engines;
+        let (mut report, _) = self.price_chunks(options);
+        if !options.is_empty() {
+            // Engines run concurrently; the shared interconnect adds the
+            // calibrated contention; one PCIe batch serves all engines.
+            let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
+            report.set_total_seconds(
+                report.slowest_engine_seconds * contention_factor(self.n_engines) + transfer,
+            );
+        }
+        report
+    }
+
+    /// Price each contiguous chunk on its own engine. The report carries
+    /// the spreads, merged counters and slowest engine but no wall-clock
+    /// (each caller applies its own timing model to the returned
+    /// per-chunk `(options, kernel seconds)`).
+    fn price_chunks(&self, options: &[CdsOption]) -> (MultiEngineReport, Vec<(u64, f64)>) {
+        let mut report = MultiEngineReport::idle(self.n_engines);
+        let mut chunks = Vec::with_capacity(self.n_engines);
         if options.is_empty() {
-            return MultiEngineReport {
-                spreads: Vec::new(),
-                engines: n,
-                total_seconds: 0.0,
-                options_per_second: 0.0,
-                slowest_engine_seconds: 0.0,
-                counters: Counters::default(),
-                faults_injected: 0,
-                options_retried: 0,
-                options_shed: 0,
-                degraded: false,
-                scrub: None,
-            };
+            return (report, chunks);
         }
-        let chunk_size = options.len().div_ceil(n);
-        let mut spreads = Vec::with_capacity(options.len());
-        let mut slowest = 0.0f64;
-        let mut counters = Counters::default();
-        for chunk in options.chunks(chunk_size) {
+        report.spreads.reserve(options.len());
+        for chunk in options.chunks(options.len().div_ceil(self.n_engines)) {
             let engine = FpgaCdsEngine::new(self.market.clone(), self.config.clone());
-            let report: EngineRunReport = engine.price_batch(chunk);
-            slowest = slowest.max(report.kernel_seconds);
-            counters.merge(&report.counters);
-            spreads.extend(report.spreads);
+            let run: EngineRunReport = engine.price_batch(chunk);
+            report.slowest_engine_seconds = report.slowest_engine_seconds.max(run.kernel_seconds);
+            report.counters.merge(&run.counters);
+            report.spreads.extend(run.spreads);
+            chunks.push((chunk.len() as u64, run.kernel_seconds));
         }
-        // Engines run concurrently; the shared interconnect adds the
-        // calibrated contention; one PCIe batch serves all engines.
-        let contention = contention_factor(n);
-        let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
-        let total_seconds = slowest * contention + transfer;
+        (report, chunks)
+    }
+}
+
+impl MultiEngineReport {
+    /// A report of no work on `engines` engines.
+    fn idle(engines: usize) -> Self {
         MultiEngineReport {
-            engines: n,
-            total_seconds,
-            options_per_second: options.len() as f64 / total_seconds,
-            slowest_engine_seconds: slowest,
-            spreads,
-            counters,
+            spreads: Vec::new(),
+            engines,
+            total_seconds: 0.0,
+            options_per_second: 0.0,
+            slowest_engine_seconds: 0.0,
+            counters: Counters::default(),
             faults_injected: 0,
             options_retried: 0,
             options_shed: 0,
             degraded: false,
             scrub: None,
         }
+    }
+
+    /// Set the wall-clock and the throughput it implies.
+    fn set_total_seconds(&mut self, total_seconds: f64) {
+        self.total_seconds = total_seconds;
+        self.options_per_second = self.spreads.len() as f64 / total_seconds;
     }
 }
 
@@ -278,76 +301,16 @@ impl MultiEngine {
     /// the simulation itself rather than from taking a max over separate
     /// runs. The calibrated interconnect contention and the shared PCIe
     /// transfer are applied to the simulated kernel time as usual.
-    pub fn price_batch_simulated(&self, options: &[CdsOption]) -> MultiEngineReport {
-        use crate::variants::dataflow::build_graph_into;
-        use dataflow_sim::event_sim::EventSim;
-        use dataflow_sim::graph::GraphBuilder;
-        use std::rc::Rc;
-
-        let n = self.n_engines;
-        if options.is_empty() {
-            return self.price_batch(options);
-        }
-        assert_eq!(
-            self.config.region_mode,
-            dataflow_sim::region::RegionMode::Continuous,
-            "single-simulation deployment requires continuous engines"
-        );
-        let market = Rc::new(self.market.clone());
-        let chunk_size = options.len().div_ceil(n);
-        let mut g = GraphBuilder::new();
-        let mut sinks = Vec::with_capacity(n);
-        let mut base_idx = 0u32;
-        for (k, chunk) in options.chunks(chunk_size).enumerate() {
-            let sink = build_graph_into(
-                &mut g,
-                &format!("e{k}."),
-                market.clone(),
-                &self.config,
-                chunk,
-                base_idx,
-                None,
-            );
-            sinks.push((sink, chunk.len()));
-            base_idx += chunk.len() as u32;
-        }
-        let processes = g.process_count();
-        let mut sim = EventSim::new(g);
-        let report = match sim.run() {
-            Ok(r) => r,
-            Err(e) => panic!("multi-engine CDS graph must not deadlock: {e}"),
-        };
-        let kernel =
-            report.total_cycles + self.config.region_cost.invocation_overhead(processes / n.max(1));
-        let curve_load = self
-            .config
-            .memory
-            .curve_load_cycles(self.market.hazard.len().max(self.market.interest.len()));
-
-        let mut spreads = Vec::with_capacity(options.len());
-        for (sink, expected) in sinks {
-            let collected = sink.values();
-            assert_eq!(collected.len(), expected);
-            spreads.extend(collected.into_iter().map(|tok| tok.spread_bps));
-        }
-        let contention = contention_factor(n);
-        let kernel_seconds = self.config.clock.seconds(kernel + curve_load);
-        let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
-        let total_seconds = kernel_seconds * contention + transfer;
-        let trace = self.config.trace.clone().unwrap_or_default();
-        MultiEngineReport {
-            engines: n,
-            total_seconds,
-            options_per_second: options.len() as f64 / total_seconds,
-            slowest_engine_seconds: kernel_seconds,
-            spreads,
-            counters: Counters::from_run(&trace, &report),
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
-        }
+    ///
+    /// This is [`MultiEngine::price_batch_resilient`] with no fault plan
+    /// and no retry rounds. Returns [`CdsError::Config`] for a
+    /// per-option-region configuration (one shared graph needs
+    /// continuous engines).
+    pub fn price_batch_simulated(
+        &self,
+        options: &[CdsOption],
+    ) -> Result<MultiEngineReport, CdsError> {
+        self.price_batch_resilient_core(options, None, 0, None, None)
     }
 
     /// Price a batch under an explicit staggered-DMA schedule: chunk
@@ -358,41 +321,21 @@ impl MultiEngine {
     /// and more faithful — than [`MultiEngine::price_batch`]'s idealised
     /// one-shot transfer.
     pub fn price_batch_staggered(&self, options: &[CdsOption]) -> MultiEngineReport {
-        let n = self.n_engines;
+        let (mut report, chunks) = self.price_chunks(options);
         if options.is_empty() {
-            return self.price_batch(options);
+            return report;
         }
-        let chunk_size = options.len().div_ceil(n);
-        let contention = contention_factor(n);
-        let mut spreads = Vec::with_capacity(options.len());
+        let contention = contention_factor(self.n_engines);
         let mut in_done = 0.0f64;
-        let mut slowest = 0.0f64;
         let mut makespan = 0.0f64;
-        let mut counters = Counters::default();
-        for chunk in options.chunks(chunk_size) {
-            let engine = FpgaCdsEngine::new(self.market.clone(), self.config.clone());
-            let report = engine.price_batch(chunk);
-            in_done += self.config.pcie.transfer_seconds(chunk.len() as u64 * 24);
-            let compute_done = in_done + report.kernel_seconds * contention;
-            let out = self.config.pcie.transfer_seconds(chunk.len() as u64 * 8);
+        for (len, kernel_seconds) in chunks {
+            in_done += self.config.pcie.transfer_seconds(len * 24);
+            let compute_done = in_done + kernel_seconds * contention;
+            let out = self.config.pcie.transfer_seconds(len * 8);
             makespan = makespan.max(compute_done) + out;
-            slowest = slowest.max(report.kernel_seconds);
-            counters.merge(&report.counters);
-            spreads.extend(report.spreads);
         }
-        MultiEngineReport {
-            engines: n,
-            total_seconds: makespan,
-            options_per_second: options.len() as f64 / makespan,
-            slowest_engine_seconds: slowest,
-            spreads,
-            counters,
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
-        }
+        report.set_total_seconds(makespan);
+        report
     }
 
     /// Price a batch fault-tolerantly: one single-simulation round with an
@@ -403,88 +346,51 @@ impl MultiEngine {
     /// engine mid-run. After the faulted round, any engine that delivered
     /// fewer spreads than its chunk is treated as failed; its unpriced
     /// options are **re-sharded across the surviving engines** in up to
-    /// `max_attempts` fault-free retry rounds. If no engine survives, the
-    /// run **degrades gracefully to the CPU engine** ([`cds_cpu`]), with
-    /// the retried options' wall-clock taken from the calibrated Xeon
-    /// model. Pricing is deterministic, so recovered spreads are identical
-    /// to a fault-free run's.
+    /// `retry_rounds` fault-free rounds ([`BATCH_RETRY_ROUNDS`] is the
+    /// usual depth). If no engine survives, the run **degrades gracefully
+    /// to the CPU engine** ([`cds_cpu`]), with the retried options'
+    /// wall-clock taken from the calibrated Xeon model. Pricing is
+    /// deterministic, so recovered spreads are identical to a fault-free
+    /// run's.
     ///
-    /// Returns [`crate::error::CdsError::Exhausted`] if options remain unpriced after
-    /// the final attempt (only reachable with `max_attempts == 0`, since
+    /// With a [`ScrubPolicy`] the result-integrity scrubber is enabled:
+    /// every spread is guarded against its option's invariants, options
+    /// named by corruption fault events are quarantined, and quarantined
+    /// spreads are repriced on the CPU fallback engine (see
+    /// [`crate::scrub`]).
+    ///
+    /// Returns [`CdsError::Exhausted`] if options remain unpriced after
+    /// the final round (only reachable with `retry_rounds == 0`, since
     /// retry rounds are fault-free).
     pub fn price_batch_resilient(
         &self,
         options: &[CdsOption],
         plan: Option<&FaultPlan>,
-        max_attempts: usize,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        self.price_batch_resilient_core(options, plan, max_attempts, None, None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] under a validated
-    /// [`RetryPolicy`] — the same policy type the `cds-server` serving
-    /// layer consumes, so batch failover and quote serving share one
-    /// source of retry budgets instead of per-call-site magic numbers.
-    /// The policy's `max_attempts` bounds the fault-free re-shard
-    /// rounds; an invalid policy is rejected up front with the typed
-    /// [`crate::retry::RetryPolicyError`] (as [`crate::error::CdsError::Config`]).
-    pub fn price_batch_resilient_with(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        policy: &RetryPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        policy.validate()?;
-        self.price_batch_resilient_core(options, plan, policy.max_attempts, None, None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient_scrubbed`] under a validated
-    /// [`RetryPolicy`] (see [`MultiEngine::price_batch_resilient_with`]).
-    pub fn price_batch_resilient_scrubbed_with(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        policy: &RetryPolicy,
-        scrub: &ScrubPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        policy.validate()?;
-        self.price_batch_resilient_core(options, plan, policy.max_attempts, Some(scrub), None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] with the result-integrity
-    /// scrubber enabled: every spread is guarded against its option's
-    /// invariants, options named by corruption fault events are
-    /// quarantined, and quarantined spreads are repriced on the CPU
-    /// fallback engine (see [`crate::scrub`]).
-    pub fn price_batch_resilient_scrubbed(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        max_attempts: usize,
-        scrub: &ScrubPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        self.price_batch_resilient_core(options, plan, max_attempts, Some(scrub), None)
+        retry_rounds: usize,
+        scrub: Option<&ScrubPolicy>,
+    ) -> Result<MultiEngineReport, CdsError> {
+        self.price_batch_resilient_core(options, plan, retry_rounds, scrub, None)
     }
 
     /// [`MultiEngine::price_batch_resilient`] with a write-ahead run
     /// journal: a cumulative [`Checkpoint`] is handed to `sink` after
     /// every `cadence` completed options (in completion order), plus a
     /// terminal commit record. Checkpoints are emitted even when the run
-    /// ends in [`crate::error::CdsError::Exhausted`], so
+    /// ends in [`CdsError::Exhausted`], so
     /// [`MultiEngine::resume_batch_resilient`] can finish the work.
     pub fn price_batch_resilient_checkpointed(
         &self,
         options: &[CdsOption],
         plan: Option<&FaultPlan>,
-        max_attempts: usize,
+        retry_rounds: usize,
         scrub: Option<&ScrubPolicy>,
         cadence: u32,
         mut sink: impl FnMut(&Checkpoint),
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
+    ) -> Result<MultiEngineReport, CdsError> {
         self.price_batch_resilient_core(
             options,
             plan,
-            max_attempts,
+            retry_rounds,
             scrub,
             Some((cadence, &mut sink)),
         )
@@ -499,9 +405,8 @@ impl MultiEngine {
         &self,
         options: &[CdsOption],
         checkpoint: &Checkpoint,
-        max_attempts: usize,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        use crate::error::CdsError;
+        retry_rounds: usize,
+    ) -> Result<MultiEngineReport, CdsError> {
         checkpoint.validate()?;
         if checkpoint.total_options as usize != options.len() {
             return Err(CdsError::Journal {
@@ -528,22 +433,10 @@ impl MultiEngine {
             spreads[c.index as usize] = c.spread_bps;
         }
         if missing.is_empty() {
-            return Ok(MultiEngineReport {
-                spreads,
-                engines: self.n_engines,
-                total_seconds: 0.0,
-                options_per_second: 0.0,
-                slowest_engine_seconds: 0.0,
-                counters: Counters::default(),
-                faults_injected: 0,
-                options_retried: 0,
-                options_shed: 0,
-                degraded: false,
-                scrub: None,
-            });
+            return Ok(MultiEngineReport { spreads, ..MultiEngineReport::idle(self.n_engines) });
         }
         let missing_opts: Vec<CdsOption> = missing.iter().map(|&i| options[i]).collect();
-        let sub = self.price_batch_resilient(&missing_opts, None, max_attempts)?;
+        let sub = self.price_batch_resilient(&missing_opts, None, retry_rounds, None)?;
         for (&i, &s) in missing.iter().zip(&sub.spreads) {
             spreads[i] = s;
         }
@@ -566,21 +459,17 @@ impl MultiEngine {
         })
     }
 
+    /// The one single-simulation deployment behind
+    /// [`MultiEngine::price_batch_simulated`], the resilient entry points
+    /// and resume.
     fn price_batch_resilient_core(
         &self,
         options: &[CdsOption],
         plan: Option<&FaultPlan>,
-        max_attempts: usize,
+        retry_rounds: usize,
         scrub: Option<&ScrubPolicy>,
         mut journal: Option<JournalSink<'_>>,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        use crate::error::CdsError;
-        use crate::tokens::{OptionTok, SpreadTok, TimePointTok, Tok};
-        use crate::variants::dataflow::build_graph_into;
-        use dataflow_sim::event_sim::EventSim;
-        use dataflow_sim::graph::GraphBuilder;
-        use std::rc::Rc;
-
+    ) -> Result<MultiEngineReport, CdsError> {
         if let Some((cadence, _)) = &journal {
             if *cadence == 0 {
                 return Err(CdsError::Config { reason: "checkpoint cadence must be at least 1" });
@@ -590,9 +479,9 @@ impl MultiEngine {
         if options.is_empty() {
             return Ok(self.price_batch(options));
         }
-        if self.config.region_mode != dataflow_sim::region::RegionMode::Continuous {
+        if self.config.region_mode != RegionMode::Continuous {
             return Err(CdsError::Config {
-                reason: "resilient deployment requires continuous engines",
+                reason: "a single-simulation deployment requires continuous engines",
             });
         }
         for o in options {
@@ -603,15 +492,7 @@ impl MultiEngine {
         let chunk_size = options.len().div_ceil(n);
         let mut g = GraphBuilder::new();
         if let Some(p) = plan {
-            // Tag every token type with its owning (global) option index,
-            // so fault events name the option the scrubber quarantines.
-            let p = p
-                .clone()
-                .identify::<OptionTok>(|t| Some(t.opt_idx))
-                .identify::<TimePointTok>(|t| Some(t.opt_idx))
-                .identify::<Tok>(|t| Some(t.opt_idx))
-                .identify::<SpreadTok>(|t| Some(t.opt_idx));
-            g.set_fault_plan(p);
+            g.set_fault_plan(tag_options(p));
         }
         let mut sinks = Vec::with_capacity(n);
         let mut base_idx = 0u32;
@@ -656,12 +537,7 @@ impl MultiEngine {
         completions.sort_by_key(|c| (c.done_cycle, c.index));
         let mut cycle_base = report.total_cycles;
         // Options whose tokens a corruption fault mutated (global indices).
-        let tainted: Vec<u32> = report
-            .fault_events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Corrupt)
-            .filter_map(|e| e.opt_idx)
-            .collect();
+        let tainted: Vec<u32> = corrupted_options(&report.fault_events).collect();
 
         let kernel =
             report.total_cycles + self.config.region_cost.invocation_overhead(processes / n.max(1));
@@ -676,11 +552,13 @@ impl MultiEngine {
         let mut counters = Counters::from_run(&trace, &report);
 
         // Bounded recovery: re-shard missing options over the survivors
-        // (fault-free), or degrade to the CPU engine when none remain.
+        // (fault-free), or degrade to the CPU engine when none remain. A
+        // batch smaller than the engine count leaves engines idle, and an
+        // idle engine has not died.
         let mut options_retried = 0u64;
-        let mut degraded = survivors.len() < n;
+        let mut degraded = survivors.len() < sinks.len();
         let mut attempts = 0usize;
-        while attempts < max_attempts {
+        while attempts < retry_rounds {
             let missing: Vec<usize> =
                 (0..options.len()).filter(|&i| spreads_by_idx[i].is_none()).collect();
             if missing.is_empty() {
@@ -897,13 +775,38 @@ mod tests {
         let options = PortfolioGenerator::uniform(60, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
         let modelled = multi.price_batch(&options);
-        let simulated = multi.price_batch_simulated(&options);
+        let simulated = ok(multi.price_batch_simulated(&options));
         assert_eq!(modelled.spreads, simulated.spreads, "numerics must agree");
         // All three engines run concurrently inside one DES; the makespan
         // must agree with the max-over-engines model within a few percent
         // (overheads are accounted slightly differently).
         let ratio = simulated.options_per_second / modelled.options_per_second;
         assert!((0.90..1.10).contains(&ratio), "simulated/modelled {ratio}");
+    }
+
+    #[test]
+    fn single_simulation_rejects_per_option_regions() {
+        let options = PortfolioGenerator::uniform(6, 5.5, PaymentFrequency::Quarterly, 0.4);
+        let multi = ok(MultiEngine::with_config(
+            market(),
+            EngineVariant::XilinxBaseline.config(),
+            Device::alveo_u280(),
+            2,
+        ));
+        match multi.price_batch_simulated(&options) {
+            Err(crate::error::CdsError::Config { .. }) => {}
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn idle_engines_do_not_degrade_a_small_batch() {
+        // Six options on four engines fill three chunks of two; the
+        // fourth engine is idle, not dead.
+        let options = PortfolioGenerator::uniform(6, 5.5, PaymentFrequency::Quarterly, 0.4);
+        let report = ok(ok(MultiEngine::new(market(), 4)).price_batch_simulated(&options));
+        assert_eq!(report.spreads.len(), 6);
+        assert!(!report.degraded);
     }
 
     #[test]
@@ -932,9 +835,9 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(50, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 5));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = ok(multi.price_batch_simulated(&options));
         let plan = FaultPlan::new(0xC0FFEE).kill_region("e2.", 60_000);
-        let report = match multi.price_batch_resilient(&options, Some(&plan), 3) {
+        let report = match multi.price_batch_resilient(&options, Some(&plan), 3, None) {
             Ok(r) => r,
             Err(e) => panic!("resilient run must recover: {e}"),
         };
@@ -957,7 +860,7 @@ mod tests {
         for k in 0..3 {
             plan = plan.kill_region(format!("e{k}."), 10_000);
         }
-        let report = match multi.price_batch_resilient(&options, Some(&plan), 2) {
+        let report = match multi.price_batch_resilient(&options, Some(&plan), 2, None) {
             Ok(r) => r,
             Err(e) => panic!("CPU fallback must price everything: {e}"),
         };
@@ -980,18 +883,18 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(24, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = ok(multi.price_batch_simulated(&options));
         let plan = FaultPlan::new(0xBAD)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
             .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
                 spread_bps: t.spread_bps + 0.25,
                 ..t
             });
-        let report = match multi.price_batch_resilient_scrubbed(
+        let report = match multi.price_batch_resilient(
             &options,
             Some(&plan),
-            2,
-            &ScrubPolicy { cross_check_every: 0 },
+            BATCH_RETRY_ROUNDS,
+            Some(&ScrubPolicy { cross_check_every: 0 }),
         ) {
             Ok(r) => r,
             Err(e) => panic!("scrubbed run must succeed: {e}"),
@@ -1016,7 +919,7 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(30, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = ok(multi.price_batch_simulated(&options));
 
         let plan = FaultPlan::new(7).kill_region("e1.", 40_000);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
@@ -1082,8 +985,8 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::new(3).portfolio(24);
         let multi = ok(MultiEngine::new(market, 4));
-        let simulated = multi.price_batch_simulated(&options);
-        let resilient = match multi.price_batch_resilient(&options, None, 2) {
+        let simulated = ok(multi.price_batch_simulated(&options));
+        let resilient = match multi.price_batch_resilient(&options, None, 2, None) {
             Ok(r) => r,
             Err(e) => panic!("fault-free resilient run must succeed: {e}"),
         };
@@ -1100,7 +1003,7 @@ mod tests {
         let options = PortfolioGenerator::uniform(20, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 2));
         let plan = FaultPlan::new(1).kill_region("e1.", 5_000);
-        match multi.price_batch_resilient(&options, Some(&plan), 0) {
+        match multi.price_batch_resilient(&options, Some(&plan), 0, None) {
             Err(CdsError::Exhausted { attempts: 0, unpriced }) => assert!(unpriced > 0),
             other => panic!("expected Exhausted, got {other:?}"),
         }
@@ -1113,7 +1016,7 @@ mod tests {
         let mut options = PortfolioGenerator::uniform(4, 5.5, PaymentFrequency::Quarterly, 0.4);
         options[1].recovery_rate = 1.5;
         let multi = ok(MultiEngine::new(market, 2));
-        match multi.price_batch_resilient(&options, None, 1) {
+        match multi.price_batch_resilient(&options, None, 1, None) {
             Err(CdsError::Quant(_)) => {}
             other => panic!("expected Quant error, got {other:?}"),
         }

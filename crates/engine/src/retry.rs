@@ -1,14 +1,15 @@
-//! Validated retry/backoff/deadline policy for the recovery layers.
+//! Validated retry/backoff/deadline policy for the serving layer.
 //!
-//! Both recovery surfaces of the project — the batch failover path
-//! ([`crate::multi::MultiEngine::price_batch_resilient_with`]) and the
-//! `cds-server` serving front-end's deadline-aware retry/hedging layer —
-//! consume the same [`RetryPolicy`]. Centralising the parameters here
-//! removes the magic retry counts that used to be sprinkled over call
-//! sites and makes the budgets *validated*: a zero or negative budget is
-//! a configuration bug and is rejected with a typed
+//! The `cds-server` front-end's deadline-aware retry/hedging layer
+//! consumes a [`RetryPolicy`]. Its budgets are *validated*: a zero or
+//! negative budget is a configuration bug and is rejected with a typed
 //! [`RetryPolicyError`] instead of silently producing a policy that
 //! never retries (or never stops).
+//!
+//! The batch failover path does not use this type. Its only knob is a
+//! count of fault-free re-shard rounds after the first round
+//! ([`crate::multi::BATCH_RETRY_ROUNDS`]), which is not an attempt
+//! count and may legitimately be zero.
 //!
 //! # Retry budget math
 //!
@@ -83,10 +84,10 @@ impl From<RetryPolicyError> for CdsError {
 
 /// Validated retry/backoff/deadline parameters.
 ///
-/// Construct with [`RetryPolicy::validated`] (or a named preset); the
-/// fields are public for inspection but every consumer re-checks
-/// [`RetryPolicy::validate`] at its entry point, so a hand-mutated
-/// invalid policy is caught there.
+/// Construct with [`RetryPolicy::validated`] (or the serving preset
+/// [`RetryPolicy::server_default`]); the fields are public for inspection
+/// but every consumer re-checks [`RetryPolicy::validate`] at its entry
+/// point, so a hand-mutated invalid policy is caught there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum pricing attempts per request (initial try included).
@@ -165,30 +166,6 @@ impl RetryPolicy {
         Ok(())
     }
 
-    /// Batch failover preset: the initial (possibly faulted) round plus
-    /// two fault-free re-shard rounds, the recovery depth every
-    /// resilient batch route historically hard-coded. The time budgets
-    /// are sized for a batch context (a whole re-shard round, not a
-    /// single quote).
-    #[must_use]
-    pub fn batch_failover() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            deadline_micros: 500_000,
-            backoff_base_micros: 1_000,
-            backoff_multiplier: 2,
-            hedge_after_micros: 100_000,
-        }
-    }
-
-    /// Deep-recovery preset for cascade chaos scenarios (one more
-    /// re-shard round than [`RetryPolicy::batch_failover`], for plans
-    /// that kill engines in successive waves).
-    #[must_use]
-    pub fn cascade_failover() -> RetryPolicy {
-        RetryPolicy { max_attempts: 3, ..RetryPolicy::batch_failover() }
-    }
-
     /// Serving-layer preset: per-quote budget of 250 ms, three attempts,
     /// 2 ms exponential backoff, hedge after 20 ms. Generous against CPU
     /// pricing times (microseconds) so the gate never trips on scheduler
@@ -261,14 +238,8 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for p in [
-            RetryPolicy::batch_failover(),
-            RetryPolicy::cascade_failover(),
-            RetryPolicy::server_default(),
-        ] {
-            if let Err(e) = p.validate() {
-                panic!("preset must validate: {e}");
-            }
+        if let Err(e) = RetryPolicy::server_default().validate() {
+            panic!("preset must validate: {e}");
         }
     }
 

@@ -1,12 +1,16 @@
 //! [`PriceRoute`] — a uniform enumeration of every compute path that can
 //! turn a batch of options into spreads.
 //!
-//! The repository has grown five ways to price a batch (the four Table-I
-//! engine variants, the multi-engine deployment in three simulation
-//! fidelities, the streaming ingress, and the three CPU engines), plus
-//! the robustness layers wrapped around them (resilient re-sharding,
-//! result scrubbing, write-ahead checkpoint/resume). Every one of them
-//! must produce the same spreads, which means every one of them must be
+//! A route exists only if it runs code no other route runs: a distinct
+//! production path (the four Table-I engine variants, the three CPU
+//! engines) or a fault-injection oracle (engine loss and re-sharding,
+//! result scrubbing, write-ahead checkpoint/resume over the multi-engine
+//! deployment and the streaming ingress). Paths that differ from a route
+//! only in timing have no route of their own: the per-chunk
+//! [`MultiEngine::price_batch`] runs the `fpga/vectorised` engine, and the
+//! fault-free single simulation and default-policy streaming run inside
+//! the two checkpoint/resume routes. Every route must
+//! produce the same spreads, which means every one of them must be
 //! *enumerable* by correctness tooling. `PriceRoute` names each path and
 //! exposes a single fallible [`PriceRoute::price`] so a differential
 //! fuzzer — `crates/conformance` — can drive all of them through one
@@ -15,8 +19,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::EngineVariant;
 use crate::error::CdsError;
-use crate::multi::MultiEngine;
-use crate::retry::RetryPolicy;
+use crate::multi::{MultiEngine, BATCH_RETRY_ROUNDS};
 use crate::scrub::ScrubPolicy;
 use crate::streaming::{run_streaming_checkpointed, run_streaming_with, StreamingPolicy};
 use crate::FpgaCdsEngine;
@@ -54,13 +57,6 @@ const KILL_CYCLE: Cycle = 40_000;
 pub enum PriceRoute {
     /// A single FPGA engine of the named Table-I variant.
     Variant(EngineVariant),
-    /// Five engines, analytic contention model (the Table-II rows).
-    MultiModelled,
-    /// Five engines instantiated concurrently in one discrete-event
-    /// simulation.
-    MultiSimulated,
-    /// Five engines with staggered batch hand-off.
-    MultiStaggered,
     /// Resilient deployment that loses engine `e1.` mid-run and
     /// re-shards its work across the survivors.
     ResilientEngineLoss,
@@ -70,8 +66,6 @@ pub enum PriceRoute {
     /// Checkpointed run interrupted at a mid-run checkpoint, then
     /// resumed from the journal — the merged spreads are the output.
     CheckpointResume,
-    /// Streaming ingress with evenly spaced arrivals.
-    Streaming,
     /// Streaming ingress with the scrubber enabled on completion.
     StreamingScrubbed,
     /// Streaming run journalled at `RESUME_CADENCE` (every 3 chunks),
@@ -90,20 +84,16 @@ pub enum PriceRoute {
 
 impl PriceRoute {
     /// Every route, in a stable order: the four engine variants first,
-    /// then the multi-engine deployments, the robustness layers, the
-    /// streaming paths, and the CPU engines.
-    pub const ALL: [PriceRoute; 16] = [
+    /// then the multi-engine robustness layers, the streaming paths, and
+    /// the CPU engines.
+    pub const ALL: [PriceRoute; 12] = [
         PriceRoute::Variant(EngineVariant::XilinxBaseline),
         PriceRoute::Variant(EngineVariant::OptimisedDataflow),
         PriceRoute::Variant(EngineVariant::InterOption),
         PriceRoute::Variant(EngineVariant::Vectorised),
-        PriceRoute::MultiModelled,
-        PriceRoute::MultiSimulated,
-        PriceRoute::MultiStaggered,
         PriceRoute::ResilientEngineLoss,
         PriceRoute::ResilientScrubbed,
         PriceRoute::CheckpointResume,
-        PriceRoute::Streaming,
         PriceRoute::StreamingScrubbed,
         PriceRoute::StreamingResume,
         PriceRoute::CpuScalar,
@@ -119,13 +109,9 @@ impl PriceRoute {
             PriceRoute::Variant(EngineVariant::OptimisedDataflow) => "fpga/optimised-dataflow",
             PriceRoute::Variant(EngineVariant::InterOption) => "fpga/inter-option",
             PriceRoute::Variant(EngineVariant::Vectorised) => "fpga/vectorised",
-            PriceRoute::MultiModelled => "multi/modelled",
-            PriceRoute::MultiSimulated => "multi/simulated",
-            PriceRoute::MultiStaggered => "multi/staggered",
             PriceRoute::ResilientEngineLoss => "resilient/engine-loss",
             PriceRoute::ResilientScrubbed => "resilient/scrubbed",
             PriceRoute::CheckpointResume => "resilient/checkpoint-resume",
-            PriceRoute::Streaming => "streaming/plain",
             PriceRoute::StreamingScrubbed => "streaming/scrubbed",
             PriceRoute::StreamingResume => "streaming/checkpoint-resume",
             PriceRoute::CpuScalar => "cpu/scalar",
@@ -165,28 +151,22 @@ impl PriceRoute {
                 let engine = FpgaCdsEngine::new(market.clone(), variant.config());
                 Ok(engine.price_batch(options).spreads)
             }
-            PriceRoute::MultiModelled => Ok(self.multi(market)?.price_batch(options).spreads),
-            PriceRoute::MultiSimulated => {
-                Ok(self.multi(market)?.price_batch_simulated(options).spreads)
-            }
-            PriceRoute::MultiStaggered => {
-                Ok(self.multi(market)?.price_batch_staggered(options).spreads)
-            }
             PriceRoute::ResilientEngineLoss => {
                 let plan = FaultPlan::new(1).kill_region("e1.", KILL_CYCLE);
-                let report = self.multi(market)?.price_batch_resilient_with(
+                let report = self.multi(market)?.price_batch_resilient(
                     options,
                     Some(&plan),
-                    &RetryPolicy::batch_failover(),
+                    BATCH_RETRY_ROUNDS,
+                    None,
                 )?;
                 Self::complete_spreads(report.spreads, options.len())
             }
             PriceRoute::ResilientScrubbed => {
-                let report = self.multi(market)?.price_batch_resilient_scrubbed_with(
+                let report = self.multi(market)?.price_batch_resilient(
                     options,
                     None,
-                    &RetryPolicy::batch_failover(),
-                    &ScrubPolicy::default(),
+                    BATCH_RETRY_ROUNDS,
+                    Some(&ScrubPolicy::default()),
                 )?;
                 Self::complete_spreads(report.spreads, options.len())
             }
@@ -196,7 +176,7 @@ impl PriceRoute {
                 multi.price_batch_resilient_checkpointed(
                     options,
                     None,
-                    RetryPolicy::batch_failover().max_attempts,
+                    BATCH_RETRY_ROUNDS,
                     None,
                     RESUME_CADENCE,
                     |c| checkpoints.push(c.clone()),
@@ -207,20 +187,13 @@ impl PriceRoute {
                     .get(checkpoints.len().saturating_sub(2) / 2)
                     .or_else(|| checkpoints.first())
                     .ok_or(CdsError::Config { reason: "checkpointed run emitted no journal" })?;
-                let report = multi.resume_batch_resilient(
-                    options,
-                    cut,
-                    RetryPolicy::batch_failover().max_attempts,
-                )?;
+                let report = multi.resume_batch_resilient(options, cut, BATCH_RETRY_ROUNDS)?;
                 Self::complete_spreads(report.spreads, options.len())
             }
-            PriceRoute::Streaming | PriceRoute::StreamingScrubbed => {
-                let policy = match self {
-                    PriceRoute::StreamingScrubbed => StreamingPolicy {
-                        scrub: Some(ScrubPolicy::default()),
-                        ..StreamingPolicy::default()
-                    },
-                    _ => StreamingPolicy::default(),
+            PriceRoute::StreamingScrubbed => {
+                let policy = StreamingPolicy {
+                    scrub: Some(ScrubPolicy::default()),
+                    ..StreamingPolicy::default()
                 };
                 let config = EngineVariant::Vectorised.config();
                 let arrivals = Self::arrivals(options.len());
@@ -263,8 +236,7 @@ impl PriceRoute {
         }
     }
 
-    /// The shared multi-engine deployment of the `multi/*` and
-    /// `resilient/*` routes.
+    /// The shared multi-engine deployment of the `resilient/*` routes.
     fn multi(&self, market: &MarketData<f64>) -> Result<MultiEngine, CdsError> {
         MultiEngine::new(market.clone(), MULTI_ENGINES)
             .map_err(|_| CdsError::Config { reason: "multi-engine deployment does not fit" })
@@ -349,7 +321,7 @@ mod tests {
             PriceRoute::CpuScalar,
             PriceRoute::CpuLanes,
             PriceRoute::Variant(EngineVariant::XilinxBaseline),
-            PriceRoute::MultiModelled,
+            PriceRoute::CheckpointResume,
         ] {
             assert!(ok(route.price(&market, &[])).is_empty(), "{route}");
         }

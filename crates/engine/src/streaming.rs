@@ -31,11 +31,11 @@ use crate::checkpoint::{streaming_checkpoints, Checkpoint};
 use crate::config::EngineConfig;
 use crate::error::CdsError;
 use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
-use crate::tokens::{OptionTok, SpreadTok, TimePointTok, Tok};
+use crate::tokens::{corrupted_options, tag_options};
 use crate::variants::dataflow::build_graph_into;
 use cds_quant::option::{CdsOption, MarketData};
 use dataflow_sim::event_sim::EventSim;
-use dataflow_sim::fault::{FaultKind, FaultPlan};
+use dataflow_sim::fault::FaultPlan;
 use dataflow_sim::graph::GraphBuilder;
 use dataflow_sim::region::RegionMode;
 use dataflow_sim::trace::Counters;
@@ -264,20 +264,9 @@ pub fn run_streaming_with(
 
     if admitted.is_empty() {
         return Ok(StreamingReport {
-            spans: Vec::new(),
-            p50_cycles: 0,
-            p99_cycles: 0,
-            max_cycles: 0,
-            options_per_second: 0.0,
-            spreads: Vec::new(),
-            counters: Counters::default(),
             options_shed: shed_indices.len() as u64,
             shed_indices,
-            options_lost: 0,
-            lost_indices: Vec::new(),
-            deadline_misses: 0,
-            faults_injected: 0,
-            scrub: None,
+            ..summarise::<usize>(&[], None)
         });
     }
 
@@ -286,15 +275,7 @@ pub fn run_streaming_with(
 
     let mut g = GraphBuilder::new();
     if let Some(plan) = &policy.fault_plan {
-        // Tag every token type with its owning option, so fault events
-        // name the option the scrubber must quarantine.
-        let plan = plan
-            .clone()
-            .identify::<OptionTok>(|t| Some(t.opt_idx))
-            .identify::<TimePointTok>(|t| Some(t.opt_idx))
-            .identify::<Tok>(|t| Some(t.opt_idx))
-            .identify::<SpreadTok>(|t| Some(t.opt_idx));
-        g.set_fault_plan(plan);
+        g.set_fault_plan(tag_options(plan));
     }
     let sink = build_graph_into(
         &mut g,
@@ -322,43 +303,20 @@ pub fn run_streaming_with(
     let lost_indices: Vec<u32> =
         admitted.iter().zip(&done).filter(|(_, &d)| !d).map(|(&idx, _)| idx as u32).collect();
 
-    let mut spans = Vec::with_capacity(per_option.len());
-    let mut latencies = Vec::with_capacity(per_option.len());
-    let mut spreads = Vec::with_capacity(per_option.len());
-    let mut deadline_misses = 0u64;
-    for &(_, arrival, done_at, spread) in &per_option {
-        let latency = done_at.saturating_sub(arrival);
-        if policy.deadline_cycles.is_some_and(|d| latency > d) {
-            deadline_misses += 1;
-        }
-        spans.push((arrival, done_at));
-        latencies.push(latency);
-        spreads.push(spread);
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Cycle {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
+    let mut summary = summarise(&per_option, policy.deadline_cycles);
+
     // Result-integrity scrub: guard every completed spread, quarantine
     // options tainted by corruption faults, reprice on the CPU fallback.
     let mut scrub = None;
     if let Some(sp) = &policy.scrub {
-        let tainted: Vec<u32> = report
-            .fault_events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Corrupt)
-            .filter_map(|e| e.opt_idx)
+        let tainted: Vec<u32> = corrupted_options(&report.fault_events)
             .filter_map(|i| admitted.get(i as usize).map(|&orig| orig as u32))
             .collect();
         let mut priced: Vec<(u32, f64)> =
             per_option.iter().map(|&(idx, _, _, s)| (idx as u32, s)).collect();
         let scrub_report = scrub_spreads(&market, options, &mut priced, &tainted, sp)?;
         for (slot, &(_, s)) in priced.iter().enumerate() {
-            spreads[slot] = s;
+            summary.spreads[slot] = s;
         }
         scrub = Some(scrub_report);
     }
@@ -367,24 +325,19 @@ pub fn run_streaming_with(
     let trace = config.trace.clone().unwrap_or_default();
     let counters = Counters::from_run(&trace, &report);
     Ok(StreamingReport {
-        p50_cycles: pct(0.50),
-        p99_cycles: pct(0.99),
-        max_cycles: latencies.last().copied().unwrap_or(0),
         options_per_second: if span_seconds > 0.0 {
-            spreads.len() as f64 / span_seconds
+            summary.spreads.len() as f64 / span_seconds
         } else {
             0.0
         },
-        spans,
-        spreads,
         faults_injected: counters.faults.total(),
         counters,
         options_shed: shed_indices.len() as u64,
         shed_indices,
         options_lost: lost_indices.len() as u64,
         lost_indices,
-        deadline_misses,
         scrub,
+        ..summary
     })
 }
 
@@ -498,13 +451,34 @@ pub fn resume_streaming_from(
     }
     merged.sort_unstable_by_key(|&(idx, ..)| idx);
 
-    let mut spans = Vec::with_capacity(merged.len());
-    let mut spreads = Vec::with_capacity(merged.len());
-    let mut latencies = Vec::with_capacity(merged.len());
+    Ok(StreamingReport {
+        options_per_second: sub.options_per_second,
+        faults_injected: sub.faults_injected,
+        counters: sub.counters,
+        options_shed: checkpoint.shed.len() as u64,
+        shed_indices: checkpoint.shed.clone(),
+        options_lost: sub_lost.len() as u64,
+        lost_indices: sub_lost.into_iter().collect(),
+        scrub: sub.scrub,
+        ..summarise(&merged, policy.deadline_cycles)
+    })
+}
+
+/// Spans, spreads, latency percentiles and deadline misses of completed
+/// options given as `(index, arrival, completion, spread)` in original
+/// option order. The run-level fields (throughput, counters, shed, lost,
+/// faults, scrub) are left empty for the caller to fill.
+fn summarise<I: Copy>(
+    completed: &[(I, Cycle, Cycle, f64)],
+    deadline_cycles: Option<Cycle>,
+) -> StreamingReport {
+    let mut spans = Vec::with_capacity(completed.len());
+    let mut latencies = Vec::with_capacity(completed.len());
+    let mut spreads = Vec::with_capacity(completed.len());
     let mut deadline_misses = 0u64;
-    for &(_, arrival, done_at, spread) in &merged {
+    for &(_, arrival, done_at, spread) in completed {
         let latency = done_at.saturating_sub(arrival);
-        if policy.deadline_cycles.is_some_and(|d| latency > d) {
+        if deadline_cycles.is_some_and(|d| latency > d) {
             deadline_misses += 1;
         }
         spans.push((arrival, done_at));
@@ -519,22 +493,22 @@ pub fn resume_streaming_from(
         let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
         latencies[idx]
     };
-    Ok(StreamingReport {
+    StreamingReport {
+        spans,
         p50_cycles: pct(0.50),
         p99_cycles: pct(0.99),
         max_cycles: latencies.last().copied().unwrap_or(0),
-        options_per_second: sub.options_per_second,
-        spans,
+        options_per_second: 0.0,
         spreads,
-        faults_injected: sub.faults_injected,
-        counters: sub.counters,
-        options_shed: checkpoint.shed.len() as u64,
-        shed_indices: checkpoint.shed.clone(),
-        options_lost: sub_lost.len() as u64,
-        lost_indices: sub_lost.into_iter().collect(),
+        counters: Counters::default(),
+        options_shed: 0,
+        shed_indices: Vec::new(),
+        options_lost: 0,
+        lost_indices: Vec::new(),
         deadline_misses,
-        scrub: sub.scrub,
-    })
+        faults_injected: 0,
+        scrub: None,
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,25 @@
 //! zip/merge stages of `dataflow-sim` operate on homogeneous types, just
 //! as the hardware streams all carry 64-bit words.
 
+use dataflow_sim::fault::{FaultEvent, FaultKind, FaultPlan};
+
+/// `plan` with every token type tagged by its owning option index, so
+/// each fault event names the option it hit (the option the scrubber
+/// quarantines).
+pub(crate) fn tag_options(plan: &FaultPlan) -> FaultPlan {
+    plan.clone()
+        .identify::<OptionTok>(|t| Some(t.opt_idx))
+        .identify::<TimePointTok>(|t| Some(t.opt_idx))
+        .identify::<Tok>(|t| Some(t.opt_idx))
+        .identify::<SpreadTok>(|t| Some(t.opt_idx))
+}
+
+/// Options whose tokens a corruption fault mutated, as the option
+/// indices the graph was built with.
+pub(crate) fn corrupted_options(events: &[FaultEvent]) -> impl Iterator<Item = u32> + '_ {
+    events.iter().filter(|e| e.kind == FaultKind::Corrupt).filter_map(|e| e.opt_idx)
+}
+
 /// An option entering the engine (the red once-per-option inputs of the
 /// paper's Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq)]

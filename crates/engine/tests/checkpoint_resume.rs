@@ -220,7 +220,9 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("engines must fit: {e}"))),
         };
         let opts = portfolio(n);
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = multi
+            .price_batch_simulated(&opts)
+            .map_err(|e| TestCaseError::fail(format!("clean run failed: {e}")))?;
         let plan = FaultPlan::new(3)
             .kill_region(format!("e{}.", kill_engine % engines), kill_cycle as Cycle);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();

@@ -15,8 +15,7 @@ use crate::gate::{Check, Gate};
 use crate::json::Json;
 use crate::metrics::RunMetrics;
 use crate::workload::Workload;
-use cds_cpu::parallel::price_parallel_stats;
-use cds_cpu::{CpuCdsEngine, CpuPerfModel};
+use cds_cpu::CpuPerfModel;
 use cds_engine::config::{EngineConfig, EngineVariant};
 use cds_engine::multi::MultiEngine;
 use cds_engine::streaming::{poisson_arrivals, run_streaming};
@@ -117,15 +116,14 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
     let fpga_power = FpgaPowerModel::alveo_u280_cds();
     let cpu_power = CpuPowerModel::xeon_8260m();
     let cpu_model = CpuPerfModel::xeon_8260m();
-    let cpu_engine = CpuCdsEngine::new(&w.market);
+    let batch_options = w.options.len() as u64;
     let mut metrics = Vec::new();
 
     // Table I: the paper's CPU reference core, then the variant ladder.
-    let (_, core_stats) = cpu_engine.price_batch_stats(&w.options);
     metrics.push(RunMetrics::from_cpu_model(
         "table1/cpu-core",
         cpu_model.options_per_second(1),
-        &core_stats,
+        batch_options,
         cpu_power.watts(1),
     ));
     for v in EngineVariant::ALL {
@@ -150,18 +148,19 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
             Ok(m) => m,
             Err(e) => panic!("1..=5 engines must fit the U280: {e}"),
         };
-        let report = multi.price_batch_simulated(&w.options);
+        let report = multi
+            .price_batch_simulated(&w.options)
+            .unwrap_or_else(|e| panic!("the vectorised deployment must price: {e}"));
         metrics.push(RunMetrics::from_multi_report(
             &format!("table2/engines-{n}"),
             &report,
             fpga_power.watts(n as u32),
         ));
     }
-    let (_, socket_stats) = price_parallel_stats(&cpu_engine, &w.options, 24);
     metrics.push(RunMetrics::from_cpu_model(
         "table2/cpu-24-core",
         cpu_model.options_per_second(24),
-        &socket_stats,
+        batch_options,
         cpu_power.watts(24),
     ));
 
@@ -181,13 +180,12 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
         ));
     }
 
-    // CPU thread sweep: modelled throughput, real work accounting.
+    // CPU thread sweep: modelled throughput.
     for threads in CPU_THREADS {
-        let (_, stats) = price_parallel_stats(&cpu_engine, &w.options, threads as usize);
         metrics.push(RunMetrics::from_cpu_model(
             &format!("cpu/threads-{threads}"),
             cpu_model.options_per_second(threads),
-            &stats,
+            batch_options,
             cpu_power.watts(threads),
         ));
     }

@@ -15,8 +15,7 @@
 use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_engine::config::EngineVariant;
-use cds_engine::multi::MultiEngine;
-use cds_engine::retry::RetryPolicy;
+use cds_engine::multi::{MultiEngine, BATCH_RETRY_ROUNDS};
 use cds_engine::scrub::ScrubPolicy;
 use cds_engine::streaming::{
     poisson_arrivals, resume_streaming_from, run_streaming, run_streaming_checkpointed,
@@ -27,6 +26,11 @@ use cds_quant::option::{CdsOption, MarketData, PaymentFrequency, PortfolioGenera
 use dataflow_sim::fault::{FaultEvent, FaultPlan};
 use dataflow_sim::Cycle;
 use std::rc::Rc;
+
+/// Deep-recovery depth of the engine-death scenario: one re-shard round
+/// more than [`BATCH_RETRY_ROUNDS`], enough for plans that kill engines
+/// in successive waves.
+const CASCADE_RETRY_ROUNDS: usize = 3;
 
 /// Version of the chaos JSON schema (independent of the bench schema).
 /// v2 added `options_quarantined`, per-case `fault_events` hit lists and
@@ -276,10 +280,12 @@ pub fn run(seed: u64) -> ChaosReport {
             Ok(m) => m,
             Err(e) => panic!("five engines fit the U280: {e}"),
         };
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = multi
+            .price_batch_simulated(&opts)
+            .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed).kill_region("e2.", 60_000);
         let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::cascade_failover())
+            .price_batch_resilient(&opts, Some(&plan), CASCADE_RETRY_ROUNDS, None)
             .unwrap_or_else(|e| panic!("multi/engine-death must recover: {e}"));
         let spreads_match_clean = r.spreads == clean.spreads;
         cases.push(ChaosCase {
@@ -310,13 +316,15 @@ pub fn run(seed: u64) -> ChaosReport {
             Ok(m) => m,
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = multi
+            .price_batch_simulated(&opts)
+            .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let mut plan = FaultPlan::new(seed);
         for k in 0..3 {
             plan = plan.kill_region(format!("e{k}."), 10_000);
         }
         let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::batch_failover())
+            .price_batch_resilient(&opts, Some(&plan), BATCH_RETRY_ROUNDS, None)
             .unwrap_or_else(|e| panic!("multi/all-dead must fall back to CPU: {e}"));
         let spreads_match_clean = spreads_close(&r.spreads, &clean.spreads);
         cases.push(ChaosCase {
@@ -344,10 +352,12 @@ pub fn run(seed: u64) -> ChaosReport {
             Ok(m) => m,
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = multi
+            .price_batch_simulated(&opts)
+            .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed).stall_stage("e1.hazard_out", 2_000, 22);
         let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::batch_failover())
+            .price_batch_resilient(&opts, Some(&plan), BATCH_RETRY_ROUNDS, None)
             .unwrap_or_else(|e| panic!("multi/stall must complete: {e}"));
         let spreads_match_clean = r.spreads == clean.spreads;
         cases.push(ChaosCase {
@@ -427,7 +437,9 @@ pub fn run(seed: u64) -> ChaosReport {
             Ok(m) => m,
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = multi
+            .price_batch_simulated(&opts)
+            .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
             .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
@@ -436,12 +448,7 @@ pub fn run(seed: u64) -> ChaosReport {
             });
         let scrub = ScrubPolicy { cross_check_every: 0 };
         let r = multi
-            .price_batch_resilient_scrubbed_with(
-                &opts,
-                Some(&plan),
-                &RetryPolicy::batch_failover(),
-                &scrub,
-            )
+            .price_batch_resilient(&opts, Some(&plan), BATCH_RETRY_ROUNDS, Some(&scrub))
             .unwrap_or_else(|e| panic!("multi/corrupt-scrub must recover: {e}"));
         let quarantined = r.scrub.as_ref().map_or(0, |s| s.options_quarantined);
         let spreads_match_clean = spreads_close(&r.spreads, &clean.spreads);

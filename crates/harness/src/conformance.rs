@@ -24,7 +24,7 @@ use cds_quant::ulp::UlpComparator;
 use std::path::Path;
 
 /// Default number of fuzz cases per `conformance` run (each case prices
-/// 1–5 options through all sixteen routes).
+/// 1–5 options through every route).
 pub const DEFAULT_FUZZ_CASES: u64 = 48;
 
 /// One relation×model verdict from the sweep.
@@ -246,8 +246,28 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         assert!(report.clean(), "{:?}", report.to_json().pretty());
-        // 1 reference + 16 routes, 8 relations each.
+        // 1 reference + every route, 8 relations each.
         assert_eq!(report.relations.len(), (1 + PriceRoute::ALL.len()) * Relation::ALL.len());
+    }
+
+    /// The route count docs/TESTING.md states ("all N …") and
+    /// `PriceRoute::ALL` cannot drift apart: adding or folding a route
+    /// without editing the doc fails here.
+    #[test]
+    fn documented_route_count_matches_the_route_list() {
+        let doc = include_str!("../../../docs/TESTING.md");
+        let counts: Vec<usize> = doc
+            .split("all ")
+            .skip(1)
+            .filter_map(|rest| {
+                let digits = rest.chars().take_while(char::is_ascii_digit).count();
+                rest[..digits].parse().ok()
+            })
+            .collect();
+        assert_eq!(counts.len(), 2, "docs/TESTING.md states the route count twice: {counts:?}");
+        for n in counts {
+            assert_eq!(n, PriceRoute::ALL.len(), "docs/TESTING.md says {n} routes");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! fault scenario, default `corrupt-spread`); `replay --check` re-executes
 //! a journal and exits 1 unless the spreads and write-ahead checkpoint
 //! stream are bit-identical. `conformance` checks every metamorphic
-//! relation against the reference and all sixteen price routes, fuzzes
+//! relation against the reference and every price route, fuzzes
 //! `--options N` adversarial cases differentially, and with
 //! `--check CORPUS_DIR` replays the committed corpus; any divergence or
 //! violated relation exits 1. IO and usage errors exit 2 with a message;

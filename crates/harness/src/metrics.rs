@@ -4,8 +4,8 @@
 //! deployment and the CPU model all report performance in their own
 //! shapes ([`cds_engine::report::EngineRunReport`],
 //! [`cds_engine::multi::MultiEngineReport`],
-//! [`cds_engine::streaming::StreamingReport`], [`cds_cpu::CpuPerfModel`]
-//! plus [`cds_cpu::CpuBatchStats`]). The bench harness flattens each into
+//! [`cds_engine::streaming::StreamingReport`], [`cds_cpu::CpuPerfModel`]).
+//! The bench harness flattens each into
 //! this struct so one schema covers the whole ladder: throughput, cycle
 //! counts, latency percentiles, utilisation, telemetry counters and the
 //! modelled energy figures.
@@ -120,19 +120,14 @@ impl RunMetrics {
         }
     }
 
-    /// Flatten a modelled CPU run: throughput from the calibrated
-    /// Cascade Lake model (deterministic — never wall clock), work
-    /// accounting from the actual pricing pass.
-    pub fn from_cpu_model(
-        name: &str,
-        options_per_second: f64,
-        stats: &cds_cpu::CpuBatchStats,
-        watts: f64,
-    ) -> Self {
+    /// Flatten a modelled CPU run of `options` options: throughput from
+    /// the calibrated Cascade Lake model (deterministic — never wall
+    /// clock). Nothing is priced.
+    pub fn from_cpu_model(name: &str, options_per_second: f64, options: u64, watts: f64) -> Self {
         RunMetrics {
             name: name.to_string(),
             backend: "cpu-model".to_string(),
-            options: stats.options,
+            options,
             options_per_second,
             kernel_cycles: 0,
             p50_latency_us: 0.0,
@@ -171,18 +166,10 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_cpu::CpuBatchStats;
 
     #[test]
     fn cpu_metrics_serialise_to_the_bench_schema() {
-        let stats = CpuBatchStats {
-            options: 96,
-            time_points: 96 * 22,
-            fused_groups: 12,
-            scalar_fallbacks: 0,
-            threads: 8,
-        };
-        let m = RunMetrics::from_cpu_model("cpu/threads-8", 52_000.5, &stats, 87.25);
+        let m = RunMetrics::from_cpu_model("cpu/threads-8", 52_000.5, 96, 87.25);
         let json = m.to_json();
         assert_eq!(json.get("name").and_then(Json::as_str), Some("cpu/threads-8"));
         assert_eq!(json.get("backend").and_then(Json::as_str), Some("cpu-model"));

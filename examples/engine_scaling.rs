@@ -80,7 +80,7 @@ fn main() {
     // The same deployment, simulated as one discrete-event run containing
     // all engines concurrently, and under the staggered-DMA host schedule.
     let multi = MultiEngine::new(market.clone(), max).unwrap();
-    let one_des = multi.price_batch_simulated(&options);
+    let one_des = multi.price_batch_simulated(&options).expect("continuous engines");
     let staggered = multi.price_batch_staggered(&options);
     println!("\ncross-checks at {max} engines:");
     println!("  single-DES simulation : {:>12.2} opts/s", one_des.options_per_second);
