@@ -38,7 +38,7 @@ use crate::error::CdsError;
 use crate::portfolio::PortfolioState;
 use crate::report::{SpreadDelta, TickReport};
 use cds_cpu::CpuCdsEngine;
-use cds_quant::curve::{Curve, CurvePoint};
+use cds_quant::curve::Curve;
 use cds_quant::option::{CdsOption, MarketData};
 
 /// Which curve a tick targets.
@@ -89,6 +89,35 @@ pub struct CurveTick {
     pub knot: usize,
     /// New value at the knot.
     pub value: f64,
+}
+
+/// Apply one point tick to `market` in place and return whether it was
+/// **zero-delta** (the knot already holds the ticked value bits; the
+/// curves are left untouched). Otherwise the ticked curve is rebuilt
+/// and re-validated through [`Curve::new`] with that one value
+/// replaced; every other point and every tenor stays bit-identical.
+/// On error `market` is unchanged and the message says why.
+pub fn edit_curve_point(market: &mut MarketData<f64>, tick: CurveTick) -> Result<bool, String> {
+    let target = match tick.curve {
+        CurveKind::Interest => &mut market.interest,
+        CurveKind::Hazard => &mut market.hazard,
+    };
+    let Some(old) = target.points().get(tick.knot) else {
+        return Err(format!(
+            "knot {} out of bounds for the {} curve ({} knots)",
+            tick.knot,
+            tick.curve,
+            target.len()
+        ));
+    };
+    if tick.value.to_bits() == old.value.to_bits() {
+        return Ok(true);
+    }
+    let mut points = target.points().to_vec();
+    points[tick.knot].value = tick.value;
+    *target = Curve::new(points)
+        .map_err(|e| format!("curve rejected ticked value {}: {e}", tick.value))?;
+    Ok(false)
 }
 
 /// Resident book plus current epoch's curves and pricing engine, with
@@ -236,20 +265,9 @@ impl IncrementalEngine {
     /// **zero-delta tick**: the epoch still advances, but the affected
     /// set is empty by construction and nothing reprices.
     pub fn apply_tick(&mut self, tick: CurveTick) -> Result<TickReport, CdsError> {
-        let tenors_len = self.tenors(tick.curve).len();
-        if tick.knot >= tenors_len {
-            return Err(CdsError::Tick {
-                reason: format!(
-                    "knot {} out of bounds for the {} curve ({} knots)",
-                    tick.knot, tick.curve, tenors_len
-                ),
-            });
-        }
-        let old = match self.curve_value(tick.curve, tick.knot) {
-            Some(v) => v,
-            None => unreachable!("knot bounds checked above"),
-        };
-        if tick.value.to_bits() == old.to_bits() {
+        let zero_delta =
+            edit_curve_point(&mut self.market, tick).map_err(|reason| CdsError::Tick { reason })?;
+        if zero_delta {
             self.epoch += 1;
             return Ok(TickReport {
                 epoch: self.epoch,
@@ -259,22 +277,9 @@ impl IncrementalEngine {
             });
         }
 
-        // Publish: rebuild the ticked curve (re-validated) and the
-        // pricing engine. Tenors are untouched, so the arrangement and
-        // the unaffected options' stored bits both survive the swap.
-        let target = match tick.curve {
-            CurveKind::Interest => &self.market.interest,
-            CurveKind::Hazard => &self.market.hazard,
-        };
-        let mut points: Vec<CurvePoint<f64>> = target.points().to_vec();
-        points[tick.knot].value = tick.value;
-        let rebuilt = Curve::new(points).map_err(|e| CdsError::Tick {
-            reason: format!("curve rejected ticked value {}: {e}", tick.value),
-        })?;
-        match tick.curve {
-            CurveKind::Interest => self.market.interest = rebuilt,
-            CurveKind::Hazard => self.market.hazard = rebuilt,
-        }
+        // Publish: the ticked curve is rebuilt, so rebuild the pricing
+        // engine. Tenors are untouched, so the arrangement and the
+        // unaffected options' stored bits both survive the swap.
         self.engine = CpuCdsEngine::new(&self.market);
 
         let mut affected = std::mem::take(&mut self.affected);
@@ -430,6 +435,31 @@ mod tests {
         assert!(matches!(nan, Err(CdsError::Tick { .. })), "{nan:?}");
         // The failed ticks published nothing.
         assert_bits_match_full(&eng, "after rejected ticks");
+    }
+
+    #[test]
+    fn edit_curve_point_changes_one_knot_or_nothing() {
+        let before = MarketData::paper_workload_sized(23, 64);
+        let mut market = before.clone();
+        let tick = |curve, knot, value| CurveTick { curve, knot, value };
+        let oob = edit_curve_point(&mut market, tick(CurveKind::Hazard, 64, 0.01));
+        assert_eq!(oob, Err("knot 64 out of bounds for the hazard curve (64 knots)".to_string()));
+        let nan = edit_curve_point(&mut market, tick(CurveKind::Interest, 3, f64::NAN));
+        assert!(
+            nan.as_ref().is_err_and(|e| e.starts_with("curve rejected ticked value NaN")),
+            "{nan:?}"
+        );
+        let same = before.interest.points()[3].value;
+        assert_eq!(edit_curve_point(&mut market, tick(CurveKind::Interest, 3, same)), Ok(true));
+        assert_eq!(market, before, "errors and zero-delta ticks leave the curves untouched");
+
+        assert_eq!(edit_curve_point(&mut market, tick(CurveKind::Interest, 3, 0.5)), Ok(false));
+        assert_eq!(market.hazard, before.hazard);
+        for (i, (a, b)) in before.interest.points().iter().zip(market.interest.points()).enumerate()
+        {
+            assert_eq!(a.tenor.to_bits(), b.tenor.to_bits(), "tenor {i} moved");
+            assert_eq!(i == 3, a.value.to_bits() != b.value.to_bits(), "knot {i}");
+        }
     }
 
     #[test]

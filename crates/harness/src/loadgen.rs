@@ -20,17 +20,13 @@
 
 use crate::gate::{Check, Gate};
 use crate::json::Json;
-use cds_cpu::engine::CpuCdsEngine;
 use cds_engine::codec::f64_to_token;
-use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
-use cds_server::fuzz::fuzz_lines;
 use cds_server::proto::{parse_response, Response};
 use cds_server::server::{serve, ServerConfig, ServerError};
-use cds_server::tenant::TenantLimits;
 use dataflow_sim::fault::splitmix64;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
@@ -338,456 +334,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, ServerError> {
         },
         achieved_rate_per_s: config.requests as f64 / elapsed.as_secs_f64().max(1e-9),
         worst_rung,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Abuser mode (`cds-harness loadgen --abuser`)
-// ---------------------------------------------------------------------
-
-/// Abuser tenant quota for `--abuser` runs, tokens per second. The flood
-/// offers at least [`ABUSE_MIN_OFFERED_FACTOR`] times this.
-const ABUSE_QUOTA_RATE: f64 = 100.0;
-
-/// Abuser tenant bucket capacity for `--abuser` runs.
-const ABUSE_QUOTA_BURST: f64 = 8.0;
-
-/// Abuser tenant in-flight quota for `--abuser` runs.
-const ABUSE_QUOTA_INFLIGHT: u64 = 8;
-
-/// Pipelined quotes the abuser connection floods.
-const ABUSE_FLOOD_REQUESTS: u64 = 3_000;
-
-/// The flood must offer at least this multiple of the abuser's quota
-/// rate, or the run was too slow to prove anything.
-const ABUSE_MIN_OFFERED_FACTOR: f64 = 10.0;
-
-/// Sequential victim round-trips per phase (solo, then under flood).
-const ABUSE_VICTIM_TRIPS: usize = 150;
-
-/// Slowloris connections opened against the reaper.
-const ABUSE_SLOWLORIS_CONNS: usize = 2;
-
-/// Wire-fuzz corpus size for the post-flood accounting check.
-const ABUSE_FUZZ_LINES: usize = 200;
-
-/// Request-line byte cap for `--abuser` runs (small enough that the
-/// fuzz corpus exercises the oversize path).
-const ABUSE_MAX_LINE: usize = 256;
-
-/// Victim p99 under flood must stay within this factor of its solo p99…
-const ABUSE_P99_FACTOR: f64 = 50.0;
-
-/// …with an absolute floor so a microsecond-scale solo p99 doesn't turn
-/// scheduler jitter into a gate failure.
-const ABUSE_P99_FLOOR_MICROS: u64 = 10_000;
-
-/// Outcome of one `--abuser` hostile-client run. Violations are the
-/// gate: an empty list is a pass, anything else exits 1.
-#[derive(Debug, Clone)]
-pub struct AbuseReport {
-    /// Schema version of the serialised form ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Seed the run derived from.
-    pub seed: u64,
-    /// Quotes the abuser tenant pipelined.
-    pub abuser_sent: u64,
-    /// Abuser quotes that came back priced (bounded by its quota).
-    pub abuser_priced: u64,
-    /// Abuser quotes throttled by the tenant bucket or quota.
-    pub abuser_throttled: u64,
-    /// Abuser quotes shed or rejected by the global ladder.
-    pub abuser_shed: u64,
-    /// Rate the flood actually offered, requests per second.
-    pub abuser_offered_rate_per_s: f64,
-    /// The quota rate the abuser tenant was registered with.
-    pub abuser_quota_rate_per_s: f64,
-    /// Victim round-trips per phase.
-    pub victim_trips: u64,
-    /// `THROTTLE` replies the victim saw (must be zero).
-    pub victim_throttled: u64,
-    /// `SHED`/`REJECT` replies the victim retried through.
-    pub victim_sheds: u64,
-    /// Victim p99 round-trip with the server to itself, microseconds.
-    pub victim_solo_p99_micros: u64,
-    /// Victim p99 round-trip while the abuser floods, microseconds.
-    pub victim_flood_p99_micros: u64,
-    /// Slowloris connections opened.
-    pub slowloris_opened: u64,
-    /// Slowloris connections the idle reaper closed.
-    pub slowloris_reaped: u64,
-    /// Fuzz lines that owed a reply.
-    pub fuzz_errs_expected: u64,
-    /// Typed `ERR` replies the fuzz corpus actually got.
-    pub fuzz_errs_got: u64,
-    /// Gate verdicts; empty means the bulkheads held.
-    pub violations: Vec<String>,
-}
-
-impl AbuseReport {
-    /// The gate: true when no isolation property was violated.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Serialise to the versioned JSON schema.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
-            ("abuser_sent", Json::Number(self.abuser_sent as f64)),
-            ("abuser_priced", Json::Number(self.abuser_priced as f64)),
-            ("abuser_throttled", Json::Number(self.abuser_throttled as f64)),
-            ("abuser_shed", Json::Number(self.abuser_shed as f64)),
-            ("abuser_offered_rate_per_s", Json::Number(self.abuser_offered_rate_per_s)),
-            ("abuser_quota_rate_per_s", Json::Number(self.abuser_quota_rate_per_s)),
-            ("victim_trips", Json::Number(self.victim_trips as f64)),
-            ("victim_throttled", Json::Number(self.victim_throttled as f64)),
-            ("victim_sheds", Json::Number(self.victim_sheds as f64)),
-            ("victim_solo_p99_micros", Json::Number(self.victim_solo_p99_micros as f64)),
-            ("victim_flood_p99_micros", Json::Number(self.victim_flood_p99_micros as f64)),
-            ("slowloris_opened", Json::Number(self.slowloris_opened as f64)),
-            ("slowloris_reaped", Json::Number(self.slowloris_reaped as f64)),
-            ("fuzz_errs_expected", Json::Number(self.fuzz_errs_expected as f64)),
-            ("fuzz_errs_got", Json::Number(self.fuzz_errs_got as f64)),
-            (
-                "violations",
-                Json::Array(self.violations.iter().map(|v| Json::Str(v.clone())).collect()),
-            ),
-        ])
-    }
-
-    /// Pretty-printed JSON document.
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-}
-
-/// A blocking line-protocol client for the closed-loop phases.
-pub(crate) struct LineClient {
-    pub(crate) reader: BufReader<TcpStream>,
-    pub(crate) writer: TcpStream,
-}
-
-impl LineClient {
-    pub(crate) fn connect(addr: SocketAddr) -> Result<LineClient, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        stream.set_nodelay(true).map_err(|e| e.to_string())?;
-        stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(|e| e.to_string())?;
-        let writer = stream.try_clone().map_err(|e| e.to_string())?;
-        Ok(LineClient { reader: BufReader::new(stream), writer })
-    }
-
-    pub(crate) fn roundtrip(&mut self, line: &str) -> Result<Response, String> {
-        writeln!(self.writer, "{line}").map_err(|e| e.to_string())?;
-        self.writer.flush().map_err(|e| e.to_string())?;
-        self.recv()
-    }
-
-    pub(crate) fn recv(&mut self) -> Result<Response, String> {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).map_err(|e| e.to_string())?;
-        if reply.is_empty() {
-            return Err("connection closed".to_string());
-        }
-        parse_response(reply.trim()).map_err(|e| format!("bad reply `{reply}`: {e}"))
-    }
-}
-
-/// One compliant priced round-trip: `SHED`/`THROTTLE` replies are
-/// honored by sleeping the advertised hint and retrying, the way the
-/// protocol contract asks. Returns the final-attempt latency plus how
-/// many of each backoff reply were absorbed along the way.
-pub(crate) struct Trip {
-    pub(crate) bits: u64,
-    pub(crate) micros: u64,
-    pub(crate) throttles: u64,
-    pub(crate) sheds: u64,
-}
-
-pub(crate) fn compliant_trip(client: &mut LineClient, id: u64) -> Result<Trip, String> {
-    let line = format!("QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4));
-    let (mut throttles, mut sheds) = (0u64, 0u64);
-    for _ in 0..200 {
-        let t0 = Instant::now();
-        match client.roundtrip(&line)? {
-            Response::Quote(q) => {
-                return Ok(Trip {
-                    bits: q.spread_bps.to_bits(),
-                    micros: t0.elapsed().as_micros() as u64,
-                    throttles,
-                    sheds,
-                })
-            }
-            Response::Shed { retry_after_ms, .. } | Response::Reject { retry_after_ms, .. } => {
-                sheds += 1;
-                std::thread::sleep(Duration::from_millis(retry_after_ms.max(1)));
-            }
-            Response::Throttle { retry_after_ms, .. } => {
-                throttles += 1;
-                std::thread::sleep(Duration::from_millis(retry_after_ms.max(1)));
-            }
-            other => return Err(format!("unexpected reply to quote {id}: {other:?}")),
-        }
-    }
-    Err(format!("quote {id} never priced after 200 compliant attempts"))
-}
-
-/// What the abuser's pipelined flood observed.
-pub(crate) struct FloodOutcome {
-    pub(crate) priced: u64,
-    pub(crate) throttled: u64,
-    pub(crate) shed: u64,
-    pub(crate) retry_hint_positive: bool,
-    pub(crate) duration: Duration,
-}
-
-/// Bind `tenant`, pipeline `requests` quotes without pacing, and drain
-/// replies on a second thread until the trailing `PING` sentinel
-/// returns. The drainer keeps the socket from exerting backpressure so
-/// the flood is as hostile as a single connection can be.
-pub(crate) fn flood_as_tenant(
-    addr: SocketAddr,
-    tenant: &str,
-    requests: u64,
-) -> Result<FloodOutcome, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(|e| e.to_string())?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-
-    writeln!(writer, "TENANT {tenant}").map_err(|e| e.to_string())?;
-    writer.flush().map_err(|e| e.to_string())?;
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    match parse_response(line.trim()) {
-        Ok(Response::TenantAck { .. }) => {}
-        other => return Err(format!("tenant bind failed: {other:?}")),
-    }
-
-    let started = Instant::now();
-    let drainer = std::thread::spawn(move || {
-        let (mut priced, mut throttled, mut shed) = (0u64, 0u64, 0u64);
-        let mut retry_hint_positive = false;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => match parse_response(line.trim()) {
-                    Ok(Response::Pong) => break,
-                    Ok(Response::Quote(_)) => priced += 1,
-                    Ok(Response::Throttle { retry_after_ms, .. }) => {
-                        throttled += 1;
-                        retry_hint_positive |= retry_after_ms > 0;
-                    }
-                    Ok(Response::Shed { .. }) | Ok(Response::Reject { .. }) => shed += 1,
-                    _ => {}
-                },
-            }
-        }
-        (priced, throttled, shed, retry_hint_positive)
-    });
-    for id in 0..requests {
-        writeln!(writer, "QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4))
-            .map_err(|e| e.to_string())?;
-    }
-    writeln!(writer, "PING").map_err(|e| e.to_string())?;
-    writer.flush().map_err(|e| e.to_string())?;
-    let (priced, throttled, shed, retry_hint_positive) =
-        drainer.join().map_err(|_| "abuser reply drainer panicked".to_string())?;
-    Ok(FloodOutcome { priced, throttled, shed, retry_hint_positive, duration: started.elapsed() })
-}
-
-/// Trickle one byte at a time without ever completing a line; returns
-/// true when the server closes the connection (the reaper fired) inside
-/// `window`.
-pub(crate) fn slowloris_probe(addr: SocketAddr, window: Duration) -> bool {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let started = Instant::now();
-    while started.elapsed() < window {
-        if stream.write_all(b"Q").is_err() {
-            return true;
-        }
-        let mut buf = [0u8; 128];
-        if matches!(stream.read(&mut buf), Ok(0)) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(60));
-    }
-    false
-}
-
-/// Drive the hostile-client run: a quota'd abuser tenant flooding at
-/// ≥10x its rate, slowloris trickles against the idle reaper, a seeded
-/// wire-fuzz corpus with 1:1 reply accounting, and a compliant victim
-/// whose p99 must stay within a fixed factor of its solo value.
-pub fn run_abuse(seed: u64) -> Result<AbuseReport, ServerError> {
-    let io_err = |msg: String| ServerError::from(std::io::Error::other(msg));
-    let abuser_limits = TenantLimits {
-        rate_per_s: ABUSE_QUOTA_RATE,
-        burst: ABUSE_QUOTA_BURST,
-        max_inflight: ABUSE_QUOTA_INFLIGHT,
-        weight: 1,
-    };
-    let handle = serve(ServerConfig {
-        shards: 2,
-        seed,
-        read_timeout: Duration::from_millis(20),
-        idle_timeout: Duration::from_millis(250),
-        max_line_bytes: ABUSE_MAX_LINE,
-        tenant_overrides: vec![("abuser".to_string(), abuser_limits)],
-        ..Default::default()
-    })?;
-    let addr = handle.addr();
-    let want = CpuCdsEngine::new(&MarketData::paper_workload(seed))
-        .price(&CdsOption::new(5.0, PaymentFrequency::Quarterly, 0.4))
-        .spread_bps
-        .to_bits();
-    let mut violations = Vec::new();
-
-    // Slowloris trickles run across the whole scenario.
-    let slowloris: Vec<_> = (0..ABUSE_SLOWLORIS_CONNS)
-        .map(|_| std::thread::spawn(move || slowloris_probe(addr, Duration::from_secs(3))))
-        .collect();
-
-    // Victim solo phase: the latency baseline the flood is judged by.
-    let mut victim = LineClient::connect(addr).map_err(io_err)?;
-    let (mut victim_throttled, mut victim_sheds) = (0u64, 0u64);
-    let mut mismatches = 0u64;
-    let mut solo = Vec::with_capacity(ABUSE_VICTIM_TRIPS);
-    for id in 0..ABUSE_VICTIM_TRIPS as u64 {
-        let trip = compliant_trip(&mut victim, id).map_err(io_err)?;
-        victim_throttled += trip.throttles;
-        victim_sheds += trip.sheds;
-        mismatches += u64::from(trip.bits != want);
-        solo.push(trip.micros);
-    }
-    solo.sort_unstable();
-    let victim_solo_p99 = quantile(&solo, 0.99);
-
-    // Flood phase: abuser pipelines at full blast while the victim
-    // keeps doing compliant round-trips on its own connection.
-    let flooder = std::thread::spawn(move || flood_as_tenant(addr, "abuser", ABUSE_FLOOD_REQUESTS));
-    std::thread::sleep(Duration::from_millis(5));
-    let mut under_flood = Vec::with_capacity(ABUSE_VICTIM_TRIPS);
-    for id in 0..ABUSE_VICTIM_TRIPS as u64 {
-        let trip = compliant_trip(&mut victim, 10_000 + id).map_err(io_err)?;
-        victim_throttled += trip.throttles;
-        victim_sheds += trip.sheds;
-        mismatches += u64::from(trip.bits != want);
-        under_flood.push(trip.micros);
-    }
-    under_flood.sort_unstable();
-    let victim_flood_p99 = quantile(&under_flood, 0.99);
-    let flood = flooder
-        .join()
-        .map_err(|_| io_err("abuser flood thread panicked".to_string()))?
-        .map_err(io_err)?;
-
-    // Wire-fuzz phase on a fresh connection: 1:1 reply accounting.
-    let mut fuzzer = LineClient::connect(addr).map_err(io_err)?;
-    let corpus = fuzz_lines(seed, ABUSE_FUZZ_LINES, ABUSE_MAX_LINE);
-    let fuzz_errs_expected = corpus.iter().filter(|l| l.expect_reply).count() as u64;
-    for line in &corpus {
-        fuzzer.writer.write_all(&line.bytes).map_err(|e| io_err(e.to_string()))?;
-    }
-    writeln!(fuzzer.writer, "PING").map_err(|e| io_err(e.to_string()))?;
-    fuzzer.writer.flush().map_err(|e| io_err(e.to_string()))?;
-    let mut fuzz_errs_got = 0u64;
-    loop {
-        match fuzzer.recv().map_err(io_err)? {
-            Response::Pong => break,
-            Response::Error { .. } => fuzz_errs_got += 1,
-            other => {
-                violations.push(format!("fuzz line produced a non-ERR reply: {other:?}"));
-            }
-        }
-    }
-    // The fuzzed connection must still price, bit-identically.
-    let post_fuzz = compliant_trip(&mut fuzzer, 50_000).map_err(io_err)?;
-    mismatches += u64::from(post_fuzz.bits != want);
-
-    // Join the trickles (each resolves as soon as the reaper closes it
-    // or its 3s window lapses), then take the server down.
-    let slowloris_reaped =
-        slowloris.into_iter().map(|t| t.join().unwrap_or(false)).filter(|&reaped| reaped).count()
-            as u64;
-    if slowloris_reaped < ABUSE_SLOWLORIS_CONNS as u64 {
-        violations.push(format!(
-            "only {slowloris_reaped}/{ABUSE_SLOWLORIS_CONNS} slowloris connections were reaped"
-        ));
-    }
-    handle.drain();
-    let _ = handle.wait();
-
-    // Assemble the gate.
-    let dur_s = flood.duration.as_secs_f64().max(1e-9);
-    let offered = ABUSE_FLOOD_REQUESTS as f64 / dur_s;
-    let quota_ceiling = 2.0 * (ABUSE_QUOTA_BURST + ABUSE_QUOTA_RATE * dur_s) + 16.0;
-    if offered < ABUSE_MIN_OFFERED_FACTOR * ABUSE_QUOTA_RATE {
-        violations.push(format!(
-            "flood offered only {offered:.0}/s, below {:.0}x the {ABUSE_QUOTA_RATE:.0}/s quota — run proves nothing",
-            ABUSE_MIN_OFFERED_FACTOR
-        ));
-    }
-    if flood.throttled == 0 {
-        violations.push("abuser flood was never throttled".to_string());
-    }
-    if !flood.retry_hint_positive {
-        violations.push("no THROTTLE carried a positive retry_after_ms hint".to_string());
-    }
-    if (flood.priced as f64) > quota_ceiling {
-        violations.push(format!(
-            "abuser had {} quotes priced, above the quota ceiling of {quota_ceiling:.0}",
-            flood.priced
-        ));
-    }
-    if victim_throttled > 0 {
-        violations.push(format!(
-            "victim (default tenant) saw {victim_throttled} THROTTLE replies — bulkhead leaked"
-        ));
-    }
-    if mismatches > 0 {
-        violations.push(format!("{mismatches} victim spread(s) diverged from the CPU reference"));
-    }
-    let p99_ceiling =
-        ((victim_solo_p99 as f64 * ABUSE_P99_FACTOR) as u64).max(ABUSE_P99_FLOOR_MICROS);
-    if victim_flood_p99 > p99_ceiling {
-        violations.push(format!(
-            "victim p99 under flood {victim_flood_p99}us exceeds {p99_ceiling}us ({}x solo p99 of {victim_solo_p99}us)",
-            ABUSE_P99_FACTOR
-        ));
-    }
-    if fuzz_errs_got != fuzz_errs_expected {
-        violations.push(format!(
-            "fuzz reply accounting is not 1:1: expected {fuzz_errs_expected} ERRs, got {fuzz_errs_got}"
-        ));
-    }
-
-    Ok(AbuseReport {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        abuser_sent: ABUSE_FLOOD_REQUESTS,
-        abuser_priced: flood.priced,
-        abuser_throttled: flood.throttled,
-        abuser_shed: flood.shed,
-        abuser_offered_rate_per_s: offered,
-        abuser_quota_rate_per_s: ABUSE_QUOTA_RATE,
-        victim_trips: ABUSE_VICTIM_TRIPS as u64,
-        victim_throttled,
-        victim_sheds,
-        victim_solo_p99_micros: victim_solo_p99,
-        victim_flood_p99_micros: victim_flood_p99,
-        slowloris_opened: ABUSE_SLOWLORIS_CONNS as u64,
-        slowloris_reaped,
-        fuzz_errs_expected,
-        fuzz_errs_got,
-        violations,
     })
 }
 

@@ -25,9 +25,9 @@
 //!   bench --tick-storm  incremental tick repricing vs full reprice (gated)
 //!   chaos               seeded fault-injection matrix (CHAOS.json)
 //!   loadgen             open-loop load against cds-server, SLO-gated
-//!   loadgen --abuser    hostile-client run: tenant flood, slowloris, fuzz
 //!   server-chaos        serving failure modes vs a survival baseline
-//!   server-chaos --isolation  tenant-isolation matrix vs its baseline
+//!   server-chaos --isolation  tenant-isolation matrix (flood, slowloris,
+//!                       wire fuzz) vs its baseline
 //!   storage-chaos       storage-fault + crash-state sweep vs its baseline
 //!   replay              record (--json) / re-execute (--check) a run journal
 //!   conformance         metamorphic oracle + cross-variant differential fuzz
@@ -53,8 +53,9 @@
 //! relation against the reference and every price route, fuzzes
 //! `--options N` adversarial cases differentially, and with
 //! `--check CORPUS_DIR` replays the committed corpus; any divergence or
-//! violated relation exits 1. IO and usage errors exit 2 with a message;
-//! gate failures exit 1.
+//! violated relation exits 1. `server-chaos --isolation` also prints
+//! each broken noisy-neighbor bound to stderr as a `violated:` line. IO
+//! and usage errors exit 2 with a message; gate failures exit 1.
 
 use cds_harness::ablations;
 use cds_harness::bench;
@@ -92,9 +93,6 @@ struct Args {
     rate: Option<f64>,
     /// `--no-faults`, disable the loadgen kill/revive toggles.
     no_faults: bool,
-    /// `--abuser`, run loadgen's hostile-client mode (tenant flood,
-    /// slowloris, wire fuzz) instead of the open-loop SLO run.
-    abuser: bool,
     /// `--isolation`, run the tenant-isolation matrix instead of the
     /// serving chaos matrix.
     isolation: bool,
@@ -131,7 +129,6 @@ fn parse_args() -> Args {
         scenario: "corrupt-spread".to_string(),
         rate: None,
         no_faults: false,
-        abuser: false,
         isolation: false,
     };
     while let Some(flag) = args.next() {
@@ -179,7 +176,6 @@ fn parse_args() -> Args {
                 );
             }
             "--no-faults" => parsed.no_faults = true,
-            "--abuser" => parsed.abuser = true,
             "--isolation" => parsed.isolation = true,
             "--threads" => {
                 parsed.threads = Some(
@@ -200,7 +196,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: cds-harness <table1|table2|fig1|fig2|fig3|listing1|ablation-vector|\
          ablation-ii|ablation-depth|ablation-precision|ablation-curve|ablation-restart|fit|futurework|streaming|validate|trace|host-cpu|bench|chaos|loadgen|server-chaos|storage-chaos|replay|conformance|all> \
-         [--options N] [--seed S] [--csv DIR] [--json PATH] [--check BASELINE] [--throughput] [--tick-storm] [--threads N] [--scenario NAME] [--rate R] [--no-faults] [--abuser] [--isolation]"
+         [--options N] [--seed S] [--csv DIR] [--json PATH] [--check BASELINE] [--throughput] [--tick-storm] [--threads N] [--scenario NAME] [--rate R] [--no-faults] [--isolation]"
     );
     std::process::exit(2);
 }
@@ -855,62 +851,7 @@ fn cmd_conformance(args: &Args) -> CliResult {
     }
 }
 
-/// `loadgen --abuser`: hostile-client run with an internal gate — a
-/// quota'd tenant flooding at ≥10x its rate, slowloris trickles, and a
-/// wire-fuzz corpus, while a compliant victim's p99 is watched. Any
-/// violated isolation property exits 1.
-fn cmd_loadgen_abuse(args: &Args) -> CliResult {
-    println!("== Hostile-client abuse run (seed {}) ==\n", args.seed);
-    let report = loadgen::run_abuse(args.seed)
-        .map_err(|e| fatal(format!("abuse-run server failed: {e}")))?;
-    let rows = vec![
-        vec!["abuser sent".to_string(), report.abuser_sent.to_string()],
-        vec!["abuser priced".to_string(), report.abuser_priced.to_string()],
-        vec!["abuser throttled".to_string(), report.abuser_throttled.to_string()],
-        vec!["abuser shed".to_string(), report.abuser_shed.to_string()],
-        vec![
-            "abuser offered rate (/s)".to_string(),
-            format!("{:.0}", report.abuser_offered_rate_per_s),
-        ],
-        vec![
-            "abuser quota rate (/s)".to_string(),
-            format!("{:.0}", report.abuser_quota_rate_per_s),
-        ],
-        vec!["victim trips/phase".to_string(), report.victim_trips.to_string()],
-        vec!["victim throttled".to_string(), report.victim_throttled.to_string()],
-        vec!["victim sheds retried".to_string(), report.victim_sheds.to_string()],
-        vec!["victim solo p99 (us)".to_string(), report.victim_solo_p99_micros.to_string()],
-        vec!["victim flood p99 (us)".to_string(), report.victim_flood_p99_micros.to_string()],
-        vec![
-            "slowloris reaped".to_string(),
-            format!("{}/{}", report.slowloris_reaped, report.slowloris_opened),
-        ],
-        vec![
-            "fuzz ERR accounting".to_string(),
-            format!("{}/{}", report.fuzz_errs_got, report.fuzz_errs_expected),
-        ],
-    ];
-    println!("{}", render_table(&["Metric", "Value"], &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[abuse report written to {}]", path.display());
-    }
-    if report.passed() {
-        println!("abuse run: PASS (bulkheads held)");
-        Ok(())
-    } else {
-        eprintln!("abuse run: FAIL");
-        for v in &report.violations {
-            eprintln!("  violated: {v}");
-        }
-        Err(CliError::GateFailed)
-    }
-}
-
 fn cmd_loadgen(args: &Args) -> CliResult {
-    if args.abuser {
-        return cmd_loadgen_abuse(args);
-    }
     let baseline = read_gate_baseline(args.check_baseline.as_ref(), &loadgen::GATE)?;
     let config = loadgen::LoadgenConfig {
         seed: args.seed,
@@ -981,6 +922,11 @@ fn cmd_server_chaos(args: &Args) -> CliResult {
         })
         .collect();
     println!("{}", render_table(&headers, &rows));
+    for case in &report.cases {
+        for v in &case.violations {
+            eprintln!("{} violated: {v}", case.name);
+        }
+    }
     let gated = baseline.is_some();
     publish(args.json_path.as_ref(), "server-chaos", &report.to_json(), baseline)?;
     survival_only(gated, report.all_survived(), "server-chaos matrix")

@@ -10,8 +10,8 @@
 //!
 //! The generator is deterministic in its seed (splitmix64, the same
 //! generator family the fault plans use) so the same corpus is replayed
-//! by `tests/hostile_clients.rs`, `cds-harness loadgen --abuser`, and
-//! the `server/protocol-fuzz` isolation scenario.
+//! by `tests/hostile_clients.rs` and the `server/protocol-fuzz`
+//! isolation scenario.
 
 /// What a fuzz line exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,7 +26,7 @@
 //! - [`fair`] — deficit-weighted round-robin shard queues, so one
 //!   flooding tenant cannot starve compliant tenants' dequeue share.
 //! - [`fuzz`] — the seeded wire-level fuzzer used by the hostile-client
-//!   tests, `loadgen --abuser`, and the isolation chaos scenarios.
+//!   tests and the isolation chaos scenarios.
 //! - [`server`] — sharded per-core ingestion queues feeding the
 //!   admission control, the retry/hedge executor, and graceful drain.
 //! - [`signal`] — a libc-free `SIGTERM`/`SIGINT` flag for the binary.

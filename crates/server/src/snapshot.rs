@@ -11,48 +11,12 @@
 //! exactly one epoch's curves.
 
 use cds_cpu::engine::CpuCdsEngine;
-use cds_engine::incremental::CurveKind;
-use cds_engine::portfolio::{
-    hazard_window, interest_window, option_reads_hazard, option_reads_interest, ReadWindow,
-};
-use cds_quant::curve::Curve;
-use cds_quant::option::{CdsOption, MarketData};
+use cds_engine::incremental::{edit_curve_point, CurveKind, CurveTick};
+use cds_quant::option::MarketData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::lock_recover;
-
-/// The invalidation set a point tick publishes with its epoch: which
-/// knot moved, and the read-time window it poisons. A reader holding
-/// cached quotes from the previous epoch can keep every quote whose
-/// pricing pass does not read inside the window — they are *bit*-valid
-/// under the new epoch, not merely approximately (see the
-/// `cds_engine::incremental` bit-identity argument).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TickInvalidation {
-    /// Curve the tick targeted.
-    pub curve: CurveKind,
-    /// The ticked knot.
-    pub knot: usize,
-    /// Read-time window whose readers must requote.
-    pub window: ReadWindow,
-    /// True when the tick re-published identical value bits — nothing
-    /// is invalidated, the window is advisory only.
-    pub zero_delta: bool,
-}
-
-impl TickInvalidation {
-    /// Must a cached quote for `option` be re-priced under the new
-    /// epoch? Exact, not conservative: `false` guarantees the previous
-    /// epoch's spread bits equal the new epoch's.
-    pub fn invalidates(&self, option: &CdsOption) -> bool {
-        !self.zero_delta
-            && match self.curve {
-                CurveKind::Interest => option_reads_interest(option, &self.window),
-                CurveKind::Hazard => option_reads_hazard(option, &self.window),
-            }
-    }
-}
 
 /// One immutable published epoch: the curves and the CPU engine built
 /// from them (term structures are precomputed once per tick, not per
@@ -69,17 +33,13 @@ pub struct EpochSnapshot {
     /// CPU pricing engine constructed from `market`; bit-identical to
     /// the scalar reference for every quote.
     pub engine: CpuCdsEngine,
-    /// When this epoch was published by a point tick, the invalidation
-    /// set it carries; `None` for seed-published (full-replace) epochs,
-    /// which invalidate everything.
-    pub invalidation: Option<TickInvalidation>,
 }
 
 impl EpochSnapshot {
     fn build(epoch: u64, seed: u64) -> Arc<EpochSnapshot> {
         let market = MarketData::paper_workload(seed);
         let engine = CpuCdsEngine::new(&market);
-        Arc::new(EpochSnapshot { epoch, seed, market, engine, invalidation: None })
+        Arc::new(EpochSnapshot { epoch, seed, market, engine })
     }
 }
 
@@ -117,11 +77,10 @@ impl CurveBook {
 
     /// Publish a new epoch by replacing the *value* of one curve knot,
     /// keeping every other point (and all tenors) bit-identical — the
-    /// epoch-swap half of the incremental tick path. Returns the new
-    /// epoch number and whether the tick was zero-delta (identical
-    /// value bits re-published). The snapshot carries a
-    /// [`TickInvalidation`] so readers can keep cached quotes whose
-    /// read sets avoid the ticked knot.
+    /// epoch-swap half of the incremental tick path, through the same
+    /// [`edit_curve_point`] as `IncrementalEngine::apply_tick`. Returns
+    /// the new epoch number and whether the tick was zero-delta
+    /// (identical value bits re-published; the engine is reused).
     ///
     /// The seed field is inherited from the previous snapshot (the
     /// curves are no longer a pure function of it once point ticks
@@ -133,42 +92,11 @@ impl CurveBook {
         value: f64,
     ) -> Result<(u64, bool), String> {
         let prev = self.current();
-        let target = match curve {
-            CurveKind::Interest => &prev.market.interest,
-            CurveKind::Hazard => &prev.market.hazard,
-        };
-        let Some(old) = target.points().get(knot) else {
-            return Err(format!(
-                "knot {knot} out of bounds for the {curve} curve ({} knots)",
-                target.len()
-            ));
-        };
-        let zero_delta = value.to_bits() == old.value.to_bits();
         let mut market = prev.market.clone();
-        if !zero_delta {
-            let mut points = target.points().to_vec();
-            points[knot].value = value;
-            let rebuilt = Curve::new(points)
-                .map_err(|e| format!("curve rejected ticked value {value}: {e}"))?;
-            match curve {
-                CurveKind::Interest => market.interest = rebuilt,
-                CurveKind::Hazard => market.hazard = rebuilt,
-            }
-        }
-        let tenors: Vec<f64> = target.points().iter().map(|p| p.tenor).collect();
-        let window = match curve {
-            CurveKind::Interest => interest_window(&tenors, knot),
-            CurveKind::Hazard => hazard_window(&tenors, knot),
-        };
+        let zero_delta = edit_curve_point(&mut market, CurveTick { curve, knot, value })?;
         let next = self.epoch.load(Ordering::Acquire) + 1;
         let engine = if zero_delta { prev.engine.clone() } else { CpuCdsEngine::new(&market) };
-        let snapshot = Arc::new(EpochSnapshot {
-            epoch: next,
-            seed: prev.seed,
-            market,
-            engine,
-            invalidation: Some(TickInvalidation { curve, knot, window, zero_delta }),
-        });
+        let snapshot = Arc::new(EpochSnapshot { epoch: next, seed: prev.seed, market, engine });
         *lock_recover(&self.slot) = snapshot;
         self.epoch.store(next, Ordering::Release);
         Ok((next, zero_delta))
@@ -195,6 +123,7 @@ impl CurveBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cds_quant::option::CdsOption;
     use std::thread;
 
     #[test]
@@ -261,49 +190,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_set_is_exact_for_cached_quotes() {
-        // `invalidates() == false` must guarantee bit-equal spreads
-        // across the epoch swap; `true` must cover every changed quote.
-        let book = CurveBook::new(33);
-        let before = book.current();
-        let options: Vec<CdsOption> = cds_quant::option::PortfolioGenerator::new(44).portfolio(256);
-        let old_bits: Vec<u64> =
-            options.iter().map(|o| before.engine.price(o).spread_bps.to_bits()).collect();
-        for (curve, knot) in
-            [(CurveKind::Interest, 700), (CurveKind::Interest, 3), (CurveKind::Hazard, 17)]
-        {
-            let snap = book.current();
-            let old = match curve {
-                CurveKind::Interest => snap.market.interest.points()[knot].value,
-                CurveKind::Hazard => snap.market.hazard.points()[knot].value,
-            };
-            book.publish_point(curve, knot, old + 17e-4).unwrap_or_else(|e| panic!("{e}"));
-            let after = book.current();
-            let inv = after.invalidation.unwrap_or_else(|| panic!("missing invalidation"));
-            for (o, &bits) in options.iter().zip(&old_bits) {
-                let now = after.engine.price(o).spread_bps.to_bits();
-                if !inv.invalidates(o) {
-                    assert_eq!(now, bits, "{curve} knot {knot}: kept quote moved for {o:?}");
-                }
-            }
-            // Reset for the next round by re-publishing the old value.
-            book.publish_point(curve, knot, old).unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-
-    #[test]
     fn zero_delta_point_tick_invalidates_nothing_and_reuses_the_engine() {
         let book = CurveBook::new(8);
-        let old = book.current().market.interest.points()[100].value;
+        let before = book.current();
+        let old = before.market.interest.points()[100].value;
         let (epoch, zero) =
             book.publish_point(CurveKind::Interest, 100, old).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(epoch, 1);
         assert!(zero);
         let snap = book.current();
-        let inv = snap.invalidation.unwrap_or_else(|| panic!("missing invalidation"));
-        assert!(inv.zero_delta);
+        assert_eq!(snap.market, before.market);
         let probe = CdsOption::new(5.0, cds_quant::option::PaymentFrequency::Quarterly, 0.4);
-        assert!(!inv.invalidates(&probe));
+        assert_eq!(
+            snap.engine.price(&probe).spread_bps.to_bits(),
+            before.engine.price(&probe).spread_bps.to_bits()
+        );
     }
 
     #[test]

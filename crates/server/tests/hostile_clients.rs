@@ -11,7 +11,7 @@ use cds_cpu::engine::CpuCdsEngine;
 use cds_engine::codec::f64_to_token;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::fuzz::{fuzz_lines, torn_lines};
-use cds_server::proto::{parse_response, Response};
+use cds_server::proto::{decode_line, parse_request, parse_response, Request, Response};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -166,9 +166,16 @@ fn every_fuzz_line_gets_exactly_one_err_and_pricing_survives() {
 fn torn_lines_and_abrupt_disconnects_leave_the_server_serving() {
     let (mut child, addr) = spawn_server(&[]);
 
-    for torn in torn_lines(SEED, 16) {
+    // A torn prefix can legitimately complete as a valid command (e.g.
+    // `TICK 99` cut to `TICK 9`) and republish the curve epoch.
+    let torn = torn_lines(SEED, 16);
+    let torn_ticks = torn
+        .iter()
+        .filter(|l| matches!(decode_line(l).and_then(parse_request), Ok(Request::Tick { .. })))
+        .count() as u64;
+    for line in &torn {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(&torn).expect("send torn prefix");
+        stream.write_all(line).expect("send torn prefix");
         // Drop with the line unterminated: the server must treat the
         // EOF'd partial line as one request and move on.
         drop(stream);
@@ -176,9 +183,23 @@ fn torn_lines_and_abrupt_disconnects_leave_the_server_serving() {
 
     let mut client = Client::connect(addr);
     assert_eq!(client.roundtrip("PING"), Response::Pong);
-    // A torn prefix can legitimately complete as a valid command (e.g.
-    // `TICK 99` cut to `TICK 9`) and republish the curve epoch, so
-    // re-publish the boot epoch before checking bit-exactness.
+    // Each partial line is served on its own connection's reader
+    // thread, so a torn `TICK` can land after this client's requests:
+    // wait for all of them before re-publishing the boot epoch and
+    // checking bit-exactness.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match client.roundtrip("STATS") {
+            Response::Stats(s) if s.epoch == torn_ticks => break,
+            Response::Stats(s) => assert!(
+                Instant::now() < deadline,
+                "curve epoch is {}, want {torn_ticks} torn TICKs",
+                s.epoch
+            ),
+            other => panic!("expected stats, got {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     match client.roundtrip(&format!("TICK {SEED}")) {
         Response::TickAck { .. } => {}
         other => panic!("expected tick ack, got {other:?}"),
