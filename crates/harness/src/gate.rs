@@ -11,9 +11,8 @@
 //! a relative tolerance — against a [`Reference`]:
 //!
 //! * [`Reference::Recorded`] — the baseline's own value of the same
-//!   field. A recorded value ≤ 0 under a floor or ceiling is an
-//!   unmeasured placeholder (the latency fields of a modelled CPU row)
-//!   and is not gated;
+//!   field, whatever it is: a report omits a field it does not measure
+//!   rather than record a placeholder, so every recorded value is gated;
 //! * [`Reference::Bound`] — another baseline field holding an explicit
 //!   bound (`min_lane_speedup`, `p99_micros_max`), applied as written;
 //! * [`Reference::Literal`] — a fixed value (`bit_mismatches == 0`).
@@ -137,9 +136,6 @@ impl Check {
             out.push(format!("{at}: not a number"));
             return;
         };
-        if self.reference == Reference::Recorded && r <= 0.0 {
-            return;
-        }
         let bound = r * (1.0 + tolerance);
         let failed = if matches!(self.kind, Kind::Min(_)) { c < bound } else { c > bound };
         if failed {
@@ -431,12 +427,10 @@ mod tests {
                         Kind::Max(t) => (t, false),
                     };
                     let r = r.as_f64().unwrap_or_else(|| panic!("{case}: not a number"));
-                    let wild = if floor { -1e12 } else { 1e12 };
-                    if check.reference == Reference::Recorded && r <= 0.0 {
-                        let problems =
-                            evaluate(gate, &base, &with(check, &current, i, Json::Number(wild)));
-                        assert!(problems.is_empty(), "{case}: placeholder gated: {problems:?}");
-                        continue;
+                    // Recorded floors and ceilings are rates and latencies:
+                    // a zero there is a placeholder, not a measurement.
+                    if check.reference == Reference::Recorded {
+                        assert!(r > 0.0, "{case}: recorded {r} is not a measurement");
                     }
                     let bound = r * (1.0 + tolerance);
                     let step = (bound.abs() * 1e-9).max(1e-9);

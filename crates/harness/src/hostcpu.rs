@@ -3,12 +3,14 @@
 //! The Cascade Lake rows of Tables I/II come from the calibrated
 //! [`cds_cpu::CpuPerfModel`]; this module additionally *measures* the real
 //! CPU engine on the machine the harness runs on, demonstrating the same
-//! qualitative sub-linear thread scaling the paper observed.
+//! qualitative sub-linear thread scaling the paper observed. Each thread
+//! count is timed by the harness's one sampler, [`crate::sampler::rate`]:
+//! the quiet pass of several after a warm-up, not one cold pass.
 
+use crate::sampler::{rate, DEFAULT_MIN_SAMPLE};
 use crate::workload::Workload;
 use cds_cpu::engine::CpuCdsEngine;
 use cds_cpu::parallel::price_parallel;
-use std::time::Instant;
 
 /// One measured point of host CPU scaling.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,16 +26,13 @@ pub struct HostCpuRow {
 /// Measure the host CPU engine at the given thread counts.
 pub fn host_report(workload: &Workload, thread_counts: &[usize]) -> Vec<HostCpuRow> {
     let engine = CpuCdsEngine::new(&workload.market);
-    // Warm up caches and page in the tables.
-    let _ = engine.price_batch(&workload.options[..workload.options.len().min(32)]);
     let mut rows = Vec::new();
     let mut single = None;
     for &threads in thread_counts {
-        let start = Instant::now();
-        let priced = price_parallel(&engine, &workload.options, threads).len();
-        let rate = priced as f64 / start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-        let base = *single.get_or_insert(rate);
-        rows.push(HostCpuRow { threads, options_per_second: rate, speedup: rate / base });
+        let pass = || price_parallel(&engine, &workload.options, threads).len();
+        let options_per_second = rate(pass, DEFAULT_MIN_SAMPLE);
+        let base = *single.get_or_insert(options_per_second);
+        rows.push(HostCpuRow { threads, options_per_second, speedup: options_per_second / base });
     }
     rows
 }

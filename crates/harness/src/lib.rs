@@ -26,7 +26,9 @@
 //! whose re-execution must be bit-identical, and the [`throughput`]
 //! module measures real wall-clock options/second on the host CPU
 //! engines and gates them against a committed floor (the only gate that
-//! would notice a hot-path regression). The [`tick_storm`] module storms
+//! would notice a hot-path regression); it, [`tick_storm`] and
+//! [`hostcpu`] take every wall-clock rate from the one [`sampler`]. The
+//! [`tick_storm`] module storms
 //! the incremental tick-repricing engine with single-point curve ticks
 //! against a ≥1M-option resident book and gates the incremental-vs-full
 //! speedup ratio (and bitwise cleanliness) against its committed
@@ -54,6 +56,7 @@ pub mod journal;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
+pub mod sampler;
 pub mod server_chaos;
 pub mod storage_chaos;
 pub mod tables;

@@ -623,25 +623,18 @@ fn cmd_bench(args: &Args) -> CliResult {
     println!("== Machine-readable benchmark ladder (seed {}, batch {batch}) ==\n", args.seed);
     let report = bench::run(args.seed, batch);
     let headers = ["Metric", "Backend", "Options/s", "p99 (us)", "Util", "Backpressure"];
+    let dash = || "-".to_string();
     let rows: Vec<Vec<String>> = report
-        .metrics
-        .iter()
+        .runs()
         .map(|m| {
+            let t = m.telemetry.as_ref();
             vec![
                 m.name.clone(),
                 m.backend.clone(),
                 rate(m.options_per_second),
-                if m.p99_latency_us > 0.0 {
-                    format!("{:.1}", m.p99_latency_us)
-                } else {
-                    "-".to_string()
-                },
-                if m.mean_utilisation > 0.0 {
-                    format!("{:.2}", m.mean_utilisation)
-                } else {
-                    "-".to_string()
-                },
-                m.backpressure_events.to_string(),
+                m.latency.as_ref().map_or_else(dash, |l| format!("{:.1}", l.p99_us)),
+                t.map_or_else(dash, |t| format!("{:.2}", t.mean_utilisation)),
+                t.map_or_else(dash, |t| t.backpressure_events.to_string()),
             ]
         })
         .collect();

@@ -5,17 +5,54 @@
 //! shapes ([`cds_engine::report::EngineRunReport`],
 //! [`cds_engine::multi::MultiEngineReport`],
 //! [`cds_engine::streaming::StreamingReport`], [`cds_cpu::CpuPerfModel`]).
-//! The bench harness flattens each into
-//! this struct so one schema covers the whole ladder: throughput, cycle
-//! counts, latency percentiles, utilisation, telemetry counters and the
-//! modelled energy figures.
+//! The bench harness flattens each into this struct so one schema covers
+//! the whole ladder. Every run carries throughput and the modelled energy
+//! figures; cycle counts, dataflow telemetry and latency percentiles are
+//! present only where the backend measures them, so no field is ever a
+//! placeholder zero.
 
 use crate::json::Json;
-use cds_engine::config::EngineConfig;
+use cds_engine::config::{EngineConfig, EngineVariant};
 use cds_engine::multi::MultiEngineReport;
 use cds_engine::report::EngineRunReport;
 use cds_engine::streaming::StreamingReport;
 use cds_power::options_per_watt;
+use dataflow_sim::trace::Counters;
+
+/// Dataflow telemetry of a simulated run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Telemetry {
+    /// Mean busy fraction across traced processes.
+    pub mean_utilisation: f64,
+    /// Highest FIFO occupancy observed on any stream.
+    pub occupancy_high_water: u64,
+    /// Rejected stream pushes (scheduler-effort stall pressure).
+    pub backpressure_events: u64,
+    /// Dataflow region restarts paid during the run.
+    pub region_restarts: u64,
+}
+
+impl Telemetry {
+    fn from_counters(counters: &Counters) -> Self {
+        Telemetry {
+            mean_utilisation: counters.mean_utilisation(),
+            occupancy_high_water: counters.stream_occupancy_high_water as u64,
+            backpressure_events: counters.backpressure_events,
+            region_restarts: counters.region_restarts,
+        }
+    }
+}
+
+/// Per-option latency percentiles of a streaming run, in microseconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Latency {
+    /// Median.
+    pub p50_us: f64,
+    /// 99th percentile.
+    pub p99_us: f64,
+    /// Worst case.
+    pub max_us: f64,
+}
 
 /// Unified metrics of one benchmarked run.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,24 +66,16 @@ pub struct RunMetrics {
     pub options: u64,
     /// Throughput — the paper's headline metric.
     pub options_per_second: f64,
-    /// Kernel cycles (0 for the modelled CPU backend, which has no cycle
-    /// notion).
-    pub kernel_cycles: u64,
-    /// Median per-option latency in microseconds (0 for batch runs,
-    /// where per-option latency is not observable).
-    pub p50_latency_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_latency_us: f64,
-    /// Worst-case latency in microseconds.
-    pub max_latency_us: f64,
-    /// Mean busy fraction across traced processes (0 when untraced).
-    pub mean_utilisation: f64,
-    /// Highest FIFO occupancy observed on any stream.
-    pub occupancy_high_water: u64,
-    /// Rejected stream pushes (scheduler-effort stall pressure).
-    pub backpressure_events: u64,
-    /// Dataflow region restarts paid during the run.
-    pub region_restarts: u64,
+    /// Kernel cycles; `None` for the modelled CPU, which has no cycle
+    /// notion.
+    pub kernel_cycles: Option<u64>,
+    /// Dataflow telemetry; `None` where no dataflow graph ran (the
+    /// modelled CPU, and the Xilinx engine, whose cycles come from
+    /// pipelined-loop formulas).
+    pub telemetry: Option<Telemetry>,
+    /// Latency percentiles; `None` for batch runs, where per-option
+    /// latency is not observable.
+    pub latency: Option<Latency>,
     /// Modelled power draw in Watts.
     pub watts: f64,
     /// Modelled efficiency in options/Watt.
@@ -56,19 +85,15 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Flatten a single-engine FPGA batch run.
     pub fn from_engine_report(name: &str, report: &EngineRunReport, watts: f64) -> Self {
+        let graph_ran = report.variant != EngineVariant::XilinxBaseline;
         RunMetrics {
             name: name.to_string(),
             backend: "fpga-sim".to_string(),
             options: report.options() as u64,
             options_per_second: report.options_per_second,
-            kernel_cycles: report.kernel_cycles,
-            p50_latency_us: 0.0,
-            p99_latency_us: 0.0,
-            max_latency_us: 0.0,
-            mean_utilisation: report.counters.mean_utilisation(),
-            occupancy_high_water: report.counters.stream_occupancy_high_water as u64,
-            backpressure_events: report.counters.backpressure_events,
-            region_restarts: report.counters.region_restarts,
+            kernel_cycles: Some(report.kernel_cycles),
+            telemetry: graph_ran.then(|| Telemetry::from_counters(&report.counters)),
+            latency: None,
             watts,
             options_per_watt: options_per_watt(report.options_per_second, watts),
         }
@@ -81,14 +106,9 @@ impl RunMetrics {
             backend: "fpga-sim".to_string(),
             options: report.spreads.len() as u64,
             options_per_second: report.options_per_second,
-            kernel_cycles: report.counters.total_cycles,
-            p50_latency_us: 0.0,
-            p99_latency_us: 0.0,
-            max_latency_us: 0.0,
-            mean_utilisation: report.counters.mean_utilisation(),
-            occupancy_high_water: report.counters.stream_occupancy_high_water as u64,
-            backpressure_events: report.counters.backpressure_events,
-            region_restarts: report.counters.region_restarts,
+            kernel_cycles: Some(report.counters.total_cycles),
+            telemetry: Some(Telemetry::from_counters(&report.counters)),
+            latency: None,
             watts,
             options_per_watt: options_per_watt(report.options_per_second, watts),
         }
@@ -107,14 +127,13 @@ impl RunMetrics {
             backend: "streaming-sim".to_string(),
             options: report.spreads.len() as u64,
             options_per_second: report.options_per_second,
-            kernel_cycles: report.counters.total_cycles,
-            p50_latency_us: report.p50_us(config),
-            p99_latency_us: report.p99_us(config),
-            max_latency_us: config.clock.seconds(report.max_cycles) * 1e6,
-            mean_utilisation: report.counters.mean_utilisation(),
-            occupancy_high_water: report.counters.stream_occupancy_high_water as u64,
-            backpressure_events: report.counters.backpressure_events,
-            region_restarts: report.counters.region_restarts,
+            kernel_cycles: Some(report.counters.total_cycles),
+            telemetry: Some(Telemetry::from_counters(&report.counters)),
+            latency: Some(Latency {
+                p50_us: report.p50_us(config),
+                p99_us: report.p99_us(config),
+                max_us: config.clock.seconds(report.max_cycles) * 1e6,
+            }),
             watts,
             options_per_watt: options_per_watt(report.options_per_second, watts),
         }
@@ -129,37 +148,44 @@ impl RunMetrics {
             backend: "cpu-model".to_string(),
             options,
             options_per_second,
-            kernel_cycles: 0,
-            p50_latency_us: 0.0,
-            p99_latency_us: 0.0,
-            max_latency_us: 0.0,
-            mean_utilisation: 0.0,
-            occupancy_high_water: 0,
-            backpressure_events: 0,
-            region_restarts: 0,
+            kernel_cycles: None,
+            telemetry: None,
+            latency: None,
             watts,
             options_per_watt: options_per_watt(options_per_second, watts),
         }
     }
 
-    /// Serialise to the bench JSON schema.
+    /// Serialise to the bench JSON schema: the fields the backend
+    /// measured, and no others.
     pub fn to_json(&self) -> Json {
-        Json::object(vec![
+        let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("backend", Json::Str(self.backend.clone())),
             ("options", Json::Number(self.options as f64)),
             ("options_per_second", Json::Number(self.options_per_second)),
-            ("kernel_cycles", Json::Number(self.kernel_cycles as f64)),
-            ("p50_latency_us", Json::Number(self.p50_latency_us)),
-            ("p99_latency_us", Json::Number(self.p99_latency_us)),
-            ("max_latency_us", Json::Number(self.max_latency_us)),
-            ("mean_utilisation", Json::Number(self.mean_utilisation)),
-            ("occupancy_high_water", Json::Number(self.occupancy_high_water as f64)),
-            ("backpressure_events", Json::Number(self.backpressure_events as f64)),
-            ("region_restarts", Json::Number(self.region_restarts as f64)),
             ("watts", Json::Number(self.watts)),
             ("options_per_watt", Json::Number(self.options_per_watt)),
-        ])
+        ];
+        if let Some(cycles) = self.kernel_cycles {
+            fields.push(("kernel_cycles", Json::Number(cycles as f64)));
+        }
+        if let Some(t) = &self.telemetry {
+            fields.extend([
+                ("mean_utilisation", Json::Number(t.mean_utilisation)),
+                ("occupancy_high_water", Json::Number(t.occupancy_high_water as f64)),
+                ("backpressure_events", Json::Number(t.backpressure_events as f64)),
+                ("region_restarts", Json::Number(t.region_restarts as f64)),
+            ]);
+        }
+        if let Some(l) = &self.latency {
+            fields.extend([
+                ("p50_latency_us", Json::Number(l.p50_us)),
+                ("p99_latency_us", Json::Number(l.p99_us)),
+                ("max_latency_us", Json::Number(l.max_us)),
+            ]);
+        }
+        Json::object(fields)
     }
 }
 

@@ -5,19 +5,21 @@
 //! times the CPU engines on the machine it runs on and reports
 //! options/second. [`run`] measures three rows (scalar reference on one
 //! thread, lane kernel on one thread, lane kernel across a pinned thread
-//! count) after a warm-up pass; [`GATE`] checks a report against a
-//! committed baseline (`results/throughput_baseline.json`) with a
-//! generous relative [`TOLERANCE`] for runner noise, plus one *relative*
-//! invariant that is immune to machine speed: the lane kernel must stay
-//! at least [`MIN_LANE_SPEEDUP`]× faster than the scalar reference on a
-//! single thread.
+//! count) with the harness's one sampler ([`crate::sampler::rate`]);
+//! [`GATE`] checks a report against a committed baseline
+//! (`results/throughput_baseline.json`) with a generous relative
+//! [`TOLERANCE`] for runner noise, plus one *relative* invariant that
+//! is immune to machine speed: the lane kernel must stay at least
+//! [`MIN_LANE_SPEEDUP`]× faster than the scalar reference on a single
+//! thread.
 
 use crate::gate::{Check, Gate};
 use crate::json::Json;
+use crate::sampler::{rate, DEFAULT_MIN_SAMPLE};
 use crate::workload::Workload;
 use cds_cpu::parallel::price_parallel;
 use cds_cpu::CpuCdsEngine;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Version of the throughput JSON schema. Bump on any incompatible
 /// change so `--check` refuses stale baselines loudly (exit 2, not a
@@ -59,13 +61,6 @@ pub static GATE: Gate = Gate {
         Check::at_least("lane_speedup_1t", "min_lane_speedup"),
     ],
 };
-
-/// Minimum timed window per row; iteration continues until both this
-/// and [`MIN_SAMPLE_ITERS`] are reached.
-const DEFAULT_MIN_SAMPLE: Duration = Duration::from_millis(300);
-
-/// Minimum timed passes per row.
-const MIN_SAMPLE_ITERS: u32 = 3;
 
 /// One measured kernel configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,26 +126,6 @@ impl ThroughputReport {
     }
 }
 
-/// Time repeated passes of `pass` (which returns options priced per
-/// pass) after one untimed warm-up, until at least `min_sample` has
-/// elapsed *and* [`MIN_SAMPLE_ITERS`] passes ran. Returns options/s.
-fn measure(mut pass: impl FnMut() -> usize, min_sample: Duration) -> f64 {
-    // Warm-up: populates lane-kernel grids, faults pages, spins up the
-    // frequency governor — everything the steady state should not pay.
-    pass();
-    let start = Instant::now();
-    let mut priced = 0usize;
-    let mut iters = 0u32;
-    loop {
-        priced += pass();
-        iters += 1;
-        let elapsed = start.elapsed();
-        if iters >= MIN_SAMPLE_ITERS && elapsed >= min_sample {
-            return priced as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        }
-    }
-}
-
 /// Measure the three throughput rows with the default sample window.
 pub fn run(seed: u64, batch: usize, threads: usize) -> ThroughputReport {
     run_with(seed, batch, threads, DEFAULT_MIN_SAMPLE)
@@ -166,13 +141,13 @@ pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -
     let w = Workload::mixed(seed, batch);
     let engine = CpuCdsEngine::new(&w.market);
 
-    let scalar_1t = measure(|| engine.price_batch_scalar(&w.options).len(), min_sample);
+    let scalar_1t = rate(|| engine.price_batch_scalar(&w.options).len(), min_sample);
 
     // Steady-state lane kernel: scratch and grids reused across passes,
     // as a long-running pricing service would.
     let mut kernel = engine.lane_kernel();
     let mut out = Vec::new();
-    let lanes_1t = measure(
+    let lanes_1t = rate(
         || {
             kernel.price_into(&w.options, &mut out);
             out.len()
@@ -180,7 +155,7 @@ pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -
         min_sample,
     );
 
-    let lanes_mt = measure(|| price_parallel(&engine, &w.options, threads).len(), min_sample);
+    let lanes_mt = rate(|| price_parallel(&engine, &w.options, threads).len(), min_sample);
 
     ThroughputReport {
         schema_version: SCHEMA_VERSION,

@@ -4,7 +4,8 @@
 //! The scenario is ROADMAP item 1 made measurable: a resident book of
 //! ≥1M options, a storm of single-point curve ticks, and the question
 //! "how much faster is arrangement-driven invalidation than repricing
-//! the whole book?". Three rows are timed after warm-up:
+//! the whole book?". Three rows are timed by the harness's one sampler,
+//! [`crate::sampler::rate`]:
 //!
 //! * `full/reprice` — from-scratch full-book passes per second (the
 //!   pre-incremental behaviour, and the oracle);
@@ -31,9 +32,10 @@
 
 use crate::gate::{Check, Gate};
 use crate::json::Json;
+use crate::sampler::{rate, DEFAULT_MIN_SAMPLE};
 use cds_engine::incremental::{CurveKind, CurveTick, IncrementalEngine};
 use cds_quant::option::{MarketData, PortfolioGenerator};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Version of the tick-storm JSON schema. Bump on any incompatible
 /// change so `--check` refuses stale baselines loudly (exit 2).
@@ -68,12 +70,6 @@ pub static GATE: Gate = Gate {
         Check::literal("zero_delta_clean", Json::Bool(true)),
     ],
 };
-
-/// Minimum timed window per row.
-const DEFAULT_MIN_SAMPLE: Duration = Duration::from_millis(300);
-
-/// Minimum timed passes per row.
-const MIN_SAMPLE_ITERS: u32 = 3;
 
 /// One measured tick-storm row.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,23 +150,6 @@ impl TickStormReport {
     }
 }
 
-/// Time repeated passes of `pass` after one untimed warm-up, until at
-/// least `min_sample` elapsed *and* [`MIN_SAMPLE_ITERS`] passes ran.
-/// Returns passes per second.
-fn measure(mut pass: impl FnMut(), min_sample: Duration) -> f64 {
-    pass();
-    let start = Instant::now();
-    let mut iters = 0u32;
-    loop {
-        pass();
-        iters += 1;
-        let elapsed = start.elapsed();
-        if iters >= MIN_SAMPLE_ITERS && elapsed >= min_sample {
-            return f64::from(iters) / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        }
-    }
-}
-
 /// Measure a tick storm with the default sample window.
 pub fn run(seed: u64, residents: usize) -> TickStormReport {
     run_with(seed, residents, DEFAULT_MIN_SAMPLE)
@@ -196,42 +175,43 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
         free.push(knots - 1);
     }
 
-    let full_passes = measure(
+    let full_passes = rate(
         || {
             let _ = engine.full_reprice();
+            1
         },
         min_sample,
     );
 
-    // Off-lattice single-point interest ticks, cycling the free knots.
-    // The value factor grows with a global counter, so no tick ever
-    // re-publishes the value already at its knot (which would be a
-    // zero-delta no-op and inflate the rate).
+    // Off-lattice single-point interest ticks. One timed pass ticks every
+    // free knot once, so every pass does the same work — the sampler's
+    // quiet percentile would otherwise pick out the knots with the
+    // smallest affected sets. The value factor grows with a global
+    // counter, so no tick ever re-publishes the value already at its
+    // knot (which would be a zero-delta no-op and inflate the rate).
     let base: Vec<f64> =
         free.iter().map(|&k| engine.curve_value(CurveKind::Interest, k).unwrap_or(0.0)).collect();
     let mut n = 0u64;
     let mut dirty_ticks = 0u64;
     let mut affected_sum = 0u64;
     let mut measured_ticks = 0u64;
-    let off_lattice = measure(
+    let off_lattice = rate(
         || {
-            let slot = (n % free.len() as u64) as usize;
-            let value = base[slot] * (1.0 + 1e-9 * (n + 1) as f64) + 1e-12;
-            n += 1;
-            match engine.apply_tick(CurveTick {
-                curve: CurveKind::Interest,
-                knot: free[slot],
-                value,
-            }) {
-                Ok(report) => {
-                    if report.zero_delta {
-                        dirty_ticks += 1;
+            for (&knot, &value) in free.iter().zip(&base) {
+                let value = value * (1.0 + 1e-9 * (n + 1) as f64) + 1e-12;
+                n += 1;
+                match engine.apply_tick(CurveTick { curve: CurveKind::Interest, knot, value }) {
+                    Ok(report) => {
+                        if report.zero_delta {
+                            dirty_ticks += 1;
+                        }
+                        affected_sum += report.affected as u64;
+                        measured_ticks += 1;
                     }
-                    affected_sum += report.affected as u64;
-                    measured_ticks += 1;
+                    Err(_) => dirty_ticks += 1,
                 }
-                Err(_) => dirty_ticks += 1,
             }
+            free.len()
         },
         min_sample,
     );
@@ -241,7 +221,7 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
     let hazard_mid = engine.tenors(CurveKind::Hazard).len() / 2;
     let hazard_base = engine.curve_value(CurveKind::Hazard, hazard_mid).unwrap_or(0.01);
     let mut hn = 0u64;
-    let hazard_rate = measure(
+    let hazard_rate = rate(
         || {
             let value = hazard_base * (1.0 + 1e-9 * (hn + 1) as f64) + 1e-12;
             hn += 1;
@@ -254,6 +234,7 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
                 }
                 Err(_) => dirty_ticks += 1,
             }
+            1
         },
         min_sample,
     );

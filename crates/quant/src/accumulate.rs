@@ -14,8 +14,8 @@
 //! plus a compensated (Kahan) reference. On a CPU the lane-split kernel is
 //! *also* faster than the naïve loop, because it breaks the FP add
 //! dependency chain and lets the out-of-order core (or the auto-vectoriser)
-//! run lanes in parallel — the `listing1_accumulate` Criterion bench
-//! measures that real speedup.
+//! run lanes in parallel — the host columns of `cds-harness listing1`
+//! measure that real speedup.
 
 use crate::precision::CdsFloat;
 
