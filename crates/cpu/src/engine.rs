@@ -59,27 +59,70 @@ impl CpuCdsEngine {
         let interest_values: Vec<f64> = market.interest.points().iter().map(|p| p.value).collect();
         let hazard_tenors: Vec<f64> = market.hazard.points().iter().map(|p| p.tenor).collect();
         let hazard_values: Vec<f64> = market.hazard.points().iter().map(|p| p.value).collect();
-        // One trapezoidal pass: identical quadrature to Curve::integral.
-        let mut hazard_cumulative = Vec::with_capacity(hazard_tenors.len());
-        let mut acc = hazard_values[0] * hazard_tenors[0];
-        hazard_cumulative.push(acc);
-        for i in 1..hazard_tenors.len() {
-            acc += 0.5
-                * (hazard_values[i - 1] + hazard_values[i])
-                * (hazard_tenors[i] - hazard_tenors[i - 1]);
-            hazard_cumulative.push(acc);
-        }
         let interest_index = SegmentIndex::new(&interest_tenors);
         let hazard_index = SegmentIndex::new(&hazard_tenors);
-        CpuCdsEngine {
+        let mut engine = CpuCdsEngine {
+            hazard_cumulative: vec![0.0; hazard_tenors.len()],
             interest_tenors,
             interest_values,
             hazard_tenors,
-            hazard_cumulative,
             hazard_values,
             interest_index,
             hazard_index,
+        };
+        engine.accumulate_hazard_from(0);
+        engine
+    }
+
+    /// Recompute `hazard_cumulative[from..]`, resuming the running sum
+    /// from the stored entry before `from`. One trapezoidal pass,
+    /// identical quadrature to `Curve::integral`; the construction and
+    /// [`CpuCdsEngine::set_hazard_value`] both run it, so an edited
+    /// table is bit-identical to a freshly built one.
+    fn accumulate_hazard_from(&mut self, from: usize) {
+        let (ts, vs) = (&self.hazard_tenors, &self.hazard_values);
+        if from == 0 {
+            self.hazard_cumulative[0] = vs[0] * ts[0];
         }
+        let from = from.max(1);
+        let mut acc = self.hazard_cumulative[from - 1];
+        for i in from..ts.len() {
+            acc += 0.5 * (vs[i - 1] + vs[i]) * (ts[i] - ts[i - 1]);
+            self.hazard_cumulative[i] = acc;
+        }
+    }
+
+    /// Replace the value at interest knot `knot` in place. O(1): tenors
+    /// and the segment index are untouched, and no table is derived
+    /// from interest values. The result is bit-identical to
+    /// [`CpuCdsEngine::new`] on the edited market.
+    ///
+    /// # Panics
+    /// Panics if `knot` is out of bounds.
+    pub fn set_interest_value(&mut self, knot: usize, value: f64) {
+        self.interest_values[knot] = value;
+    }
+
+    /// Replace the value at hazard knot `knot` in place and recompute
+    /// the cumulative-hazard table from that knot on. O(knots −
+    /// `knot`); bit-identical to [`CpuCdsEngine::new`] on the edited
+    /// market, since entries below `knot` are sums of unchanged terms.
+    ///
+    /// # Panics
+    /// Panics if `knot` is out of bounds.
+    pub fn set_hazard_value(&mut self, knot: usize, value: f64) {
+        self.hazard_values[knot] = value;
+        self.accumulate_hazard_from(knot);
+    }
+
+    /// Interest-curve tenors (fixed for the engine's lifetime).
+    pub fn interest_tenors(&self) -> &[f64] {
+        &self.interest_tenors
+    }
+
+    /// Hazard-curve tenors (fixed for the engine's lifetime).
+    pub fn hazard_tenors(&self) -> &[f64] {
+        &self.hazard_tenors
     }
 
     /// Cumulative hazard at `t` from the precomputed table.
@@ -201,10 +244,65 @@ impl CpuCdsEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cds_quant::cds::CdsPricer;
+    use cds_quant::curve::Curve;
     use cds_quant::option::PortfolioGenerator;
+
+    /// `market` with the value at one knot of one curve replaced,
+    /// rebuilt through `Curve::new` (the oracle side of every in-place
+    /// edit test).
+    pub(crate) fn edited_market(
+        market: &MarketData<f64>,
+        hazard: bool,
+        knot: usize,
+        value: f64,
+    ) -> MarketData<f64> {
+        let mut out = market.clone();
+        let curve = if hazard { &mut out.hazard } else { &mut out.interest };
+        let mut points = curve.points().to_vec();
+        points[knot].value = value;
+        *curve = Curve::new(points).unwrap_or_else(|e| panic!("knot {knot} = {value}: {e}"));
+        out
+    }
+
+    fn table_bits(engine: &CpuCdsEngine) -> Vec<Vec<u64>> {
+        [
+            &engine.interest_tenors,
+            &engine.interest_values,
+            &engine.hazard_tenors,
+            &engine.hazard_values,
+            &engine.hazard_cumulative,
+        ]
+        .iter()
+        .map(|table| table.iter().map(|v| v.to_bits()).collect())
+        .collect()
+    }
+
+    #[test]
+    fn in_place_edits_equal_a_fresh_build_at_every_knot() {
+        // Edits accumulate, as ticks do: after each one the edited
+        // engine's tables must equal a fresh build on the edited market
+        // bit for bit.
+        let mut market = MarketData::paper_workload_sized(31, 64);
+        let mut engine = CpuCdsEngine::new(&market);
+        for hazard in [false, true] {
+            for knot in 0..64 {
+                let curve = if hazard { &market.hazard } else { &market.interest };
+                let value = curve.points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, hazard, knot, value);
+                if hazard {
+                    engine.set_hazard_value(knot, value);
+                } else {
+                    engine.set_interest_value(knot, value);
+                }
+                let fresh = CpuCdsEngine::new(&market);
+                let what = if hazard { "hazard" } else { "interest" };
+                assert_eq!(table_bits(&engine), table_bits(&fresh), "{what} knot {knot}");
+            }
+        }
+    }
 
     #[test]
     fn matches_reference_pricer() {

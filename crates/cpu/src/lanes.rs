@@ -28,10 +28,14 @@
 //!    arithmetic pass auto-vectorizes and the `exp` calls pipeline
 //!    without a loop-carried dependency.
 //!
-//! The kernel owns reusable scratch ([`LaneKernel`]): grids extend
-//! lazily as longer maturities appear and are retained across batches,
-//! so a steady-state [`LaneKernel::price_into`] call performs no heap
-//! allocation at all.
+//! The kernel owns its engine and reusable scratch ([`LaneKernel`]):
+//! grids extend lazily as longer maturities appear and are retained
+//! across batches, so a steady-state [`LaneKernel::price_into`] call
+//! performs no heap allocation at all. A curve point edit
+//! ([`LaneKernel::set_interest_value`],
+//! [`LaneKernel::set_hazard_value`]) drops only the grid suffix that
+//! reads the edited knot, found with the same [`ReadWindow`] rule the
+//! incremental arrangement uses.
 
 use crate::engine::{CpuBatchStats, CpuCdsEngine};
 use cds_quant::option::{CdsOption, PaymentFrequency};
@@ -113,6 +117,95 @@ pub fn freq_slot(frequency: PaymentFrequency) -> usize {
     }
 }
 
+/// The time window within which a curve read touches one specific
+/// knot: `lo < t`, and `t < hi` or `t <= hi` depending on
+/// [`ReadWindow::hi_inclusive`].
+///
+/// The asymmetry mirrors `SegmentIndex::interpolate` exactly: its
+/// binary search resolves a read at `t = tenor[i+1]` to the segment
+/// *ending* there (inclusive right edge), but the flat-extrapolation
+/// branch `t >= tenor[last]` short-circuits first and reads only the
+/// last knot — so the second-to-last knot's window excludes its right
+/// edge.
+///
+/// One read rule serves both sides of a tick: the arrangement in
+/// `cds-engine` uses it to find the options a knot edit affects, and
+/// [`LaneKernel`] uses it to find the first grid point the edit
+/// invalidates, so the two cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadWindow {
+    /// Exclusive lower bound (reads at exactly `lo` do not touch the knot).
+    pub lo: f64,
+    /// Upper bound; `f64::INFINITY` for the last knot.
+    pub hi: f64,
+    /// Whether a read at exactly `hi` touches the knot.
+    pub hi_inclusive: bool,
+}
+
+impl ReadWindow {
+    /// Does a curve read at time `t` touch the knot this window belongs to?
+    pub fn contains(&self, t: f64) -> bool {
+        t > self.lo && if self.hi_inclusive { t <= self.hi } else { t < self.hi }
+    }
+}
+
+/// The window of read times that touch interest-curve knot `knot`.
+///
+/// Derived from the linear-interpolation branches: `t <= tenor[0]`
+/// reads knot 0 only, `t >= tenor[last]` reads the last knot only, and
+/// an interior read resolves to the segment `tenor[i] < t <=
+/// tenor[i+1]`, touching knots `i` and `i+1`.
+///
+/// # Panics
+/// Panics if `knot` is out of bounds (curves hold at least two knots).
+pub fn interest_window(tenors: &[f64], knot: usize) -> ReadWindow {
+    let last = tenors.len() - 1;
+    assert!(knot <= last, "knot {knot} out of bounds for {} tenors", tenors.len());
+    let lo = if knot == 0 { f64::NEG_INFINITY } else { tenors[knot - 1] };
+    if knot == last {
+        ReadWindow { lo, hi: f64::INFINITY, hi_inclusive: true }
+    } else {
+        // Right edge at tenor[last] belongs to the flat-extrapolation
+        // branch, which reads only the last knot.
+        ReadWindow { lo, hi: tenors[knot + 1], hi_inclusive: knot + 1 < last }
+    }
+}
+
+/// The window of read times that touch hazard-curve knot `knot`.
+///
+/// `cumulative_hazard` is a running integral: a read at `t` consumes the
+/// stored prefix through its segment, i.e. every knot `i` with
+/// `tenor[i-1] < t`. The window is therefore unbounded above.
+///
+/// # Panics
+/// Panics if `knot` is out of bounds.
+pub fn hazard_window(tenors: &[f64], knot: usize) -> ReadWindow {
+    assert!(knot < tenors.len(), "knot {knot} out of bounds for {} tenors", tenors.len());
+    let lo = if knot == 0 { 0.0 } else { tenors[knot - 1] };
+    ReadWindow { lo, hi: f64::INFINITY, hi_inclusive: true }
+}
+
+/// Smallest `j in 1..=k` whose full point `Δ·j` or period midpoint
+/// `0.5·(Δ·(j-1) + Δ·j)` lands in `w`, if any, with the kernel's f64
+/// expressions. Every option of this frequency with at least `j` full
+/// points shares that read, and grid point `j` (with every prefix sum
+/// after it) is the first one a value change inside `w` invalidates.
+pub fn first_lattice_point_in(delta: f64, k: usize, w: &ReadWindow) -> Option<usize> {
+    for j in 1..=k {
+        let t = delta * j as f64;
+        let mid = 0.5 * (delta * (j - 1) as f64 + t);
+        if w.contains(mid) || w.contains(t) {
+            return Some(j);
+        }
+        // Lattice times increase with j; once the midpoint has passed
+        // the window there is nothing left to find.
+        if mid > w.hi {
+            return None;
+        }
+    }
+    None
+}
+
 /// Shared schedule grid for one payment frequency: point times, survival
 /// probabilities, and prefix sums of the scalar reference's three leg
 /// accumulators after each full point. Index `j` holds the state after
@@ -165,19 +258,37 @@ impl FreqGrid {
             self.accrual.push(self.accrual[j - 1] + 0.5 * period * df_mid * d_pd);
         }
     }
+
+    /// Drop every point from the first one that reads a curve time in
+    /// `w`. The kept prefix reads only unchanged inputs, and
+    /// [`FreqGrid::ensure`] regrows the suffix in the same scalar order,
+    /// so the grid stays bit-identical to one built on the edited
+    /// engine.
+    fn truncate_reads(&mut self, w: &ReadWindow) {
+        if let Some(j) = first_lattice_point_in(self.delta, self.t.len() - 1, w) {
+            self.t.truncate(j);
+            self.surv.truncate(j);
+            self.premium.truncate(j);
+            self.protection.truncate(j);
+            self.accrual.truncate(j);
+        }
+    }
 }
 
-/// Reusable lane-kernel scratch bound to one engine.
+/// Reusable lane-kernel scratch that owns its engine.
 ///
-/// The lifetime tie to the engine is deliberate: grids cache
-/// curve-dependent values, so reusing scratch across engines would
-/// silently misprice. Build one with [`CpuCdsEngine::lane_kernel`] (or
-/// [`LaneKernel::new`]) and feed it batches; grids and per-option
-/// scratch are retained and grown monotonically, so steady-state
-/// pricing allocates nothing.
+/// Grids cache curve-dependent values, so the invariant is: the
+/// engine changes only through [`LaneKernel::set_interest_value`] and
+/// [`LaneKernel::set_hazard_value`], each of which truncates every grid
+/// at its first point that reads the edited knot. Every retained grid
+/// point is therefore always the one a fresh kernel on the current
+/// engine would compute. Build one with [`CpuCdsEngine::lane_kernel`]
+/// (or [`LaneKernel::new`]) and feed it batches; grids and per-option
+/// scratch are retained and grown lazily, so steady-state pricing
+/// allocates nothing.
 #[derive(Debug, Clone)]
-pub struct LaneKernel<'e> {
-    engine: &'e CpuCdsEngine,
+pub struct LaneKernel {
+    engine: CpuCdsEngine,
     /// One grid per payment frequency (annual, semi-annual, quarterly,
     /// monthly), built lazily to the longest maturity seen.
     grids: [FreqGrid; 4],
@@ -185,14 +296,48 @@ pub struct LaneKernel<'e> {
     ks: Vec<u32>,
 }
 
-impl<'e> LaneKernel<'e> {
-    /// Create a kernel with empty grids bound to `engine`.
-    pub fn new(engine: &'e CpuCdsEngine) -> Self {
+impl LaneKernel {
+    /// Create a kernel with empty grids that owns `engine`.
+    pub fn new(engine: CpuCdsEngine) -> Self {
         LaneKernel {
             engine,
             grids: [FreqGrid::new(1), FreqGrid::new(2), FreqGrid::new(4), FreqGrid::new(12)],
             ks: Vec::new(),
         }
+    }
+
+    /// The engine this kernel prices against.
+    pub fn engine(&self) -> &CpuCdsEngine {
+        &self.engine
+    }
+
+    /// Replace the value at interest knot `knot`
+    /// ([`CpuCdsEngine::set_interest_value`]) and drop every grid point
+    /// from the first one whose time or period midpoint falls in the
+    /// knot's [`interest_window`]. Later pricing regrows the dropped
+    /// suffix, bit-identical to a fresh kernel on the edited engine.
+    ///
+    /// # Panics
+    /// Panics if `knot` is out of bounds.
+    pub fn set_interest_value(&mut self, knot: usize, value: f64) {
+        self.engine.set_interest_value(knot, value);
+        let w = interest_window(self.engine.interest_tenors(), knot);
+        self.grids.iter_mut().for_each(|grid| grid.truncate_reads(&w));
+    }
+
+    /// Replace the value at hazard knot `knot`
+    /// ([`CpuCdsEngine::set_hazard_value`]) and drop every grid point
+    /// from the first one past `tenor[knot-1]` (every point when `knot`
+    /// is 0), the [`hazard_window`] a survival read of that knot lies
+    /// in. Later pricing regrows the dropped suffix, bit-identical to a
+    /// fresh kernel on the edited engine.
+    ///
+    /// # Panics
+    /// Panics if `knot` is out of bounds.
+    pub fn set_hazard_value(&mut self, knot: usize, value: f64) {
+        self.engine.set_hazard_value(knot, value);
+        let w = hazard_window(self.engine.hazard_tenors(), knot);
+        self.grids.iter_mut().for_each(|grid| grid.truncate_reads(&w));
     }
 
     /// Price `options` into `out` (cleared and resized), returning the
@@ -253,7 +398,7 @@ impl<'e> LaneKernel<'e> {
         for i in 0..n {
             let option = &options[map(i)];
             let k = full_points(option);
-            self.grids[freq_slot(option.frequency)].ensure(self.engine, k);
+            self.grids[freq_slot(option.frequency)].ensure(&self.engine, k);
             self.ks.push(k as u32);
             time_points += k as u64 + 1;
         }
@@ -333,21 +478,23 @@ impl<'e> LaneKernel<'e> {
 }
 
 impl CpuCdsEngine {
-    /// Create a reusable [`LaneKernel`] bound to this engine.
-    pub fn lane_kernel(&self) -> LaneKernel<'_> {
-        LaneKernel::new(self)
+    /// Create a reusable [`LaneKernel`] over a clone of this engine
+    /// (a few tens of KB at 1024 knots, noise against a batch pass).
+    pub fn lane_kernel(&self) -> LaneKernel {
+        LaneKernel::new(self.clone())
     }
 }
 
 /// One-shot lane pricing: build a kernel, price, return the spreads.
 /// [`CpuCdsEngine::price_batch`] dispatches here.
 pub fn price_batch_lanes(engine: &CpuCdsEngine, options: &[CdsOption]) -> Vec<f64> {
-    LaneKernel::new(engine).price_batch(options)
+    engine.lane_kernel().price_batch(options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::edited_market;
     use cds_quant::option::{MarketData, PortfolioGenerator};
 
     fn scalar_bits(engine: &CpuCdsEngine, options: &[CdsOption]) -> Vec<u64> {
@@ -515,6 +662,169 @@ mod tests {
                 o.maturity,
                 o.frequency
             );
+        }
+    }
+
+    #[test]
+    fn interest_windows_partition_reads_like_the_interpolator() {
+        let market = MarketData::paper_workload(3);
+        let ts: Vec<f64> = market.interest.points().iter().map(|p| p.tenor).collect();
+        let n = ts.len();
+        // Probe times across every branch of the interpolator: below the
+        // curve, on knots, between knots, on/beyond the last knot.
+        let mut probes = vec![0.001, ts[0], ts[n - 1], ts[n - 1] + 1.0, 1e6];
+        for i in 0..n - 1 {
+            probes.push(ts[i]);
+            probes.push(0.5 * (ts[i] + ts[i + 1]));
+        }
+        for &t in &probes {
+            let touched: Vec<usize> =
+                (0..n).filter(|&i| interest_window(&ts, i).contains(t)).collect();
+            // Which knots does the real interpolation branch read?
+            let expected: Vec<usize> = if t >= ts[n - 1] {
+                vec![n - 1]
+            } else if t <= ts[0] {
+                vec![0]
+            } else {
+                let lo = (0..n - 1).find(|&i| ts[i] < t && t <= ts[i + 1]).unwrap_or(0);
+                vec![lo, lo + 1]
+            };
+            assert_eq!(touched, expected, "read at t={t}");
+        }
+    }
+
+    #[test]
+    fn hazard_windows_are_prefix_windows() {
+        let ts = [0.5, 1.0, 2.0, 5.0];
+        assert!(hazard_window(&ts, 0).contains(0.1));
+        assert!(hazard_window(&ts, 0).contains(10.0));
+        assert!(!hazard_window(&ts, 1).contains(0.5));
+        assert!(hazard_window(&ts, 1).contains(0.500_000_1));
+        assert!(!hazard_window(&ts, 3).contains(2.0));
+        assert!(hazard_window(&ts, 3).contains(2.5));
+    }
+
+    /// Every payment frequency, maturities from inside the first period
+    /// to past the 7.5-year curve horizon, so every grid grows past the
+    /// last knot.
+    fn long_book() -> Vec<CdsOption> {
+        let mut book = Vec::new();
+        for frequency in [
+            PaymentFrequency::Annual,
+            PaymentFrequency::SemiAnnual,
+            PaymentFrequency::Quarterly,
+            PaymentFrequency::Monthly,
+        ] {
+            for maturity in [0.02, 0.3, 1.0, 2.7, 5.0, 5.5, 7.3, 7.5, 9.1, 12.0] {
+                book.push(CdsOption { maturity, frequency, recovery_rate: 0.4 });
+            }
+        }
+        book
+    }
+
+    fn grid_lens(kernel: &LaneKernel) -> Vec<usize> {
+        kernel.grids.iter().map(|g| g.t.len()).collect()
+    }
+
+    #[test]
+    fn edited_kernel_prices_like_a_fresh_kernel_at_every_knot() {
+        // Edits accumulate, as ticks do. After each one the warm kernel
+        // must price exactly as a fresh engine and kernel built on the
+        // edited market.
+        let mut market = MarketData::paper_workload_sized(37, 64);
+        let mut book = long_book();
+        book.extend(PortfolioGenerator::new(5).portfolio(64));
+        let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
+        let mut out = Vec::new();
+        kernel.price_into(&book, &mut out);
+        for hazard in [false, true] {
+            for knot in 0..64 {
+                let curve = if hazard { &market.hazard } else { &market.interest };
+                let value = curve.points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, hazard, knot, value);
+                if hazard {
+                    kernel.set_hazard_value(knot, value);
+                } else {
+                    kernel.set_interest_value(knot, value);
+                }
+                kernel.price_into(&book, &mut out);
+                let fresh = CpuCdsEngine::new(&market);
+                let expected = fresh.lane_kernel().price_batch(&book);
+                let what = if hazard { "hazard" } else { "interest" };
+                assert_eq!(
+                    out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "{what} knot {knot}"
+                );
+                assert_eq!(
+                    expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    scalar_bits(&fresh, &book),
+                    "{what} knot {knot}: fresh kernel vs scalar"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hazard_edit_keeps_exactly_the_points_up_to_the_previous_tenor() {
+        let market = MarketData::paper_workload_sized(41, 64);
+        let tenors: Vec<f64> = market.hazard.points().iter().map(|p| p.tenor).collect();
+        let book = long_book();
+        let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
+        let mut out = Vec::new();
+        for (knot, point) in market.hazard.points().iter().enumerate() {
+            kernel.price_into(&book, &mut out);
+            let before = grid_lens(&kernel);
+            kernel.set_hazard_value(knot, point.value * 1.5);
+            for (grid, &len) in kernel.grids.iter().zip(&before) {
+                let kept = if knot == 0 {
+                    1
+                } else {
+                    (0..len).filter(|&j| grid.delta * j as f64 <= tenors[knot - 1]).count()
+                };
+                assert_eq!(grid.t.len(), kept, "knot {knot}, delta {}", grid.delta);
+            }
+        }
+    }
+
+    #[test]
+    fn interest_edit_keeps_the_prefix_before_the_first_read_of_the_knot() {
+        // A brute-force scan of every grid point (no early exit) says
+        // which point first reads the knot. Only annual options leave
+        // lattice-free knots on a 64-knot curve, where nothing may drop.
+        let market = MarketData::paper_workload_sized(43, 64);
+        let tenors: Vec<f64> = market.interest.points().iter().map(|p| p.tenor).collect();
+        let all = long_book();
+        let annual: Vec<CdsOption> =
+            all.iter().copied().filter(|o| o.frequency == PaymentFrequency::Annual).collect();
+        for (book, min_free) in [(&all, 0), (&annual, 1)] {
+            let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
+            let mut out = Vec::new();
+            let mut free = 0;
+            for (knot, point) in market.interest.points().iter().enumerate() {
+                kernel.price_into(book, &mut out);
+                let before = grid_lens(&kernel);
+                let w = interest_window(&tenors, knot);
+                let first_read: Vec<Option<usize>> = kernel
+                    .grids
+                    .iter()
+                    .map(|g| {
+                        (1..g.t.len()).find(|&j| {
+                            let t = g.delta * j as f64;
+                            w.contains(t) || w.contains(0.5 * (g.delta * (j - 1) as f64 + t))
+                        })
+                    })
+                    .collect();
+                kernel.set_interest_value(knot, point.value + 0.001);
+                if first_read.iter().all(Option::is_none) {
+                    free += 1;
+                    assert_eq!(grid_lens(&kernel), before, "lattice-free knot {knot}");
+                }
+                let kept: Vec<usize> =
+                    first_read.iter().zip(&before).map(|(j, &len)| j.unwrap_or(len)).collect();
+                assert_eq!(grid_lens(&kernel), kept, "knot {knot}");
+            }
+            assert!(free >= min_free, "{free} lattice-free knots");
         }
     }
 

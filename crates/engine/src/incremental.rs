@@ -18,18 +18,28 @@
 //! 1. A spread is a deterministic pure function of `(engine, option)`,
 //!    and the lane kernel is bit-identical to the scalar reference
 //!    (pinned by the `lane_vs_scalar` suite).
-//! 2. *Affected* options are repriced by that kernel against the
-//!    freshly rebuilt engine — definitionally equal to the full
-//!    reprice.
+//! 2. *Affected* options are repriced by one long-lived kernel that is
+//!    edited in place, not rebuilt. The engine edit
+//!    ([`CpuCdsEngine::set_interest_value`] /
+//!    [`CpuCdsEngine::set_hazard_value`]) writes the value read back
+//!    from the edited market and recomputes the cumulative-hazard
+//!    suffix with the constructor's own left-to-right pass, so the
+//!    engine equals [`CpuCdsEngine::new`] on the new market bit for
+//!    bit. The kernel then truncates each frequency grid at its first
+//!    point whose time or period midpoint reads the ticked knot
+//!    ([`cds_cpu::lanes::first_lattice_point_in`]); the kept prefix
+//!    reads only unchanged inputs, and pricing regrows the suffix in
+//!    the scalar order. The result is definitionally equal to a fresh
+//!    engine and kernel — the full reprice.
 //! 3. *Unaffected* options' stored bits stay valid because a value tick
 //!    moves no tenor: segment lookup structures depend only on tenors,
 //!    interest interpolation at a time outside the ticked knot's
-//!    [`crate::portfolio::interest_window`] touches only unchanged
+//!    [`cds_cpu::lanes::interest_window`] touches only unchanged
 //!    knots, and the cumulative-hazard prefix below the ticked knot is
-//!    a left-to-right sum of unchanged terms, hence reproduced
-//!    bit-for-bit by the rebuild. The arrangement windows are derived
+//!    a left-to-right sum of unchanged terms. The windows are derived
 //!    from the interpolator's own branch structure, so "outside the
-//!    window" is exactly "reads no changed input".
+//!    window" is exactly "reads no changed input", and the arrangement
+//!    and the grid truncation use the same windows.
 //!
 //! The differential fuzz suite and the `tick-storm` bench gate verify
 //! the claim wholesale against real full reprices.
@@ -37,7 +47,7 @@
 use crate::error::CdsError;
 use crate::portfolio::PortfolioState;
 use crate::report::{SpreadDelta, TickReport};
-use cds_cpu::CpuCdsEngine;
+use cds_cpu::{CpuCdsEngine, LaneKernel};
 use cds_quant::curve::Curve;
 use cds_quant::option::{CdsOption, MarketData};
 
@@ -120,14 +130,15 @@ pub fn edit_curve_point(market: &mut MarketData<f64>, tick: CurveTick) -> Result
     Ok(false)
 }
 
-/// Resident book plus current epoch's curves and pricing engine, with
+/// Resident book plus current epoch's curves and pricing kernel, with
 /// incremental tick ingestion.
 #[derive(Debug, Clone)]
 pub struct IncrementalEngine {
     market: MarketData<f64>,
-    engine: CpuCdsEngine,
-    interest_tenors: Vec<f64>,
-    hazard_tenors: Vec<f64>,
+    /// The one engine and grid set for the book's lifetime: ticks edit
+    /// it in place, so its engine always equals a fresh build on
+    /// `market`.
+    kernel: LaneKernel,
     portfolio: PortfolioState,
     /// Stored spread bits, indexed by portfolio id (stale for dead ids).
     spread_bits: Vec<u64>,
@@ -139,14 +150,10 @@ pub struct IncrementalEngine {
 impl IncrementalEngine {
     /// Boot an empty book over `market` at epoch 0.
     pub fn new(market: MarketData<f64>) -> Self {
-        let engine = CpuCdsEngine::new(&market);
-        let interest_tenors = market.interest.points().iter().map(|p| p.tenor).collect();
-        let hazard_tenors = market.hazard.points().iter().map(|p| p.tenor).collect();
+        let kernel = LaneKernel::new(CpuCdsEngine::new(&market));
         IncrementalEngine {
             market,
-            engine,
-            interest_tenors,
-            hazard_tenors,
+            kernel,
             portfolio: PortfolioState::new(),
             spread_bits: Vec::new(),
             epoch: 0,
@@ -184,8 +191,8 @@ impl IncrementalEngine {
     /// Tenors of one curve (immutable for the engine's lifetime).
     pub fn tenors(&self, curve: CurveKind) -> &[f64] {
         match curve {
-            CurveKind::Interest => &self.interest_tenors,
-            CurveKind::Hazard => &self.hazard_tenors,
+            CurveKind::Interest => self.kernel.engine().interest_tenors(),
+            CurveKind::Hazard => self.kernel.engine().hazard_tenors(),
         }
     }
 
@@ -205,7 +212,7 @@ impl IncrementalEngine {
     /// Panics on an invalid schedule (same wording as the kernels).
     pub fn insert(&mut self, option: CdsOption) -> u32 {
         let id = self.portfolio.insert(option);
-        let bits = self.engine.price(&option).spread_bps.to_bits();
+        let bits = self.kernel.engine().price(&option).spread_bps.to_bits();
         if self.spread_bits.len() <= id as usize {
             self.spread_bits.resize(id as usize + 1, 0);
         }
@@ -221,8 +228,7 @@ impl IncrementalEngine {
         if self.spread_bits.len() < self.portfolio.slab_len() {
             self.spread_bits.resize(self.portfolio.slab_len(), 0);
         }
-        let mut kernel = self.engine.lane_kernel();
-        kernel.price_indices_into(self.portfolio.raw_options(), &ids, &mut self.repriced);
+        self.kernel.price_indices_into(self.portfolio.raw_options(), &ids, &mut self.repriced);
         for (&id, &spread) in ids.iter().zip(&self.repriced) {
             self.spread_bits[id as usize] = spread.to_bits();
         }
@@ -249,8 +255,7 @@ impl IncrementalEngine {
     /// incremental state is measured against, and the slow path the
     /// tick-storm bench compares to.
     pub fn full_reprice(&self) -> Vec<(u32, u64)> {
-        let engine = CpuCdsEngine::new(&self.market);
-        let mut kernel = engine.lane_kernel();
+        let mut kernel = LaneKernel::new(CpuCdsEngine::new(&self.market));
         let ids: Vec<u32> = self.portfolio.iter().map(|(id, _)| id).collect();
         let mut out = Vec::new();
         kernel.price_indices_into(self.portfolio.raw_options(), &ids, &mut out);
@@ -277,22 +282,26 @@ impl IncrementalEngine {
             });
         }
 
-        // Publish: the ticked curve is rebuilt, so rebuild the pricing
-        // engine. Tenors are untouched, so the arrangement and the
-        // unaffected options' stored bits both survive the swap.
-        self.engine = CpuCdsEngine::new(&self.market);
-
+        // Publish: edit the kernel's engine in place with the value the
+        // market now holds, dropping only the grid points that read the
+        // knot. Tenors are untouched, so the arrangement and the
+        // unaffected options' stored bits both survive the edit.
         let mut affected = std::mem::take(&mut self.affected);
         match tick.curve {
             CurveKind::Interest => {
-                self.portfolio.affected_by_interest(&self.interest_tenors, tick.knot, &mut affected)
+                let value = self.market.interest.points()[tick.knot].value;
+                self.kernel.set_interest_value(tick.knot, value);
+                let tenors = self.kernel.engine().interest_tenors();
+                self.portfolio.affected_by_interest(tenors, tick.knot, &mut affected)
             }
             CurveKind::Hazard => {
-                self.portfolio.affected_by_hazard(&self.hazard_tenors, tick.knot, &mut affected)
+                let value = self.market.hazard.points()[tick.knot].value;
+                self.kernel.set_hazard_value(tick.knot, value);
+                let tenors = self.kernel.engine().hazard_tenors();
+                self.portfolio.affected_by_hazard(tenors, tick.knot, &mut affected)
             }
         }
-        let mut kernel = self.engine.lane_kernel();
-        kernel.price_indices_into(self.portfolio.raw_options(), &affected, &mut self.repriced);
+        self.kernel.price_indices_into(self.portfolio.raw_options(), &affected, &mut self.repriced);
         let mut deltas = Vec::new();
         for (&id, &spread) in affected.iter().zip(&self.repriced) {
             let new_bits = spread.to_bits();

@@ -104,10 +104,7 @@ pub mod prelude {
         JournalIo, JournalOp, OsJournalIo, RecordingJournalIo, StorageFaultPlan,
     };
     pub use crate::multi::MultiEngine;
-    pub use crate::portfolio::{
-        hazard_window, interest_window, option_reads_hazard, option_reads_interest, PortfolioState,
-        ReadWindow,
-    };
+    pub use crate::portfolio::{option_reads_hazard, option_reads_interest, PortfolioState};
     pub use crate::report::{EngineRunReport, SpreadDelta, TickReport};
     pub use crate::retry::{RetryPolicy, RetryPolicyError};
     pub use crate::route::PriceRoute;

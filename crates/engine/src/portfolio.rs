@@ -34,76 +34,15 @@
 //! ([`cds_cpu::LaneKernel::price_indices_into`]), preserving the
 //! kernel's bit-identity with the scalar reference.
 
-use cds_cpu::lanes::{freq_slot, full_points};
+use cds_cpu::lanes::{
+    first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, ReadWindow,
+};
 use cds_quant::option::CdsOption;
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
 /// Frequencies per grid slot, in [`freq_slot`] order.
 const SLOT_PER_YEAR: [u32; 4] = [1, 2, 4, 12];
-
-/// The half-open(ish) time window within which a curve read touches one
-/// specific knot: `lo < t` and `t < hi` or `t <= hi` depending on
-/// [`ReadWindow::hi_inclusive`].
-///
-/// The asymmetry mirrors `SegmentIndex::interpolate` exactly: its
-/// binary search resolves a read at `t = tenor[i+1]` to the segment
-/// *ending* there (inclusive right edge), but the flat-extrapolation
-/// branch `t >= tenor[last]` short-circuits first and reads only the
-/// last knot — so the second-to-last knot's window excludes its right
-/// edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadWindow {
-    /// Exclusive lower bound (reads at exactly `lo` do not touch the knot).
-    pub lo: f64,
-    /// Upper bound; `f64::INFINITY` for the last knot.
-    pub hi: f64,
-    /// Whether a read at exactly `hi` touches the knot.
-    pub hi_inclusive: bool,
-}
-
-impl ReadWindow {
-    /// Does a curve read at time `t` touch the knot this window belongs to?
-    pub fn contains(&self, t: f64) -> bool {
-        t > self.lo && if self.hi_inclusive { t <= self.hi } else { t < self.hi }
-    }
-}
-
-/// The window of read times that touch interest-curve knot `knot`.
-///
-/// Derived from the linear-interpolation branches: `t <= tenor[0]`
-/// reads knot 0 only, `t >= tenor[last]` reads the last knot only, and
-/// an interior read resolves to the segment `tenor[i] < t <=
-/// tenor[i+1]`, touching knots `i` and `i+1`.
-///
-/// # Panics
-/// Panics if `knot` is out of bounds (curves hold at least two knots).
-pub fn interest_window(tenors: &[f64], knot: usize) -> ReadWindow {
-    let last = tenors.len() - 1;
-    assert!(knot <= last, "knot {knot} out of bounds for {} tenors", tenors.len());
-    let lo = if knot == 0 { f64::NEG_INFINITY } else { tenors[knot - 1] };
-    if knot == last {
-        ReadWindow { lo, hi: f64::INFINITY, hi_inclusive: true }
-    } else {
-        // Right edge at tenor[last] belongs to the flat-extrapolation
-        // branch, which reads only the last knot.
-        ReadWindow { lo, hi: tenors[knot + 1], hi_inclusive: knot + 1 < last }
-    }
-}
-
-/// The window of read times that touch hazard-curve knot `knot`.
-///
-/// `cumulative_hazard` is a running integral: a read at `t` consumes the
-/// stored prefix through its segment, i.e. every knot `i` with
-/// `tenor[i-1] < t`. The window is therefore unbounded above.
-///
-/// # Panics
-/// Panics if `knot` is out of bounds.
-pub fn hazard_window(tenors: &[f64], knot: usize) -> ReadWindow {
-    assert!(knot < tenors.len(), "knot {knot} out of bounds for {} tenors", tenors.len());
-    let lo = if knot == 0 { 0.0 } else { tenors[knot - 1] };
-    ReadWindow { lo, hi: f64::INFINITY, hi_inclusive: true }
-}
 
 /// The stub-midpoint read time of an option with `k` full points, using
 /// the lane kernel's exact expression (`prev_t` is the shared grid time
@@ -120,10 +59,9 @@ fn stub_mid(delta: f64, k: usize, maturity: f64) -> f64 {
 pub fn option_reads_interest(option: &CdsOption, w: &ReadWindow) -> bool {
     let k = full_points(option);
     let delta = 1.0 / option.frequency.per_year() as f64;
-    if lattice_reads_window(delta, k, w) {
-        return true;
-    }
-    w.contains(option.maturity) || w.contains(stub_mid(delta, k, option.maturity))
+    first_lattice_point_in(delta, k, w).is_some()
+        || w.contains(option.maturity)
+        || w.contains(stub_mid(delta, k, option.maturity))
 }
 
 /// Does this option's pricing pass read hazard-curve time window `w`?
@@ -131,33 +69,6 @@ pub fn option_reads_interest(option: &CdsOption, w: &ReadWindow) -> bool {
 /// largest hazard read) decides.
 pub fn option_reads_hazard(option: &CdsOption, w: &ReadWindow) -> bool {
     option.maturity > w.lo
-}
-
-/// Does the shared payment lattice of frequency `Δ`, truncated at `k`
-/// full points, read inside `w`? Checks the full-point times `Δ·j` and
-/// the period midpoints `0.5·(Δ·(j-1) + Δ·j)` for `j = 1..=k`, with the
-/// kernel's f64 expressions.
-fn lattice_reads_window(delta: f64, k: usize, w: &ReadWindow) -> bool {
-    first_lattice_point_in(delta, k, w).is_some()
-}
-
-/// Smallest `j in 1..=k` whose full point or midpoint lands in `w`, if
-/// any. Every option of this frequency with at least `j` full points
-/// shares that read.
-fn first_lattice_point_in(delta: f64, k: usize, w: &ReadWindow) -> Option<usize> {
-    for j in 1..=k {
-        let t = delta * j as f64;
-        let mid = 0.5 * (delta * (j - 1) as f64 + t);
-        if w.contains(mid) || w.contains(t) {
-            return Some(j);
-        }
-        // Lattice times increase with j; once the midpoint has passed
-        // the window there is nothing left to find.
-        if mid > w.hi {
-            return None;
-        }
-    }
-    None
 }
 
 /// Per-option metadata kept alongside the slab.
@@ -424,45 +335,6 @@ mod tests {
 
     fn tenors(curve: &cds_quant::curve::Curve) -> Vec<f64> {
         curve.points().iter().map(|p| p.tenor).collect()
-    }
-
-    #[test]
-    fn interest_windows_partition_reads_like_the_interpolator() {
-        let market = MarketData::paper_workload(3);
-        let ts = tenors(&market.interest);
-        let n = ts.len();
-        // Probe times across every branch of the interpolator: below the
-        // curve, on knots, between knots, on/beyond the last knot.
-        let mut probes = vec![0.001, ts[0], ts[n - 1], ts[n - 1] + 1.0, 1e6];
-        for i in 0..n - 1 {
-            probes.push(ts[i]);
-            probes.push(0.5 * (ts[i] + ts[i + 1]));
-        }
-        for &t in &probes {
-            let touched: Vec<usize> =
-                (0..n).filter(|&i| interest_window(&ts, i).contains(t)).collect();
-            // Which knots does the real interpolation branch read?
-            let expected: Vec<usize> = if t >= ts[n - 1] {
-                vec![n - 1]
-            } else if t <= ts[0] {
-                vec![0]
-            } else {
-                let lo = (0..n - 1).find(|&i| ts[i] < t && t <= ts[i + 1]).unwrap_or(0);
-                vec![lo, lo + 1]
-            };
-            assert_eq!(touched, expected, "read at t={t}");
-        }
-    }
-
-    #[test]
-    fn hazard_windows_are_prefix_windows() {
-        let ts = [0.5, 1.0, 2.0, 5.0];
-        assert!(hazard_window(&ts, 0).contains(0.1));
-        assert!(hazard_window(&ts, 0).contains(10.0));
-        assert!(!hazard_window(&ts, 1).contains(0.5));
-        assert!(hazard_window(&ts, 1).contains(0.500_000_1));
-        assert!(!hazard_window(&ts, 3).contains(2.0));
-        assert!(hazard_window(&ts, 3).contains(2.5));
     }
 
     #[test]

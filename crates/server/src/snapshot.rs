@@ -78,9 +78,13 @@ impl CurveBook {
     /// Publish a new epoch by replacing the *value* of one curve knot,
     /// keeping every other point (and all tenors) bit-identical — the
     /// epoch-swap half of the incremental tick path, through the same
-    /// [`edit_curve_point`] as `IncrementalEngine::apply_tick`. Returns
-    /// the new epoch number and whether the tick was zero-delta
-    /// (identical value bits re-published; the engine is reused).
+    /// [`edit_curve_point`] as `IncrementalEngine::apply_tick`. The new
+    /// engine is the previous one with that knot edited in place
+    /// ([`CpuCdsEngine::set_interest_value`] /
+    /// [`CpuCdsEngine::set_hazard_value`]), bit-identical to a fresh
+    /// build on the new curves. Returns the new epoch number and
+    /// whether the tick was zero-delta (identical value bits
+    /// re-published; the engine is reused unedited).
     ///
     /// The seed field is inherited from the previous snapshot (the
     /// curves are no longer a pure function of it once point ticks
@@ -95,7 +99,17 @@ impl CurveBook {
         let mut market = prev.market.clone();
         let zero_delta = edit_curve_point(&mut market, CurveTick { curve, knot, value })?;
         let next = self.epoch.load(Ordering::Acquire) + 1;
-        let engine = if zero_delta { prev.engine.clone() } else { CpuCdsEngine::new(&market) };
+        let mut engine = prev.engine.clone();
+        if !zero_delta {
+            match curve {
+                CurveKind::Interest => {
+                    engine.set_interest_value(knot, market.interest.points()[knot].value)
+                }
+                CurveKind::Hazard => {
+                    engine.set_hazard_value(knot, market.hazard.points()[knot].value)
+                }
+            }
+        }
         let snapshot = Arc::new(EpochSnapshot { epoch: next, seed: prev.seed, market, engine });
         *lock_recover(&self.slot) = snapshot;
         self.epoch.store(next, Ordering::Release);
@@ -123,7 +137,7 @@ impl CurveBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_quant::option::CdsOption;
+    use cds_quant::option::{CdsOption, PaymentFrequency};
     use std::thread;
 
     #[test]
@@ -187,6 +201,47 @@ mod tests {
             }
         }
         assert_eq!(before.market.interest, after.market.interest);
+    }
+
+    #[test]
+    fn point_tick_engine_prices_like_a_fresh_build() {
+        // Every frequency, maturities from inside the first period to
+        // past the 7.5-year curve horizon.
+        let mut probe = Vec::new();
+        for frequency in [
+            PaymentFrequency::Annual,
+            PaymentFrequency::SemiAnnual,
+            PaymentFrequency::Quarterly,
+            PaymentFrequency::Monthly,
+        ] {
+            for maturity in [0.02, 0.3, 1.0, 2.5, 5.0, 7.3, 7.5, 9.0, 12.0] {
+                probe.push(CdsOption::new(maturity, frequency, 0.4));
+            }
+        }
+        let book = CurveBook::new(5);
+        let n = book.current().market.interest.len();
+        for curve in [CurveKind::Interest, CurveKind::Hazard] {
+            for knot in [0, 1, n / 2, n - 2, n - 1] {
+                let before = book.current();
+                let points = match curve {
+                    CurveKind::Interest => before.market.interest.points(),
+                    CurveKind::Hazard => before.market.hazard.points(),
+                };
+                let value = points[knot].value * 1.3;
+                let (_, zero) =
+                    book.publish_point(curve, knot, value).unwrap_or_else(|e| panic!("{e}"));
+                assert!(!zero);
+                let after = book.current();
+                let fresh = CpuCdsEngine::new(&after.market);
+                for o in &probe {
+                    assert_eq!(
+                        after.engine.price(o).spread_bps.to_bits(),
+                        fresh.price(o).spread_bps.to_bits(),
+                        "{curve} knot {knot}, {o:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
