@@ -1,14 +1,20 @@
 //! Ablation experiments: Listing 1, vectorisation factor, hazard II,
 //! stream depth, and reduced precision.
 
+use crate::sampler;
 use crate::workload::Workload;
 use cds_engine::prelude::*;
 use cds_quant::accumulate::{sum_kahan, sum_lanes7, sum_sequential};
 use cds_quant::cds::price_cds_generic;
 use cds_quant::option::MarketData;
 use dataflow_sim::pipeline::PipelinedLoop;
+use std::hint::black_box;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::Duration;
+
+/// Minimum timed window of each Listing-1 host column. A pass is one sum,
+/// so even this short window times thousands of passes.
+const LISTING1_SAMPLE: Duration = Duration::from_millis(100);
 
 /// Result of the Listing-1 accumulator comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,25 +42,24 @@ pub fn listing1(lengths: &[usize]) -> Vec<Listing1Row> {
     let mut rows = Vec::new();
     for &n in lengths {
         let values: Vec<f64> = (0..n).map(|i| ((i * 37 % 1000) as f64) * 1e-3 - 0.3).collect();
-        let reps = (2_000_000 / n.max(1)).max(1);
+        // Nanoseconds per element of one sum over `values`, through the
+        // harness's one sampler.
+        let ns_per_elem = |sum: fn(&[f64]) -> f64| {
+            1e9 / sampler::rate(
+                || {
+                    black_box(sum(black_box(&values)));
+                    n
+                },
+                LISTING1_SAMPLE,
+            )
+        };
+        let naive_ns = ns_per_elem(sum_sequential);
+        let lanes_ns = ns_per_elem(sum_lanes7);
 
-        let t0 = Instant::now();
-        let mut acc_naive = 0.0;
-        for _ in 0..reps {
-            acc_naive += sum_sequential(&values);
-        }
-        let naive_ns = t0.elapsed().as_nanos() as f64 / (reps * n.max(1)) as f64;
-
-        let t1 = Instant::now();
-        let mut acc_lanes = 0.0;
-        for _ in 0..reps {
-            acc_lanes += sum_lanes7(&values);
-        }
-        let lanes_ns = t1.elapsed().as_nanos() as f64 / (reps * n.max(1)) as f64;
-
-        let reference = sum_kahan(&values) * reps as f64;
-        let max_error =
-            (acc_naive - reference).abs().max((acc_lanes - reference).abs()) / reps as f64;
+        let reference = sum_kahan(&values);
+        let max_error = (sum_sequential(&values) - reference)
+            .abs()
+            .max((sum_lanes7(&values) - reference).abs());
 
         // FPGA cycle model. Naive: II=7 per element. Listing 1: the outer
         // loop has II=7 but completes seven unrolled independent adds per

@@ -340,7 +340,6 @@ fn scenario_kill_during_drain(seed: u64) -> Result<ServerChaosCase, String> {
     let journal: PathBuf = std::env::temp_dir()
         .join(format!("cds-server-chaos-drain-{}-{seed}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(cds_server::wal::sidecar_path(&journal));
     let handle = serve(ServerConfig {
         shards: 1,
         seed,
@@ -374,7 +373,6 @@ fn scenario_kill_during_drain(seed: u64) -> Result<ServerChaosCase, String> {
     let matched = report.spreads.len() == total as usize
         && report.spreads.iter().all(|(_, _, spread, _)| spread.to_bits() == want);
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(cds_server::wal::sidecar_path(&journal));
     Ok(ServerChaosCase {
         name: "server/kill-during-drain-resume".to_string(),
         degraded: true,

@@ -24,10 +24,12 @@
 //!   no state may resume to *different bits*,
 //! * **sync ordering held** — the trace shows data fsynced before
 //!   every rename and a parent-directory sync after it
-//!   ([`sync_ordering_held`]); reverting the write-discipline fix in
-//!   `cds-server`'s `wal.rs` flips this verdict and fails the gate
-//!   (the `storage/lying-fsync` scenario honestly baselines it as
-//!   `false` — a lying fsync never reaches the trace).
+//!   ([`sync_ordering_held`], the engine sidecar's rule), and the server
+//!   journal fsynced before and after its `drain` record
+//!   ([`drain_ordering_held`], the journal's own rule); breaking either
+//!   discipline flips this verdict and fails the gate (the
+//!   `storage/lying-fsync` scenario honestly baselines it as `false` —
+//!   a lying fsync never reaches the trace).
 //!
 //! Counts (crash states enumerated, typed failures, clean resumes)
 //! are informational only; the verdict booleans are the gate.
@@ -45,7 +47,7 @@ use cds_engine::prelude::{
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::proto::Priority;
 use cds_server::server::{resume_journal, ResumeReport};
-use cds_server::wal::WalWriter;
+use cds_server::wal::{drain_ordering_held, WalWriter};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -79,7 +81,8 @@ pub struct StorageChaosCase {
     /// typed — none panicked, none resumed to different bits.
     pub zero_silent_corruption: bool,
     /// The write trace shows fsync-before-rename and
-    /// parent-dir-sync-after-rename throughout.
+    /// parent-dir-sync-after-rename throughout, and the server journal
+    /// fsynced before and after its `drain` record.
     pub ordering_held: bool,
     /// The scenario's overall pass verdict.
     pub survived: bool,
@@ -151,6 +154,11 @@ fn workload_option(i: u32) -> CdsOption {
     CdsOption::new(maturity, PaymentFrequency::Quarterly, recovery)
 }
 
+/// Completions per journal fsync in the server-journal workloads. It
+/// does not divide `storage/clean-run`'s six completions, so that run's
+/// last completions are synced only by the drain's own leading fsync.
+const WAL_CADENCE: u32 = 4;
+
 /// One server-journal workload: `accepts` quotes, completions for the
 /// first `dones` of them (spreads priced on the deterministic CPU
 /// engine, exactly as the server would under the boot epoch), and
@@ -182,7 +190,8 @@ fn run_wal_workload(
     };
     let engine = CpuCdsEngine::new(&MarketData::paper_workload(seed));
     let mut write_failed = false;
-    let wal = WalWriter::create_with_io(io, &journal, seed, 2).map_err(|e| e.to_string())?;
+    let wal =
+        WalWriter::create_with_io(io, &journal, seed, WAL_CADENCE).map_err(|e| e.to_string())?;
     for i in 0..accepts {
         write_failed |= wal.accept(100 + i as u64, &workload_option(i), Priority::High).is_err();
     }
@@ -274,7 +283,7 @@ fn wal_scenario(
     // The intact disk is itself the final crash state; it must resume.
     let reference = resume_journal(&w.journal)
         .map_err(|e| format!("{name}: intact journal must resume: {e}"))?;
-    let ordering_held = sync_ordering_held(&w.trace);
+    let ordering_held = sync_ordering_held(&w.trace) && drain_ordering_held(&w.trace, &w.journal);
     let root = w.journal.parent().ok_or("journal has a parent")?.to_path_buf();
     let sweep = sweep_wal_crash_states(tag, &w.trace, &root, "journal.wal", &reference)?;
     let _ = std::fs::remove_dir_all(&root);
@@ -429,10 +438,10 @@ pub fn run(seed: u64) -> Result<StorageChaosReport, String> {
             )?,
         ),
         // Every fsync lies: nothing the writer "synced" is actually
-        // durable, so the trace honestly fails the ordering check —
-        // and the crash sweep must STILL find zero silent states
-        // (checkpoint commit markers and cross-validation turn every
-        // half-landed sidecar into a typed refusal).
+        // durable, so the trace honestly fails the journal's drain
+        // ordering rule — and the crash sweep must STILL find zero
+        // silent states (a prefix-consistent journal whose `drain
+        // commit=` is checked against the completions before it).
         wal_scenario(
             "storage/lying-fsync",
             "liar",

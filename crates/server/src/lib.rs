@@ -15,8 +15,8 @@
 //!   retries and hedged attempts safe: a request id is priced once no
 //!   matter how many attempts race.
 //! - [`wal`] — the serving write-ahead journal; accepted requests are
-//!   durable before dispatch and completions checkpoint through the
-//!   engine's [`cds_engine::checkpoint::Checkpoint`] text format, so a
+//!   durable before dispatch and completions are journalled with their
+//!   exact spread bits, so the journal is its own checkpoint and a
 //!   `SIGTERM` mid-burst drains or leaves a bit-identically resumable
 //!   journal.
 //! - [`tenant`] — per-tenant bulkheads: token-bucket rate limits,

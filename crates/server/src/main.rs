@@ -17,7 +17,7 @@ options:
   --conn-capacity <n>       per-connection in-flight cap (default 256)
   --service-micros <n>      admission service estimate per quote (default 200)
   --journal <path>          write-ahead journal path (durability off when absent)
-  --cadence <n>             completions per checkpoint (default 64)
+  --cadence <n>             completions per journal fsync (default 64)
   --wal-fault <kind>@<n>    inject a journal storage fault (testing): kind is
                             enospc|eio|short (at append index n) or liar
                             (fsyncs lie from fsync index n); requires --journal

@@ -46,7 +46,6 @@ use crate::proto::{
 use crate::snapshot::{CurveBook, EpochSnapshot};
 use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState, DEFAULT_MAX_TENANTS};
 use crate::wal::{read_wal, CorruptionReport, WalError, WalFaultSpec, WalWriter};
-use cds_engine::checkpoint::Checkpoint;
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
 use cds_engine::retry::RetryPolicy;
 use cds_engine::streaming::AdmissionControl;
@@ -84,7 +83,8 @@ pub struct ServerConfig {
     pub ladder: LadderConfig,
     /// Write-ahead journal path; `None` serves without durability.
     pub journal: Option<PathBuf>,
-    /// Completions per checkpoint sidecar rewrite.
+    /// Completions per journal fsync: bounds how many journalled
+    /// completions a power loss can take.
     pub cadence: u32,
     /// Storage fault to inject into the journal's IO layer (testing
     /// only; requires `journal`). The server runs normally until the
@@ -159,7 +159,7 @@ impl ServerConfig {
             return Err(ServerError::Config("target utilisation must be in (0, 1)"));
         }
         if self.cadence == 0 {
-            return Err(ServerError::Config("checkpoint cadence must be at least 1"));
+            return Err(ServerError::Config("journal fsync cadence must be at least 1"));
         }
         if self.wal_fault.is_some() && self.journal.is_none() {
             return Err(ServerError::Config("--wal-fault requires a journal"));
@@ -981,8 +981,6 @@ pub struct DrainSummary {
     /// Accepted quotes still pending when the drain deadline expired;
     /// recoverable from the journal.
     pub pending: u64,
-    /// The final checkpoint, when a journal was configured.
-    pub checkpoint: Option<Checkpoint>,
 }
 
 fn acceptor(
@@ -1015,26 +1013,20 @@ fn acceptor(
     while core.stats.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
     }
-    let checkpoint = match &core.wal {
-        Some(wal) => match wal.finalize() {
-            Ok(cp) => Some(cp),
-            Err(e) => {
-                core.note_wal_degraded("drain finalize", &e);
-                eprintln!(
-                    "cds-server: final checkpoint failed: {e}; the durable journal prefix \
-                     remains resumable"
-                );
-                None
-            }
-        },
-        None => None,
-    };
+    if let Some(wal) = &core.wal {
+        if let Err(e) = wal.finalize() {
+            core.note_wal_degraded("drain finalize", &e);
+            eprintln!(
+                "cds-server: drain commit failed: {e}; the durable journal prefix remains \
+                 resumable"
+            );
+        }
+    }
     core.shutdown.store(true, Ordering::SeqCst);
     DrainSummary {
         accepted: core.stats.accepted.load(Ordering::Relaxed),
         completed: core.stats.completed.load(Ordering::Relaxed),
         pending: core.stats.inflight.load(Ordering::SeqCst),
-        checkpoint,
     }
 }
 
@@ -1084,7 +1076,6 @@ impl ServerHandle {
                 accepted: self.core.stats.accepted.load(Ordering::Relaxed),
                 completed: self.core.stats.completed.load(Ordering::Relaxed),
                 pending: self.core.stats.inflight.load(Ordering::Relaxed),
-                checkpoint: None,
             },
         };
         for w in self.workers {

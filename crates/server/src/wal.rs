@@ -1,17 +1,16 @@
 //! The serving write-ahead journal.
 //!
 //! Every accepted quote is appended (and flushed) to the journal
-//! *before* it is dispatched to a shard; every completion is appended
-//! after its canonical spread is elected. Completions additionally
-//! checkpoint through the engine's [`Checkpoint`] text format (written
-//! atomically to a `.ckpt` sidecar every `cadence` completions and at
-//! drain), tagged with the `cds-server` scenario label so a resume
-//! under the wrong journal fails typed. A `SIGTERM` mid-burst therefore
-//! leaves one of two states, both safe: the drain finished (journal
-//! carries a terminal `drain commit=` line and a complete checkpoint)
-//! or it did not (accepted-but-incomplete quotes are recoverable as
-//! [`WalState::pending`] and reprice bit-identically — the CPU engine
-//! is deterministic given the epoch seed).
+//! *before* it is dispatched to a shard; every completion is appended,
+//! with its canonical spread's exact bits, after the spread is elected.
+//! The journal is its own checkpoint: [`read_wal`] rebuilds everything
+//! a resume needs from the `accept` and `done` records, so no sidecar
+//! file is written. A `SIGTERM` mid-burst therefore leaves one of two
+//! states, both safe: the drain finished (the journal ends in a
+//! terminal `drain commit=` record) or it did not (accepted-but-
+//! incomplete quotes are recoverable as [`WalState::pending`] and
+//! reprice bit-identically — the CPU engine is deterministic given the
+//! epoch seed).
 //!
 //! ## Crash-consistent write discipline
 //!
@@ -20,20 +19,18 @@
 //! ordering testable (and its violation loud) in the `storage-chaos`
 //! harness:
 //!
-//! 1. the journal is **fsynced before** every sidecar publish, so a
-//!    checkpoint can never be durable ahead of the completions it
-//!    summarizes ([`read_wal`] cross-validates and fails typed if one
-//!    is found anyway),
-//! 2. the sidecar is published via [`Checkpoint::persist`]: tmp file →
-//!    fsync → rename → parent-directory sync, so a crash leaves the
-//!    previous checkpoint or the new one, never a torn file,
-//! 3. the terminal `drain commit=` marker is appended only after the
-//!    final checkpoint is durable, and is itself fsynced.
-//!
-//! Per-record appends are flushed but *not* fsynced (a power loss may
-//! lose a tail of them); the journal is prefix-consistent, and every
-//! unsynced prefix resumes bit-identically — the `storage-chaos`
-//! crash-state enumeration proves it.
+//! 1. records are appended and flushed, but *not* fsynced one by one
+//!    (a power loss may lose a tail of them); the journal is
+//!    prefix-consistent, and every unsynced prefix resumes
+//!    bit-identically — the `storage-chaos` crash-state enumeration
+//!    proves it,
+//! 2. every `cadence` completions the journal is fsynced, which bounds
+//!    what a power loss can take; nothing else is written, so the cost
+//!    of a completion does not grow with the journal's history,
+//! 3. the drain fsyncs the journal, appends `drain commit=`, and
+//!    fsyncs again ([`drain_ordering_held`] checks this on a recorded
+//!    trace), so a durable commit record never claims completions that
+//!    are not durable.
 //!
 //! ## Fail-stop degradation
 //!
@@ -45,13 +42,10 @@
 //! the flag as the `wal-degraded` ladder observation.
 
 use crate::proto::{bad, frequency_from_wire, frequency_to_wire, ParseError, Priority};
-use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERSION};
 use cds_engine::codec::{f64_to_token, Fields};
-use cds_engine::journal_io::{FileId, JournalIo, OsJournalIo, StorageFaultPlan};
-use cds_engine::CdsError;
+use cds_engine::journal_io::{FileId, JournalIo, JournalOp, OsJournalIo, StorageFaultPlan};
 use cds_quant::option::{CdsOption, PaymentFrequency};
 use cds_quant::QuantError;
-use dataflow_sim::Cycle;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -59,21 +53,16 @@ use std::sync::{Arc, Mutex};
 
 use crate::lock_recover;
 
-/// Scenario label stamped on every server checkpoint; resuming a
-/// journal recorded by something else fails typed instead of silently
-/// replaying the wrong work.
-pub const SERVER_SCENARIO: &str = "cds-server";
-
 const WAL_HEADER: &str = "cds-server-wal v1";
 
 /// An attributable corruption: which file, where, and why — every
 /// distinguishable corruption class [`read_wal`] can meet reports one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionReport {
-    /// The corrupt file (journal or checkpoint sidecar).
+    /// The corrupt journal.
     pub file: PathBuf,
     /// Byte offset of the offending record (0 when the corruption is
-    /// not positional, e.g. a cross-file inconsistency).
+    /// not positional, e.g. a record that no longer validates).
     pub offset: u64,
     /// 1-based line number of the offending record, when positional.
     pub line: Option<u64>,
@@ -107,8 +96,8 @@ pub enum WalError {
     /// durable journal prefix remains resumable, but no further
     /// appends are accepted.
     Degraded,
-    /// The journal or its checkpoint sidecar is malformed; the report
-    /// attributes the corruption to a file, offset, and cause.
+    /// The journal is malformed; the report attributes the corruption
+    /// to a file, offset, and cause.
     Corrupt(CorruptionReport),
 }
 
@@ -226,10 +215,9 @@ impl std::str::FromStr for WalFaultSpec {
 struct WalInner {
     io: Arc<dyn JournalIo>,
     file: FileId,
-    ckpt_path: PathBuf,
     cadence: u32,
     accepted: u32,
-    completions: Vec<CompletedOption>,
+    completed: u32,
     degraded: bool,
 }
 
@@ -274,31 +262,10 @@ fn fsync_journal(inner: &mut WalInner) -> Result<(), WalError> {
     }
 }
 
-/// Publish the current checkpoint sidecar. The caller must have
-/// fsynced the journal first so the sidecar is never durable ahead of
-/// the completions it summarizes.
-fn publish_sidecar(inner: &mut WalInner) -> Result<Checkpoint, WalError> {
-    if inner.degraded {
-        return Err(WalError::Degraded);
-    }
-    let cp = build_checkpoint(inner);
-    match cp.persist(inner.io.as_ref(), &inner.ckpt_path) {
-        Ok(()) => Ok(cp),
-        Err(CdsError::Storage { path, cause }) => {
-            inner.degraded = true;
-            Err(WalError::Io(std::io::Error::other(format!("sidecar {path}: {cause}"))))
-        }
-        Err(other) => {
-            inner.degraded = true;
-            Err(WalError::Io(std::io::Error::other(format!("sidecar publish: {other}"))))
-        }
-    }
-}
-
 impl WalWriter {
     /// Create (truncate) a journal at `path` on the real filesystem.
-    /// `seed` is the boot curve epoch seed; `cadence` is the
-    /// completions-per-checkpoint interval.
+    /// `seed` is the boot curve epoch seed; `cadence` is the number of
+    /// completions per journal fsync.
     pub fn create(path: &Path, seed: u64, cadence: u32) -> Result<WalWriter, WalError> {
         WalWriter::create_with_io(Arc::new(OsJournalIo::new()), path, seed, cadence)
     }
@@ -312,20 +279,18 @@ impl WalWriter {
         cadence: u32,
     ) -> Result<WalWriter, WalError> {
         if cadence == 0 {
-            return Err(WalError::Config("checkpoint cadence must be at least 1"));
+            return Err(WalError::Config("journal fsync cadence must be at least 1"));
         }
         let file = io.create(path)?;
         io.append(file, format!("{WAL_HEADER}\nseed={seed}\ncadence={cadence}\n").as_bytes())?;
-        let ckpt_path = sidecar_path(path);
         Ok(WalWriter {
             seed,
             inner: Mutex::new(WalInner {
                 io,
                 file,
-                ckpt_path,
                 cadence,
                 accepted: 0,
-                completions: Vec::new(),
+                completed: 0,
                 degraded: false,
             }),
         })
@@ -354,60 +319,60 @@ impl WalWriter {
     }
 
     /// Durably record a completion (the canonical spread for `seq`).
-    /// Every `cadence` completions the journal is fsynced and the
-    /// checkpoint sidecar rewritten atomically — in that order, so the
-    /// sidecar is never durable ahead of its journal.
+    /// Every `cadence` completions the journal is fsynced; nothing else
+    /// is written, so the cost does not grow with history.
     pub fn done(&self, seq: u32, spread_bps: f64) -> Result<(), WalError> {
         let mut inner = lock_recover(&self.inner);
         append_line(&mut inner, &format!("done seq={seq} bits={}\n", f64_to_token(spread_bps)))?;
-        let done_cycle = inner.completions.len() as Cycle;
-        inner.completions.push(CompletedOption { index: seq, done_cycle, spread_bps });
-        if (inner.completions.len() as u32).is_multiple_of(inner.cadence) {
+        inner.completed += 1;
+        if inner.completed.is_multiple_of(inner.cadence) {
             fsync_journal(&mut inner)?;
-            publish_sidecar(&mut inner)?;
         }
         Ok(())
     }
 
-    /// Snapshot the current checkpoint (fsyncs the journal, then
-    /// rewrites the sidecar).
-    pub fn checkpoint_now(&self) -> Result<Checkpoint, WalError> {
-        let mut inner = lock_recover(&self.inner);
-        fsync_journal(&mut inner)?;
-        publish_sidecar(&mut inner)
+    /// Make every record appended so far durable: the journal is its
+    /// own checkpoint, so this is one fsync of the journal.
+    pub fn checkpoint_now(&self) -> Result<(), WalError> {
+        fsync_journal(&mut lock_recover(&self.inner))
     }
 
-    /// Terminal drain record: fsyncs the journal, writes the final
-    /// checkpoint sidecar, and only then appends (and fsyncs) the
-    /// `drain commit=` line marking how many completions were durable
-    /// at drain. Pending quotes (if the drain deadline expired first)
-    /// remain recoverable.
-    pub fn finalize(&self) -> Result<Checkpoint, WalError> {
+    /// Terminal drain record: fsyncs the journal, appends the
+    /// `drain commit=` line counting the completions now durable, and
+    /// fsyncs again. Pending quotes (if the drain deadline expired
+    /// first) remain recoverable.
+    pub fn finalize(&self) -> Result<(), WalError> {
         let mut inner = lock_recover(&self.inner);
         fsync_journal(&mut inner)?;
-        let cp = publish_sidecar(&mut inner)?;
-        let commit = inner.completions.len();
+        let commit = inner.completed;
         append_line(&mut inner, &format!("drain commit={commit}\n"))?;
-        fsync_journal(&mut inner)?;
-        Ok(cp)
+        fsync_journal(&mut inner)
     }
 }
 
-fn build_checkpoint(inner: &WalInner) -> Checkpoint {
-    Checkpoint {
-        schema_version: CHECKPOINT_SCHEMA_VERSION,
-        total_options: inner.accepted,
-        cadence: inner.cadence,
-        watermark_cycle: inner.completions.len() as Cycle,
-        fault_seed: None,
-        scenario: Some(SERVER_SCENARIO.to_string()),
-        admitted: (0..inner.accepted).collect(),
-        shed: Vec::new(),
-        completed: inner.completions.clone(),
-    }
+/// The journal's own ordering rule, the one [`WalWriter::finalize`]
+/// keeps: on a recorded trace, every `drain` record appended to
+/// `journal` comes after an fsync of `journal` that follows its last
+/// earlier append, and is itself fsynced afterwards. A trace with no
+/// `drain` record (a kill before the drain) holds it trivially.
+pub fn drain_ordering_held(trace: &[JournalOp], journal: &Path) -> bool {
+    let append = |op: &JournalOp| matches!(op, JournalOp::Append { path, .. } if path == journal);
+    let fsync = |op: &JournalOp| matches!(op, JournalOp::Fsync { path } if path == journal);
+    trace.iter().enumerate().all(|(d, op)| {
+        let JournalOp::Append { path, bytes } = op else { return true };
+        if path != journal || !bytes.starts_with(b"drain ") {
+            return true;
+        }
+        let last_append = trace[..d].iter().rposition(append);
+        let synced_before =
+            trace[..d].iter().rposition(fsync).is_some_and(|f| last_append.is_none_or(|a| f > a));
+        synced_before && trace[d + 1..].iter().any(fsync)
+    })
 }
 
-/// The checkpoint sidecar lives next to the journal.
+/// Where older servers kept a checkpoint sidecar next to the journal.
+/// No writer creates this file any more and [`read_wal`] ignores it; the
+/// path is kept for tools that still clean it up.
 pub fn sidecar_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".ckpt");
@@ -419,7 +384,7 @@ pub fn sidecar_path(path: &Path) -> PathBuf {
 pub struct WalState {
     /// Boot curve epoch seed the server ran with.
     pub seed: u64,
-    /// Checkpoint cadence the server ran with.
+    /// Completions per journal fsync the server ran with.
     pub cadence: u32,
     /// Every accepted quote, in sequence order.
     pub accepted: Vec<AcceptRecord>,
@@ -427,8 +392,6 @@ pub struct WalState {
     pub done: HashMap<u32, f64>,
     /// Whether a terminal `drain commit=` record was found.
     pub drained: bool,
-    /// The checkpoint sidecar, when present and valid.
-    pub checkpoint: Option<Checkpoint>,
 }
 
 impl WalState {
@@ -495,60 +458,10 @@ fn parse_line(state: &mut WalState, line: &str) -> Result<(), ParseError> {
     }
 }
 
-/// A corruption of the checkpoint sidecar as a whole (not positional).
-fn sidecar_corrupt(ckpt_path: &Path, cause: String) -> WalError {
-    WalError::Corrupt(CorruptionReport {
-        file: ckpt_path.to_path_buf(),
-        offset: 0,
-        line: None,
-        cause,
-    })
-}
-
-/// Cross-validate the checkpoint sidecar against the journal it
-/// summarizes: with the write discipline intact the journal is always
-/// durable first, so a sidecar that is *ahead* of the journal (more
-/// accepts, or a completion the journal never recorded, or a
-/// disagreeing spread) is corruption — typed, attributable, never a
-/// silent resume of the wrong work.
-fn cross_validate(state: &WalState, cp: &Checkpoint, ckpt_path: &Path) -> Result<(), WalError> {
-    let corrupt = |cause: String| sidecar_corrupt(ckpt_path, cause);
-    if cp.total_options as usize > state.accepted.len() {
-        return Err(corrupt(format!(
-            "checkpoint summarizes {} accepted quotes but the journal holds {} — the sidecar \
-             is durable ahead of its journal",
-            cp.total_options,
-            state.accepted.len()
-        )));
-    }
-    for c in &cp.completed {
-        match state.done.get(&c.index) {
-            None => {
-                return Err(corrupt(format!(
-                    "checkpoint holds a completion for seq {} the journal never recorded — \
-                     the sidecar is durable ahead of its journal",
-                    c.index
-                )))
-            }
-            Some(spread) if spread.to_bits() != c.spread_bps.to_bits() => {
-                return Err(corrupt(format!(
-                    "checkpoint spread for seq {} ({:016x}) disagrees with the journal \
-                     ({:016x})",
-                    c.index,
-                    c.spread_bps.to_bits(),
-                    spread.to_bits()
-                )))
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(())
-}
-
-/// Read a journal (and its checkpoint sidecar) back. A torn final line
-/// — the signature of a kill or power loss mid-write — is dropped;
-/// corruption anywhere else fails typed with an attributable
-/// [`CorruptionReport`] (file, byte offset, line, cause).
+/// Read a journal back. A torn final line — the signature of a kill or
+/// power loss mid-write — is dropped; corruption anywhere else fails
+/// typed with an attributable [`CorruptionReport`] (file, byte offset,
+/// line, cause).
 pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
     let text = std::fs::read_to_string(path)?;
     let corrupt = |offset: u64, line: Option<u64>, cause: String| {
@@ -578,14 +491,8 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         .and_then(|f| f.dec("cadence"))
         .map_err(|e| corrupt(*c_off, Some(*c_line), e.to_string()))?;
 
-    let mut state = WalState {
-        seed,
-        cadence,
-        accepted: Vec::new(),
-        done: HashMap::new(),
-        drained: false,
-        checkpoint: None,
-    };
+    let mut state =
+        WalState { seed, cadence, accepted: Vec::new(), done: HashMap::new(), drained: false };
     for (i, &(off, line_no, line)) in body.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -599,33 +506,13 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         }
     }
 
-    let ckpt_path = sidecar_path(path);
-    if ckpt_path.exists() {
-        let text = std::fs::read_to_string(&ckpt_path)?;
-        let cp = Checkpoint::parse(&text)
-            .map_err(|e| sidecar_corrupt(&ckpt_path, format!("checkpoint sidecar: {e}")))?;
-        let scenario = cp.scenario.as_deref();
-        if scenario != Some(SERVER_SCENARIO) {
-            return Err(sidecar_corrupt(
-                &ckpt_path,
-                format!(
-                "checkpoint scenario {scenario:?} is not `{SERVER_SCENARIO}`; refusing to resume \
-                 someone else's journal"
-            ),
-            ));
-        }
-        cross_validate(&state, &cp, &ckpt_path)?;
-        state.checkpoint = Some(cp);
-    }
     Ok(state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_engine::journal_io::{
-        sync_ordering_held, FaultyJournalIo, JournalOp, RecordingJournalIo,
-    };
+    use cds_engine::journal_io::{FaultyJournalIo, RecordingJournalIo};
     use cds_quant::option::PaymentFrequency;
 
     fn tmp(name: &str) -> PathBuf {
@@ -647,10 +534,7 @@ mod tests {
         let s1 = wal.accept(101, &opt(), Priority::Low).expect("accept");
         assert_eq!((s0, s1), (0, 1));
         wal.done(0, spread).expect("done");
-        let cp = wal.finalize().expect("finalize");
-        assert_eq!(cp.total_options, 2);
-        assert_eq!(cp.scenario.as_deref(), Some(SERVER_SCENARIO));
-        assert!(!cp.is_complete());
+        wal.finalize().expect("finalize");
 
         let state = read_wal(&path).expect("read");
         assert_eq!(state.seed, 42);
@@ -663,11 +547,7 @@ mod tests {
         assert_eq!(pending[0].seq, 1);
         assert_eq!(pending[0].id, 101);
         assert_eq!(pending[0].priority, Priority::Low);
-        let cp = state.checkpoint.expect("sidecar present");
-        assert_eq!(cp.completed.len(), 1);
-        assert_eq!(cp.completed[0].spread_bps.to_bits(), spread.to_bits());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
     #[test]
@@ -702,82 +582,95 @@ mod tests {
             other => panic!("interior corruption must be typed, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
-    #[test]
-    fn foreign_scenario_checkpoints_are_refused() {
-        let path = tmp("foreign.wal");
-        let wal = WalWriter::create(&path, 7, 1).expect("create");
-        wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.done(0, 100.0).expect("done");
-        drop(wal);
-        let ckpt = sidecar_path(&path);
-        let text = std::fs::read_to_string(&ckpt).expect("sidecar");
-        std::fs::write(&ckpt, text.replace(SERVER_SCENARIO, "corrupt-spread")).expect("rewrite");
-        match read_wal(&path) {
-            Err(WalError::Corrupt(report)) => {
-                assert_eq!(report.file, ckpt);
-                assert!(report.cause.contains("corrupt-spread"), "cause: {}", report.cause);
-            }
-            other => panic!("foreign scenario must be refused, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&ckpt);
-    }
-
-    /// Satellite regression test for the fsync-ordering fix: the trace
-    /// must show journal-fsync before every sidecar publish, tmp-file
-    /// fsync before its rename, and a parent-directory sync after — and
-    /// the terminal drain marker only after the final sidecar sync.
-    #[test]
-    fn sync_calls_happen_in_order_on_the_trace() {
-        let dir = std::env::temp_dir().join(format!("cds-wal-order-{}", std::process::id()));
+    /// A journal over the real filesystem in a fresh scratch directory,
+    /// recorded so the test can inspect every storage operation.
+    fn recorded(
+        name: &str,
+        cadence: u32,
+    ) -> (PathBuf, PathBuf, Arc<RecordingJournalIo>, WalWriter) {
+        let dir = std::env::temp_dir().join(format!("cds-wal-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("dir");
         let path = dir.join("j.wal");
         let rec = Arc::new(RecordingJournalIo::over(Arc::new(OsJournalIo::new())));
-        let wal = WalWriter::create_with_io(rec.clone(), &path, 42, 2).expect("create");
-        wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.accept(2, &opt(), Priority::High).expect("accept");
+        let wal = WalWriter::create_with_io(rec.clone(), &path, 42, cadence).expect("create");
+        (dir, path, rec, wal)
+    }
+
+    /// The drain is fsync → `drain` append → fsync on the trace, and
+    /// the rule that checks it fails when either fsync is missing.
+    #[test]
+    fn sync_calls_happen_in_order_on_the_trace() {
+        let (dir, path, rec, wal) = recorded("order", 2);
+        for i in 0..3 {
+            wal.accept(i, &opt(), Priority::High).expect("accept");
+        }
         wal.done(0, 100.0).expect("done");
-        wal.done(1, 101.0).expect("done"); // cadence hit: fsync + sidecar
+        wal.done(1, 101.0).expect("done"); // cadence hit: journal fsync
+        wal.done(2, 102.0).expect("done"); // unsynced until the drain
         wal.finalize().expect("finalize");
         let trace = rec.trace();
-        assert!(sync_ordering_held(&trace), "write discipline violated: {trace:#?}");
-        // Journal fsync precedes the first sidecar tmp creation.
-        let journal_fsync = trace
-            .iter()
-            .position(|op| matches!(op, JournalOp::Fsync { path: p } if *p == path))
-            .expect("journal fsync present");
-        let tmp_create = trace
+        assert!(drain_ordering_held(&trace, &path), "write discipline violated: {trace:#?}");
+        let drain = trace
             .iter()
             .position(
-                |op| matches!(op, JournalOp::Create { path: p } if p.to_string_lossy().contains(".ckpt.tmp")),
-            )
-            .expect("sidecar tmp created");
-        assert!(
-            journal_fsync < tmp_create,
-            "journal must be synced before the sidecar: {trace:#?}"
-        );
-        // The drain marker is the last journal append, after the final
-        // parent-directory sync, and is itself fsynced.
-        let last_dirsync = trace
-            .iter()
-            .rposition(|op| matches!(op, JournalOp::SyncDir { .. }))
-            .expect("dir sync present");
-        let drain_append = trace
-            .iter()
-            .rposition(
-                |op| matches!(op, JournalOp::Append { path: p, bytes } if *p == path && bytes.starts_with(b"drain ")),
+                |op| matches!(op, JournalOp::Append { bytes, .. } if bytes.starts_with(b"drain ")),
             )
             .expect("drain marker present");
-        assert!(last_dirsync < drain_append, "drain marker must follow the sidecar sync");
-        let final_fsync = trace
-            .iter()
-            .rposition(|op| matches!(op, JournalOp::Fsync { path: p } if *p == path))
-            .expect("final fsync present");
-        assert!(drain_append < final_fsync, "drain marker must be fsynced");
+        assert!(matches!(&trace[drain - 1], JournalOp::Fsync { path: p } if *p == path));
+        assert!(matches!(&trace[drain + 1..], [JournalOp::Fsync { path: p }] if *p == path));
+        // Drop the fsync before the drain, then the one after: each
+        // leaves a trace the rule must refuse.
+        for cut in [drain - 1, drain + 1] {
+            let mut mutant = trace.clone();
+            mutant.remove(cut);
+            assert!(!drain_ordering_held(&mutant, &path), "rule missed a dropped fsync at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The journal is its own checkpoint: every append is one short
+    /// record, and every cadence window costs the same IO however long
+    /// the history — one journal fsync, no file created or renamed.
+    #[test]
+    fn checkpoint_cost_does_not_grow_with_history() {
+        const CADENCE: usize = 4;
+        let (dir, path, rec, wal) = recorded("cost", CADENCE as u32);
+        for i in 0..400u32 {
+            let seq = wal.accept(u64::from(i), &opt(), Priority::High).expect("accept");
+            wal.done(seq, 100.0 + f64::from(i)).expect("done");
+        }
+        let trace = rec.trace();
+        let [JournalOp::Create { .. }, JournalOp::Append { .. }, body @ ..] = trace.as_slice()
+        else {
+            panic!("trace must open with the journal's create and header: {trace:#?}");
+        };
+        for op in body {
+            if let JournalOp::Append { path: p, bytes } = op {
+                assert_eq!(*p, path, "append outside the journal");
+                assert!(bytes.len() <= 128, "append of {} bytes", bytes.len());
+                assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+                assert_eq!(bytes.last(), Some(&b'\n'), "append is not one whole record");
+            }
+        }
+        let kind = |op: &JournalOp| match op {
+            JournalOp::Create { .. } => "create",
+            JournalOp::Append { .. } => "append",
+            JournalOp::Fsync { path: p } if *p == path => "fsync journal",
+            JournalOp::Fsync { .. } => "fsync other",
+            JournalOp::Rename { .. } => "rename",
+            JournalOp::SyncDir { .. } => "syncdir",
+        };
+        let windows: Vec<Vec<&str>> =
+            body.chunks(2 * CADENCE + 1).map(|w| w.iter().map(kind).collect()).collect();
+        let mut want = vec!["append"; 2 * CADENCE];
+        want.push("fsync journal");
+        for (i, window) in windows.iter().enumerate() {
+            assert_eq!(*window, want, "cadence window {i} issues different IO");
+        }
+        assert_eq!(windows.len(), 400 / CADENCE, "one window per {CADENCE} completions");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -812,30 +705,6 @@ mod tests {
         assert_eq!(state.done.len(), 0);
         assert_eq!(state.pending().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sidecar_ahead_of_journal_is_typed_cross_validation_corruption() {
-        let path = tmp("ahead.wal");
-        let wal = WalWriter::create(&path, 7, 1).expect("create");
-        wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.done(0, 100.0).expect("done"); // publishes a sidecar
-        drop(wal);
-        // Truncate the journal back to its header: the sidecar now
-        // summarizes work the journal never recorded (the state a
-        // missing journal fsync could leave behind).
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let header_end = text.match_indices('\n').nth(2).map(|(i, _)| i + 1).expect("header lines");
-        std::fs::write(&path, &text[..header_end]).expect("truncate");
-        match read_wal(&path) {
-            Err(WalError::Corrupt(report)) => {
-                assert_eq!(report.file, sidecar_path(&path));
-                assert!(report.cause.contains("ahead of its journal"), "cause: {}", report.cause);
-            }
-            other => panic!("sidecar-ahead must be typed, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cds_engine::codec::f64_to_token;
 use cds_quant::option::MarketData;
 use cds_server::proto::{parse_response, Response};
 use cds_server::server::resume_journal;
-use cds_server::wal::{read_wal, sidecar_path};
+use cds_server::wal::read_wal;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -25,7 +25,6 @@ fn sigterm_with_enospc_journal_exits_0_and_leaves_a_resumable_prefix() {
     let dir = std::env::temp_dir();
     let journal = dir.join(format!("cds-server-enospc-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 
     // Append index 0 is the journal header; the shards are stalled so
     // the burst's accept appends land first — enospc@6 fails the sixth
@@ -143,5 +142,4 @@ fn sigterm_with_enospc_journal_exits_0_and_leaves_a_resumable_prefix() {
     }
 
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 }

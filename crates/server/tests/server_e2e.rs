@@ -340,12 +340,11 @@ fn drain_deadline_checkpoints_stuck_quotes_as_pending() {
     assert!(report.drained);
     assert_eq!(report.spreads.len(), 4);
     // Quotes mid-service at shutdown may still have completed after the
-    // final checkpoint; everything else repriced on resume.
+    // drain commit; everything else repriced on resume.
     assert!(report.repriced > 0 && report.repriced <= summary.pending as usize);
     let want = reference_spread(42, 5.0, 0.4).to_bits();
     for (seq, _id, spread, _repriced) in &report.spreads {
         assert_eq!(spread.to_bits(), want, "seq {seq} diverged");
     }
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(cds_server::wal::sidecar_path(&journal));
 }

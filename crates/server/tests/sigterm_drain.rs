@@ -11,7 +11,7 @@ use cds_engine::codec::f64_to_token;
 use cds_quant::option::MarketData;
 use cds_server::proto::{parse_response, Response};
 use cds_server::server::resume_journal;
-use cds_server::wal::{read_wal, sidecar_path};
+use cds_server::wal::read_wal;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -69,7 +69,6 @@ fn sigterm_mid_burst_drains_and_resumes_bit_identically() {
     let dir = std::env::temp_dir();
     let journal = dir.join(format!("cds-server-sigterm-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 
     let (mut child, addr) = spawn_server(&journal);
     let stream = TcpStream::connect(addr).expect("connect");
@@ -129,8 +128,10 @@ fn sigterm_mid_burst_drains_and_resumes_bit_identically() {
     let state = read_wal(&journal).expect("journal must be readable");
     assert!(state.drained, "drain must leave a terminal commit record");
     assert!(!state.accepted.is_empty(), "the burst must have been accepted");
-    let checkpoint = state.checkpoint.as_ref().expect("checkpoint sidecar");
-    assert_eq!(checkpoint.total_options as usize, state.accepted.len());
+    // The journal is its own checkpoint: the drain leaves no sidecar.
+    let mut sidecar = journal.clone().into_os_string();
+    sidecar.push(".ckpt");
+    assert!(!std::path::Path::new(&sidecar).exists(), "the drain wrote a checkpoint sidecar");
     for (id, bits) in &answered {
         let rec = state
             .accepted
@@ -168,7 +169,6 @@ fn sigterm_mid_burst_drains_and_resumes_bit_identically() {
     assert!(report.repriced > 0, "expected pending work at the drain deadline");
 
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 }
 
 #[test]
@@ -180,7 +180,6 @@ fn sigterm_under_abuse_load_still_drains_and_resumes_bit_identically() {
     let dir = std::env::temp_dir();
     let journal = dir.join(format!("cds-server-abuse-drain-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_cds-server"))
         .args([
@@ -282,7 +281,6 @@ fn sigterm_under_abuse_load_still_drains_and_resumes_bit_identically() {
     }
 
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 }
 
 #[test]
@@ -293,7 +291,6 @@ fn kill_during_drain_leaves_a_resumable_journal() {
     let dir = std::env::temp_dir();
     let journal = dir.join(format!("cds-server-kill9-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 
     let (mut child, addr) = spawn_server(&journal);
     let stream = TcpStream::connect(addr).expect("connect");
@@ -327,5 +324,4 @@ fn kill_during_drain_leaves_a_resumable_journal() {
     }
 
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(sidecar_path(&journal));
 }
