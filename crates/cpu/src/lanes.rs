@@ -829,6 +829,41 @@ mod tests {
     }
 
     #[test]
+    fn stale_grid_suffix_is_caught_by_the_bit_oracle() {
+        // Mutant: edit the owned engine but skip `truncate_reads`, so the
+        // grids keep points cached under the old knot value. A fresh
+        // kernel on the edited market must disagree in bits at every
+        // knot of both curves; otherwise the oracle in
+        // `edited_kernel_prices_like_a_fresh_kernel_at_every_knot` could
+        // not see a truncation bug.
+        let market = MarketData::paper_workload_sized(37, 64);
+        let book = long_book();
+        let mut warm = LaneKernel::new(CpuCdsEngine::new(&market));
+        warm.price_batch(&book);
+        for hazard in [false, true] {
+            let curve = if hazard { &market.hazard } else { &market.interest };
+            for (knot, point) in curve.points().iter().enumerate() {
+                let value = point.value * 1.07 + 1e-5;
+                let mut mutant = warm.clone();
+                if hazard {
+                    mutant.engine.set_hazard_value(knot, value);
+                } else {
+                    mutant.engine.set_interest_value(knot, value);
+                }
+                let stale = mutant.price_batch(&book);
+                let fresh = CpuCdsEngine::new(&edited_market(&market, hazard, knot, value))
+                    .lane_kernel()
+                    .price_batch(&book);
+                let what = if hazard { "hazard" } else { "interest" };
+                assert!(
+                    stale.iter().zip(&fresh).any(|(s, f)| s.to_bits() != f.to_bits()),
+                    "{what} knot {knot}: stale grid suffix went uncaught"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "maturity must be positive and finite")]
     fn invalid_maturity_panics_like_scalar() {
         let market = MarketData::paper_workload(1);

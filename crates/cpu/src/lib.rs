@@ -29,5 +29,5 @@ pub mod parallel;
 
 pub use engine::{CpuBatchStats, CpuCdsEngine};
 pub use lanes::LaneKernel;
-pub use model::{CpuPerfModel, LANE_KERNEL_SPEEDUP};
+pub use model::CpuPerfModel;
 pub use parallel::price_parallel;

@@ -14,17 +14,6 @@
 //! the same qualitative behaviour the real multi-threaded engine in
 //! [`crate::parallel`] exhibits on the host.
 
-/// Measured single-thread speedup of the lane kernel ([`crate::lanes`])
-/// over the scalar reference on the host this repo is calibrated on
-/// (mixed 1–10y book, 8192-option batches, 1024-knot curves; see
-/// `results/throughput_baseline.json`). The paper's C++ engine
-/// corresponds to the *scalar* rate; [`CpuPerfModel::xeon_8260m_lanes`]
-/// projects what the lane kernel would do on the same silicon by
-/// scaling with this factor. The CI throughput gate enforces a
-/// conservative ≥4x floor; this constant records the actual calibration
-/// point.
-pub const LANE_KERNEL_SPEEDUP: f64 = 16.2;
-
 /// Calibrated CPU throughput model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPerfModel {
@@ -43,16 +32,6 @@ impl CpuPerfModel {
         CpuPerfModel { single_core_rate: 8738.92, contention: 0.0767, cores: 24 }
     }
 
-    /// The same silicon running the lane kernel instead of the paper's
-    /// scalar C++ engine: single-core rate scaled by the measured
-    /// [`LANE_KERNEL_SPEEDUP`], same contention-saturation curve (the
-    /// kernel changes per-option arithmetic, not the shared
-    /// memory-bandwidth ceiling the curve models).
-    pub fn xeon_8260m_lanes() -> Self {
-        let scalar = Self::xeon_8260m();
-        scalar.with_single_core_rate(scalar.single_core_rate * LANE_KERNEL_SPEEDUP)
-    }
-
     /// Parallel speedup over one core at `n` cores.
     pub fn speedup(&self, n: u32) -> f64 {
         assert!(n >= 1 && n <= self.cores, "core count out of range");
@@ -67,13 +46,6 @@ impl CpuPerfModel {
     /// Seconds to price a batch of `options` options on `n` cores.
     pub fn batch_seconds(&self, options: u64, n: u32) -> f64 {
         options as f64 / self.options_per_second(n)
-    }
-
-    /// Rescale the model's single-core rate from a host measurement,
-    /// keeping the calibrated scaling curve (used to sanity-check the
-    /// model against the real machine the harness runs on).
-    pub fn with_single_core_rate(self, rate: f64) -> Self {
-        CpuPerfModel { single_core_rate: rate, ..self }
     }
 }
 
@@ -125,26 +97,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_cores_rejected() {
         let _ = CpuPerfModel::xeon_8260m().speedup(0);
-    }
-
-    #[test]
-    fn lane_model_scales_by_calibrated_speedup() {
-        let scalar = CpuPerfModel::xeon_8260m();
-        let lanes = CpuPerfModel::xeon_8260m_lanes();
-        assert!(
-            (lanes.single_core_rate - scalar.single_core_rate * LANE_KERNEL_SPEEDUP).abs() < 1e-9
-        );
-        // The ISSUE's acceptance floor, with margin at the calibration point.
-        assert!(lanes.single_core_rate / scalar.single_core_rate >= 4.0);
-        // Scaling curve is shared: only the base rate moves.
-        assert_eq!(lanes.speedup(24), scalar.speedup(24));
-        assert_eq!(lanes.cores, scalar.cores);
-    }
-
-    #[test]
-    fn rescaling_preserves_curve() {
-        let m = CpuPerfModel::xeon_8260m().with_single_core_rate(1000.0);
-        assert!((m.options_per_second(1) - 1000.0).abs() < 1e-9);
-        assert_eq!(m.speedup(24), CpuPerfModel::xeon_8260m().speedup(24));
     }
 }

@@ -352,86 +352,6 @@ impl<T> std::fmt::Debug for StreamFaultHooks<T> {
     }
 }
 
-/// One serving-layer fault toggle: at (0-based) accepted-request index
-/// `at_request`, shard `shard` is killed or revived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardToggle {
-    /// 0-based index in the server's accepted-request sequence at which
-    /// the toggle fires (request-indexed for the same reason token
-    /// faults are push-indexed: absolute positions replay exactly).
-    pub at_request: u64,
-    /// Engine shard the toggle applies to.
-    pub shard: usize,
-    /// `true` kills the shard, `false` revives it.
-    pub kill: bool,
-}
-
-/// Deterministic, request-indexed fault schedule for the serving layer.
-///
-/// The wall-clock world of `cds-server` cannot key faults on simulation
-/// cycles the way [`FaultPlan`] does, so its chaos toggles are keyed on
-/// the **accepted-request sequence number** instead — the serving
-/// analogue of the absolute token index: the same plan against the same
-/// request stream kills and revives the same shards at exactly the same
-/// points, independent of scheduler timing. Placement helpers derive
-/// their positions from a seed via [`splitmix64`], like every other
-/// deterministic placement in this module.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceFaultPlan {
-    toggles: Vec<ShardToggle>,
-}
-
-impl ServiceFaultPlan {
-    /// Empty plan (no toggles).
-    #[must_use]
-    pub fn new() -> Self {
-        ServiceFaultPlan::default()
-    }
-
-    /// Whether the plan holds no toggles at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.toggles.is_empty()
-    }
-
-    /// Kill `shard` when accepted request `at_request` arrives.
-    #[must_use]
-    pub fn kill_shard(mut self, shard: usize, at_request: u64) -> Self {
-        self.toggles.push(ShardToggle { at_request, shard, kill: true });
-        self
-    }
-
-    /// Revive `shard` when accepted request `at_request` arrives.
-    #[must_use]
-    pub fn revive_shard(mut self, shard: usize, at_request: u64) -> Self {
-        self.toggles.push(ShardToggle { at_request, shard, kill: false });
-        self
-    }
-
-    /// Seeded placement: kill one shard (chosen by the seed) somewhere
-    /// in the middle half of a `span`-request run — the serving analogue
-    /// of [`FaultPlan::kill_region`] with a derived death cycle.
-    #[must_use]
-    pub fn seeded_mid_run_kill(seed: u64, shards: usize, span: u64) -> Self {
-        let shard = (splitmix64(seed) % shards.max(1) as u64) as usize;
-        let quarter = span / 4;
-        let at_request = quarter + splitmix64(seed ^ 0xFA17) % (span / 2).max(1);
-        ServiceFaultPlan::new().kill_shard(shard, at_request)
-    }
-
-    /// All toggles scheduled at accepted-request index `at_request`, in
-    /// insertion order.
-    pub fn toggles_at(&self, at_request: u64) -> impl Iterator<Item = &ShardToggle> {
-        self.toggles.iter().filter(move |t| t.at_request == at_request)
-    }
-
-    /// Every toggle in the plan, in insertion order.
-    #[must_use]
-    pub fn toggles(&self) -> &[ShardToggle] {
-        &self.toggles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,33 +535,6 @@ mod sim_tests {
         assert_eq!(report.fault_events.len(), 1);
         assert_eq!(report.fault_events[0].opt_idx, Some(3));
         assert_eq!(format!("{}", report.fault_events[0]), "corrupt s[3] opt 3");
-    }
-
-    #[test]
-    fn service_fault_plan_is_deterministic_and_request_indexed() {
-        let plan = ServiceFaultPlan::new().kill_shard(1, 40).revive_shard(1, 80).kill_shard(0, 40);
-        assert!(!plan.is_empty());
-        let at_40: Vec<_> = plan.toggles_at(40).collect();
-        assert_eq!(at_40.len(), 2);
-        assert!(at_40[0].kill && at_40[0].shard == 1);
-        assert!(at_40[1].kill && at_40[1].shard == 0);
-        assert_eq!(plan.toggles_at(41).count(), 0);
-        assert_eq!(plan.toggles_at(80).next().map(|t| t.kill), Some(false));
-
-        // Seeded placement replays exactly and lands mid-run.
-        for seed in [0u64, 7, 42, 0xDEAD] {
-            let a = ServiceFaultPlan::seeded_mid_run_kill(seed, 4, 200);
-            let b = ServiceFaultPlan::seeded_mid_run_kill(seed, 4, 200);
-            assert_eq!(a, b, "seeded placement must be deterministic");
-            let t = a.toggles()[0];
-            assert!(t.shard < 4);
-            assert!((50..150).contains(&t.at_request), "kill at {} outside mid-run", t.at_request);
-        }
-        assert_ne!(
-            ServiceFaultPlan::seeded_mid_run_kill(1, 4, 200),
-            ServiceFaultPlan::seeded_mid_run_kill(2, 4, 200),
-            "different seeds should (here) place differently"
-        );
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::resource::{Device, ResourceUsage};
     pub use crate::stages::{MapStage, SinkStage, SourceStage, ZipStage};
     pub use crate::stream::{StreamReceiver, StreamSender};
-    pub use crate::trace::{Counters, Timer, TraceRecorder};
+    pub use crate::trace::{Counters, TraceRecorder};
     pub use crate::vector::{RoundRobinMerge, RoundRobinSplit};
     pub use crate::Cycle;
 }

@@ -5,10 +5,8 @@
 //! **initiation interval** `II` (cycles between consecutive iterations
 //! entering). A loop with trip count `N` therefore takes
 //! `L + (N − 1) · II` cycles — the formula Vitis HLS reports and the one
-//! this module encodes, together with helpers for the nested and
-//! sequential compositions the CDS engines are built from. These closed
-//! forms double as the analytic cross-check for the discrete-event
-//! simulator.
+//! this module encodes. This closed form doubles as the analytic
+//! cross-check for the discrete-event simulator.
 
 use crate::Cycle;
 
@@ -56,33 +54,6 @@ impl PipelinedLoop {
     pub fn throughput(&self) -> f64 {
         1.0 / self.ii as f64
     }
-
-    /// Cycles for a loop nest where this loop is the inner body executed
-    /// once per outer iteration and the pipeline drains between outer
-    /// iterations (the un-flattened nested loops of the baseline Xilinx
-    /// engine: "the hazard calculation and linear interpolations involve
-    /// nested loops \[and\] require many cycles to produce a result").
-    pub fn nested_cycles(
-        &self,
-        outer_trips: u64,
-        inner_trips_per_outer: impl Fn(u64) -> u64,
-    ) -> Cycle {
-        (0..outer_trips).map(|i| self.cycles(inner_trips_per_outer(i))).sum()
-    }
-}
-
-/// Total cycles of a sequence of loops executed back-to-back (no
-/// dataflow overlap) — the structure of the baseline engine's option
-/// processing, where "the components making up the overall flowchart run
-/// sequentially".
-pub fn sequential(loops: &[(PipelinedLoop, u64)]) -> Cycle {
-    loops.iter().map(|(l, n)| l.cycles(*n)).sum()
-}
-
-/// Steady-state cycles per item of a set of dataflow stages running
-/// concurrently: the slowest stage dominates.
-pub fn dataflow_bottleneck(per_item_cycles: &[Cycle]) -> Cycle {
-    per_item_cycles.iter().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -131,27 +102,6 @@ mod tests {
         assert_eq!(l.ii, 1);
         assert_eq!(l.latency, 1);
     }
-
-    #[test]
-    fn nested_loop_sums_inner_invocations() {
-        let inner = PipelinedLoop::fully_pipelined(4);
-        // Outer trip i has i+1 inner iterations: Σ (4 + i) for i in 0..3.
-        let total = inner.nested_cycles(3, |i| i + 1);
-        assert_eq!(total, (4) + (4 + 1) + (4 + 2));
-    }
-
-    #[test]
-    fn sequential_composition_adds() {
-        let a = PipelinedLoop::fully_pipelined(3);
-        let b = PipelinedLoop::new(2, 5);
-        assert_eq!(sequential(&[(a, 10), (b, 10)]), (3 + 9) + (5 + 9 * 2));
-    }
-
-    #[test]
-    fn bottleneck_is_max() {
-        assert_eq!(dataflow_bottleneck(&[5, 100, 7]), 100);
-        assert_eq!(dataflow_bottleneck(&[]), 0);
-    }
 }
 
 #[cfg(test)]
@@ -171,16 +121,6 @@ mod proptests {
             let slow = PipelinedLoop::new(ii, lat);
             let fast = PipelinedLoop::new(ii - 1, lat);
             prop_assert!(fast.cycles(n) <= slow.cycles(n));
-        }
-
-        #[test]
-        fn sequential_equals_manual_sum(
-            specs in proptest::collection::vec((1u64..8, 1u64..16, 0u64..50), 0..6)
-        ) {
-            let loops: Vec<(PipelinedLoop, u64)> =
-                specs.iter().map(|&(ii, lat, n)| (PipelinedLoop::new(ii, lat), n)).collect();
-            let manual: u64 = loops.iter().map(|(l, n)| l.cycles(*n)).sum();
-            prop_assert_eq!(sequential(&loops), manual);
         }
     }
 }

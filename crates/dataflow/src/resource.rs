@@ -55,20 +55,6 @@ impl ResourceUsage {
             && self.bram_18k <= budget.bram_18k
             && self.uram <= budget.uram
     }
-
-    /// Largest utilisation fraction across components (1.0 = full).
-    pub fn utilisation_of(self, budget: ResourceUsage) -> f64 {
-        let frac = |a: u64, b: u64| if b == 0 { 0.0 } else { a as f64 / b as f64 };
-        [
-            frac(self.luts, budget.luts),
-            frac(self.ffs, budget.ffs),
-            frac(self.dsps, budget.dsps),
-            frac(self.bram_18k, budget.bram_18k),
-            frac(self.uram, budget.uram),
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
-    }
 }
 
 /// Approximate Vitis HLS resource costs of double-precision operators
@@ -215,13 +201,6 @@ mod tests {
         let big = ResourceUsage { luts: 100, ffs: 100, dsps: 10, bram_18k: 5, uram: 5 };
         assert!(small.fits_in(big));
         assert!(!big.fits_in(small));
-    }
-
-    #[test]
-    fn utilisation_is_max_component() {
-        let use_ = ResourceUsage { luts: 50, ffs: 10, dsps: 9, bram_18k: 0, uram: 0 };
-        let budget = ResourceUsage { luts: 100, ffs: 100, dsps: 10, bram_18k: 10, uram: 10 };
-        assert!((use_.utilisation_of(budget) - 0.9).abs() < 1e-12);
     }
 
     #[test]

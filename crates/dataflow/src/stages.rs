@@ -106,11 +106,6 @@ impl<T: Clone> SinkHandle<T> {
         self.0.borrow().is_empty()
     }
 
-    /// Arrival cycle of the final token, if any.
-    pub fn last_arrival(&self) -> Option<Cycle> {
-        self.0.borrow().last().map(|(_, c)| *c)
-    }
-
     /// Discard collected tokens (used between region invocations).
     pub fn clear(&self) {
         self.0.borrow_mut().clear();

@@ -66,8 +66,6 @@ pub trait StreamStats {
     fn backpressure(&self) -> u64;
     /// Tokens currently in flight.
     fn occupancy(&self) -> usize;
-    /// Earliest availability cycle of the head token, if any.
-    fn head_available_at(&self) -> Option<Cycle>;
 }
 
 impl<T> StreamStats for StreamCore<T> {
@@ -91,9 +89,6 @@ impl<T> StreamStats for StreamCore<T> {
     }
     fn occupancy(&self) -> usize {
         self.queue.len()
-    }
-    fn head_available_at(&self) -> Option<Cycle> {
-        self.queue.front().map(|(_, avail)| *avail)
     }
 }
 
@@ -271,11 +266,6 @@ impl<T> StreamReceiver<T> {
                 None => unreachable!("front checked above"),
             },
         }
-    }
-
-    /// When the head token (if any) becomes readable, without consuming.
-    pub fn peek_available(&self) -> Option<Cycle> {
-        self.core.borrow().head_available_at()
     }
 
     /// True when the FIFO holds no tokens at all (readable or not).

@@ -247,32 +247,6 @@ impl Counters {
     }
 }
 
-/// Wall-clock stopwatch for the harness's own overhead reporting (never
-/// used for the modelled performance numbers, which are cycle-accurate
-/// and deterministic).
-#[derive(Debug)]
-pub struct Timer {
-    started: std::time::Instant,
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Timer {
-    /// Start timing now.
-    pub fn new() -> Self {
-        Timer { started: std::time::Instant::now() }
-    }
-
-    /// Seconds elapsed since construction.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,12 +323,6 @@ mod tests {
         let mut d = Counters::default();
         d.merge(&c);
         assert_eq!(d, c);
-    }
-
-    #[test]
-    fn timer_measures_nonnegative_time() {
-        let t = Timer::new();
-        assert!(t.elapsed_seconds() >= 0.0);
     }
 
     #[test]

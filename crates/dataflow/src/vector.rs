@@ -49,11 +49,6 @@ impl<T> RoundRobinSplit<T> {
             processed: 0,
         }
     }
-
-    /// Replication factor `V`.
-    pub fn fan_out(&self) -> usize {
-        self.txs.len()
-    }
 }
 
 impl<T> Process for RoundRobinSplit<T> {
@@ -155,11 +150,6 @@ impl<T> RoundRobinMerge<T> {
             expected,
             processed: 0,
         }
-    }
-
-    /// Replication factor `V`.
-    pub fn fan_in(&self) -> usize {
-        self.rxs.len()
     }
 }
 

@@ -66,10 +66,9 @@ fn baseline_cycles(
             per_option += 7 + (scanned as Cycle).saturating_sub(1) * ii + FP_EXP_LATENCY_CYCLES;
             let (_, scanned_t) = market.interest.scan_value_at(t);
             per_option += 4 + scanned_t as Cycle - 1 + FP_EXP_LATENCY_CYCLES;
-            let (_, scanned_m) = market.interest.scan_value_at(t * 1.0 - 0.0);
             // Mid-point scan is marginally shorter; approximate with the
             // payment-date scan (within a knot or two).
-            per_option += 4 + scanned_m as Cycle - 1 + FP_EXP_LATENCY_CYCLES;
+            per_option += 4 + scanned_t as Cycle - 1 + FP_EXP_LATENCY_CYCLES;
         }
         per_option += 7 + (points.len() as Cycle - 1) * 7; // leg accumulation
         per_option += 16 + 16; // combination + loop control

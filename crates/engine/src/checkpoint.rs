@@ -69,14 +69,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Original indices completed at this watermark, ascending.
-    #[must_use]
-    pub fn completed_indices(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.completed.iter().map(|c| c.index).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Whether every admitted option has completed (the commit record).
     #[must_use]
     pub fn is_complete(&self) -> bool {

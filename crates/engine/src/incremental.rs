@@ -1,6 +1,6 @@
 //! Incremental tick repricing over the dependency arrangement.
 //!
-//! ROADMAP item 1: a single hazard- or yield-curve point tick must not
+//! A single hazard- or yield-curve point tick must not
 //! force a full batch reprice of 1M+ resident options. The
 //! [`IncrementalEngine`] holds the resident book in a
 //! [`PortfolioState`] arrangement, ingests *value* ticks against

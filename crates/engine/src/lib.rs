@@ -37,7 +37,6 @@ pub mod checkpoint;
 pub mod codec;
 pub mod config;
 pub mod error;
-pub mod host;
 pub mod incremental;
 pub mod journal_io;
 pub mod multi;

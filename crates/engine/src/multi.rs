@@ -233,27 +233,9 @@ impl MultiEngine {
     /// contiguous chunks, each engine prices its chunk independently, and
     /// the wall-clock is set by the slowest engine.
     pub fn price_batch(&self, options: &[CdsOption]) -> MultiEngineReport {
-        let (mut report, _) = self.price_chunks(options);
-        if !options.is_empty() {
-            // Engines run concurrently; the shared interconnect adds the
-            // calibrated contention; one PCIe batch serves all engines.
-            let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
-            report.set_total_seconds(
-                report.slowest_engine_seconds * contention_factor(self.n_engines) + transfer,
-            );
-        }
-        report
-    }
-
-    /// Price each contiguous chunk on its own engine. The report carries
-    /// the spreads, merged counters and slowest engine but no wall-clock
-    /// (each caller applies its own timing model to the returned
-    /// per-chunk `(options, kernel seconds)`).
-    fn price_chunks(&self, options: &[CdsOption]) -> (MultiEngineReport, Vec<(u64, f64)>) {
         let mut report = MultiEngineReport::idle(self.n_engines);
-        let mut chunks = Vec::with_capacity(self.n_engines);
         if options.is_empty() {
-            return (report, chunks);
+            return report;
         }
         report.spreads.reserve(options.len());
         for chunk in options.chunks(options.len().div_ceil(self.n_engines)) {
@@ -262,9 +244,14 @@ impl MultiEngine {
             report.slowest_engine_seconds = report.slowest_engine_seconds.max(run.kernel_seconds);
             report.counters.merge(&run.counters);
             report.spreads.extend(run.spreads);
-            chunks.push((chunk.len() as u64, run.kernel_seconds));
         }
-        (report, chunks)
+        // Engines run concurrently; the shared interconnect adds the
+        // calibrated contention; one PCIe batch serves all engines.
+        let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
+        report.set_total_seconds(
+            report.slowest_engine_seconds * contention_factor(self.n_engines) + transfer,
+        );
+        report
     }
 }
 
@@ -311,31 +298,6 @@ impl MultiEngine {
         options: &[CdsOption],
     ) -> Result<MultiEngineReport, CdsError> {
         self.price_batch_resilient_core(options, None, 0, None, None)
-    }
-
-    /// Price a batch under an explicit staggered-DMA schedule: chunk
-    /// inputs stream to the card one after another over the single PCIe
-    /// DMA engine, each engine starts as soon as its chunk lands, and
-    /// result transfers serialise likewise (see [`crate::host`] for the
-    /// single-engine version of this model). Slightly more pessimistic —
-    /// and more faithful — than [`MultiEngine::price_batch`]'s idealised
-    /// one-shot transfer.
-    pub fn price_batch_staggered(&self, options: &[CdsOption]) -> MultiEngineReport {
-        let (mut report, chunks) = self.price_chunks(options);
-        if options.is_empty() {
-            return report;
-        }
-        let contention = contention_factor(self.n_engines);
-        let mut in_done = 0.0f64;
-        let mut makespan = 0.0f64;
-        for (len, kernel_seconds) in chunks {
-            in_done += self.config.pcie.transfer_seconds(len * 24);
-            let compute_done = in_done + kernel_seconds * contention;
-            let out = self.config.pcie.transfer_seconds(len * 8);
-            makespan = makespan.max(compute_done) + out;
-        }
-        report.set_total_seconds(makespan);
-        report
     }
 
     /// Price a batch fault-tolerantly: one single-simulation round with an
@@ -807,24 +769,6 @@ mod tests {
         let report = ok(ok(MultiEngine::new(market(), 4)).price_batch_simulated(&options));
         assert_eq!(report.spreads.len(), 6);
         assert!(!report.degraded);
-    }
-
-    #[test]
-    fn staggered_schedule_close_to_ideal_but_not_faster() {
-        let market = market();
-        let options = PortfolioGenerator::uniform(120, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let multi = ok(MultiEngine::new(market, 5));
-        let ideal = multi.price_batch(&options);
-        let staggered = multi.price_batch_staggered(&options);
-        assert_eq!(ideal.spreads, staggered.spreads);
-        assert!(staggered.options_per_second <= ideal.options_per_second * 1.001);
-        // Transfers are a small share: within a few percent of ideal.
-        assert!(
-            staggered.options_per_second > ideal.options_per_second * 0.90,
-            "staggered {} vs ideal {}",
-            staggered.options_per_second,
-            ideal.options_per_second
-        );
     }
 
     #[test]

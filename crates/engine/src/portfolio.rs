@@ -2,7 +2,7 @@
 //!
 //! The paper's dataflow engines stream *every* option through the full
 //! pricing pipeline on each run; this module is the enabling refactor
-//! for incremental tick repricing (ROADMAP item 1): it separates the
+//! for incremental tick repricing: it separates the
 //! resident portfolio — which options are held, and *which curve knots
 //! each of them reads* — from the pricing pass itself.
 //!
@@ -53,9 +53,8 @@ fn stub_mid(delta: f64, k: usize, maturity: f64) -> f64 {
 
 /// Does this option's pricing pass read interest-curve time window `w`?
 /// Single-option reference version of the arrangement query (the index
-/// answers the same question for all residents at once); also used by
-/// `cds-server` to classify cached quotes against a published
-/// invalidation window.
+/// answers the same question for all residents at once); the
+/// arrangement's tests check the index against it.
 pub fn option_reads_interest(option: &CdsOption, w: &ReadWindow) -> bool {
     let k = full_points(option);
     let delta = 1.0 / option.frequency.per_year() as f64;

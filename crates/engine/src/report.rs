@@ -109,18 +109,6 @@ pub struct SpreadDelta {
     pub new_bits: u64,
 }
 
-impl SpreadDelta {
-    /// The spread before the tick, in basis points.
-    pub fn old_spread_bps(&self) -> f64 {
-        f64::from_bits(self.old_bits)
-    }
-
-    /// The spread after the tick, in basis points.
-    pub fn new_spread_bps(&self) -> f64 {
-        f64::from_bits(self.new_bits)
-    }
-}
-
 /// Outcome of ingesting one curve point tick incrementally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TickReport {
@@ -139,13 +127,6 @@ pub struct TickReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spread_delta_round_trips_bits() {
-        let d = SpreadDelta { id: 7, old_bits: 101.25f64.to_bits(), new_bits: 99.75f64.to_bits() };
-        assert_eq!(d.old_spread_bps(), 101.25);
-        assert_eq!(d.new_spread_bps(), 99.75);
-    }
 
     #[test]
     fn report_arithmetic() {

@@ -401,11 +401,6 @@ pub fn curve_size_sweep(seed: u64, n_options: usize, sizes: &[usize]) -> Vec<Cur
         .collect()
 }
 
-/// Build a `Rc`-wrapped market for graph construction helpers.
-pub fn market_rc(workload: &Workload) -> Rc<MarketData<f64>> {
-    Rc::new(workload.market.clone())
-}
-
 /// Occupancy analysis of the vectorised engine: run a small batch with
 /// tracing enabled and return the per-stage utilisations plus a textual
 /// Gantt chart — the paper's "stalls frequently occurred" diagnosis, made

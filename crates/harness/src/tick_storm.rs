@@ -1,8 +1,8 @@
 //! `cds-harness bench --tick-storm` — wall-clock tick-storm measurement
 //! of the incremental repricing engine, with a CI regression gate.
 //!
-//! The scenario is ROADMAP item 1 made measurable: a resident book of
-//! ≥1M options, a storm of single-point curve ticks, and the question
+//! The scenario makes incremental tick repricing measurable: a resident
+//! book of ≥1M options, a storm of single-point curve ticks, and the question
 //! "how much faster is arrangement-driven invalidation than repricing
 //! the whole book?". Three rows are timed by the harness's one sampler,
 //! [`crate::sampler::rate`]:

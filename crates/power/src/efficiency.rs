@@ -9,12 +9,6 @@ pub fn options_per_watt(options_per_second: f64, watts: f64) -> f64 {
     options_per_second / watts
 }
 
-/// Joules consumed per option priced.
-pub fn joules_per_option(options_per_second: f64, watts: f64) -> f64 {
-    assert!(options_per_second > 0.0, "throughput must be positive");
-    watts / options_per_second
-}
-
 /// Side-by-side CPU vs FPGA comparison (the paper's §IV summary).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyComparison {
@@ -96,13 +90,6 @@ mod tests {
         assert!((cmp.performance_ratio() - 1.505).abs() < 0.08, "{}", cmp.performance_ratio());
         assert!((4.2..5.2).contains(&cmp.power_ratio()), "{}", cmp.power_ratio());
         assert!((6.3..7.8).contains(&cmp.efficiency_ratio()), "{}", cmp.efficiency_ratio());
-    }
-
-    #[test]
-    fn joules_per_option_is_reciprocal_metric() {
-        let j = joules_per_option(10_000.0, 40.0);
-        assert!((j - 0.004).abs() < 1e-12);
-        assert!((options_per_watt(10_000.0, 40.0) * j - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -215,61 +215,6 @@ impl<F: CdsFloat> Curve<F> {
     }
 }
 
-/// Monotone-query cursor over a [`Curve`].
-///
-/// When time points are visited in increasing order (as every engine stage
-/// does), the linear scan can resume from the previous position instead of
-/// restarting at the front. This mirrors how an optimised HLS kernel keeps
-/// a running index into URAM-resident constant data, and gives an amortised
-/// `O(1)` interpolation per time point.
-#[derive(Debug, Clone)]
-pub struct CurveCursor<'c, F: CdsFloat = f64> {
-    curve: &'c Curve<F>,
-    /// Index of the first knot with tenor >= the last queried time.
-    pos: usize,
-    last_t: F,
-}
-
-impl<'c, F: CdsFloat> CurveCursor<'c, F> {
-    /// Create a cursor positioned at the valuation date.
-    pub fn new(curve: &'c Curve<F>) -> Self {
-        CurveCursor { curve, pos: 0, last_t: F::ZERO }
-    }
-
-    /// Interpolate at `t`, which must be `>=` every previously queried
-    /// time. Returns `(value, knots_advanced)`.
-    ///
-    /// # Panics
-    /// Panics in debug builds when queried with a decreasing `t`.
-    pub fn value_at(&mut self, t: F) -> (F, usize) {
-        debug_assert!(t >= self.last_t, "CurveCursor requires monotone queries");
-        self.last_t = t;
-        let pts = self.curve.points();
-        let mut advanced = 0usize;
-        while self.pos < pts.len() && pts[self.pos].tenor < t {
-            self.pos += 1;
-            advanced += 1;
-        }
-        let v = if self.pos == 0 {
-            pts[0].value
-        } else if self.pos == pts.len() {
-            pts[pts.len() - 1].value
-        } else {
-            let lo = pts[self.pos - 1];
-            let hi = pts[self.pos];
-            let w = (t - lo.tenor) / (hi.tenor - lo.tenor);
-            lo.value + w * (hi.value - lo.value)
-        };
-        (v, advanced)
-    }
-
-    /// Number of knots consumed so far.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,28 +336,6 @@ mod tests {
         let c = Curve::flat(0.02, 8, 10.0);
         let t = 3.0;
         assert!((c.discount_factor(t) - (-0.02f64 * t).exp()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cursor_matches_scan_on_monotone_queries() {
-        let c = ramp();
-        let mut cur = CurveCursor::new(&c);
-        for t in [0.2, 0.9, 1.0, 1.5, 2.7, 3.0, 3.9, 4.0, 5.5] {
-            let (v, _) = cur.value_at(t);
-            assert!((v - c.value_at(t)).abs() < 1e-15, "t={t}");
-        }
-    }
-
-    #[test]
-    fn cursor_total_advance_bounded_by_len() {
-        let c = Curve::flat(0.02, 1024, 10.0);
-        let mut cur = CurveCursor::new(&c);
-        let mut total = 0;
-        for i in 0..50 {
-            let (_, adv) = cur.value_at(i as f64 * 0.2);
-            total += adv;
-        }
-        assert!(total <= c.len());
     }
 
     #[test]

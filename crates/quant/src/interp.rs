@@ -1,40 +1,16 @@
-//! Standalone linear-interpolation kernels.
+//! Standalone linear-interpolation kernels for the CPU path.
 //!
-//! The curve type in [`crate::curve`] offers interpolation as a method;
-//! this module exposes the raw kernels in the three access-pattern variants
-//! that matter to the FPGA engine, so the dataflow simulator and the
-//! Listing-1 benchmarks can exercise them directly:
+//! The FPGA scan semantics (restart-from-the-front, with cycle counts)
+//! live on [`crate::curve::Curve`] as `scan_value_at` / `scan_integral`.
+//! This module holds the CPU side:
 //!
-//! * [`linear_scan`] — restart-from-the-front scan, the Vitis baseline's
-//!   behaviour inside its pipelined loop (`O(n)` per query);
-//! * [`binary_search`] — what a CPU implementation would do (`O(log n)`);
-//! * [`Interpolator`] — stateful monotone cursor, amortised `O(1)` per
-//!   query, modelling the optimised HLS kernel's running index.
-//!
-//! All variants must agree bit-for-bit on the same inputs; property tests
-//! assert this.
+//! * [`binary_search`] — the `O(log n)` reference, and the bit oracle
+//!   for the index below;
+//! * [`SegmentIndex`] — a precomputed uniform-bucket index, `O(1)`
+//!   expected per query, bit-for-bit identical to [`binary_search`]
+//!   (property tests assert this).
 
 use crate::precision::CdsFloat;
-
-/// Interpolate `xs→ys` at `x` by scanning from the front. `xs` must be
-/// strictly increasing; extrapolation is flat. Returns the value and the
-/// number of elements inspected.
-///
-/// # Panics
-/// Panics if `xs` is empty or lengths differ.
-pub fn linear_scan<F: CdsFloat>(xs: &[F], ys: &[F], x: F) -> (F, usize) {
-    assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-    assert!(!xs.is_empty(), "empty interpolation table");
-    if x <= xs[0] {
-        return (ys[0], 1);
-    }
-    for i in 1..xs.len() {
-        if x <= xs[i] {
-            return (segment(xs[i - 1], xs[i], ys[i - 1], ys[i], x), i + 1);
-        }
-    }
-    (ys[ys.len() - 1], xs.len())
-}
 
 /// Interpolate via binary search (the CPU-friendly variant).
 ///
@@ -176,60 +152,6 @@ impl SegmentIndex {
     }
 }
 
-/// Stateful monotone interpolator: queries must arrive in non-decreasing
-/// `x` order, letting the scan resume where it left off.
-#[derive(Debug, Clone)]
-pub struct Interpolator<'a, F: CdsFloat = f64> {
-    xs: &'a [F],
-    ys: &'a [F],
-    pos: usize,
-    last_x: Option<F>,
-}
-
-impl<'a, F: CdsFloat> Interpolator<'a, F> {
-    /// Create an interpolator over parallel slices (strictly increasing
-    /// `xs`).
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty or lengths differ.
-    pub fn new(xs: &'a [F], ys: &'a [F]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-        assert!(!xs.is_empty(), "empty interpolation table");
-        Interpolator { xs, ys, pos: 0, last_x: None }
-    }
-
-    /// Interpolate at `x` (must be >= the previous query). Returns the
-    /// value and how many table entries were newly advanced past.
-    ///
-    /// # Panics
-    /// Panics in debug builds on a decreasing query.
-    pub fn value_at(&mut self, x: F) -> (F, usize) {
-        if let Some(prev) = self.last_x {
-            debug_assert!(x >= prev, "Interpolator requires monotone queries");
-        }
-        self.last_x = Some(x);
-        let mut advanced = 0usize;
-        while self.pos < self.xs.len() && self.xs[self.pos] < x {
-            self.pos += 1;
-            advanced += 1;
-        }
-        let v = if self.pos == 0 {
-            self.ys[0]
-        } else if self.pos == self.xs.len() {
-            self.ys[self.ys.len() - 1]
-        } else {
-            segment(
-                self.xs[self.pos - 1],
-                self.xs[self.pos],
-                self.ys[self.pos - 1],
-                self.ys[self.pos],
-                x,
-            )
-        };
-        (v, advanced)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,30 +160,7 @@ mod tests {
     const YS: [f64; 5] = [0.01, 0.015, 0.02, 0.03, 0.025];
 
     #[test]
-    fn scan_and_binary_agree() {
-        for i in 0..=100 {
-            let x = i as f64 * 0.1;
-            let (a, _) = linear_scan(&XS, &YS, x);
-            let b = binary_search(&XS, &YS, x);
-            assert!((a - b).abs() < 1e-16, "x={x}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn cursor_agrees_with_scan() {
-        let mut it = Interpolator::new(&XS, &YS);
-        for i in 0..=100 {
-            let x = i as f64 * 0.1;
-            let (a, _) = linear_scan(&XS, &YS, x);
-            let (c, _) = it.value_at(x);
-            assert!((a - c).abs() < 1e-16, "x={x}");
-        }
-    }
-
-    #[test]
     fn flat_extrapolation_both_ends() {
-        assert_eq!(linear_scan(&XS, &YS, 0.0).0, 0.01);
-        assert_eq!(linear_scan(&XS, &YS, 100.0).0, 0.025);
         assert_eq!(binary_search(&XS, &YS, 0.0), 0.01);
         assert_eq!(binary_search(&XS, &YS, 100.0), 0.025);
     }
@@ -280,26 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_cost_increases_with_x() {
-        let (_, c_lo) = linear_scan(&XS, &YS, 0.6);
-        let (_, c_hi) = linear_scan(&XS, &YS, 7.0);
-        assert!(c_lo < c_hi);
-    }
-
-    #[test]
-    fn cursor_advance_total_bounded() {
-        let mut it = Interpolator::new(&XS, &YS);
-        let mut total = 0;
-        for i in 0..50 {
-            total += it.value_at(i as f64 * 0.2).1;
-        }
-        assert!(total <= XS.len());
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        let _ = linear_scan(&XS, &YS[..3], 1.0);
+        let _ = binary_search(&XS, &YS[..3], 1.0);
     }
 
     #[test]
@@ -310,8 +192,7 @@ mod tests {
 
     #[test]
     fn single_point_table_is_constant() {
-        let (v, _) = linear_scan(&[1.0], &[42.0], 0.5);
-        assert_eq!(v, 42.0);
+        assert_eq!(binary_search(&[1.0], &[42.0], 0.5), 42.0);
         assert_eq!(binary_search(&[1.0], &[42.0], 9.0), 42.0);
     }
 
@@ -404,15 +285,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn all_variants_agree((xs, ys) in table(), q in 0.0f64..70.0) {
-            let (a, _) = linear_scan(&xs, &ys, q);
-            let b = binary_search(&xs, &ys, q);
-            let (c, _) = Interpolator::new(&xs, &ys).value_at(q);
-            prop_assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
-            prop_assert!((a - c).abs() <= 1e-12 * (1.0 + a.abs()));
-        }
-
         #[test]
         fn segment_index_is_bitwise_binary_search((xs, ys) in table(), q in 0.0f64..70.0) {
             let idx = SegmentIndex::new(&xs);

@@ -293,11 +293,6 @@ impl TenantRegistry {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Total quotes throttled across every tenant.
-    pub fn throttled_total(&self) -> u64 {
-        lock_recover(&self.by_name).values().map(|t| t.throttled.load(Ordering::Relaxed)).sum()
-    }
 }
 
 #[cfg(test)]

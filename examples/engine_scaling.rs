@@ -78,13 +78,11 @@ fn main() {
     );
 
     // The same deployment, simulated as one discrete-event run containing
-    // all engines concurrently, and under the staggered-DMA host schedule.
+    // all engines concurrently.
     let multi = MultiEngine::new(market.clone(), max).unwrap();
     let one_des = multi.price_batch_simulated(&options).expect("continuous engines");
-    let staggered = multi.price_batch_staggered(&options);
     println!("\ncross-checks at {max} engines:");
     println!("  single-DES simulation : {:>12.2} opts/s", one_des.options_per_second);
-    println!("  staggered-DMA schedule: {:>12.2} opts/s", staggered.options_per_second);
 
     // And the paper's §V further work: single-precision engines.
     let mut f32_config = EngineVariant::Vectorised.config();
