@@ -11,8 +11,9 @@
 //!   can fail.
 //! * [`differential`] — a seeded adversarial fuzzer ([`generator`])
 //!   driving the same cases through every
-//!   [`cds_engine::route::PriceRoute`] (FPGA variants, resilient
-//!   multi-engine, checkpoint-resume, scrubbed, streaming, CPU) and
+//!   [`cds_engine::route::PriceRoute`] (FPGA variants, resilient and
+//!   scrubbed multi-engine, scrubbed and checkpoint-resumed streaming,
+//!   CPU) and
 //!   comparing spreads to the reference under a ULP-bounded comparator,
 //!   shrinking any disagreement to a minimal reproducer.
 //!

@@ -86,7 +86,7 @@ fn relations_hold_for_routes_on_a_corpus_style_case() {
         Ok(m) => m,
         Err(e) => panic!("{e}"),
     };
-    let model = RouteModel::new(PriceRoute::CheckpointResume);
+    let model = RouteModel::new(PriceRoute::StreamingResume);
     for relation in Relation::ALL {
         if let Err(v) = relation.check(&model, &market, &reparsed.options[0]) {
             panic!("{v}");

@@ -1,6 +1,6 @@
 //! Write-ahead run journal: checkpoints and deterministic resume.
 //!
-//! A streaming or multi-engine run emits a [`Checkpoint`] after every
+//! A streaming run emits a [`Checkpoint`] after every
 //! `cadence` completed options (plus a terminal commit record). Each
 //! checkpoint is a self-contained watermark — the admitted and shed
 //! option sets, the fault-plan seed, and every completion so far with
@@ -69,12 +69,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Whether every admitted option has completed (the commit record).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.completed.len() == self.admitted.len()
-    }
-
     /// Serialize to the line-based text format. Spreads are written as
     /// raw `f64` bit patterns so parsing restores them bit-identically.
     #[must_use]
@@ -283,63 +277,26 @@ pub fn streaming_checkpoints(
         })
         .collect();
     completions.sort_by_key(|c| (c.done_cycle, c.index));
-    checkpoint_stream(
-        total_options,
-        cadence,
-        fault_seed,
-        scenario,
-        &admitted,
-        &report.shed_indices,
-        &completions,
-    )
-}
-
-/// Cut a completion-ordered stream into cumulative cadence-aligned
-/// checkpoints plus a terminal commit record covering any partial tail.
-///
-/// `completions` must already be in journal (completion) order; every
-/// emitted checkpoint is a prefix of it, so a consumer holding the
-/// `k`-th checkpoint has lost at most one cadence interval relative to
-/// the `k+1`-th.
-#[allow(clippy::too_many_arguments)]
-pub fn checkpoint_stream(
-    total_options: u32,
-    cadence: u32,
-    fault_seed: Option<u64>,
-    scenario: Option<&str>,
-    admitted: &[u32],
-    shed: &[u32],
-    completions: &[CompletedOption],
-) -> Result<Vec<Checkpoint>, CdsError> {
-    if cadence == 0 {
-        return Err(CdsError::Config { reason: "checkpoint cadence must be at least 1" });
-    }
-    let mut out = Vec::new();
+    // Every cadence boundary, then the tail unless it lands on one.
     let n = completions.len();
-    let mut cut = cadence as usize;
-    loop {
-        let end = cut.min(n);
-        let at_boundary = end == cut;
-        let is_tail = end == n;
-        if at_boundary || is_tail {
-            out.push(Checkpoint {
-                schema_version: CHECKPOINT_SCHEMA_VERSION,
-                total_options,
-                cadence,
-                watermark_cycle: completions[..end].last().map_or(0, |c| c.done_cycle),
-                fault_seed,
-                scenario: scenario.map(str::to_string),
-                admitted: admitted.to_vec(),
-                shed: shed.to_vec(),
-                completed: completions[..end].to_vec(),
-            });
-        }
-        if is_tail {
-            break;
-        }
-        cut += cadence as usize;
+    let mut ends: Vec<usize> = (cadence as usize..=n).step_by(cadence as usize).collect();
+    if ends.last() != Some(&n) {
+        ends.push(n);
     }
-    Ok(out)
+    Ok(ends
+        .into_iter()
+        .map(|end| Checkpoint {
+            schema_version: CHECKPOINT_SCHEMA_VERSION,
+            total_options,
+            cadence,
+            watermark_cycle: completions[..end].last().map_or(0, |c| c.done_cycle),
+            fault_seed,
+            scenario: scenario.map(str::to_string),
+            admitted: admitted.clone(),
+            shed: report.shed_indices.clone(),
+            completed: completions[..end].to_vec(),
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -8,14 +8,11 @@
 //! which is read in upon initialisation of the engine and stored in
 //! UltraRAM."
 
-use crate::checkpoint::{checkpoint_stream, Checkpoint, CompletedOption};
 use crate::config::{EngineConfig, EnginePrecision, EngineVariant};
 use crate::error::CdsError;
-use crate::report::EngineRunReport;
 use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
 use crate::tokens::{corrupted_options, tag_options};
 use crate::variants::dataflow::build_graph_into;
-use crate::FpgaCdsEngine;
 use cds_quant::option::{CdsOption, MarketData};
 use dataflow_sim::event_sim::EventSim;
 use dataflow_sim::fault::FaultPlan;
@@ -29,9 +26,6 @@ use std::rc::Rc;
 /// (possibly faulted) round: the recovery depth of the resilient routes
 /// and of most chaos scenarios.
 pub const BATCH_RETRY_ROUNDS: usize = 2;
-
-/// Checkpoint cadence plus the sink receiving each emitted checkpoint.
-type JournalSink<'a> = (u32, &'a mut dyn FnMut(&Checkpoint));
 
 /// Per-extra-engine slowdown from shared memory interconnect and host
 /// sequencing — the linear coefficient of the contention model.
@@ -230,74 +224,19 @@ impl MultiEngine {
     }
 
     /// Price a batch across the engines: options are split into `N`
-    /// contiguous chunks, each engine prices its chunk independently, and
-    /// the wall-clock is set by the slowest engine.
-    pub fn price_batch(&self, options: &[CdsOption]) -> MultiEngineReport {
-        let mut report = MultiEngineReport::idle(self.n_engines);
-        if options.is_empty() {
-            return report;
-        }
-        report.spreads.reserve(options.len());
-        for chunk in options.chunks(options.len().div_ceil(self.n_engines)) {
-            let engine = FpgaCdsEngine::new(self.market.clone(), self.config.clone());
-            let run: EngineRunReport = engine.price_batch(chunk);
-            report.slowest_engine_seconds = report.slowest_engine_seconds.max(run.kernel_seconds);
-            report.counters.merge(&run.counters);
-            report.spreads.extend(run.spreads);
-        }
-        // Engines run concurrently; the shared interconnect adds the
-        // calibrated contention; one PCIe batch serves all engines.
-        let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
-        report.set_total_seconds(
-            report.slowest_engine_seconds * contention_factor(self.n_engines) + transfer,
-        );
-        report
-    }
-}
-
-impl MultiEngineReport {
-    /// A report of no work on `engines` engines.
-    fn idle(engines: usize) -> Self {
-        MultiEngineReport {
-            spreads: Vec::new(),
-            engines,
-            total_seconds: 0.0,
-            options_per_second: 0.0,
-            slowest_engine_seconds: 0.0,
-            counters: Counters::default(),
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
-        }
-    }
-
-    /// Set the wall-clock and the throughput it implies.
-    fn set_total_seconds(&mut self, total_seconds: f64) {
-        self.total_seconds = total_seconds;
-        self.options_per_second = self.spreads.len() as f64 / total_seconds;
-    }
-}
-
-impl MultiEngine {
-    /// Price a batch with all `N` engines instantiated in a **single
-    /// discrete-event simulation**: every engine's stages and streams are
-    /// built into one graph (name-prefixed per engine) and run
-    /// concurrently, so the makespan — the slowest engine — emerges from
-    /// the simulation itself rather than from taking a max over separate
-    /// runs. The calibrated interconnect contention and the shared PCIe
-    /// transfer are applied to the simulated kernel time as usual.
+    /// contiguous chunks, one per engine, and every engine's stages and
+    /// streams are built into **one discrete-event simulation**
+    /// (name-prefixed per engine) that runs them concurrently, so the
+    /// makespan — the slowest engine — emerges from the simulation
+    /// itself. The calibrated interconnect contention and the shared
+    /// PCIe transfer are applied to the simulated kernel time.
     ///
     /// This is [`MultiEngine::price_batch_resilient`] with no fault plan
     /// and no retry rounds. Returns [`CdsError::Config`] for a
     /// per-option-region configuration (one shared graph needs
     /// continuous engines).
-    pub fn price_batch_simulated(
-        &self,
-        options: &[CdsOption],
-    ) -> Result<MultiEngineReport, CdsError> {
-        self.price_batch_resilient_core(options, None, 0, None, None)
+    pub fn price_batch(&self, options: &[CdsOption]) -> Result<MultiEngineReport, CdsError> {
+        self.price_batch_resilient(options, None, 0, None)
     }
 
     /// Price a batch fault-tolerantly: one single-simulation round with an
@@ -331,115 +270,9 @@ impl MultiEngine {
         retry_rounds: usize,
         scrub: Option<&ScrubPolicy>,
     ) -> Result<MultiEngineReport, CdsError> {
-        self.price_batch_resilient_core(options, plan, retry_rounds, scrub, None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] with a write-ahead run
-    /// journal: a cumulative [`Checkpoint`] is handed to `sink` after
-    /// every `cadence` completed options (in completion order), plus a
-    /// terminal commit record. Checkpoints are emitted even when the run
-    /// ends in [`CdsError::Exhausted`], so
-    /// [`MultiEngine::resume_batch_resilient`] can finish the work.
-    pub fn price_batch_resilient_checkpointed(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        retry_rounds: usize,
-        scrub: Option<&ScrubPolicy>,
-        cadence: u32,
-        mut sink: impl FnMut(&Checkpoint),
-    ) -> Result<MultiEngineReport, CdsError> {
-        self.price_batch_resilient_core(
-            options,
-            plan,
-            retry_rounds,
-            scrub,
-            Some((cadence, &mut sink)),
-        )
-    }
-
-    /// Resume a batch from a [`Checkpoint`]: options the checkpoint has
-    /// seen complete are taken verbatim (bit-exact), the remainder is
-    /// priced fault-free across the engines. Timing and counters
-    /// describe the resumed portion only; the report is marked degraded
-    /// when the checkpoint was incomplete (the original run failed).
-    pub fn resume_batch_resilient(
-        &self,
-        options: &[CdsOption],
-        checkpoint: &Checkpoint,
-        retry_rounds: usize,
-    ) -> Result<MultiEngineReport, CdsError> {
-        checkpoint.validate()?;
-        if checkpoint.total_options as usize != options.len() {
-            return Err(CdsError::Journal {
-                reason: format!(
-                    "checkpoint covers {} options but the batch has {}",
-                    checkpoint.total_options,
-                    options.len()
-                ),
-            });
-        }
-        if !checkpoint.shed.is_empty() {
-            return Err(CdsError::Journal {
-                reason: "a batch deployment admits everything; shed options mean this checkpoint \
-                         belongs to a streaming run"
-                    .to_string(),
-            });
-        }
-        let done: std::collections::BTreeSet<u32> =
-            checkpoint.completed.iter().map(|c| c.index).collect();
-        let missing: Vec<usize> =
-            (0..options.len()).filter(|&i| !done.contains(&(i as u32))).collect();
-        let mut spreads = vec![0.0f64; options.len()];
-        for c in &checkpoint.completed {
-            spreads[c.index as usize] = c.spread_bps;
-        }
-        if missing.is_empty() {
-            return Ok(MultiEngineReport { spreads, ..MultiEngineReport::idle(self.n_engines) });
-        }
-        let missing_opts: Vec<CdsOption> = missing.iter().map(|&i| options[i]).collect();
-        let sub = self.price_batch_resilient(&missing_opts, None, retry_rounds, None)?;
-        for (&i, &s) in missing.iter().zip(&sub.spreads) {
-            spreads[i] = s;
-        }
-        Ok(MultiEngineReport {
-            spreads,
-            engines: sub.engines,
-            total_seconds: sub.total_seconds,
-            options_per_second: if sub.total_seconds > 0.0 {
-                options.len() as f64 / sub.total_seconds
-            } else {
-                0.0
-            },
-            slowest_engine_seconds: sub.slowest_engine_seconds,
-            counters: sub.counters,
-            faults_injected: sub.faults_injected,
-            options_retried: missing.len() as u64,
-            options_shed: 0,
-            degraded: true, // resuming means the original deployment died mid-run
-            scrub: sub.scrub,
-        })
-    }
-
-    /// The one single-simulation deployment behind
-    /// [`MultiEngine::price_batch_simulated`], the resilient entry points
-    /// and resume.
-    fn price_batch_resilient_core(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        retry_rounds: usize,
-        scrub: Option<&ScrubPolicy>,
-        mut journal: Option<JournalSink<'_>>,
-    ) -> Result<MultiEngineReport, CdsError> {
-        if let Some((cadence, _)) = &journal {
-            if *cadence == 0 {
-                return Err(CdsError::Config { reason: "checkpoint cadence must be at least 1" });
-            }
-        }
         let n = self.n_engines;
         if options.is_empty() {
-            return Ok(self.price_batch(options));
+            return Ok(MultiEngineReport::idle(n));
         }
         if self.config.region_mode != RegionMode::Continuous {
             return Err(CdsError::Config {
@@ -471,38 +304,31 @@ impl MultiEngine {
             sinks.push((sink, chunk.len()));
             base_idx += chunk.len() as u32;
         }
-        let processes = g.process_count();
+        // Each built engine's region is invoked once; a batch smaller than
+        // the deployment leaves the remaining engines without a chunk.
+        let engine_processes = g.process_count() / sinks.len();
         let mut sim = EventSim::new(g);
         let report = sim.run().map_err(CdsError::Sim)?;
         let faults_injected = report.faults.total();
 
         // Harvest round 0: an engine that under-delivered its chunk is
-        // treated as dead for the rest of the run. Completion cycles are
-        // kept for the write-ahead journal.
+        // treated as dead for the rest of the run.
         let mut spreads_by_idx: Vec<Option<f64>> = vec![None; options.len()];
-        let mut completions: Vec<CompletedOption> = Vec::with_capacity(options.len());
         let mut survivors: Vec<usize> = Vec::with_capacity(n);
         for (k, (sink, expected)) in sinks.iter().enumerate() {
             let collected = sink.collected();
             if collected.len() == *expected {
                 survivors.push(k);
             }
-            for (tok, done_at) in collected {
+            for (tok, _) in collected {
                 spreads_by_idx[tok.opt_idx as usize] = Some(tok.spread_bps);
-                completions.push(CompletedOption {
-                    index: tok.opt_idx,
-                    done_cycle: done_at,
-                    spread_bps: tok.spread_bps,
-                });
             }
         }
-        completions.sort_by_key(|c| (c.done_cycle, c.index));
-        let mut cycle_base = report.total_cycles;
         // Options whose tokens a corruption fault mutated (global indices).
         let tainted: Vec<u32> = corrupted_options(&report.fault_events).collect();
 
         let kernel =
-            report.total_cycles + self.config.region_cost.invocation_overhead(processes / n.max(1));
+            report.total_cycles + self.config.region_cost.invocation_overhead(engine_processes);
         let curve_load = self
             .config
             .memory
@@ -535,11 +361,6 @@ impl MultiEngine {
                 let cpu = cds_cpu::CpuCdsEngine::new(&self.market);
                 for (&i, spread) in missing.iter().zip(cpu.price_batch(&retry_opts)) {
                     spreads_by_idx[i] = Some(spread);
-                    completions.push(CompletedOption {
-                        index: i as u32,
-                        done_cycle: cycle_base,
-                        spread_bps: spread,
-                    });
                 }
                 compute_seconds +=
                     cds_cpu::CpuPerfModel::xeon_8260m().batch_seconds(retry_opts.len() as u64, 24);
@@ -560,31 +381,23 @@ impl MultiEngine {
                 );
                 retry_sinks.push(sink);
             }
-            let retry_processes = rg.process_count();
+            let retry_engine_processes = rg.process_count() / retry_sinks.len();
             let mut retry_sim = EventSim::new(rg);
             let retry_report = retry_sim.run().map_err(CdsError::Sim)?;
             for sink in retry_sinks {
-                for (tok, done_at) in sink.collected() {
-                    let orig = missing[tok.opt_idx as usize];
-                    spreads_by_idx[orig] = Some(tok.spread_bps);
-                    completions.push(CompletedOption {
-                        index: orig as u32,
-                        done_cycle: cycle_base + done_at,
-                        spread_bps: tok.spread_bps,
-                    });
+                for (tok, _) in sink.collected() {
+                    spreads_by_idx[missing[tok.opt_idx as usize]] = Some(tok.spread_bps);
                 }
             }
-            cycle_base += retry_report.total_cycles;
             let retry_kernel = retry_report.total_cycles
-                + self.config.region_cost.invocation_overhead(retry_processes / survivors.len());
+                + self.config.region_cost.invocation_overhead(retry_engine_processes);
             compute_seconds +=
                 self.config.clock.seconds(retry_kernel) * contention_factor(survivors.len());
             counters.merge(&Counters::from_run(&trace, &retry_report));
         }
 
         // Result-integrity scrub: guard every priced spread, quarantine
-        // tainted options, reprice on the CPU fallback. The journal
-        // records scrubbed values, so a resume reproduces clean spreads.
+        // tainted options, reprice on the CPU fallback.
         let mut scrub_report = None;
         if let Some(sp) = scrub {
             let mut priced: Vec<(u32, f64)> = spreads_by_idx
@@ -596,43 +409,13 @@ impl MultiEngine {
             for &(i, v) in &priced {
                 spreads_by_idx[i as usize] = Some(v);
             }
-            for c in &mut completions {
-                if let Some(Some(v)) = spreads_by_idx.get(c.index as usize) {
-                    c.spread_bps = *v;
-                }
-            }
             scrub_report = Some(sr);
         }
 
-        // Write-ahead journal: cumulative cadence-aligned checkpoints in
-        // completion order, emitted even if recovery was exhausted below.
-        if let Some((cadence, emit)) = journal.as_mut() {
-            let admitted: Vec<u32> = (0..options.len() as u32).collect();
-            let fault_seed = plan.map(FaultPlan::seed);
-            for checkpoint in checkpoint_stream(
-                options.len() as u32,
-                *cadence,
-                fault_seed,
-                None, // batch deployments run no named scenario
-                &admitted,
-                &[],
-                &completions,
-            )? {
-                emit(&checkpoint);
-            }
-        }
-
-        let unpriced = spreads_by_idx.iter().filter(|s| s.is_none()).count();
-        if unpriced > 0 {
+        let Some(spreads) = spreads_by_idx.iter().copied().collect::<Option<Vec<f64>>>() else {
+            let unpriced = spreads_by_idx.iter().filter(|s| s.is_none()).count();
             return Err(CdsError::Exhausted { attempts, unpriced });
-        }
-        let spreads: Vec<f64> = spreads_by_idx
-            .into_iter()
-            .map(|s| match s {
-                Some(v) => v,
-                None => unreachable!("unpriced options returned Exhausted above"),
-            })
-            .collect();
+        };
         let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
         let total_seconds = compute_seconds + transfer;
         Ok(MultiEngineReport {
@@ -648,6 +431,25 @@ impl MultiEngine {
             degraded,
             scrub: scrub_report,
         })
+    }
+}
+
+impl MultiEngineReport {
+    /// A report of no work on `engines` engines.
+    fn idle(engines: usize) -> Self {
+        MultiEngineReport {
+            spreads: Vec::new(),
+            engines,
+            total_seconds: 0.0,
+            options_per_second: 0.0,
+            slowest_engine_seconds: 0.0,
+            counters: Counters::default(),
+            faults_injected: 0,
+            options_retried: 0,
+            options_shed: 0,
+            degraded: false,
+            scrub: None,
+        }
     }
 }
 
@@ -692,7 +494,7 @@ mod tests {
         let pricer = CdsPricer::new(market.clone());
         let options = PortfolioGenerator::new(5).portfolio(13); // uneven split
         let multi = ok(MultiEngine::new(market, 3));
-        let report = multi.price_batch(&options);
+        let report = ok(multi.price_batch(&options));
         assert_eq!(report.spreads.len(), 13);
         for (o, s) in options.iter().zip(&report.spreads) {
             let golden = pricer.price(o).spread_bps;
@@ -707,8 +509,8 @@ mod tests {
         // full-set runs.
         let market = market();
         let options = PortfolioGenerator::uniform(250, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let r1 = ok(MultiEngine::new(market.clone(), 1)).price_batch(&options);
-        let r5 = ok(MultiEngine::new(market.clone(), 5)).price_batch(&options);
+        let r1 = ok(ok(MultiEngine::new(market.clone(), 1)).price_batch(&options));
+        let r5 = ok(ok(MultiEngine::new(market.clone(), 5)).price_batch(&options));
         let speedup = r5.options_per_second / r1.options_per_second;
         let model = MultiEngine::model_speedup(5) / MultiEngine::model_speedup(1);
         assert!((speedup - model).abs() / model < 0.10, "speedup {speedup} vs model {model}");
@@ -732,18 +534,44 @@ mod tests {
     }
 
     #[test]
-    fn single_simulation_deployment_matches_per_engine_model() {
-        let market = market();
-        let options = PortfolioGenerator::uniform(60, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let multi = ok(MultiEngine::new(market, 3));
-        let modelled = multi.price_batch(&options);
-        let simulated = ok(multi.price_batch_simulated(&options));
-        assert_eq!(modelled.spreads, simulated.spreads, "numerics must agree");
-        // All three engines run concurrently inside one DES; the makespan
-        // must agree with the max-over-engines model within a few percent
-        // (overheads are accounted slightly differently).
-        let ratio = simulated.options_per_second / modelled.options_per_second;
-        assert!((0.90..1.10).contains(&ratio), "simulated/modelled {ratio}");
+    fn deployment_equals_max_over_engines_model_bit_for_bit() {
+        // The one shared simulation reproduces, bit for bit, the
+        // max-over-engines model: each chunk priced on an engine of its
+        // own, the slowest engine scaled by the calibrated contention,
+        // plus one shared PCIe batch. Batches with fewer chunks than
+        // engines leave engines idle, and an idle engine costs nothing.
+        let f64_config = EngineVariant::Vectorised.config();
+        let mut f32_config = f64_config.clone();
+        f32_config.precision = EnginePrecision::Single;
+        let mut cases: Vec<(usize, usize, &EngineConfig)> = Vec::new();
+        for n in 2..=5 {
+            cases.extend([(1, n, &f64_config), (6, n, &f64_config)]);
+        }
+        cases.extend([(60, 3, &f64_config), (60, 5, &f64_config), (13, 6, &f32_config)]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (len, n, config) in cases {
+            let options = PortfolioGenerator::new(len as u64).portfolio(len);
+            let multi =
+                ok(MultiEngine::with_config(market(), config.clone(), Device::alveo_u280(), n));
+            let report = ok(multi.price_batch(&options));
+            let mut spreads = Vec::new();
+            let mut slowest = 0.0f64;
+            for chunk in options.chunks(len.div_ceil(n)) {
+                let run = crate::FpgaCdsEngine::new(market(), config.clone()).price_batch(chunk);
+                slowest = slowest.max(run.kernel_seconds);
+                spreads.extend(run.spreads);
+            }
+            let total =
+                slowest * contention_factor(n) + config.pcie.option_batch_seconds(len as u64);
+            let case = format!("{len} options on {n} engines");
+            assert_eq!(bits(&report.spreads), bits(&spreads), "{case}: spreads");
+            assert_eq!(report.total_seconds.to_bits(), total.to_bits(), "{case}: total seconds");
+            assert_eq!(
+                report.slowest_engine_seconds.to_bits(),
+                slowest.to_bits(),
+                "{case}: slowest engine"
+            );
+        }
     }
 
     #[test]
@@ -755,7 +583,7 @@ mod tests {
             Device::alveo_u280(),
             2,
         ));
-        match multi.price_batch_simulated(&options) {
+        match multi.price_batch(&options) {
             Err(crate::error::CdsError::Config { .. }) => {}
             other => panic!("expected a Config error, got {other:?}"),
         }
@@ -766,7 +594,7 @@ mod tests {
         // Six options on four engines fill three chunks of two; the
         // fourth engine is idle, not dead.
         let options = PortfolioGenerator::uniform(6, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let report = ok(ok(MultiEngine::new(market(), 4)).price_batch_simulated(&options));
+        let report = ok(ok(MultiEngine::new(market(), 4)).price_batch(&options));
         assert_eq!(report.spreads.len(), 6);
         assert!(!report.degraded);
     }
@@ -779,7 +607,7 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(50, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 5));
-        let clean = ok(multi.price_batch_simulated(&options));
+        let clean = ok(multi.price_batch(&options));
         let plan = FaultPlan::new(0xC0FFEE).kill_region("e2.", 60_000);
         let report = match multi.price_batch_resilient(&options, Some(&plan), 3, None) {
             Ok(r) => r,
@@ -827,7 +655,7 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(24, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
-        let clean = ok(multi.price_batch_simulated(&options));
+        let clean = ok(multi.price_batch(&options));
         let plan = FaultPlan::new(0xBAD)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
             .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
@@ -855,81 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_run_checkpoints_and_resumes_bit_identically() {
-        // Engine death with zero retries: the run fails with Exhausted,
-        // but the write-ahead journal still holds every completion, and
-        // the resume finishes the work bit-identically to a clean run.
-        use crate::error::CdsError;
-        let market = market();
-        let options = PortfolioGenerator::uniform(30, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let multi = ok(MultiEngine::new(market, 3));
-        let clean = ok(multi.price_batch_simulated(&options));
-
-        let plan = FaultPlan::new(7).kill_region("e1.", 40_000);
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let err =
-            multi.price_batch_resilient_checkpointed(&options, Some(&plan), 0, None, 4, |c| {
-                checkpoints.push(c.clone())
-            });
-        assert!(matches!(err, Err(CdsError::Exhausted { .. })), "got {err:?}");
-        let last = match checkpoints.last() {
-            Some(c) => c.clone(),
-            None => panic!("failed run must still emit its journal"),
-        };
-        assert!(!last.is_complete(), "engine death must leave work unfinished");
-        assert!(!last.completed.is_empty(), "survivors' completions must be journaled");
-
-        let restored = match Checkpoint::parse(&last.to_text()) {
-            Ok(c) => c,
-            Err(e) => panic!("checkpoint round trip failed: {e}"),
-        };
-        let resumed = match multi.resume_batch_resilient(&options, &restored, 2) {
-            Ok(r) => r,
-            Err(e) => panic!("resume must succeed: {e}"),
-        };
-        assert!(resumed.degraded);
-        assert_eq!(resumed.options_retried as usize, options.len() - last.completed.len());
-        assert_eq!(resumed.spreads.len(), clean.spreads.len());
-        for (i, (a, b)) in resumed.spreads.iter().zip(&clean.spreads).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "option {i}: resumed {a} vs clean {b}");
-        }
-    }
-
-    #[test]
-    fn resume_from_complete_checkpoint_runs_nothing() {
-        let market = market();
-        let options = PortfolioGenerator::uniform(10, 5.5, PaymentFrequency::Quarterly, 0.4);
-        let multi = ok(MultiEngine::new(market, 2));
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let full = match multi.price_batch_resilient_checkpointed(&options, None, 1, None, 4, |c| {
-            checkpoints.push(c.clone())
-        }) {
-            Ok(r) => r,
-            Err(e) => panic!("clean run must succeed: {e}"),
-        };
-        let last = match checkpoints.last() {
-            Some(c) => c.clone(),
-            None => panic!("expected checkpoints"),
-        };
-        assert!(last.is_complete());
-        let resumed = match multi.resume_batch_resilient(&options, &last, 1) {
-            Ok(r) => r,
-            Err(e) => panic!("resume must succeed: {e}"),
-        };
-        assert!(!resumed.degraded);
-        assert_eq!(resumed.options_retried, 0);
-        assert_eq!(resumed.total_seconds, 0.0, "nothing left to price");
-        for (a, b) in resumed.spreads.iter().zip(&full.spreads) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn resilient_without_faults_matches_simulated() {
         let market = market();
         let options = PortfolioGenerator::new(3).portfolio(24);
         let multi = ok(MultiEngine::new(market, 4));
-        let simulated = ok(multi.price_batch_simulated(&options));
+        let simulated = ok(multi.price_batch(&options));
         let resilient = match multi.price_batch_resilient(&options, None, 2, None) {
             Ok(r) => r,
             Err(e) => panic!("fault-free resilient run must succeed: {e}"),
@@ -969,7 +727,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let multi = ok(MultiEngine::new(market(), 2));
-        let r = multi.price_batch(&[]);
+        let r = ok(multi.price_batch(&[]));
         assert!(r.spreads.is_empty());
         assert_eq!(r.options_per_second, 0.0);
     }

@@ -3,13 +3,13 @@
 //!
 //! A route exists only if it runs code no other route runs: a distinct
 //! production path (the four Table-I engine variants, the three CPU
-//! engines) or a fault-injection oracle (engine loss and re-sharding,
-//! result scrubbing, write-ahead checkpoint/resume over the multi-engine
-//! deployment and the streaming ingress). Paths that differ from a route
-//! only in timing have no route of their own: the per-chunk
-//! [`MultiEngine::price_batch`] runs the `fpga/vectorised` engine, and the
-//! fault-free single simulation and default-policy streaming run inside
-//! the two checkpoint/resume routes. Every route must
+//! engines) or a fault-injection oracle (engine loss and re-sharding and
+//! result scrubbing over the multi-engine deployment, scrubbing and
+//! write-ahead checkpoint/resume over the streaming ingress). Paths that
+//! differ from a route only in timing have no route of their own: the
+//! fault-free [`MultiEngine::price_batch`] runs inside the two
+//! `resilient/*` routes, and default-policy streaming inside the
+//! streaming checkpoint/resume route. Every route must
 //! produce the same spreads, which means every one of them must be
 //! *enumerable* by correctness tooling. `PriceRoute` names each path and
 //! exposes a single fallible [`PriceRoute::price`] so a differential
@@ -39,7 +39,7 @@ const MULTI_ENGINES: usize = 5;
 const STREAM_ARRIVAL_STEP: Cycle = 30_000;
 
 /// Checkpoint cadence (completed options) of the checkpoint/resume
-/// routes; small so even short conformance batches cross several
+/// route; small so even short conformance batches cross several
 /// checkpoint boundaries.
 const RESUME_CADENCE: u32 = 3;
 
@@ -63,14 +63,11 @@ pub enum PriceRoute {
     /// Resilient deployment with the result-integrity scrubber enabled
     /// (guards + sampled CPU cross-check).
     ResilientScrubbed,
-    /// Checkpointed run interrupted at a mid-run checkpoint, then
-    /// resumed from the journal — the merged spreads are the output.
-    CheckpointResume,
     /// Streaming ingress with the scrubber enabled on completion.
     StreamingScrubbed,
-    /// Streaming run journalled at `RESUME_CADENCE` (every 3 chunks),
-    /// cut at a mid-run
-    /// checkpoint and resumed.
+    /// Streaming run journalled at `RESUME_CADENCE` (every 3
+    /// completions), cut at a mid-run checkpoint and resumed — the merged
+    /// spreads are the output.
     StreamingResume,
     /// The single-threaded CPU reference engine (per-option scalar loop).
     CpuScalar,
@@ -86,14 +83,13 @@ impl PriceRoute {
     /// Every route, in a stable order: the four engine variants first,
     /// then the multi-engine robustness layers, the streaming paths, and
     /// the CPU engines.
-    pub const ALL: [PriceRoute; 12] = [
+    pub const ALL: [PriceRoute; 11] = [
         PriceRoute::Variant(EngineVariant::XilinxBaseline),
         PriceRoute::Variant(EngineVariant::OptimisedDataflow),
         PriceRoute::Variant(EngineVariant::InterOption),
         PriceRoute::Variant(EngineVariant::Vectorised),
         PriceRoute::ResilientEngineLoss,
         PriceRoute::ResilientScrubbed,
-        PriceRoute::CheckpointResume,
         PriceRoute::StreamingScrubbed,
         PriceRoute::StreamingResume,
         PriceRoute::CpuScalar,
@@ -111,7 +107,6 @@ impl PriceRoute {
             PriceRoute::Variant(EngineVariant::Vectorised) => "fpga/vectorised",
             PriceRoute::ResilientEngineLoss => "resilient/engine-loss",
             PriceRoute::ResilientScrubbed => "resilient/scrubbed",
-            PriceRoute::CheckpointResume => "resilient/checkpoint-resume",
             PriceRoute::StreamingScrubbed => "streaming/scrubbed",
             PriceRoute::StreamingResume => "streaming/checkpoint-resume",
             PriceRoute::CpuScalar => "cpu/scalar",
@@ -168,26 +163,6 @@ impl PriceRoute {
                     BATCH_RETRY_ROUNDS,
                     Some(&ScrubPolicy::default()),
                 )?;
-                Self::complete_spreads(report.spreads, options.len())
-            }
-            PriceRoute::CheckpointResume => {
-                let multi = self.multi(market)?;
-                let mut checkpoints: Vec<Checkpoint> = Vec::new();
-                multi.price_batch_resilient_checkpointed(
-                    options,
-                    None,
-                    BATCH_RETRY_ROUNDS,
-                    None,
-                    RESUME_CADENCE,
-                    |c| checkpoints.push(c.clone()),
-                )?;
-                // Resume from a mid-run checkpoint (not the terminal
-                // commit), so the merge path genuinely runs.
-                let cut = checkpoints
-                    .get(checkpoints.len().saturating_sub(2) / 2)
-                    .or_else(|| checkpoints.first())
-                    .ok_or(CdsError::Config { reason: "checkpointed run emitted no journal" })?;
-                let report = multi.resume_batch_resilient(options, cut, BATCH_RETRY_ROUNDS)?;
                 Self::complete_spreads(report.spreads, options.len())
             }
             PriceRoute::StreamingScrubbed => {
@@ -321,7 +296,7 @@ mod tests {
             PriceRoute::CpuScalar,
             PriceRoute::CpuLanes,
             PriceRoute::Variant(EngineVariant::XilinxBaseline),
-            PriceRoute::CheckpointResume,
+            PriceRoute::StreamingResume,
         ] {
             assert!(ok(route.price(&market, &[])).is_empty(), "{route}");
         }

@@ -5,7 +5,6 @@
 
 use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERSION};
 use cds_engine::config::EngineVariant;
-use cds_engine::multi::MultiEngine;
 use cds_engine::prelude::*;
 use cds_quant::option::{CdsOption, MarketData, PortfolioGenerator};
 use dataflow_sim::fault::FaultPlan;
@@ -197,59 +196,6 @@ fn resume_rejects_scenario_mismatch_with_typed_error() {
         match resume_streaming_from(shared.clone(), &config, &opts, &arrivals, &policy, &restored) {
             Ok(r) => assert_eq!(r.spreads.len(), n),
             Err(e) => panic!("resume under {:?} must succeed: {e}", policy.scenario),
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Multi-engine: an engine dies with no retry budget, the batch run
-    /// fails typed but its write-ahead journal survives; resuming from
-    /// the last checkpoint completes the batch bit-identically to a
-    /// fault-free run.
-    #[test]
-    fn multi_resume_equals_uninterrupted(
-        n in 10usize..22,
-        engines in 2usize..4,
-        kill_engine in 0usize..4,
-        kill_cycle in 20_000u64..80_000,
-    ) {
-        let multi = match MultiEngine::new(market(), engines) {
-            Ok(m) => m,
-            Err(e) => return Err(TestCaseError::fail(format!("engines must fit: {e}"))),
-        };
-        let opts = portfolio(n);
-        let clean = multi
-            .price_batch_simulated(&opts)
-            .map_err(|e| TestCaseError::fail(format!("clean run failed: {e}")))?;
-        let plan = FaultPlan::new(3)
-            .kill_region(format!("e{}.", kill_engine % engines), kill_cycle as Cycle);
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let run = multi.price_batch_resilient_checkpointed(
-            &opts,
-            Some(&plan),
-            0,
-            None,
-            2,
-            |c| checkpoints.push(c.clone()),
-        );
-        prop_assert!(!checkpoints.is_empty(), "journal must survive the failed run");
-        let last = &checkpoints[checkpoints.len() - 1];
-        match run {
-            // No retry budget: losing any work is a typed exhaustion.
-            Err(CdsError::Exhausted { .. }) => prop_assert!(!last.is_complete()),
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
-            // The kill may land after this engine's chunk completed.
-            Ok(_) => prop_assert!(last.is_complete()),
-        }
-        let resumed = match multi.resume_batch_resilient(&opts, last, 2) {
-            Ok(r) => r,
-            Err(e) => return Err(TestCaseError::fail(format!("resume failed: {e}"))),
-        };
-        prop_assert_eq!(resumed.spreads.len(), n);
-        for (i, (a, b)) in resumed.spreads.iter().zip(&clean.spreads).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "option {} diverged: {} vs {}", i, a, b);
         }
     }
 }

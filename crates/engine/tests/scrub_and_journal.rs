@@ -7,12 +7,16 @@
 //!   still-consistent checkpoint, never a panic.
 
 use cds_engine::checkpoint::Checkpoint;
+use cds_engine::config::EngineVariant;
 use cds_engine::error::CdsError;
-use cds_engine::multi::MultiEngine;
 use cds_engine::scrub::{scrub_spreads, ScrubPolicy};
+use cds_engine::streaming::{run_streaming_checkpointed, AdmissionControl, StreamingPolicy};
 use cds_quant::cds::CdsPricer;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_quant::ulp::UlpComparator;
+use dataflow_sim::fault::FaultPlan;
+use dataflow_sim::Cycle;
+use std::rc::Rc;
 
 fn workload() -> (MarketData<f64>, Vec<CdsOption>, Vec<(u32, f64)>) {
     let market = MarketData::paper_workload(21);
@@ -25,31 +29,48 @@ fn workload() -> (MarketData<f64>, Vec<CdsOption>, Vec<(u32, f64)>) {
     (market, options, priced)
 }
 
-/// A checkpoint journal from an actual resilient checkpointed run, not a
+/// A checkpoint journal from an actual streaming checkpointed run, not a
 /// hand-made miniature — so the hostile-input sweeps below exercise the
-/// full field surface (fault seed, admitted/shed lists, completions).
+/// full field surface (fault seed, scenario label, admitted/shed lists,
+/// completions).
 fn real_journal() -> String {
     let market = MarketData::paper_workload(9);
     let options: Vec<CdsOption> = (0..8)
         .map(|i| CdsOption::new(1.0 + 0.5 * i as f64, PaymentFrequency::Quarterly, 0.40))
         .collect();
-    let multi = match MultiEngine::new(market, 2) {
-        Ok(m) => m,
-        Err(e) => panic!("{e}"),
+    let arrivals: Vec<Cycle> = (0..8).map(|i| i * 30_000).collect();
+    // Arrivals outpace the service interval, so admission sheds some.
+    let policy = StreamingPolicy {
+        admission: Some(AdmissionControl {
+            service_cycles_per_option: 60_000,
+            max_queue_cycles: 30_000,
+        }),
+        fault_plan: Some(FaultPlan::new(5)),
+        scenario: Some("none".to_string()),
+        ..StreamingPolicy::default()
     };
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    if let Err(e) = multi.price_batch_resilient_checkpointed(&options, None, 2, None, 3, |c| {
-        checkpoints.push(c.clone());
-    }) {
+    if let Err(e) = run_streaming_checkpointed(
+        Rc::new(market),
+        &EngineVariant::Vectorised.config(),
+        &options,
+        &arrivals,
+        &policy,
+        3,
+        |c| checkpoints.push(c.clone()),
+    ) {
         panic!("{e}");
     }
     // A mid-run checkpoint (with a genuine partial completion set), not
     // the terminal commit.
-    let mid = checkpoints.get(checkpoints.len() / 2).or_else(|| checkpoints.first());
-    match mid {
-        Some(c) => c.to_text(),
-        None => panic!("checkpointed run emitted no journal"),
-    }
+    let Some(mid) = checkpoints.get(checkpoints.len() / 2).or_else(|| checkpoints.first()) else {
+        panic!("checkpointed run emitted no journal");
+    };
+    assert!(!mid.shed.is_empty(), "the journal must shed options: {mid:?}");
+    assert!(mid.fault_seed.is_some(), "the journal must record a fault seed");
+    assert!(mid.scenario.is_some(), "the journal must carry a scenario label");
+    assert!(!mid.completed.is_empty(), "the journal must hold completions");
+    mid.to_text()
 }
 
 #[test]

@@ -260,7 +260,9 @@ pub fn futurework(workload: &Workload) -> Vec<FutureWorkRow> {
             Ok(m) => m,
             Err(e) => panic!("max_engines count must fit by construction: {e}"),
         };
-        let report = multi.price_batch(&workload.options);
+        let report = multi
+            .price_batch(&workload.options)
+            .unwrap_or_else(|e| panic!("the vectorised deployment must price: {e}"));
         let watts = power.watts(engines as u32);
         let max_error = report
             .spreads

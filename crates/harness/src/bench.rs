@@ -161,7 +161,7 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
             Err(e) => panic!("1..=5 engines must fit the U280: {e}"),
         };
         let report = multi
-            .price_batch_simulated(&w.options)
+            .price_batch(&w.options)
             .unwrap_or_else(|e| panic!("the vectorised deployment must price: {e}"));
         metrics.push(RunMetrics::from_multi_report(
             &format!("table2/engines-{n}"),

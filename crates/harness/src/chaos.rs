@@ -281,7 +281,7 @@ pub fn run(seed: u64) -> ChaosReport {
             Err(e) => panic!("five engines fit the U280: {e}"),
         };
         let clean = multi
-            .price_batch_simulated(&opts)
+            .price_batch(&opts)
             .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed).kill_region("e2.", 60_000);
         let r = multi
@@ -317,7 +317,7 @@ pub fn run(seed: u64) -> ChaosReport {
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
         let clean = multi
-            .price_batch_simulated(&opts)
+            .price_batch(&opts)
             .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let mut plan = FaultPlan::new(seed);
         for k in 0..3 {
@@ -353,7 +353,7 @@ pub fn run(seed: u64) -> ChaosReport {
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
         let clean = multi
-            .price_batch_simulated(&opts)
+            .price_batch(&opts)
             .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed).stall_stage("e1.hazard_out", 2_000, 22);
         let r = multi
@@ -438,7 +438,7 @@ pub fn run(seed: u64) -> ChaosReport {
             Err(e) => panic!("three engines fit the U280: {e}"),
         };
         let clean = multi
-            .price_batch_simulated(&opts)
+            .price_batch(&opts)
             .unwrap_or_else(|e| panic!("the fault-free deployment must price: {e}"));
         let plan = FaultPlan::new(seed)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })

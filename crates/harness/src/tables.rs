@@ -130,7 +130,7 @@ pub fn table2(workload: &Workload) -> Table2 {
         // All N engines instantiated concurrently in one discrete-event
         // simulation; the makespan emerges from the simulator.
         let report = multi
-            .price_batch_simulated(&workload.options)
+            .price_batch(&workload.options)
             .unwrap_or_else(|e| panic!("the vectorised deployment must price: {e}"));
         let watts = fpga_power.watts(n as u32);
         rows.push(Table2Row {

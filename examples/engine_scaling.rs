@@ -53,7 +53,7 @@ fn main() {
 
     for n in 1..=max {
         let multi = MultiEngine::new(market.clone(), n).expect("validated engine count");
-        let report = multi.price_batch(&options);
+        let report = multi.price_batch(&options).expect("continuous engines");
         let watts = fpga_power.watts(n as u32);
         let eff = options_per_watt(report.options_per_second, watts);
         println!(
@@ -66,7 +66,10 @@ fn main() {
         );
     }
 
-    let five = MultiEngine::new(market.clone(), max).unwrap().price_batch(&options);
+    let five = MultiEngine::new(market.clone(), max)
+        .unwrap()
+        .price_batch(&options)
+        .expect("continuous engines");
     println!(
         "\nat {max} engines the FPGA delivers {:.2}x the CPU's throughput while drawing {:.1}x less power",
         five.options_per_second / cpu_rate,
@@ -77,20 +80,15 @@ fn main() {
         options_per_watt(five.options_per_second, fpga_power.watts(max as u32)) / cpu_eff,
     );
 
-    // The same deployment, simulated as one discrete-event run containing
-    // all engines concurrently.
-    let multi = MultiEngine::new(market.clone(), max).unwrap();
-    let one_des = multi.price_batch_simulated(&options).expect("continuous engines");
     println!("\ncross-checks at {max} engines:");
-    println!("  single-DES simulation : {:>12.2} opts/s", one_des.options_per_second);
 
-    // And the paper's §V further work: single-precision engines.
+    // The paper's §V further work: single-precision engines.
     let mut f32_config = EngineVariant::Vectorised.config();
     f32_config.precision = cds_repro::engine::config::EnginePrecision::Single;
     let max32 = MultiEngine::max_engines(&market, &f32_config, &device);
     let f32_multi =
         MultiEngine::with_config(market, f32_config, device, max32).expect("f32 engines fit");
-    let f32_report = f32_multi.price_batch(&options);
+    let f32_report = f32_multi.price_batch(&options).expect("continuous engines");
     println!(
         "  f32 further work      : {:>12.2} opts/s on {max32} engines ({:.2}x the f64 deployment)",
         f32_report.options_per_second,

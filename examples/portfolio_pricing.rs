@@ -59,7 +59,7 @@ fn main() {
 
     // Full five-engine U280 deployment.
     let multi = MultiEngine::new(market.clone(), 5).expect("five engines fit the U280");
-    let report = multi.price_batch(&options);
+    let report = multi.price_batch(&options).expect("continuous engines");
     check(&report.spreads, &reference, "5-engine U280");
     row("5x vectorised engines (full U280)", report.options_per_second);
 

@@ -63,7 +63,7 @@ fn power_story_end_to_end() {
     // models: the paper's efficiency narrative must hold.
     let workload = Workload::paper(42, 128);
     let five = MultiEngine::new(workload.market.clone(), 5).unwrap();
-    let fpga_rate = five.price_batch(&workload.options).options_per_second;
+    let fpga_rate = five.price_batch(&workload.options).unwrap().options_per_second;
     let cpu_rate = cds_repro::cpu::CpuPerfModel::xeon_8260m().options_per_second(24);
     let cmp = EfficiencyComparison::new(
         cpu_rate,

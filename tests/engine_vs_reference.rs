@@ -41,7 +41,7 @@ fn all_engines_agree_on_mixed_portfolio() {
     }
 
     let multi = MultiEngine::new(market.clone(), 5).unwrap();
-    assert_close("multi-engine", &multi.price_batch(&options).spreads, &golden);
+    assert_close("multi-engine", &multi.price_batch(&options).unwrap().spreads, &golden);
 
     let cpu = CpuCdsEngine::new(&market);
     assert_close("cpu sequential", &cpu.price_batch(&options), &golden);
