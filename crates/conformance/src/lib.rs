@@ -12,7 +12,7 @@
 //! * [`differential`] — a seeded adversarial fuzzer ([`generator`])
 //!   driving the same cases through every
 //!   [`cds_engine::route::PriceRoute`] (FPGA variants, resilient and
-//!   scrubbed multi-engine, scrubbed and checkpoint-resumed streaming,
+//!   scrubbed multi-engine, scrubbed and journal-resumed streaming,
 //!   CPU) and
 //!   comparing spreads to the reference under a ULP-bounded comparator,
 //!   shrinking any disagreement to a minimal reproducer.

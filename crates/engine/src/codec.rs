@@ -1,6 +1,7 @@
-//! The one strict codec for bit-exact record fields. The checkpoint, the
-//! server WAL and wire protocol, the harness run journal and the
-//! conformance corpus all encode and decode through it:
+//! The one strict codec for bit-exact record fields. The one journal
+//! ([`crate::journal`]: the streaming journal and the server WAL), the
+//! server wire protocol, the harness run journal and the conformance
+//! corpus all encode and decode through it:
 //!
 //! * a bit pattern is exactly 16 ASCII hex digits, with no sign, prefix
 //!   or whitespace ([`hex_to_bits`]), or the same after `0x` in a token

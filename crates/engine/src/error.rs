@@ -8,7 +8,6 @@
 //! Panics remain only for *internal invariants* — states a correct engine
 //! cannot reach regardless of caller input.
 
-use crate::codec::CodecError;
 use crate::multi::MultiEngineError;
 use cds_quant::QuantError;
 use dataflow_sim::graph::SimError;
@@ -46,10 +45,10 @@ pub enum CdsError {
         /// Options still unpriced after the final round.
         unpriced: usize,
     },
-    /// A run journal or checkpoint could not be parsed or is internally
-    /// inconsistent (journal IO is typed, never a panic).
+    /// A run journal could not be parsed or is internally inconsistent
+    /// (journal IO is typed, never a panic).
     Journal {
-        /// What was wrong with the journal/checkpoint data.
+        /// What was wrong with the journal data.
         reason: String,
     },
     /// A curve point tick could not be ingested by the incremental
@@ -58,14 +57,6 @@ pub enum CdsError {
     Tick {
         /// What was wrong with the tick.
         reason: String,
-    },
-    /// The storage substrate failed while persisting or loading a
-    /// journal/checkpoint (ENOSPC, EIO, a failed rename or sync).
-    Storage {
-        /// The file the failing operation targeted.
-        path: String,
-        /// The underlying I/O failure.
-        cause: String,
     },
 }
 
@@ -84,9 +75,6 @@ impl std::fmt::Display for CdsError {
             }
             CdsError::Journal { reason } => write!(f, "invalid run journal: {reason}"),
             CdsError::Tick { reason } => write!(f, "invalid curve tick: {reason}"),
-            CdsError::Storage { path, cause } => {
-                write!(f, "journal storage failure at {path}: {cause}")
-            }
         }
     }
 }
@@ -120,13 +108,6 @@ impl From<MultiEngineError> for CdsError {
     }
 }
 
-/// A checkpoint field that fails the strict codec is a journal error.
-impl From<CodecError> for CdsError {
-    fn from(e: CodecError) -> Self {
-        CdsError::Journal { reason: e.to_string() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,13 +123,6 @@ mod tests {
             (CdsError::Exhausted { attempts: 2, unpriced: 5 }, "unpriced"),
             (CdsError::Journal { reason: "bad magic".to_string() }, "journal"),
             (CdsError::Tick { reason: "knot 9 out of bounds".to_string() }, "tick"),
-            (
-                CdsError::Storage {
-                    path: "/tmp/x.ckpt".to_string(),
-                    cause: "injected ENOSPC".to_string(),
-                },
-                "storage",
-            ),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

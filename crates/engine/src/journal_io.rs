@@ -1,18 +1,17 @@
 //! Storage I/O abstraction, seeded storage-fault injection, and
-//! crash-state enumeration for the journal/checkpoint layer.
+//! crash-state enumeration for the journal layer ([`crate::journal`]).
 //!
-//! Every durability proof in the engine and server previously assumed a
-//! perfect filesystem: appends always land, `rename` is atomic *and*
-//! durable, and `fsync` never lies. This module makes the storage
-//! substrate explicit so those assumptions become testable:
+//! A durability proof that assumes a perfect filesystem (appends always
+//! land, `fsync` never lies) proves nothing. This module makes the
+//! storage substrate explicit so those assumptions become testable:
 //!
-//! - [`JournalIo`] — the small trait (create/append/fsync/close/
-//!   rename/dir-sync) every journal and checkpoint write path goes
-//!   through,
+//! - [`JournalIo`] — the small trait (create/append/fsync) every
+//!   journal write goes through,
 //! - [`OsJournalIo`] — the real filesystem,
 //! - [`RecordingJournalIo`] — a pass-through that records the
 //!   *effective* operation trace ([`JournalOp`]) for later crash-state
-//!   enumeration and sync-ordering assertions,
+//!   enumeration and ordering assertions
+//!   ([`crate::journal::drain_ordering_held`]),
 //! - [`FaultyJournalIo`] + [`StorageFaultPlan`] — seeded, one-shot
 //!   fault injection (ENOSPC, EIO, short writes, fsync-that-lies) in
 //!   the style of `dataflow_sim::fault::FaultPlan`, with attributable
@@ -20,12 +19,9 @@
 //! - [`enumerate_crash_states`] — the power-loss simulator: for a
 //!   recorded trace it enumerates every reachable post-crash
 //!   filesystem image (unsynced-write prefixes, torn tail blocks at
-//!   configurable granularity, rename-before-backing-data reordering)
-//!   as [`CrashState`]s that can be materialised into a scratch
-//!   directory and driven through a resume path,
-//! - [`sync_ordering_held`] — the write-discipline check (data fsync
-//!   before rename, parent-dir sync after rename) that makes the
-//!   fsync-ordering fix visible to the `storage-chaos` gate.
+//!   configurable granularity) as [`CrashState`]s that can be
+//!   materialised into a scratch directory and driven through a resume
+//!   path.
 //!
 //! ## Durability model
 //!
@@ -37,18 +33,14 @@
 //! | `Create` | durable immediately (empty file); truncates pending appends |
 //! | `Append` | pending |
 //! | `Fsync(f)` | flushes `f`'s pending appends, in order |
-//! | `Rename` | pending |
-//! | `SyncDir` | flushes pending renames (pending appends follow the new name) |
 //!
 //! A crash at any point may persist the durable image plus any
 //! *prefix* of the pending queue; additionally the last flushed append
-//! may be torn at block granularity, and a pending rename may land
-//! *without* the pending appends that precede it (metadata journaled
-//! before data — the classic rename-before-backing-data reordering).
-//! `Create` being durable immediately is a deliberate simplification
-//! (ext4-ordered-style metadata journaling); it is conservative for
-//! every bug class this module hunts, all of which live in file
-//! *content* and rename/data ordering.
+//! may be torn at block granularity. `Create` being durable immediately
+//! is a deliberate simplification (ext4-ordered-style metadata
+//! journaling); it is conservative for every bug class this module
+//! hunts, all of which live in file *content*. No writer renames, so
+//! the model has no rename.
 
 use dataflow_sim::fault::splitmix64;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -67,8 +59,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(u64);
 
-/// The storage operations the journal/checkpoint layer is allowed to
-/// perform. Everything is `&self` (interior mutability) so one
+/// The storage operations the journal layer is allowed to perform. Everything is `&self` (interior mutability) so one
 /// implementation can be shared across the writer and its observers.
 pub trait JournalIo: Send + Sync {
     /// Create (truncating) a file for appending.
@@ -78,12 +69,6 @@ pub trait JournalIo: Send + Sync {
     fn append(&self, file: FileId, bytes: &[u8]) -> std::io::Result<()>;
     /// Flush an open file's data to durable storage.
     fn fsync(&self, file: FileId) -> std::io::Result<()>;
-    /// Close an open file handle.
-    fn close(&self, file: FileId) -> std::io::Result<()>;
-    /// Atomically replace `to` with `from`.
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()>;
-    /// Flush a directory's entries (the rename) to durable storage.
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()>;
 }
 
 /// The real filesystem.
@@ -130,24 +115,10 @@ impl JournalIo for OsJournalIo {
     fn fsync(&self, file: FileId) -> std::io::Result<()> {
         self.with_file(file, |f| f.sync_all())
     }
-
-    fn close(&self, file: FileId) -> std::io::Result<()> {
-        lock_recover(&self.files).remove(&file);
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        File::open(dir)?.sync_all()
-    }
 }
 
 /// One effective storage operation, as recorded by
-/// [`RecordingJournalIo`]. `close` is not recorded — it has no
-/// durability effect.
+/// [`RecordingJournalIo`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalOp {
     /// A file was created (truncated) at `path`.
@@ -167,18 +138,6 @@ pub enum JournalOp {
         /// The synced file's path.
         path: PathBuf,
     },
-    /// `from` was renamed over `to`.
-    Rename {
-        /// Source path.
-        from: PathBuf,
-        /// Destination path.
-        to: PathBuf,
-    },
-    /// The directory `dir` was fsynced.
-    SyncDir {
-        /// The synced directory.
-        dir: PathBuf,
-    },
 }
 
 impl fmt::Display for JournalOp {
@@ -189,10 +148,6 @@ impl fmt::Display for JournalOp {
                 write!(f, "append {} ({} bytes)", path.display(), bytes.len())
             }
             JournalOp::Fsync { path } => write!(f, "fsync {}", path.display()),
-            JournalOp::Rename { from, to } => {
-                write!(f, "rename {} -> {}", from.display(), to.display())
-            }
-            JournalOp::SyncDir { dir } => write!(f, "syncdir {}", dir.display()),
         }
     }
 }
@@ -257,29 +212,6 @@ impl JournalIo for RecordingJournalIo {
     fn fsync(&self, file: FileId) -> std::io::Result<()> {
         self.inner.fsync(file)?;
         self.record(JournalOp::Fsync { path: self.path_of(file) });
-        Ok(())
-    }
-
-    fn close(&self, file: FileId) -> std::io::Result<()> {
-        self.inner.close(file)?;
-        lock_recover(&self.paths).remove(&file);
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        self.inner.rename(from, to)?;
-        for path in lock_recover(&self.paths).values_mut() {
-            if path == from {
-                *path = to.to_path_buf();
-            }
-        }
-        self.record(JournalOp::Rename { from: from.to_path_buf(), to: to.to_path_buf() });
-        Ok(())
-    }
-
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.inner.sync_dir(dir)?;
-        self.record(JournalOp::SyncDir { dir: dir.to_path_buf() });
         Ok(())
     }
 }
@@ -523,57 +455,6 @@ impl JournalIo for FaultyJournalIo {
         }
         self.inner.fsync(file)
     }
-
-    fn close(&self, file: FileId) -> std::io::Result<()> {
-        self.inner.close(file)?;
-        lock_recover(&self.paths).remove(&file);
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-        self.inner.rename(from, to)?;
-        for path in lock_recover(&self.paths).values_mut() {
-            if path == from {
-                *path = to.to_path_buf();
-            }
-        }
-        Ok(())
-    }
-
-    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.inner.sync_dir(dir)
-    }
-}
-
-/// Publish `bytes` at `path` with the full crash-consistent discipline:
-/// write to `<path>.tmp`, fsync the tmp file, rename it over `path`,
-/// then sync the parent directory so the rename itself is durable. A
-/// failure part-way leaves at worst a stale `<path>.tmp` (never a torn
-/// `path`).
-///
-/// # Errors
-/// Any failing step's I/O error; the tmp handle is closed best-effort
-/// first.
-pub fn atomic_publish(io: &dyn JournalIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    let id = io.create(&tmp)?;
-    let written = io.append(id, bytes).and_then(|()| io.fsync(id));
-    let closed = io.close(id);
-    written?;
-    closed?;
-    io.rename(&tmp, path)?;
-    io.sync_dir(&parent_dir(path))
-}
-
-fn parent_dir(path: &Path) -> PathBuf {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    }
 }
 
 /// Granularity knobs for [`enumerate_crash_states`].
@@ -628,25 +509,16 @@ impl CrashState {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Pending {
-    Append { path: PathBuf, bytes: Vec<u8> },
-    Rename { from: PathBuf, to: PathBuf },
-}
-
+/// A simulated filesystem: the durable image plus the appends no fsync
+/// has flushed yet, in order.
 #[derive(Debug, Default, Clone)]
 struct SimFs {
     durable: BTreeMap<PathBuf, Vec<u8>>,
-    pending: Vec<Pending>,
+    pending: Vec<(PathBuf, Vec<u8>)>,
 }
 
 fn apply_append(map: &mut BTreeMap<PathBuf, Vec<u8>>, path: &Path, bytes: &[u8]) {
     map.entry(path.to_path_buf()).or_default().extend_from_slice(bytes);
-}
-
-fn apply_rename(map: &mut BTreeMap<PathBuf, Vec<u8>>, from: &Path, to: &Path) {
-    let content = map.remove(from).unwrap_or_default();
-    map.insert(to.to_path_buf(), content);
 }
 
 impl SimFs {
@@ -654,59 +526,34 @@ impl SimFs {
         match op {
             JournalOp::Create { path } => {
                 self.durable.insert(path.clone(), Vec::new());
-                self.pending.retain(|p| !matches!(p, Pending::Append { path: q, .. } if q == path));
+                self.pending.retain(|(q, _)| q != path);
             }
-            JournalOp::Append { path, bytes } => {
-                self.pending.push(Pending::Append { path: path.clone(), bytes: bytes.clone() });
-            }
+            JournalOp::Append { path, bytes } => self.pending.push((path.clone(), bytes.clone())),
             JournalOp::Fsync { path } => {
-                let mut rest = Vec::with_capacity(self.pending.len());
-                for p in self.pending.drain(..) {
-                    match p {
-                        Pending::Append { path: q, bytes } if q == *path => {
-                            apply_append(&mut self.durable, &q, &bytes);
-                        }
-                        other => rest.push(other),
-                    }
+                for (q, bytes) in self.pending.iter().filter(|(q, _)| q == path) {
+                    apply_append(&mut self.durable, q, bytes);
                 }
-                self.pending = rest;
-            }
-            JournalOp::Rename { from, to } => {
-                self.pending.push(Pending::Rename { from: from.clone(), to: to.clone() });
-            }
-            JournalOp::SyncDir { .. } => {
-                let mut rest: Vec<Pending> = Vec::with_capacity(self.pending.len());
-                for p in self.pending.drain(..) {
-                    match p {
-                        Pending::Rename { from, to } => {
-                            apply_rename(&mut self.durable, &from, &to);
-                            // Appends to the renamed inode follow its
-                            // new name.
-                            for r in &mut rest {
-                                if let Pending::Append { path, .. } = r {
-                                    if *path == from {
-                                        *path = to.clone();
-                                    }
-                                }
-                            }
-                        }
-                        other => rest.push(other),
-                    }
-                }
-                self.pending = rest;
+                self.pending.retain(|(q, _)| q != path);
             }
         }
+    }
+
+    /// The durable image with the first `flushed` pending appends landed.
+    fn with_flushed(&self, flushed: usize) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = self.durable.clone();
+        for (path, bytes) in &self.pending[..flushed] {
+            apply_append(&mut files, path, bytes);
+        }
+        files
     }
 }
 
 /// Enumerate every post-crash filesystem image reachable from a
 /// recorded write trace under the module's durability model: at every
 /// point in the trace, the durable image plus each in-order prefix of
-/// the pending queue, torn-tail variants of the last flushed append at
-/// [`CrashPlan::torn_granularity`], and each pending rename applied
-/// *without* the pending appends before it (rename-before-backing-data
-/// reordering). States are deduplicated by content; labels describe the
-/// first way each state arises.
+/// the pending queue, and torn-tail variants of the last flushed append
+/// at [`CrashPlan::torn_granularity`]. States are deduplicated by
+/// content; labels describe the first way each state arises.
 pub fn enumerate_crash_states(ops: &[JournalOp], plan: &CrashPlan) -> Vec<CrashState> {
     let granularity = plan.torn_granularity.max(1);
     let mut seen: BTreeSet<BTreeMap<PathBuf, Vec<u8>>> = BTreeSet::new();
@@ -721,53 +568,23 @@ pub fn enumerate_crash_states(ops: &[JournalOp], plan: &CrashPlan) -> Vec<CrashS
     for cut in 0..=ops.len() {
         // All in-order flush prefixes of the pending queue.
         for flushed in 0..=sim.pending.len() {
-            let mut files = sim.durable.clone();
-            for p in &sim.pending[..flushed] {
-                match p {
-                    Pending::Append { path, bytes } => apply_append(&mut files, path, bytes),
-                    Pending::Rename { from, to } => apply_rename(&mut files, from, to),
-                }
-            }
-            push(files, format!("crash after op {cut} with {flushed} pending flushed"));
+            push(
+                sim.with_flushed(flushed),
+                format!("crash after op {cut} with {flushed} pending flushed"),
+            );
             // Torn variants of the last flushed append.
-            if flushed > 0 {
-                if let Pending::Append { path, bytes } = &sim.pending[flushed - 1] {
-                    let mut torn_at = granularity;
-                    while torn_at < bytes.len() {
-                        let mut files = sim.durable.clone();
-                        for p in &sim.pending[..flushed - 1] {
-                            match p {
-                                Pending::Append { path, bytes } => {
-                                    apply_append(&mut files, path, bytes);
-                                }
-                                Pending::Rename { from, to } => apply_rename(&mut files, from, to),
-                            }
-                        }
-                        apply_append(&mut files, path, &bytes[..torn_at]);
-                        push(
-                            files,
-                            format!(
-                                "crash after op {cut}, append {} torn at byte {torn_at}",
-                                flushed - 1
-                            ),
-                        );
-                        torn_at += granularity;
-                    }
+            if let Some((path, bytes)) = flushed.checked_sub(1).map(|last| &sim.pending[last]) {
+                for torn_at in (granularity..bytes.len()).step_by(granularity) {
+                    let mut files = sim.with_flushed(flushed - 1);
+                    apply_append(&mut files, path, &bytes[..torn_at]);
+                    push(
+                        files,
+                        format!(
+                            "crash after op {cut}, append {} torn at byte {torn_at}",
+                            flushed - 1
+                        ),
+                    );
                 }
-            }
-        }
-        // Rename-before-backing-data: a pending rename's metadata lands
-        // while every pending append (its backing data included) is
-        // lost.
-        for (j, p) in sim.pending.iter().enumerate() {
-            if matches!(p, Pending::Rename { .. }) {
-                let mut files = sim.durable.clone();
-                for q in &sim.pending[..=j] {
-                    if let Pending::Rename { from, to } = q {
-                        apply_rename(&mut files, from, to);
-                    }
-                }
-                push(files, format!("crash after op {cut}, rename {j} before its backing data"));
             }
         }
         if cut < ops.len() {
@@ -775,38 +592,6 @@ pub fn enumerate_crash_states(ops: &[JournalOp], plan: &CrashPlan) -> Vec<CrashS
         }
     }
     out
-}
-
-/// Check the crash-consistent write discipline on a recorded trace:
-/// every rename's source file must have no unsynced appends at rename
-/// time (data fsync before rename), and every rename must eventually be
-/// followed by a sync of its destination's parent directory. This is
-/// the trace-level assertion that makes the fsync-ordering fix visible
-/// — and its revert loud — in the `storage-chaos` gate.
-pub fn sync_ordering_held(ops: &[JournalOp]) -> bool {
-    for (r, op) in ops.iter().enumerate() {
-        let JournalOp::Rename { from, to } = op else { continue };
-        // (1) Data before rename: every append to `from` earlier in the
-        // trace is covered by an fsync of `from` before the rename.
-        for (a, earlier) in ops[..r].iter().enumerate() {
-            if matches!(earlier, JournalOp::Append { path, .. } if path == from) {
-                let synced = ops[a + 1..r]
-                    .iter()
-                    .any(|o| matches!(o, JournalOp::Fsync { path } if path == from));
-                if !synced {
-                    return false;
-                }
-            }
-        }
-        // (2) Rename made durable: a parent-directory sync follows.
-        let dir = parent_dir(to);
-        let dir_synced =
-            ops[r + 1..].iter().any(|o| matches!(o, JournalOp::SyncDir { dir: d } if *d == dir));
-        if !dir_synced {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -830,7 +615,6 @@ mod tests {
         rec.append(id, b"hello ").expect("append");
         rec.append(id, b"world\n").expect("append");
         rec.fsync(id).expect("fsync");
-        rec.close(id).expect("close");
         let trace = rec.trace();
         assert_eq!(trace.len(), 4);
         assert!(matches!(&trace[0], JournalOp::Create { path: p } if *p == path));
@@ -886,13 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn enumerator_covers_prefixes_torn_tails_and_rename_reorder() {
+    fn enumerator_covers_prefixes_and_torn_tails() {
         let ops = vec![
             JournalOp::Create { path: p("/t/wal") },
             JournalOp::Append { path: p("/t/wal"), bytes: b"abcdefgh".to_vec() },
-            JournalOp::Create { path: p("/t/ck.tmp") },
-            JournalOp::Append { path: p("/t/ck.tmp"), bytes: b"CKPT".to_vec() },
-            JournalOp::Rename { from: p("/t/ck.tmp"), to: p("/t/ck") },
+            JournalOp::Create { path: p("/t/side") },
+            JournalOp::Append { path: p("/t/side"), bytes: b"SIDE".to_vec() },
         ];
         let states = enumerate_crash_states(&ops, &CrashPlan { torn_granularity: 4 });
         let has = |want: &[(&str, &[u8])]| {
@@ -906,11 +689,10 @@ mod tests {
         // The unsynced journal append as a flushed prefix, and torn.
         assert!(has(&[("/t/wal", b"abcdefgh")]));
         assert!(has(&[("/t/wal", b"abcd")]));
-        // Rename before backing data: `ck` exists but is empty while
-        // the journal append also vanished.
-        assert!(has(&[("/t/wal", b""), ("/t/ck", b"")]));
-        // Fully flushed final state.
-        assert!(has(&[("/t/wal", b"abcdefgh"), ("/t/ck", b"CKPT")]));
+        // Pending appends land in order: the second file's append never
+        // lands without the first file's.
+        assert!(has(&[("/t/wal", b"abcdefgh"), ("/t/side", b"SIDE")]));
+        assert!(!has(&[("/t/wal", b""), ("/t/side", b"SIDE")]));
         // Dedup: every state is unique.
         let mut uniq = BTreeSet::new();
         for s in &states {
@@ -932,26 +714,6 @@ mod tests {
         assert!(states
             .iter()
             .any(|s| s.files.get(&p("/t/wal")).map(Vec::as_slice) == Some(b"line\n".as_slice())));
-    }
-
-    #[test]
-    fn atomic_publish_trace_passes_sync_ordering_and_omissions_fail_it() {
-        let dir = scratch("publish");
-        let rec = Arc::new(RecordingJournalIo::over(Arc::new(OsJournalIo::new())));
-        let target = dir.join("ck");
-        atomic_publish(rec.as_ref(), &target, b"payload").expect("publish");
-        assert_eq!(std::fs::read(&target).expect("published"), b"payload");
-        let trace = rec.trace();
-        assert!(sync_ordering_held(&trace), "{trace:?}");
-        // Drop the fsync: data-before-rename is violated.
-        let no_fsync: Vec<JournalOp> =
-            trace.iter().filter(|op| !matches!(op, JournalOp::Fsync { .. })).cloned().collect();
-        assert!(!sync_ordering_held(&no_fsync));
-        // Drop the dir sync: the rename is never made durable.
-        let no_dirsync: Vec<JournalOp> =
-            trace.iter().filter(|op| !matches!(op, JournalOp::SyncDir { .. })).cloned().collect();
-        assert!(!sync_ordering_held(&no_dirsync));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,11 +33,11 @@
 #![deny(unsafe_code)]
 
 pub mod analytic;
-pub mod checkpoint;
 pub mod codec;
 pub mod config;
 pub mod error;
 pub mod incremental;
+pub mod journal;
 pub mod journal_io;
 pub mod multi;
 pub mod portfolio;
@@ -94,13 +94,13 @@ impl FpgaCdsEngine {
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::checkpoint::{streaming_checkpoints, Checkpoint, CompletedOption};
     pub use crate::config::{EngineConfig, EngineVariant, HazardIiMode};
     pub use crate::error::CdsError;
     pub use crate::incremental::{CurveKind, CurveTick, IncrementalEngine};
+    pub use crate::journal::{drain_ordering_held, StreamJournal};
     pub use crate::journal_io::{
-        enumerate_crash_states, sync_ordering_held, CrashPlan, CrashState, FaultyJournalIo,
-        JournalIo, JournalOp, OsJournalIo, RecordingJournalIo, StorageFaultPlan,
+        enumerate_crash_states, CrashPlan, CrashState, FaultyJournalIo, JournalIo, JournalOp,
+        OsJournalIo, RecordingJournalIo, StorageFaultPlan,
     };
     pub use crate::multi::MultiEngine;
     pub use crate::portfolio::{option_reads_hazard, option_reads_interest, PortfolioState};
@@ -109,7 +109,7 @@ pub mod prelude {
     pub use crate::route::PriceRoute;
     pub use crate::scrub::{scrub_spreads, QuarantineRecord, ScrubPolicy, ScrubReport};
     pub use crate::streaming::{
-        poisson_arrivals, resume_streaming_from, run_streaming, run_streaming_checkpointed,
+        poisson_arrivals, resume_streaming_from, run_streaming, run_streaming_journalled,
         run_streaming_with, AdmissionControl, StreamingPolicy, StreamingReport,
     };
     pub use crate::FpgaCdsEngine;

@@ -5,23 +5,24 @@
 //! production path (the four Table-I engine variants, the three CPU
 //! engines) or a fault-injection oracle (engine loss and re-sharding and
 //! result scrubbing over the multi-engine deployment, scrubbing and
-//! write-ahead checkpoint/resume over the streaming ingress). Paths that
+//! journal/resume over the streaming ingress). Paths that
 //! differ from a route only in timing have no route of their own: the
 //! fault-free [`MultiEngine::price_batch`] runs inside the two
 //! `resilient/*` routes, and default-policy streaming inside the
-//! streaming checkpoint/resume route. Every route must
+//! streaming journal/resume route. Every route must
 //! produce the same spreads, which means every one of them must be
 //! *enumerable* by correctness tooling. `PriceRoute` names each path and
 //! exposes a single fallible [`PriceRoute::price`] so a differential
 //! fuzzer — `crates/conformance` — can drive all of them through one
 //! loop instead of hand-writing a call site per path.
 
-use crate::checkpoint::Checkpoint;
 use crate::config::EngineVariant;
 use crate::error::CdsError;
 use crate::multi::{MultiEngine, BATCH_RETRY_ROUNDS};
 use crate::scrub::ScrubPolicy;
-use crate::streaming::{run_streaming_checkpointed, run_streaming_with, StreamingPolicy};
+use crate::streaming::{
+    resume_streaming_from, run_streaming_journalled, run_streaming_with, StreamingPolicy,
+};
 use crate::FpgaCdsEngine;
 use cds_cpu::{price_parallel, CpuCdsEngine};
 use cds_quant::option::{CdsOption, MarketData};
@@ -38,9 +39,9 @@ const MULTI_ENGINES: usize = 5;
 /// unboundedly without admission control.
 const STREAM_ARRIVAL_STEP: Cycle = 30_000;
 
-/// Checkpoint cadence (completed options) of the checkpoint/resume
+/// Journal fsync cadence (completed options) of the journal/resume
 /// route; small so even short conformance batches cross several
-/// checkpoint boundaries.
+/// fsync boundaries.
 const RESUME_CADENCE: u32 = 3;
 
 /// Cycle at which the resilient routes' fault plan kills engine `e1.`,
@@ -66,7 +67,7 @@ pub enum PriceRoute {
     /// Streaming ingress with the scrubber enabled on completion.
     StreamingScrubbed,
     /// Streaming run journalled at `RESUME_CADENCE` (every 3
-    /// completions), cut at a mid-run checkpoint and resumed — the merged
+    /// completions), cut mid-run and resumed from the prefix — the merged
     /// spreads are the output.
     StreamingResume,
     /// The single-threaded CPU reference engine (per-option scalar loop).
@@ -108,7 +109,7 @@ impl PriceRoute {
             PriceRoute::ResilientEngineLoss => "resilient/engine-loss",
             PriceRoute::ResilientScrubbed => "resilient/scrubbed",
             PriceRoute::StreamingScrubbed => "streaming/scrubbed",
-            PriceRoute::StreamingResume => "streaming/checkpoint-resume",
+            PriceRoute::StreamingResume => "streaming/journal-resume",
             PriceRoute::CpuScalar => "cpu/scalar",
             PriceRoute::CpuLanes => "cpu/lanes",
             PriceRoute::CpuParallel => "cpu/parallel",
@@ -186,23 +187,18 @@ impl PriceRoute {
                 let arrivals = Self::arrivals(options.len());
                 let policy = StreamingPolicy::default();
                 let market = Rc::new(market.clone());
-                let mut checkpoints: Vec<Checkpoint> = Vec::new();
-                run_streaming_checkpointed(
+                let (_, journal) = run_streaming_journalled(
                     market.clone(),
                     &config,
                     options,
                     &arrivals,
                     &policy,
                     RESUME_CADENCE,
-                    |c| checkpoints.push(c.clone()),
                 )?;
-                let cut = checkpoints
-                    .get(checkpoints.len().saturating_sub(2) / 2)
-                    .or_else(|| checkpoints.first())
-                    .ok_or(CdsError::Config { reason: "streaming run emitted no journal" })?;
-                let report = crate::streaming::resume_streaming_from(
-                    market, &config, options, &arrivals, &policy, cut,
-                )?;
+                // Cut the journal mid-run, as a crash would.
+                let cut = journal.prefix(journal.completed.len() / 2);
+                let report =
+                    resume_streaming_from(market, &config, options, &arrivals, &policy, &cut)?;
                 Self::complete_spreads(report.spreads, options.len())
             }
             PriceRoute::CpuScalar => Ok(CpuCdsEngine::new(market).price_batch_scalar(options)),

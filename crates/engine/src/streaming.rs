@@ -27,9 +27,9 @@
 //! * **fault injection** — a seeded [`FaultPlan`] forwarded to the
 //!   dataflow simulator for chaos testing.
 
-use crate::checkpoint::{streaming_checkpoints, Checkpoint};
 use crate::config::EngineConfig;
 use crate::error::CdsError;
+use crate::journal::StreamJournal;
 use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
 use crate::tokens::{corrupted_options, tag_options};
 use crate::variants::dataflow::build_graph_into;
@@ -147,9 +147,9 @@ pub struct StreamingPolicy {
     /// Result-integrity scrubbing of the completed spreads; `None`
     /// reports engine outputs verbatim.
     pub scrub: Option<ScrubPolicy>,
-    /// Scenario label stamped into emitted [`Checkpoint`]s and asserted
-    /// on resume: [`resume_streaming_from`] refuses a checkpoint whose
-    /// recorded label differs from a requested one (both `Some`), so a
+    /// Scenario label stamped into the run's [`StreamJournal`] and
+    /// asserted on resume: [`resume_streaming_from`] refuses a journal
+    /// whose recorded label differs from a requested one (both `Some`), so a
     /// journal from the wrong scenario surfaces as a typed error instead
     /// of a silently wrong (often empty) resumed run. `None` requests no
     /// assertion and labels nothing.
@@ -341,42 +341,38 @@ pub fn run_streaming_with(
     })
 }
 
-/// Run a streaming session under `policy`, emitting a write-ahead
-/// [`Checkpoint`] to `sink` after every `cadence` completed options
-/// (plus a terminal commit record).
+/// Run a streaming session under `policy` and derive its journal at
+/// `cadence` completions per fsync ([`StreamJournal::of_run`]).
 ///
-/// Checkpoints are derived in completion-cycle order — the order a
-/// journal on real hardware would observe — so a consumer that persists
-/// them and later calls [`resume_streaming_from`] on the last one it
-/// saw loses at most one cadence interval of work.
-pub fn run_streaming_checkpointed(
+/// Completions are journalled in completion-cycle order, the order a
+/// journal on real hardware observes, so [`resume_streaming_from`] on
+/// whatever prefix of [`StreamJournal::to_text`] was durable loses at
+/// most the completions after it.
+pub fn run_streaming_journalled(
     market: Rc<MarketData<f64>>,
     config: &EngineConfig,
     options: &[CdsOption],
     arrivals: &[Cycle],
     policy: &StreamingPolicy,
     cadence: u32,
-    mut sink: impl FnMut(&Checkpoint),
-) -> Result<StreamingReport, CdsError> {
+) -> Result<(StreamingReport, StreamJournal), CdsError> {
     let report = run_streaming_with(market, config, options, arrivals, policy)?;
-    let fault_seed = policy.fault_plan.as_ref().map(FaultPlan::seed);
-    for checkpoint in streaming_checkpoints(
+    let journal = StreamJournal::of_run(
         options.len() as u32,
         &report,
-        fault_seed,
+        policy.fault_plan.as_ref().map(FaultPlan::seed),
         policy.scenario.as_deref(),
         cadence,
-    )? {
-        sink(&checkpoint);
-    }
-    Ok(report)
+    )?;
+    Ok((report, journal))
 }
 
-/// Resume a streaming run from a [`Checkpoint`], re-pricing only the
-/// admitted options the checkpoint has not seen complete.
+/// Resume a streaming run from journal text (any prefix of a
+/// [`StreamJournal`]), re-pricing only the admitted options the journal
+/// has not seen complete.
 ///
 /// `options` and `arrivals` must be the *original* workload. The
-/// checkpoint's admission decisions are final (no re-admission), its
+/// journal's admission decisions are final (no re-admission), its
 /// completions are taken verbatim (spreads are stored bit-exactly), and
 /// the remainder is run through the engine with the caller's fault plan
 /// and scrub settings. Because per-option pricing is independent of
@@ -390,29 +386,29 @@ pub fn resume_streaming_from(
     options: &[CdsOption],
     arrivals: &[Cycle],
     policy: &StreamingPolicy,
-    checkpoint: &Checkpoint,
+    journal: &str,
 ) -> Result<StreamingReport, CdsError> {
-    checkpoint.validate()?;
-    // Scenario guard: a checkpoint recorded under scenario X resumed
-    // while requesting scenario Y would replay the wrong journal —
-    // historically a silent empty-or-wrong run, now a typed error. A
-    // `None` on the policy side requests no assertion (the legitimate
-    // "finish fault-free, whatever the journal was" path).
-    if let (Some(recorded), Some(requested)) = (&checkpoint.scenario, &policy.scenario) {
+    let journal = StreamJournal::parse(journal)?;
+    // Scenario guard: a journal recorded under scenario X resumed while
+    // requesting scenario Y would replay the wrong journal — a typed
+    // error, not a silent empty-or-wrong run. A `None` on the policy
+    // side requests no assertion (the legitimate "finish fault-free,
+    // whatever the journal was" path).
+    if let (Some(recorded), Some(requested)) = (&journal.scenario, &policy.scenario) {
         if recorded != requested {
             return Err(CdsError::Journal {
                 reason: format!(
-                    "checkpoint was recorded under scenario `{recorded}` but the resume \
+                    "journal was recorded under scenario `{recorded}` but the resume \
                      requested scenario `{requested}`"
                 ),
             });
         }
     }
-    if checkpoint.total_options as usize != options.len() {
+    if journal.total_options as usize != options.len() {
         return Err(CdsError::Journal {
             reason: format!(
-                "checkpoint covers {} options but the workload has {}",
-                checkpoint.total_options,
+                "journal covers {} options but the workload has {}",
+                journal.total_options,
                 options.len()
             ),
         });
@@ -421,27 +417,28 @@ pub fn resume_streaming_from(
         return Err(CdsError::Config { reason: "need exactly one arrival cycle per option" });
     }
 
-    let done: BTreeSet<u32> = checkpoint.completed.iter().map(|c| c.index).collect();
-    let remaining: Vec<u32> =
-        checkpoint.admitted.iter().copied().filter(|i| !done.contains(i)).collect();
+    let done: BTreeSet<u32> = journal.completed.iter().map(|&(index, ..)| index).collect();
+    let remaining: Vec<u32> = (0..journal.total_options)
+        .filter(|i| journal.shed.binary_search(i).is_err() && !done.contains(i))
+        .collect();
     let rem_opts: Vec<CdsOption> = remaining.iter().map(|&i| options[i as usize]).collect();
     let rem_arrivals: Vec<Cycle> = remaining.iter().map(|&i| arrivals[i as usize]).collect();
     let sub_policy = StreamingPolicy {
         deadline_cycles: policy.deadline_cycles,
-        admission: None, // admission decisions in the checkpoint are final
+        admission: None, // admission decisions in the journal are final
         fault_plan: policy.fault_plan.clone(),
         scrub: policy.scrub,
         scenario: policy.scenario.clone(),
     };
     let sub = run_streaming_with(market, config, &rem_opts, &rem_arrivals, &sub_policy)?;
 
-    // Merge checkpointed completions with the resumed run's, back in
+    // Merge journalled completions with the resumed run's, back in
     // original-index order.
     let sub_lost: BTreeSet<u32> = sub.lost_indices.iter().map(|&i| remaining[i as usize]).collect();
-    let mut merged: Vec<(u32, Cycle, Cycle, f64)> = checkpoint
+    let mut merged: Vec<(u32, Cycle, Cycle, f64)> = journal
         .completed
         .iter()
-        .map(|c| (c.index, arrivals[c.index as usize], c.done_cycle, c.spread_bps))
+        .map(|&(index, done_cycle, spread)| (index, arrivals[index as usize], done_cycle, spread))
         .collect();
     let sub_completed = remaining.iter().copied().filter(|i| !sub_lost.contains(i));
     for (idx, (&(arrival, done_at), &spread)) in
@@ -455,8 +452,8 @@ pub fn resume_streaming_from(
         options_per_second: sub.options_per_second,
         faults_injected: sub.faults_injected,
         counters: sub.counters,
-        options_shed: checkpoint.shed.len() as u64,
-        shed_indices: checkpoint.shed.clone(),
+        options_shed: journal.shed.len() as u64,
+        shed_indices: journal.shed,
         options_lost: sub_lost.len() as u64,
         lost_indices: sub_lost.into_iter().collect(),
         scrub: sub.scrub,
@@ -851,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_run_resumes_from_checkpoint_bit_identically() {
+    fn killed_run_resumes_from_its_journal_bit_identically() {
         let config = EngineVariant::Vectorised.config();
         let n = 12usize;
         let opts = options(n);
@@ -866,52 +863,25 @@ mod tests {
             fault_plan: Some(FaultPlan::new(1).kill_region("", kill_cycle)),
             ..Default::default()
         };
-        let cadence = 2u32;
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let killed = run_streaming_checkpointed(
-            market(),
-            &config,
-            &opts,
-            &arrivals,
-            &policy,
-            cadence,
-            |c| checkpoints.push(c.clone()),
-        );
-        let killed = match killed {
-            Ok(r) => r,
-            Err(e) => panic!("killed run must terminate gracefully: {e}"),
-        };
+        let (killed, journal) =
+            match run_streaming_journalled(market(), &config, &opts, &arrivals, &policy, 2) {
+                Ok(r) => r,
+                Err(e) => panic!("killed run must terminate gracefully: {e}"),
+            };
         assert!(killed.options_lost > 0, "the kill must lose in-flight work");
         assert!(killed.spreads.len() < n);
+        // The journal holds every completion, and nothing the kill lost.
+        assert_eq!(journal.completed.len(), killed.spreads.len());
 
-        // The terminal commit record covers everything that completed,
-        // and the last cadence-aligned checkpoint trails it by less than
-        // one interval.
-        let last = match checkpoints.last() {
-            Some(c) => c.clone(),
-            None => panic!("checkpointed run must emit at least one checkpoint"),
-        };
-        assert_eq!(last.completed.len(), killed.spreads.len());
-        if checkpoints.len() >= 2 {
-            let aligned = &checkpoints[checkpoints.len() - 2];
-            assert!(last.completed.len() - aligned.completed.len() <= cadence as usize);
-        }
-
-        // Round-trip the checkpoint through its text serialization — the
-        // resume consumes exactly what a journal on disk would hold.
-        let restored = match Checkpoint::parse(&last.to_text()) {
-            Ok(c) => c,
-            Err(e) => panic!("checkpoint round trip failed: {e}"),
-        };
-        assert_eq!(restored, last);
-
+        // Resume from the journal's text — exactly what the writer
+        // leaves on disk.
         let resumed = resume_streaming_from(
             market(),
             &config,
             &opts,
             &arrivals,
             &StreamingPolicy::default(),
-            &restored,
+            &journal.to_text(),
         );
         let resumed = match resumed {
             Ok(r) => r,
@@ -925,45 +895,27 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_mismatched_and_malformed_checkpoints() {
+    fn resume_rejects_mismatched_and_malformed_journals() {
         let config = EngineVariant::Vectorised.config();
         let opts = options(4);
         let arrivals: Vec<Cycle> = (0..4).map(|i| i * 30_000).collect();
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let _ = run_streaming_checkpointed(
-            market(),
-            &config,
-            &opts,
-            &arrivals,
-            &StreamingPolicy::default(),
-            2,
-            |c| checkpoints.push(c.clone()),
-        );
-        let last = match checkpoints.last() {
-            Some(c) => c.clone(),
-            None => panic!("expected checkpoints"),
-        };
-        assert_eq!(last.completed.len(), last.admitted.len());
+        let policy = StreamingPolicy::default();
+        let (_, journal) =
+            match run_streaming_journalled(market(), &config, &opts, &arrivals, &policy, 2) {
+                Ok(r) => r,
+                Err(e) => panic!("{e}"),
+            };
+        assert_eq!(journal.completed.len(), opts.len());
         // Wrong workload size.
-        let err = resume_streaming_from(
-            market(),
-            &config,
-            &opts[..2],
-            &arrivals[..2],
-            &StreamingPolicy::default(),
-            &last,
-        );
+        let text = journal.to_text();
+        let err =
+            resume_streaming_from(market(), &config, &opts[..2], &arrivals[..2], &policy, &text);
         assert!(matches!(err, Err(CdsError::Journal { .. })), "got {err:?}");
-        // Checkpoint cadence of zero is a configuration error.
-        let err = run_streaming_checkpointed(
-            market(),
-            &config,
-            &opts,
-            &arrivals,
-            &StreamingPolicy::default(),
-            0,
-            |_| {},
-        );
+        // Text that is no journal at all.
+        let err = resume_streaming_from(market(), &config, &opts, &arrivals, &policy, "garbage");
+        assert!(matches!(err, Err(CdsError::Journal { .. })), "got {err:?}");
+        // A journal cadence of zero is a configuration error.
+        let err = run_streaming_journalled(market(), &config, &opts, &arrivals, &policy, 0);
         assert!(matches!(err, Err(CdsError::Config { .. })), "got {err:?}");
     }
 

@@ -1,9 +1,9 @@
-//! Property tests for the write-ahead run journal: checkpoint text
-//! serialisation round-trips bit-for-bit, and resuming an interrupted
-//! run from *any* checkpoint reproduces the uninterrupted run's spreads
-//! exactly — the recovery guarantee the robustness layer advertises.
+//! Property tests for the streaming run's write-ahead journal: its text
+//! round-trips bit-for-bit, and resuming an interrupted run from *any*
+//! record prefix of its journal reproduces the uninterrupted run's
+//! spreads exactly — the recovery guarantee the robustness layer
+//! advertises.
 
-use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERSION};
 use cds_engine::config::EngineVariant;
 use cds_engine::prelude::*;
 use cds_quant::option::{CdsOption, MarketData, PortfolioGenerator};
@@ -29,10 +29,9 @@ proptest! {
     /// `to_text` → `parse` is the identity, including exact f64 spread
     /// bits (stored as hex bit patterns, immune to decimal rounding).
     #[test]
-    fn checkpoint_text_round_trips_bit_exactly(
+    fn journal_text_round_trips_bit_exactly(
         total in 1u32..64,
         cadence in 1u32..9,
-        watermark in 0u64..1_000_000,
         fault_seed in prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
         scenario in prop_oneof![
             Just(None),
@@ -40,39 +39,25 @@ proptest! {
             Just(Some("corrupt-spread".to_string())),
             Just(Some("server".to_string())),
         ],
+        shed_every in 2u32..6,
         spreads in proptest::collection::vec((-1e9f64..1e9, 0u64..1_000_000), 0..12),
     ) {
-        // Parse re-validates that every completed option was admitted,
-        // so only the first `total` entries can legitimately complete.
-        let completed: Vec<CompletedOption> = spreads
-            .iter()
-            .take(total as usize)
-            .enumerate()
-            .map(|(i, &(s, c))| CompletedOption {
-                index: i as u32,
-                done_cycle: c as Cycle,
-                spread_bps: s,
-            })
+        // Parse re-validates that every completion names an unshed
+        // option below `total`, so completions take those indices.
+        let shed: Vec<u32> = (0..total).filter(|i| i % shed_every == 1).collect();
+        let completed: Vec<(u32, Cycle, f64)> = (0..total)
+            .filter(|i| !shed.contains(i))
+            .zip(&spreads)
+            .map(|(i, &(s, c))| (i, c as Cycle, s))
             .collect();
-        let admitted: Vec<u32> = (0..total).collect();
-        let cp = Checkpoint {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
-            total_options: total,
-            cadence,
-            watermark_cycle: watermark as Cycle,
-            fault_seed,
-            scenario,
-            admitted,
-            shed: Vec::new(),
-            completed,
-        };
-        let restored = match Checkpoint::parse(&cp.to_text()) {
-            Ok(c) => c,
+        let journal = StreamJournal { total_options: total, cadence, fault_seed, scenario, shed, completed };
+        let restored = match StreamJournal::parse(&journal.to_text()) {
+            Ok(j) => j,
             Err(e) => return Err(TestCaseError::fail(format!("parse failed: {e}"))),
         };
-        prop_assert_eq!(&restored, &cp);
-        for (a, b) in restored.completed.iter().zip(&cp.completed) {
-            prop_assert_eq!(a.spread_bps.to_bits(), b.spread_bps.to_bits());
+        prop_assert_eq!(&restored, &journal);
+        for (a, b) in restored.completed.iter().zip(&journal.completed) {
+            prop_assert_eq!(a.2.to_bits(), b.2.to_bits());
         }
     }
 }
@@ -81,8 +66,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Kill a streaming run at a random point, journal at a random
-    /// cadence, resume from a random checkpoint (not just the last):
-    /// the merged result is bit-identical to the uninterrupted run.
+    /// cadence, resume from a random record prefix (not just the whole
+    /// journal): the merged result is bit-identical to the
+    /// uninterrupted run.
     #[test]
     fn streaming_resume_equals_uninterrupted(
         n in 5usize..10,
@@ -102,30 +88,26 @@ proptest! {
             fault_plan: Some(FaultPlan::new(1).kill_region("", kill_cycle)),
             ..Default::default()
         };
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let killed = run_streaming_checkpointed(
+        let journal = match run_streaming_journalled(
             shared.clone(),
             &config,
             &opts,
             &arrivals,
             &policy,
             cadence,
-            |c| checkpoints.push(c.clone()),
-        );
-        match killed {
-            Ok(_) => {}
+        ) {
+            Ok((_, journal)) => journal,
             Err(e) => return Err(TestCaseError::fail(format!("killed run errored: {e}"))),
-        }
-        prop_assert!(!checkpoints.is_empty(), "a run always emits a terminal record");
+        };
 
-        let cp = &checkpoints[which % checkpoints.len()];
+        let prefix = journal.prefix(which % (journal.completed.len() + 1));
         let resumed = resume_streaming_from(
             shared,
             &config,
             &opts,
             &arrivals,
             &StreamingPolicy::default(),
-            cp,
+            &prefix,
         );
         let resumed = match resumed {
             Ok(r) => r,
@@ -141,9 +123,9 @@ proptest! {
 
 /// A journal recorded under one scenario must refuse to resume under a
 /// *different* requested scenario with a typed [`CdsError::Journal`] —
-/// historically this silently replayed the wrong journal (often as an
-/// empty run when the checkpoint was complete). Resuming with no
-/// requested scenario (`None`) stays legal: that is the "finish the work
+/// otherwise it would silently replay the wrong journal (often as an
+/// empty run when the journal is complete). Resuming with no requested
+/// scenario (`None`) stays legal: that is the "finish the work
 /// fault-free" path.
 #[test]
 fn resume_rejects_scenario_mismatch_with_typed_error() {
@@ -154,34 +136,28 @@ fn resume_rejects_scenario_mismatch_with_typed_error() {
     let arrivals: Vec<Cycle> = (0..n as u64).map(|i| i * 30_000).collect();
     let recorded_policy =
         StreamingPolicy { scenario: Some("corrupt-spread".to_string()), ..Default::default() };
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    let run = run_streaming_checkpointed(
+    let journal = match run_streaming_journalled(
         shared.clone(),
         &config,
         &opts,
         &arrivals,
         &recorded_policy,
         2,
-        |c| checkpoints.push(c.clone()),
-    );
-    if let Err(e) = run {
-        panic!("recorded run failed: {e}");
-    }
-    let last = match checkpoints.last() {
-        Some(c) => c.clone(),
-        None => panic!("expected checkpoints"),
+    ) {
+        Ok((_, journal)) => journal,
+        Err(e) => panic!("recorded run failed: {e}"),
     };
-    assert_eq!(last.scenario.as_deref(), Some("corrupt-spread"));
-    // The label survives the text round trip the server journal relies on.
-    let restored = match Checkpoint::parse(&last.to_text()) {
-        Ok(c) => c,
+    assert_eq!(journal.scenario.as_deref(), Some("corrupt-spread"));
+    // The label survives the text round trip the resume reads.
+    let text = journal.to_text();
+    match StreamJournal::parse(&text) {
+        Ok(restored) => assert_eq!(restored.scenario.as_deref(), Some("corrupt-spread")),
         Err(e) => panic!("round trip failed: {e}"),
-    };
-    assert_eq!(restored.scenario.as_deref(), Some("corrupt-spread"));
+    }
 
     // Mismatched request: typed Journal error naming both scenarios.
     let wrong = StreamingPolicy { scenario: Some("none".to_string()), ..Default::default() };
-    match resume_streaming_from(shared.clone(), &config, &opts, &arrivals, &wrong, &restored) {
+    match resume_streaming_from(shared.clone(), &config, &opts, &arrivals, &wrong, &text) {
         Err(CdsError::Journal { reason }) => {
             assert!(
                 reason.contains("corrupt-spread") && reason.contains("none"),
@@ -193,7 +169,7 @@ fn resume_rejects_scenario_mismatch_with_typed_error() {
 
     // Matching request and no request both resume fine.
     for policy in [recorded_policy, StreamingPolicy::default()] {
-        match resume_streaming_from(shared.clone(), &config, &opts, &arrivals, &policy, &restored) {
+        match resume_streaming_from(shared.clone(), &config, &opts, &arrivals, &policy, &text) {
             Ok(r) => assert_eq!(r.spreads.len(), n),
             Err(e) => panic!("resume under {:?} must succeed: {e}", policy.scenario),
         }

@@ -2,15 +2,17 @@
 //!
 //! * the result scrubber's repair path — corrupt spreads must come back
 //!   as the reference values, idempotently;
-//! * checkpoint-journal parsing — every truncation and byte corruption
-//!   of a *real* journal must produce a typed error or a
-//!   still-consistent checkpoint, never a panic.
+//! * the streaming journal — every truncation and every single-byte
+//!   corruption of a *real* journal must resume to the uninterrupted
+//!   run's bits or fail with a typed error, never panic.
 
-use cds_engine::checkpoint::Checkpoint;
-use cds_engine::config::EngineVariant;
+use cds_engine::config::{EngineConfig, EngineVariant};
 use cds_engine::error::CdsError;
+use cds_engine::journal::StreamJournal;
 use cds_engine::scrub::{scrub_spreads, ScrubPolicy};
-use cds_engine::streaming::{run_streaming_checkpointed, AdmissionControl, StreamingPolicy};
+use cds_engine::streaming::{
+    resume_streaming_from, run_streaming_journalled, AdmissionControl, StreamingPolicy,
+};
 use cds_quant::cds::CdsPricer;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_quant::ulp::UlpComparator;
@@ -29,12 +31,23 @@ fn workload() -> (MarketData<f64>, Vec<CdsOption>, Vec<(u32, f64)>) {
     (market, options, priced)
 }
 
-/// A checkpoint journal from an actual streaming checkpointed run, not a
-/// hand-made miniature — so the hostile-input sweeps below exercise the
-/// full field surface (fault seed, scenario label, admitted/shed lists,
-/// completions).
-fn real_journal() -> String {
-    let market = MarketData::paper_workload(9);
+/// A run to journal: shed options, a fault seed, a scenario label and
+/// completions, so the hostile-input sweeps below exercise the full
+/// field surface.
+struct RealRun {
+    market: Rc<MarketData<f64>>,
+    config: EngineConfig,
+    options: Vec<CdsOption>,
+    arrivals: Vec<Cycle>,
+    policy: StreamingPolicy,
+    /// The uninterrupted run's spread bits.
+    bits: Vec<u64>,
+    journal: StreamJournal,
+}
+
+fn real_run() -> RealRun {
+    let market = Rc::new(MarketData::paper_workload(9));
+    let config = EngineVariant::Vectorised.config();
     let options: Vec<CdsOption> = (0..8)
         .map(|i| CdsOption::new(1.0 + 0.5 * i as f64, PaymentFrequency::Quarterly, 0.40))
         .collect();
@@ -49,28 +62,38 @@ fn real_journal() -> String {
         scenario: Some("none".to_string()),
         ..StreamingPolicy::default()
     };
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    if let Err(e) = run_streaming_checkpointed(
-        Rc::new(market),
-        &EngineVariant::Vectorised.config(),
-        &options,
-        &arrivals,
-        &policy,
-        3,
-        |c| checkpoints.push(c.clone()),
-    ) {
-        panic!("{e}");
+    let (report, journal) =
+        match run_streaming_journalled(market.clone(), &config, &options, &arrivals, &policy, 3) {
+            Ok(run) => run,
+            Err(e) => panic!("{e}"),
+        };
+    assert!(!journal.shed.is_empty(), "the journal must shed options: {journal:?}");
+    assert!(journal.fault_seed.is_some(), "the journal must record a fault seed");
+    assert!(journal.scenario.is_some(), "the journal must carry a scenario label");
+    assert!(journal.completed.len() >= 2, "the journal must hold completions");
+    let bits = report.spreads.iter().map(|s| s.to_bits()).collect();
+    RealRun { market, config, options, arrivals, policy, bits, journal }
+}
+
+impl RealRun {
+    /// Resume from `text`: `Ok(true)` when the resumed spreads are the
+    /// uninterrupted run's bits, `Err` for a typed journal error. Any
+    /// other error is a test failure.
+    fn resume(&self, text: &str) -> Result<bool, String> {
+        let resumed = resume_streaming_from(
+            self.market.clone(),
+            &self.config,
+            &self.options,
+            &self.arrivals,
+            &self.policy,
+            text,
+        );
+        match resumed {
+            Ok(r) => Ok(r.spreads.iter().map(|s| s.to_bits()).collect::<Vec<_>>() == self.bits),
+            Err(CdsError::Journal { reason }) => Err(reason),
+            Err(other) => panic!("non-journal error {other}"),
+        }
     }
-    // A mid-run checkpoint (with a genuine partial completion set), not
-    // the terminal commit.
-    let Some(mid) = checkpoints.get(checkpoints.len() / 2).or_else(|| checkpoints.first()) else {
-        panic!("checkpointed run emitted no journal");
-    };
-    assert!(!mid.shed.is_empty(), "the journal must shed options: {mid:?}");
-    assert!(mid.fault_seed.is_some(), "the journal must record a fault seed");
-    assert!(mid.scenario.is_some(), "the journal must carry a scenario label");
-    assert!(!mid.completed.is_empty(), "the journal must hold completions");
-    mid.to_text()
 }
 
 #[test]
@@ -136,80 +159,68 @@ fn taint_repair_survives_a_full_cross_check_rescan() {
 }
 
 #[test]
-fn every_truncation_of_a_real_journal_errors_without_panicking() {
-    let text = real_journal();
-    let full = match Checkpoint::parse(&text) {
-        Ok(c) => c,
-        Err(e) => panic!("the untruncated journal must parse: {e}"),
-    };
-    assert!(!full.completed.is_empty(), "mid-run checkpoint should hold completions");
+fn every_truncation_of_a_real_journal_resumes_or_errors_typed() {
+    let run = real_run();
+    let text = run.journal.to_text();
+    assert_eq!(run.resume(&text), Ok(true), "the whole journal must resume");
 
-    // Cut the journal at every byte boundary. A strict prefix can stay
-    // parseable only when the cut removes nothing but trailing
-    // whitespace; everything else must be a typed Journal error — and
-    // nothing may panic.
+    // Cut the journal at every byte boundary: each prefix resumes to the
+    // uninterrupted bits or is a typed Journal error — never a panic,
+    // never different bits. A prefix that parses holds exactly the
+    // first k completions; each k is resumed once.
+    let mut resumed_at = std::collections::BTreeMap::new();
     for cut in 0..text.len() {
         let prefix = &text[..cut];
-        match Checkpoint::parse(prefix) {
+        match StreamJournal::parse(prefix) {
             Ok(parsed) => {
-                assert_eq!(parsed, full, "a {cut}-byte prefix parsed to a different checkpoint");
+                let k = parsed.completed.len();
+                assert_eq!(parsed.completed, run.journal.completed[..k], "{cut}-byte prefix");
+                let clean = resumed_at.entry(k).or_insert_with(|| run.resume(prefix));
+                assert_eq!(*clean, Ok(true), "the {cut}-byte prefix resumed to different bits");
+            }
+            Err(CdsError::Journal { .. }) => {
                 assert!(
-                    text[cut..].trim().is_empty(),
-                    "a {cut}-byte prefix parsed despite dropping real content"
+                    run.resume(prefix).is_err(),
+                    "{cut}-byte prefix: parse and resume disagree"
                 );
             }
-            Err(CdsError::Journal { .. }) => {}
             Err(other) => panic!("truncation at {cut} gave a non-journal error: {other}"),
         }
     }
+    // Every record boundary was reached, from the bare header to the
+    // whole journal.
+    assert_eq!(resumed_at.len(), run.journal.completed.len() + 1);
 }
 
 #[test]
-fn every_single_byte_corruption_parses_or_errors_but_never_panics() {
-    let text = real_journal();
-    let full = match Checkpoint::parse(&text) {
-        Ok(c) => c,
-        Err(e) => panic!("{e}"),
-    };
+fn every_single_byte_corruption_resumes_or_errors_typed() {
+    let run = real_run();
+    let text = run.journal.to_text();
+    let mut typed = 0;
     for i in 0..text.len() {
         let mut corrupted = text.as_bytes().to_vec();
         corrupted[i] = corrupted[i].wrapping_add(1);
         let Ok(corrupted) = String::from_utf8(corrupted) else {
             continue;
         };
-        // The contract under corruption: a typed error, or a checkpoint
-        // that still passes its own consistency validation. Never a
-        // panic, never an inconsistent parse.
-        match Checkpoint::parse(&corrupted) {
-            Ok(parsed) => {
-                if let Err(e) = parsed.validate() {
-                    panic!("byte {i}: parse accepted an inconsistent checkpoint: {e}");
-                }
-            }
-            Err(CdsError::Journal { .. }) => {}
-            Err(other) => panic!("byte {i}: non-journal error {other}"),
+        // A corruption the journal cannot tell from real content (a
+        // cadence, a fault seed, a trailing newline) must still resume
+        // to the uninterrupted bits; anything else is a typed error.
+        match run.resume(&corrupted) {
+            Ok(clean) => assert!(clean, "byte {i}: a corrupted journal resumed to different bits"),
+            Err(_) => typed += 1,
         }
     }
-    // Bit-exactness control: the uncorrupted text still round-trips.
-    assert_eq!(full.to_text(), text);
+    assert!(typed > text.len() / 2, "only {typed} of {} corruptions were typed", text.len());
 }
 
 #[test]
 fn non_finite_spread_bits_in_a_journal_are_rejected() {
-    let text = real_journal();
-    // Replace the first completion's spread bits with +inf's bit
-    // pattern; validate() must refuse it as a typed error.
-    let Some(pos) = text.find("completed=") else {
-        panic!("journal has no completed field");
-    };
-    let Some(colon) = text[pos..].rfind(':') else {
-        panic!("journal has no completion entries");
-    };
-    let start = pos + colon + 1;
-    let end = text[start..].find([',', '\n']).map_or(text.len(), |e| start + e);
-    let inf_bits = format!("{:016x}", f64::INFINITY.to_bits());
-    let poisoned = format!("{}{}{}", &text[..start], inf_bits, &text[end..]);
-    match Checkpoint::parse(&poisoned) {
+    let mut journal = real_run().journal;
+    // A record whose checksum is right but whose spread is +inf: the
+    // reader's own rule must refuse it, not just the checksum.
+    journal.completed[0].2 = f64::INFINITY;
+    match StreamJournal::parse(&journal.to_text()) {
         Err(CdsError::Journal { reason }) => {
             assert!(reason.contains("non-finite"), "{reason}");
         }

@@ -4,7 +4,7 @@
 //! [`run`] drives the engine's fault-injection framework through a fixed
 //! matrix of failure scenarios — stage stalls, dropped tokens, in-flight
 //! corruption (scrubbed and repriced), engine deaths, mid-run kill plus
-//! checkpoint resume, total FPGA loss, and overload shedding — on both
+//! journal resume, total FPGA loss, and overload shedding — on both
 //! the streaming and multi-engine deployments. Every scenario is **deterministic**
 //! (seeded fault placement, discrete-event timing, no wall clock), so two
 //! runs produce byte-identical reports and the committed baseline
@@ -18,7 +18,7 @@ use cds_engine::config::EngineVariant;
 use cds_engine::multi::{MultiEngine, BATCH_RETRY_ROUNDS};
 use cds_engine::scrub::ScrubPolicy;
 use cds_engine::streaming::{
-    poisson_arrivals, resume_streaming_from, run_streaming, run_streaming_checkpointed,
+    poisson_arrivals, resume_streaming_from, run_streaming, run_streaming_journalled,
     run_streaming_with, AdmissionControl, StreamingPolicy,
 };
 use cds_engine::tokens::SpreadTok;
@@ -470,8 +470,8 @@ pub fn run(seed: u64) -> ChaosReport {
     }
 
     // -- streaming/kill-resume: the engine dies mid-run with a write-ahead
-    // journal at cadence 3; the resumed run picks up from the last
-    // checkpoint and reproduces the fault-free spreads bit-for-bit.
+    // journal at cadence 3; the resumed run picks up from the journal
+    // and reproduces the fault-free spreads bit-for-bit.
     {
         let n = 12usize;
         let opts = uniform_options(n);
@@ -481,28 +481,16 @@ pub fn run(seed: u64) -> ChaosReport {
             fault_plan: Some(FaultPlan::new(seed).kill_region("", arrivals[n / 2])),
             ..Default::default()
         };
-        let mut checkpoints = Vec::new();
-        let killed = run_streaming_checkpointed(
-            shared.clone(),
-            &config,
-            &opts,
-            &arrivals,
-            &policy,
-            3,
-            |c| checkpoints.push(c.clone()),
-        )
-        .unwrap_or_else(|e| panic!("streaming/kill-resume kill leg must terminate: {e}"));
-        let last = checkpoints
-            .last()
-            .cloned()
-            .unwrap_or_else(|| panic!("streaming/kill-resume must emit at least one checkpoint"));
+        let (killed, journal) =
+            run_streaming_journalled(shared.clone(), &config, &opts, &arrivals, &policy, 3)
+                .unwrap_or_else(|e| panic!("streaming/kill-resume kill leg must terminate: {e}"));
         let resumed = resume_streaming_from(
             shared.clone(),
             &config,
             &opts,
             &arrivals,
             &StreamingPolicy::default(),
-            &last,
+            &journal.to_text(),
         )
         .unwrap_or_else(|e| panic!("streaming/kill-resume resume leg must succeed: {e}"));
         let spreads_match_clean = resumed.spreads == clean.spreads;
@@ -511,7 +499,7 @@ pub fn run(seed: u64) -> ChaosReport {
             faults_injected: killed.faults_injected,
             options_total: n as u64,
             options_completed: resumed.spreads.len() as u64,
-            options_retried: (n - last.completed.len()) as u64,
+            options_retried: (n - journal.completed.len()) as u64,
             options_shed: resumed.options_shed,
             options_lost: resumed.options_lost,
             options_quarantined: 0,

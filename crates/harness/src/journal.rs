@@ -4,23 +4,26 @@
 //! and prove it reproduces: the workload recipe (seed, option count,
 //! arrival cadence), a **named** fault scenario (fault plans hold
 //! closures, so the journal stores the scenario name and rebuilds the
-//! plan via [`scenario_plan`]), the checkpoint cadence, every write-ahead
-//! [`Checkpoint`] the run emitted (verbatim text form), and the final
+//! plan via [`scenario_plan`]), the journal's fsync cadence, the run's
+//! write-ahead journal ([`StreamJournal::to_text`]), and the final
 //! spreads as **hex-encoded f64 bits** so equality is bit-exact rather
-//! than at the mercy of decimal formatting.
+//! than at the mercy of decimal formatting. The seed is a decimal
+//! string for the same reason: a JSON number is an `f64`, which rounds
+//! seeds above 2^53.
 //!
 //! [`check`] re-executes the journal and demands bit-identical spreads
-//! and byte-identical checkpoint streams; for fault-free journals it
-//! additionally resumes from a mid-run checkpoint and demands the merged
-//! result equals the full run — the CI determinism and recovery gate.
+//! and a byte-identical write-ahead journal; for fault-free journals it
+//! additionally resumes from the journal cut after half its
+//! completions and demands the merged result equals the full run — the
+//! CI determinism and recovery gate.
 
 use crate::json::Json;
-use cds_engine::checkpoint::Checkpoint;
-use cds_engine::codec::{bits_to_hex, hex_to_bits};
+use cds_engine::codec::{bits_to_hex, dec_u64, hex_to_bits};
 use cds_engine::config::{EngineConfig, EngineVariant};
+use cds_engine::journal::StreamJournal;
 use cds_engine::scrub::ScrubPolicy;
 use cds_engine::streaming::{
-    resume_streaming_from, run_streaming_checkpointed, StreamingPolicy, StreamingReport,
+    resume_streaming_from, run_streaming_journalled, StreamingPolicy, StreamingReport,
 };
 use cds_engine::tokens::SpreadTok;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency, PortfolioGenerator};
@@ -29,7 +32,7 @@ use dataflow_sim::Cycle;
 use std::rc::Rc;
 
 /// Version of the journal JSON schema.
-pub const JOURNAL_SCHEMA_VERSION: u64 = 1;
+pub const JOURNAL_SCHEMA_VERSION: u64 = 2;
 
 /// The named fault scenarios a journal may reference. Fault plans carry
 /// closures and cannot be serialised; replay rebuilds them from these
@@ -73,11 +76,10 @@ pub struct RunJournal {
     pub arrival_step: u64,
     /// Named fault scenario (see [`scenario_plan`]).
     pub scenario: String,
-    /// Checkpoint cadence the run journalled at.
+    /// Completions per fsync of the run's write-ahead journal.
     pub cadence: u32,
-    /// Every checkpoint the run emitted, in emission order, as the
-    /// verbatim [`Checkpoint::to_text`] form.
-    pub checkpoints: Vec<String>,
+    /// The run's write-ahead journal, [`StreamJournal::to_text`].
+    pub journal: String,
     /// Final spreads in original option order, as hex-encoded f64 bits.
     pub spread_bits: Vec<u64>,
 }
@@ -87,15 +89,12 @@ impl RunJournal {
     pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
+            ("seed", Json::Str(self.seed.to_string())),
             ("options", Json::Number(self.options as f64)),
             ("arrival_step", Json::Number(self.arrival_step as f64)),
             ("scenario", Json::Str(self.scenario.clone())),
             ("cadence", Json::Number(f64::from(self.cadence))),
-            (
-                "checkpoints",
-                Json::Array(self.checkpoints.iter().map(|c| Json::Str(c.clone())).collect()),
-            ),
+            ("journal", Json::Str(self.journal.clone())),
             (
                 "spread_bits",
                 Json::Array(self.spread_bits.iter().map(|&b| Json::Str(bits_to_hex(b))).collect()),
@@ -108,7 +107,8 @@ impl RunJournal {
         self.to_json().pretty()
     }
 
-    /// Parse a serialised journal, validating the schema version.
+    /// Parse a serialised journal, validating the schema version (a
+    /// version-1 journal, with its rounded seed, is refused).
     pub fn from_json(value: &Json) -> Result<Self, String> {
         let num = |key: &str| -> Result<f64, String> {
             value
@@ -122,6 +122,9 @@ impl RunJournal {
                 "journal schema version {schema_version} != supported {JOURNAL_SCHEMA_VERSION}"
             ));
         }
+        let string = |key: &str| -> Result<&str, String> {
+            value.get(key).and_then(Json::as_str).ok_or_else(|| format!("journal missing '{key}'"))
+        };
         let strings = |key: &str| -> Result<Vec<String>, String> {
             value
                 .get(key)
@@ -141,16 +144,13 @@ impl RunJournal {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RunJournal {
             schema_version,
-            seed: num("seed")? as u64,
+            seed: dec_u64(string("seed")?)
+                .map_err(|e| format!("journal {}", e.in_field("seed")))?,
             options: num("options")? as u64,
             arrival_step: num("arrival_step")? as u64,
-            scenario: value
-                .get("scenario")
-                .and_then(Json::as_str)
-                .ok_or("journal missing 'scenario'")?
-                .to_string(),
+            scenario: string("scenario")?.to_string(),
             cadence: num("cadence")? as u32,
-            checkpoints: strings("checkpoints")?,
+            journal: string("journal")?.to_string(),
             spread_bits,
         })
     }
@@ -185,7 +185,7 @@ fn execute(
     arrival_step: u64,
     scenario: &str,
     cadence: u32,
-) -> Result<(StreamingReport, Vec<Checkpoint>), String> {
+) -> Result<(StreamingReport, StreamJournal), String> {
     let (market, config) = recipe(seed);
     let (options, arrivals) = workload(n, arrival_step);
     let policy = StreamingPolicy {
@@ -194,13 +194,8 @@ fn execute(
         scenario: Some(scenario.to_string()),
         ..Default::default()
     };
-    let mut checkpoints = Vec::new();
-    let report =
-        run_streaming_checkpointed(market, &config, &options, &arrivals, &policy, cadence, |c| {
-            checkpoints.push(c.clone())
-        })
-        .map_err(|e| format!("journalled run failed: {e}"))?;
-    Ok((report, checkpoints))
+    run_streaming_journalled(market, &config, &options, &arrivals, &policy, cadence)
+        .map_err(|e| format!("journalled run failed: {e}"))
 }
 
 /// Execute a run under the journal recipe and record it.
@@ -211,7 +206,7 @@ pub fn record(
     scenario: &str,
     cadence: u32,
 ) -> Result<RunJournal, String> {
-    let (report, checkpoints) = execute(seed, n, arrival_step, scenario, cadence)?;
+    let (report, stream) = execute(seed, n, arrival_step, scenario, cadence)?;
     Ok(RunJournal {
         schema_version: JOURNAL_SCHEMA_VERSION,
         seed,
@@ -219,7 +214,7 @@ pub fn record(
         arrival_step,
         scenario: scenario.to_string(),
         cadence,
-        checkpoints: checkpoints.iter().map(Checkpoint::to_text).collect(),
+        journal: stream.to_text(),
         spread_bits: report.spreads.iter().map(|s| s.to_bits()).collect(),
     })
 }
@@ -230,7 +225,7 @@ pub fn record(
 /// engine error) and is an environment problem, not a gate failure.
 pub fn check(journal: &RunJournal) -> Result<Vec<String>, String> {
     let mut problems = Vec::new();
-    let (report, checkpoints) = execute(
+    let (report, stream) = execute(
         journal.seed,
         journal.options,
         journal.arrival_step,
@@ -258,29 +253,26 @@ pub fn check(journal: &RunJournal) -> Result<Vec<String>, String> {
         }
     }
 
-    // 2. The write-ahead checkpoint stream must be byte-identical.
-    let texts: Vec<String> = checkpoints.iter().map(Checkpoint::to_text).collect();
-    if texts != journal.checkpoints {
+    // 2. The write-ahead journal must be byte-identical.
+    let text = stream.to_text();
+    if text != journal.journal {
+        let line = text.lines().zip(journal.journal.lines()).position(|(a, b)| a != b);
         problems.push(format!(
-            "checkpoint stream diverged: replay emitted {} records, journal holds {}{}",
-            texts.len(),
-            journal.checkpoints.len(),
-            texts
-                .iter()
-                .zip(&journal.checkpoints)
-                .position(|(a, b)| a != b)
-                .map(|i| format!(" (first mismatch at record {i})"))
-                .unwrap_or_default()
+            "write-ahead journal diverged: replay wrote {} lines, journal holds {}{}",
+            text.lines().count(),
+            journal.journal.lines().count(),
+            line.map(|i| format!(" (first mismatch at line {})", i + 1)).unwrap_or_default()
         ));
     }
 
-    // 3. Fault-free journals additionally prove recovery: resume from a
-    // mid-run checkpoint and demand the merged result equals the full
-    // run. (Faulty scenarios place faults by absolute token index, which
-    // a partial re-run would shift, so recovery there is proven by the
-    // chaos matrix's kill-resume scenario instead.)
-    if journal.scenario == "none" && checkpoints.len() >= 2 {
-        let mid = &checkpoints[checkpoints.len() / 2 - 1];
+    // 3. Fault-free journals additionally prove recovery: resume from
+    // the journal cut after half its completions and demand the merged
+    // result equals the full run. (Faulty scenarios place faults by
+    // absolute token index, which a partial re-run would shift, so
+    // recovery there is proven by the chaos matrix's kill-resume
+    // scenario instead.)
+    let mid = stream.completed.len() / 2;
+    if journal.scenario == "none" && mid >= 1 {
         let (market, config) = recipe(journal.seed);
         let (options, arrivals) = workload(journal.options, journal.arrival_step);
         let policy = StreamingPolicy {
@@ -291,14 +283,15 @@ pub fn check(journal: &RunJournal) -> Result<Vec<String>, String> {
             scenario: Some(journal.scenario.clone()),
             ..Default::default()
         };
-        let resumed = resume_streaming_from(market, &config, &options, &arrivals, &policy, mid)
-            .map_err(|e| format!("checkpoint resume failed: {e}"))?;
+        let prefix = stream.prefix(mid);
+        let resumed = resume_streaming_from(market, &config, &options, &arrivals, &policy, &prefix)
+            .map_err(|e| format!("journal resume failed: {e}"))?;
         let resumed_bits: Vec<u64> = resumed.spreads.iter().map(|s| s.to_bits()).collect();
         if resumed_bits != journal.spread_bits {
             problems.push(format!(
-                "resume from checkpoint {} of {} did not reproduce the journalled spreads",
-                checkpoints.len() / 2 - 1,
-                checkpoints.len()
+                "resume after {mid} of {} journalled completions did not reproduce the \
+                 journalled spreads",
+                stream.completed.len()
             ));
         }
     }
@@ -335,10 +328,37 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_journal_exercises_checkpoint_resume() {
+    fn fault_free_journal_exercises_mid_run_resume() {
         let j = ok(record(42, 10, 30_000, "none", 2));
-        assert!(j.checkpoints.len() >= 2, "cadence 2 over 10 options must checkpoint");
+        assert!(j.journal.matches("\ndone ").count() >= 2, "the resume needs completions");
         assert!(ok(check(&j)).is_empty());
+        // A journal that no longer matches the replay is a divergence.
+        let mut tampered = j.clone();
+        tampered.journal = tampered.journal.replacen("cadence=2", "cadence=3", 1);
+        let problems = ok(check(&tampered));
+        assert!(problems.iter().any(|p| p.contains("line 3")), "{problems:?}");
+    }
+
+    /// A seed above 2^53 has no exact `f64`; it must survive the JSON
+    /// trip exactly, so the replay reproduces the recorded run.
+    #[test]
+    fn seed_above_2_pow_53_replays_exactly() {
+        let seed = (1u64 << 53) + 1;
+        let j = ok(record(seed, 4, 40_000, "none", 2));
+        let back = ok(RunJournal::parse(&j.pretty()));
+        assert_eq!(back.seed, seed);
+        assert!(ok(check(&back)).is_empty());
+        // A seed that is not a decimal string is refused typed.
+        let numeric = j.pretty().replace(&format!("\"{seed}\""), &seed.to_string());
+        assert!(RunJournal::parse(&numeric).is_err());
+    }
+
+    #[test]
+    fn a_version_1_journal_is_refused() {
+        let j = ok(record(42, 4, 40_000, "none", 2));
+        let v1 = j.pretty().replace("\"schema_version\": 2", "\"schema_version\": 1");
+        let err = RunJournal::parse(&v1).expect_err("v1 must be refused");
+        assert!(err.contains("schema version 1"), "{err}");
     }
 
     #[test]

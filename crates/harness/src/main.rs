@@ -46,10 +46,11 @@
 //! (default 2). With `--tick-storm`, `bench` storms the incremental
 //! repricing engine with single-point curve ticks against a resident
 //! book (`--options` sets the book size, default 1,048,576). `replay --json`
-//! records a checkpointed run as a journal (`--scenario` picks the named
-//! fault scenario, default `corrupt-spread`); `replay --check` re-executes
-//! a journal and exits 1 unless the spreads and write-ahead checkpoint
-//! stream are bit-identical. `conformance` checks every metamorphic
+//! records a streaming run with its write-ahead journal (`--scenario`
+//! picks the named fault scenario, default `corrupt-spread`); `replay
+//! --check` re-executes it and exits 1 unless the spreads and the
+//! write-ahead journal are bit-identical, and 2 for a file it cannot
+//! read (including a version-1 file, whose seed may be rounded). `conformance` checks every metamorphic
 //! relation against the reference and every price route, fuzzes
 //! `--options N` adversarial cases differentially, and with
 //! `--check CORPUS_DIR` replays the committed corpus; any divergence or
@@ -707,11 +708,11 @@ fn survival_only(gated: bool, all_survived: bool, what: &str) -> CliResult {
 
 /// Options per journalled replay run: small enough to re-execute in a
 /// few seconds of simulated pricing, large enough to span several
-/// checkpoint intervals.
+/// journal fsync intervals.
 const REPLAY_OPTIONS: u64 = 12;
 /// Arrival cadence (cycles) of the journalled replay run.
 const REPLAY_ARRIVAL_STEP: u64 = 30_000;
-/// Checkpoint cadence (completed options) of the journalled replay run.
+/// Journal fsync cadence (completed options) of the journalled replay run.
 const REPLAY_CADENCE: u32 = 3;
 
 fn cmd_replay(args: &Args) -> CliResult {
@@ -728,10 +729,10 @@ fn cmd_replay(args: &Args) -> CliResult {
             .map_err(fatal)?;
         write_json_report(path, &j.pretty())?;
         println!(
-            "[journal written to {}: {} checkpoints, {} spreads]",
+            "[journal written to {}: {} spreads, {}-line write-ahead journal]",
             path.display(),
-            j.checkpoints.len(),
-            j.spread_bits.len()
+            j.spread_bits.len(),
+            j.journal.lines().count()
         );
     }
     if let Some(path) = &args.check_baseline {
@@ -746,10 +747,10 @@ fn cmd_replay(args: &Args) -> CliResult {
         let problems = journal::check(&j).map_err(fatal)?;
         if problems.is_empty() {
             println!(
-                "replay of {}: PASS ({} spreads and {} checkpoints bit-identical)",
+                "replay of {}: PASS ({} spreads and the {}-line journal bit-identical)",
                 path.display(),
                 j.spread_bits.len(),
-                j.checkpoints.len()
+                j.journal.lines().count()
             );
         } else {
             eprintln!("replay of {}: FAIL", path.display());

@@ -1,35 +1,34 @@
 //! Storage-fault injection and crash-consistency proofs for the
-//! journal/checkpoint layer, with a baseline gate.
+//! journal layer, with a baseline gate.
 //!
 //! Where [`crate::server_chaos`] attacks the serving stack over TCP,
 //! this matrix attacks the **storage substrate underneath it**: every
-//! scenario drives the real [`WalWriter`] (or the engine's streaming
-//! checkpoint sidecar) through a [`RecordingJournalIo`] — optionally
-//! wrapped in a seeded [`FaultyJournalIo`] injecting ENOSPC, EIO,
-//! short writes, or fsyncs that lie — then hands the recorded write
-//! trace to [`enumerate_crash_states`], which produces **every**
-//! power-loss state the trace admits: each unsynced-write prefix,
-//! torn tail blocks of the last landed write, and renames reordered
-//! ahead of their backing data.
+//! scenario drives one of the two journals written through the engine's
+//! one [`cds_engine::journal::JournalWriter`] — the server's
+//! [`WalWriter`] or a streaming run's
+//! [`cds_engine::journal::StreamJournal`] — through a
+//! [`RecordingJournalIo`], optionally wrapped in a seeded
+//! [`FaultyJournalIo`] injecting ENOSPC, EIO, short writes, or fsyncs
+//! that lie, then hands the recorded write trace to
+//! [`enumerate_crash_states`], which produces **every** power-loss
+//! state the trace admits: each unsynced-write prefix and torn tail
+//! blocks of the last landed write.
 //!
 //! Each crash state is materialised into a scratch directory and
 //! resumed for real ([`resume_journal`] for the server journal,
-//! [`Checkpoint::load`] + [`resume_streaming_from`] for the engine
-//! sidecar). The contract gated by the committed baseline
+//! [`resume_streaming_from`] for the streaming journal). The contract
+//! gated by the committed baseline
 //! (`results/storage_chaos_baseline.json`):
 //!
 //! * **zero silent-corruption states** — every crash state either
 //!   resumes to a bit-identical prefix of the uninterrupted run or
 //!   fails with a typed, attributable error; no state may panic and
 //!   no state may resume to *different bits*,
-//! * **sync ordering held** — the trace shows data fsynced before
-//!   every rename and a parent-directory sync after it
-//!   ([`sync_ordering_held`], the engine sidecar's rule), and the server
-//!   journal fsynced before and after its `drain` record
-//!   ([`drain_ordering_held`], the journal's own rule); breaking either
-//!   discipline flips this verdict and fails the gate (the
-//!   `storage/lying-fsync` scenario honestly baselines it as `false` —
-//!   a lying fsync never reaches the trace).
+//! * **ordering held** — the trace shows the journal fsynced before
+//!   and after its `drain` record ([`drain_ordering_held`], the one
+//!   journal's rule); breaking the discipline flips this verdict and
+//!   fails the gate (the `storage/lying-fsync` scenario honestly
+//!   baselines it as `false` — a lying fsync never reaches the trace).
 //!
 //! Counts (crash states enumerated, typed failures, clean resumes)
 //! are informational only; the verdict booleans are the gate.
@@ -37,17 +36,18 @@
 use crate::gate::{Check, Gate};
 use crate::json::Json;
 use cds_cpu::engine::CpuCdsEngine;
+use cds_engine::journal::drain_ordering_held;
 use cds_engine::journal_io::{
-    enumerate_crash_states, sync_ordering_held, CrashPlan, FaultyJournalIo, JournalIo, JournalOp,
-    OsJournalIo, RecordingJournalIo, StorageFaultPlan,
+    enumerate_crash_states, CrashPlan, FaultyJournalIo, JournalIo, JournalOp, OsJournalIo,
+    RecordingJournalIo, StorageFaultPlan,
 };
 use cds_engine::prelude::{
-    resume_streaming_from, run_streaming_checkpointed, Checkpoint, EngineVariant, StreamingPolicy,
+    resume_streaming_from, run_streaming_journalled, EngineVariant, StreamingPolicy,
 };
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::proto::Priority;
 use cds_server::server::{resume_journal, ResumeReport};
-use cds_server::wal::{drain_ordering_held, WalWriter};
+use cds_server::wal::WalWriter;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -55,7 +55,7 @@ use std::sync::Arc;
 /// Version of the storage-chaos JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Scenario label stamped on the engine-sidecar checkpoints.
+/// Scenario label stamped on the streaming journal.
 const STREAM_SCENARIO: &str = "storage-chaos-stream";
 
 /// The `storage-chaos --check` gate: the same seed, and every scenario's
@@ -80,9 +80,8 @@ pub struct StorageChaosCase {
     /// Every enumerated crash state resumed bit-identically or failed
     /// typed — none panicked, none resumed to different bits.
     pub zero_silent_corruption: bool,
-    /// The write trace shows fsync-before-rename and
-    /// parent-dir-sync-after-rename throughout, and the server journal
-    /// fsynced before and after its `drain` record.
+    /// The write trace shows the journal fsynced before and after its
+    /// `drain` record.
     pub ordering_held: bool,
     /// The scenario's overall pass verdict.
     pub survived: bool,
@@ -283,7 +282,7 @@ fn wal_scenario(
     // The intact disk is itself the final crash state; it must resume.
     let reference = resume_journal(&w.journal)
         .map_err(|e| format!("{name}: intact journal must resume: {e}"))?;
-    let ordering_held = sync_ordering_held(&w.trace) && drain_ordering_held(&w.trace, &w.journal);
+    let ordering_held = drain_ordering_held(&w.trace, &w.journal);
     let root = w.journal.parent().ok_or("journal has a parent")?.to_path_buf();
     let sweep = sweep_wal_crash_states(tag, &w.trace, &root, "journal.wal", &reference)?;
     let _ = std::fs::remove_dir_all(&root);
@@ -300,17 +299,18 @@ fn wal_scenario(
     })
 }
 
-/// Engine-sidecar scenario: a streaming run persists its checkpoint
-/// sidecar through the recorded IO ([`Checkpoint::persist`] =
-/// tmp → fsync → rename → dir sync); every crash state of that trace
-/// must either [`Checkpoint::load`] + [`resume_streaming_from`] to the
-/// uninterrupted spreads bit-for-bit, fail typed, or hold no sidecar
-/// at all (a from-scratch rerun, trivially clean).
-fn scenario_engine_sidecar(seed: u64) -> Result<StorageChaosCase, String> {
-    let tag = "engine-sidecar";
+/// Streaming-journal scenario: a streaming run writes its journal
+/// through the recorded IO
+/// ([`cds_engine::journal::StreamJournal::write`]); every crash
+/// state of that trace must [`resume_streaming_from`] its durable text
+/// to the uninterrupted spreads bit-for-bit, fail typed, or hold no
+/// journal at all (a from-scratch rerun, trivially clean). The slug
+/// keeps its historical `engine-sidecar` name.
+fn scenario_engine_stream(seed: u64) -> Result<StorageChaosCase, String> {
+    let tag = "engine-stream";
     let root = scratch_dir(tag);
     fresh_dir(&root)?;
-    let sidecar = root.join("stream.ckpt");
+    let path = root.join("stream.journal");
     let recorder = Arc::new(RecordingJournalIo::over(Arc::new(OsJournalIo::new())));
 
     let market = Rc::new(MarketData::paper_workload(seed));
@@ -320,45 +320,29 @@ fn scenario_engine_sidecar(seed: u64) -> Result<StorageChaosCase, String> {
     let arrivals: Vec<u64> = (0..n as u64).map(|i| i * 30_000).collect();
     let policy =
         StreamingPolicy { scenario: Some(STREAM_SCENARIO.to_string()), ..Default::default() };
-    let mut persist_err: Option<String> = None;
-    let clean = run_streaming_checkpointed(
-        market.clone(),
-        &config,
-        &options,
-        &arrivals,
-        &policy,
-        3,
-        |cp| {
-            if persist_err.is_none() {
-                if let Err(e) = cp.persist(recorder.as_ref(), &sidecar) {
-                    persist_err = Some(e.to_string());
-                }
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    if let Some(e) = persist_err {
-        return Err(format!("sidecar persist failed: {e}"));
-    }
+    let (clean, journal) =
+        run_streaming_journalled(market.clone(), &config, &options, &arrivals, &policy, 3)
+            .map_err(|e| e.to_string())?;
+    journal.write(recorder.clone(), &path).map_err(|e| format!("stream journal write: {e}"))?;
 
     let trace = recorder.trace();
-    let ordering_held = sync_ordering_held(&trace);
+    let ordering_held = drain_ordering_held(&trace, &path);
     let states = enumerate_crash_states(&trace, &CrashPlan::default());
     let target_root = scratch_dir(&format!("{tag}-state"));
     let mut sweep = Sweep { states: states.len() as u64, typed: 0, resumed: 0, silent: 0 };
     for state in &states {
         fresh_dir(&target_root)?;
         state.materialize(&root, &target_root).map_err(|e| e.to_string())?;
-        let target = target_root.join("stream.ckpt");
+        let target = target_root.join("stream.journal");
         if !target.exists() {
-            // No durable sidecar: a resume restarts from scratch,
+            // No durable journal: a resume restarts from scratch,
             // which is the clean run by construction.
             sweep.resumed += 1;
             continue;
         }
+        let text = std::fs::read_to_string(&target).map_err(|e| e.to_string())?;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cp = Checkpoint::load(&target)?;
-            resume_streaming_from(market.clone(), &config, &options, &arrivals, &policy, &cp)
+            resume_streaming_from(market.clone(), &config, &options, &arrivals, &policy, &text)
         }));
         match outcome {
             Ok(Ok(resumed)) if resumed.spreads == clean.spreads => sweep.resumed += 1,
@@ -453,7 +437,7 @@ pub fn run(seed: u64) -> Result<StorageChaosReport, String> {
             false,
             false,
         )?,
-        scenario_engine_sidecar(seed)?,
+        scenario_engine_stream(seed)?,
     ];
     Ok(StorageChaosReport { schema_version: SCHEMA_VERSION, seed, cases })
 }

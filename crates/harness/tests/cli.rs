@@ -314,14 +314,55 @@ fn replay_check_of_tampered_journal_exits_1() {
     let open = list + text[list..].find('[').expect("spread bits array");
     let at = open + text[open..].find('"').expect("first spread entry") + 1;
     let bits = u64::from_str_radix(&text[at..at + 16], 16).expect("hex bits");
-    let tampered = text.replacen(&text[at..at + 16], &format!("{:016x}", bits ^ 1), 1);
+    // Replace at that position: the same digits also appear in the
+    // write-ahead journal text, which must stay intact here.
+    let tampered = format!("{}{:016x}{}", &text[..at], bits ^ 1, &text[at + 16..]);
     std::fs::write(&path, tampered).expect("write tampered journal");
     let chk = harness()
         .args(["replay", "--check", path.to_str().expect("utf8 path")])
         .output()
         .expect("spawn harness");
     assert_eq!(chk.status.code(), Some(1), "{}", String::from_utf8_lossy(&chk.stderr));
-    assert!(String::from_utf8_lossy(&chk.stderr).contains("diverged"));
+    assert!(String::from_utf8_lossy(&chk.stderr).contains("spread 0 diverged"));
+}
+
+#[test]
+fn replay_of_a_seed_above_2_pow_53_round_trips_with_exit_0() {
+    let dir = std::env::temp_dir().join("cds-harness-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("replay-big-seed.json");
+    let path = path.to_str().expect("utf8 path");
+    let seed = "9007199254740993"; // 2^53 + 1: no f64 holds it
+    let out = harness()
+        .args(["replay", "--seed", seed, "--scenario", "none", "--options", "6"])
+        .args(["--json", path, "--check", path])
+        .output()
+        .expect("spawn harness");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(path).expect("read journal");
+    assert!(text.contains(&format!("\"seed\": \"{seed}\"")), "{text}");
+}
+
+#[test]
+fn replay_check_of_a_version_1_journal_exits_2() {
+    let dir = std::env::temp_dir().join("cds-harness-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("replay-v1.json");
+    let rec = harness()
+        .args(["replay", "--json", path.to_str().expect("utf8 path"), "--options", "6"])
+        .output()
+        .expect("spawn harness");
+    assert_eq!(rec.status.code(), Some(0), "{}", String::from_utf8_lossy(&rec.stderr));
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let v1 = text.replace("\"schema_version\": 2", "\"schema_version\": 1");
+    assert_ne!(v1, text, "the journal must carry schema version 2");
+    std::fs::write(&path, v1).expect("write v1 journal");
+    let chk = harness()
+        .args(["replay", "--check", path.to_str().expect("utf8 path")])
+        .output()
+        .expect("spawn harness");
+    assert_eq!(chk.status.code(), Some(2), "{}", String::from_utf8_lossy(&chk.stderr));
+    assert!(String::from_utf8_lossy(&chk.stderr).contains("schema version 1"));
 }
 
 #[test]

@@ -45,7 +45,8 @@ use crate::proto::{
 };
 use crate::snapshot::{CurveBook, EpochSnapshot};
 use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState, DEFAULT_MAX_TENANTS};
-use crate::wal::{read_wal, CorruptionReport, WalError, WalFaultSpec, WalWriter};
+use crate::wal::{read_wal, WalFaultSpec, WalWriter};
+use cds_engine::journal::{CorruptionReport, JournalError};
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
 use cds_engine::retry::RetryPolicy;
 use cds_engine::streaming::AdmissionControl;
@@ -200,7 +201,7 @@ pub enum ServerError {
     /// Invalid configuration, rejected at startup.
     Config(&'static str),
     /// Journal failure.
-    Wal(WalError),
+    Wal(JournalError),
     /// Tenant configuration or registration failure.
     Tenant(TenantError),
 }
@@ -224,8 +225,8 @@ impl From<std::io::Error> for ServerError {
     }
 }
 
-impl From<WalError> for ServerError {
-    fn from(e: WalError) -> Self {
+impl From<JournalError> for ServerError {
+    fn from(e: JournalError) -> Self {
         ServerError::Wal(e)
     }
 }
@@ -300,7 +301,7 @@ impl Core {
     /// observation is sticky and drives the ladder to reject — the
     /// server keeps serving already-accepted work but refuses new
     /// quotes it can no longer journal.
-    fn note_wal_degraded(&self, context: &str, e: &WalError) {
+    fn note_wal_degraded(&self, context: &str, e: &JournalError) {
         if !self.wal_degraded.swap(true, Ordering::Relaxed) {
             eprintln!("cds-server: journal degraded ({context}): {e}");
         }
@@ -336,7 +337,12 @@ impl Core {
     }
 
     /// Durably accept a quote, allocating its journal sequence number.
-    fn accept_seq(&self, id: u64, option: &CdsOption, priority: Priority) -> Result<u32, WalError> {
+    fn accept_seq(
+        &self,
+        id: u64,
+        option: &CdsOption,
+        priority: Priority,
+    ) -> Result<u32, JournalError> {
         match &self.wal {
             Some(wal) => match wal.accept(id, option, priority) {
                 Ok(seq) => {
@@ -1195,7 +1201,7 @@ pub fn resume_journal(path: &std::path::Path) -> Result<ResumeReport, ServerErro
             Some(&spread) => spreads.push((rec.seq, rec.id, spread, false)),
             None => {
                 let option = rec.option().map_err(|e| {
-                    ServerError::Wal(WalError::Corrupt(CorruptionReport {
+                    ServerError::Wal(JournalError::Corrupt(CorruptionReport {
                         file: path.to_path_buf(),
                         offset: 0,
                         line: None,

@@ -14,36 +14,20 @@
 //!
 //! ## Crash-consistent write discipline
 //!
-//! All storage goes through the engine's
-//! [`cds_engine::journal_io::JournalIo`] abstraction, which makes the
-//! ordering testable (and its violation loud) in the `storage-chaos`
-//! harness:
-//!
-//! 1. records are appended and flushed, but *not* fsynced one by one
-//!    (a power loss may lose a tail of them); the journal is
-//!    prefix-consistent, and every unsynced prefix resumes
-//!    bit-identically — the `storage-chaos` crash-state enumeration
-//!    proves it,
-//! 2. every `cadence` completions the journal is fsynced, which bounds
-//!    what a power loss can take; nothing else is written, so the cost
-//!    of a completion does not grow with the journal's history,
-//! 3. the drain fsyncs the journal, appends `drain commit=`, and
-//!    fsyncs again ([`drain_ordering_held`] checks this on a recorded
-//!    trace), so a durable commit record never claims completions that
-//!    are not durable.
-//!
-//! ## Fail-stop degradation
-//!
-//! The writer is **fail-stop**: the first storage failure (ENOSPC,
-//! EIO, a short write) marks it degraded and every later append is
-//! refused with [`WalError::Degraded`] instead of stacking further
-//! writes after a hole. The on-disk journal stays torn-at-EOF at
-//! worst, so the durable prefix remains resumable. The server surfaces
-//! the flag as the `wal-degraded` ladder observation.
+//! The framing, the writer and the reader are the engine's one journal,
+//! [`cds_engine::journal`]: records are appended and flushed, the
+//! journal is fsynced every `cadence` completions, the drain is fsync →
+//! `drain commit=` → fsync, the writer is fail-stop (the first storage
+//! failure refuses every later append with [`JournalError::Degraded`];
+//! the server surfaces it as the `wal-degraded` ladder observation),
+//! and a torn final record is dropped on read. All storage goes through
+//! [`cds_engine::journal_io::JournalIo`], so the `storage-chaos` harness
+//! can record, fault and crash it.
 
 use crate::proto::{bad, frequency_from_wire, frequency_to_wire, ParseError, Priority};
-use cds_engine::codec::{f64_to_token, Fields};
-use cds_engine::journal_io::{FileId, JournalIo, JournalOp, OsJournalIo, StorageFaultPlan};
+use cds_engine::codec::{self, f64_to_token, CodecError, Fields};
+use cds_engine::journal::{self, Format, JournalError, JournalWriter};
+use cds_engine::journal_io::{JournalIo, OsJournalIo, StorageFaultPlan};
 use cds_quant::option::{CdsOption, PaymentFrequency};
 use cds_quant::QuantError;
 use std::collections::HashMap;
@@ -53,82 +37,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::lock_recover;
 
-const WAL_HEADER: &str = "cds-server-wal v1";
-
-/// An attributable corruption: which file, where, and why — every
-/// distinguishable corruption class [`read_wal`] can meet reports one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorruptionReport {
-    /// The corrupt journal.
-    pub file: PathBuf,
-    /// Byte offset of the offending record (0 when the corruption is
-    /// not positional, e.g. a record that no longer validates).
-    pub offset: u64,
-    /// 1-based line number of the offending record, when positional.
-    pub line: Option<u64>,
-    /// What is wrong.
-    pub cause: String,
-}
-
-impl fmt::Display for CorruptionReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.line {
-            Some(line) => write!(
-                f,
-                "{} line {line} (byte {}): {}",
-                self.file.display(),
-                self.offset,
-                self.cause
-            ),
-            None => write!(f, "{}: {}", self.file.display(), self.cause),
-        }
-    }
-}
-
-/// A journal failure.
-#[derive(Debug)]
-pub enum WalError {
-    /// Filesystem-level failure.
-    Io(std::io::Error),
-    /// The writer was misconfigured.
-    Config(&'static str),
-    /// The writer is fail-stop after an earlier storage failure; the
-    /// durable journal prefix remains resumable, but no further
-    /// appends are accepted.
-    Degraded,
-    /// The journal is malformed; the report attributes the corruption
-    /// to a file, offset, and cause.
-    Corrupt(CorruptionReport),
-}
-
-impl fmt::Display for WalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "journal io error: {e}"),
-            WalError::Config(reason) => write!(f, "journal misconfigured: {reason}"),
-            WalError::Degraded => write!(
-                f,
-                "journal degraded: an earlier storage failure made the writer fail-stop \
-                 (the durable prefix remains resumable)"
-            ),
-            WalError::Corrupt(report) => write!(f, "journal corrupt: {report}"),
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
-
 /// One accepted quote, durable before dispatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptRecord {
-    /// Journal sequence number (dense, 0-based) — the checkpoint's
-    /// option index.
+    /// Journal sequence number (dense, 0-based), which `done` records
+    /// name.
     pub seq: u32,
     /// Client request id.
     pub id: u64,
@@ -213,12 +126,8 @@ impl std::str::FromStr for WalFaultSpec {
 }
 
 struct WalInner {
-    io: Arc<dyn JournalIo>,
-    file: FileId,
-    cadence: u32,
+    journal: JournalWriter,
     accepted: u32,
-    completed: u32,
-    degraded: bool,
 }
 
 /// Appender half of the journal; all methods flush before returning so
@@ -236,37 +145,11 @@ impl fmt::Debug for WalWriter {
     }
 }
 
-fn append_line(inner: &mut WalInner, line: &str) -> Result<(), WalError> {
-    if inner.degraded {
-        return Err(WalError::Degraded);
-    }
-    match inner.io.append(inner.file, line.as_bytes()) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            inner.degraded = true;
-            Err(WalError::Io(e))
-        }
-    }
-}
-
-fn fsync_journal(inner: &mut WalInner) -> Result<(), WalError> {
-    if inner.degraded {
-        return Err(WalError::Degraded);
-    }
-    match inner.io.fsync(inner.file) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            inner.degraded = true;
-            Err(WalError::Io(e))
-        }
-    }
-}
-
 impl WalWriter {
     /// Create (truncate) a journal at `path` on the real filesystem.
     /// `seed` is the boot curve epoch seed; `cadence` is the number of
     /// completions per journal fsync.
-    pub fn create(path: &Path, seed: u64, cadence: u32) -> Result<WalWriter, WalError> {
+    pub fn create(path: &Path, seed: u64, cadence: u32) -> Result<WalWriter, JournalError> {
         WalWriter::create_with_io(Arc::new(OsJournalIo::new()), path, seed, cadence)
     }
 
@@ -277,43 +160,34 @@ impl WalWriter {
         path: &Path,
         seed: u64,
         cadence: u32,
-    ) -> Result<WalWriter, WalError> {
-        if cadence == 0 {
-            return Err(WalError::Config("journal fsync cadence must be at least 1"));
-        }
-        let file = io.create(path)?;
-        io.append(file, format!("{WAL_HEADER}\nseed={seed}\ncadence={cadence}\n").as_bytes())?;
-        Ok(WalWriter {
-            seed,
-            inner: Mutex::new(WalInner {
-                io,
-                file,
-                cadence,
-                accepted: 0,
-                completed: 0,
-                degraded: false,
-            }),
-        })
+    ) -> Result<WalWriter, JournalError> {
+        let header = [seed.to_string(), cadence.to_string()];
+        let journal = JournalWriter::create::<WalState>(io, path, &header, cadence)?;
+        Ok(WalWriter { seed, inner: Mutex::new(WalInner { journal, accepted: 0 }) })
     }
 
     /// True once a storage failure has made the writer fail-stop.
     pub fn is_degraded(&self) -> bool {
-        lock_recover(&self.inner).degraded
+        lock_recover(&self.inner).journal.is_degraded()
     }
 
     /// Durably record an acceptance and allocate its sequence number.
     /// Nothing may be dispatched for this quote until this returns.
-    pub fn accept(&self, id: u64, option: &CdsOption, priority: Priority) -> Result<u32, WalError> {
+    pub fn accept(
+        &self,
+        id: u64,
+        option: &CdsOption,
+        priority: Priority,
+    ) -> Result<u32, JournalError> {
         let mut inner = lock_recover(&self.inner);
         let seq = inner.accepted;
-        let line = format!(
-            "accept seq={seq} id={id} mat={} freq={} rec={} prio={}\n",
+        inner.journal.append(&format!(
+            "accept seq={seq} id={id} mat={} freq={} rec={} prio={}",
             f64_to_token(option.maturity),
             frequency_to_wire(option.frequency),
             f64_to_token(option.recovery_rate),
             priority.wire(),
-        );
-        append_line(&mut inner, &line)?;
+        ))?;
         inner.accepted += 1;
         Ok(seq)
     }
@@ -321,53 +195,24 @@ impl WalWriter {
     /// Durably record a completion (the canonical spread for `seq`).
     /// Every `cadence` completions the journal is fsynced; nothing else
     /// is written, so the cost does not grow with history.
-    pub fn done(&self, seq: u32, spread_bps: f64) -> Result<(), WalError> {
-        let mut inner = lock_recover(&self.inner);
-        append_line(&mut inner, &format!("done seq={seq} bits={}\n", f64_to_token(spread_bps)))?;
-        inner.completed += 1;
-        if inner.completed.is_multiple_of(inner.cadence) {
-            fsync_journal(&mut inner)?;
-        }
-        Ok(())
+    pub fn done(&self, seq: u32, spread_bps: f64) -> Result<(), JournalError> {
+        let record = format!("done seq={seq} bits={}", f64_to_token(spread_bps));
+        lock_recover(&self.inner).journal.complete(&record)
     }
 
     /// Make every record appended so far durable: the journal is its
     /// own checkpoint, so this is one fsync of the journal.
-    pub fn checkpoint_now(&self) -> Result<(), WalError> {
-        fsync_journal(&mut lock_recover(&self.inner))
+    pub fn checkpoint_now(&self) -> Result<(), JournalError> {
+        lock_recover(&self.inner).journal.sync()
     }
 
     /// Terminal drain record: fsyncs the journal, appends the
     /// `drain commit=` line counting the completions now durable, and
     /// fsyncs again. Pending quotes (if the drain deadline expired
     /// first) remain recoverable.
-    pub fn finalize(&self) -> Result<(), WalError> {
-        let mut inner = lock_recover(&self.inner);
-        fsync_journal(&mut inner)?;
-        let commit = inner.completed;
-        append_line(&mut inner, &format!("drain commit={commit}\n"))?;
-        fsync_journal(&mut inner)
+    pub fn finalize(&self) -> Result<(), JournalError> {
+        lock_recover(&self.inner).journal.finalize()
     }
-}
-
-/// The journal's own ordering rule, the one [`WalWriter::finalize`]
-/// keeps: on a recorded trace, every `drain` record appended to
-/// `journal` comes after an fsync of `journal` that follows its last
-/// earlier append, and is itself fsynced afterwards. A trace with no
-/// `drain` record (a kill before the drain) holds it trivially.
-pub fn drain_ordering_held(trace: &[JournalOp], journal: &Path) -> bool {
-    let append = |op: &JournalOp| matches!(op, JournalOp::Append { path, .. } if path == journal);
-    let fsync = |op: &JournalOp| matches!(op, JournalOp::Fsync { path } if path == journal);
-    trace.iter().enumerate().all(|(d, op)| {
-        let JournalOp::Append { path, bytes } = op else { return true };
-        if path != journal || !bytes.starts_with(b"drain ") {
-            return true;
-        }
-        let last_append = trace[..d].iter().rposition(append);
-        let synced_before =
-            trace[..d].iter().rposition(fsync).is_some_and(|f| last_append.is_none_or(|a| f > a));
-        synced_before && trace[d + 1..].iter().any(fsync)
-    })
 }
 
 /// Where older servers kept a checkpoint sidecar next to the journal.
@@ -402,10 +247,59 @@ impl WalState {
     }
 }
 
+/// A decoded body record of the server journal.
+pub enum WalRecord {
+    /// An accepted quote.
+    Accept(AcceptRecord),
+    /// A completion: sequence number and canonical spread.
+    Done(u32, f64),
+}
+
+impl Format for WalState {
+    const MAGIC: &'static str = "cds-server-wal v1";
+    const HEADER: &'static [&'static str] = &["seed", "cadence"];
+    type Record = WalRecord;
+
+    fn from_header(values: &[&str]) -> Result<Self, (&'static str, String)> {
+        let field = |key: &'static str| move |e: CodecError| (key, e.to_string());
+        Ok(WalState {
+            seed: codec::dec(values[0]).map_err(field("seed"))?,
+            cadence: codec::dec(values[1]).map_err(field("cadence"))?,
+            accepted: Vec::new(),
+            done: HashMap::new(),
+            drained: false,
+        })
+    }
+
+    fn decode(&self, line: &str) -> Result<WalRecord, String> {
+        decode_record(self, line).map_err(|e| e.reason)
+    }
+
+    fn completion(record: &WalRecord) -> Option<(u32, f64)> {
+        match *record {
+            WalRecord::Done(seq, spread) => Some((seq, spread)),
+            WalRecord::Accept(_) => None,
+        }
+    }
+
+    fn completable(&self, seq: u32) -> bool {
+        (seq as usize) < self.accepted.len()
+    }
+
+    fn apply(&mut self, record: WalRecord) {
+        match record {
+            WalRecord::Accept(rec) => self.accepted.push(rec),
+            WalRecord::Done(seq, spread) => {
+                self.done.insert(seq, spread);
+            }
+        }
+    }
+}
+
 /// Decode one journal record. Every field goes through the strict
 /// codec, so a spread is exactly `0x` + 16 hex digits and a torn write
 /// can never resume as a different (valid, wrong) float.
-fn parse_line(state: &mut WalState, line: &str) -> Result<(), ParseError> {
+fn decode_record(state: &WalState, line: &str) -> Result<WalRecord, ParseError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     match toks.split_first() {
         Some((&"accept", rest @ [_, _, _, _, _, _])) => {
@@ -429,30 +323,12 @@ fn parse_line(state: &mut WalState, line: &str) -> Result<(), ParseError> {
                     state.accepted.len()
                 )));
             }
-            state.accepted.push(rec);
-            Ok(())
+            Ok(WalRecord::Accept(rec))
         }
         Some((&"accept", _)) => Err(bad("malformed accept record")),
         Some((&"done", rest @ [_, _])) => {
             let f = Fields::parse(rest.iter().copied())?;
-            let seq: u32 = f.dec("seq")?;
-            if seq as usize >= state.accepted.len() {
-                return Err(bad(format!("done for unaccepted seq {seq}")));
-            }
-            state.done.insert(seq, f.f64("bits")?);
-            Ok(())
-        }
-        Some((&"drain", [commit])) => {
-            let commit: usize = Fields::parse([*commit])?.dec("commit")?;
-            if commit != state.done.len() {
-                return Err(bad(format!(
-                    "drain commit {} disagrees with {} durable completions",
-                    commit,
-                    state.done.len()
-                )));
-            }
-            state.drained = true;
-            Ok(())
+            Ok(WalRecord::Done(f.dec("seq")?, f.f64("bits")?))
         }
         _ => Err(bad(format!("unknown journal record `{line}`"))),
     }
@@ -460,59 +336,19 @@ fn parse_line(state: &mut WalState, line: &str) -> Result<(), ParseError> {
 
 /// Read a journal back. A torn final line — the signature of a kill or
 /// power loss mid-write — is dropped; corruption anywhere else fails
-/// typed with an attributable [`CorruptionReport`] (file, byte offset,
-/// line, cause).
-pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
+/// typed with an attributable [`journal::CorruptionReport`] (file, byte
+/// offset, line, cause).
+pub fn read_wal(path: &Path) -> Result<WalState, JournalError> {
     let text = std::fs::read_to_string(path)?;
-    let corrupt = |offset: u64, line: Option<u64>, cause: String| {
-        WalError::Corrupt(CorruptionReport { file: path.to_path_buf(), offset, line, cause })
-    };
-    let ends_clean = text.ends_with('\n');
-    // Each record with its byte offset and 1-based line number.
-    let mut records: Vec<(u64, u64, &str)> = Vec::new();
-    let mut offset = 0u64;
-    for (i, seg) in text.split_inclusive('\n').enumerate() {
-        let line = seg.strip_suffix('\n').unwrap_or(seg);
-        records.push((offset, i as u64 + 1, line));
-        offset += seg.len() as u64;
-    }
-    let [(h_off, h_line, header), (s_off, s_line, seed), (c_off, c_line, cadence), body @ ..] =
-        records.as_slice()
-    else {
-        return Err(corrupt(offset, None, "journal missing its header lines".to_string()));
-    };
-    if *header != WAL_HEADER {
-        return Err(corrupt(*h_off, Some(*h_line), format!("bad header `{header}`")));
-    }
-    let seed = Fields::parse([*seed])
-        .and_then(|f| f.dec("seed"))
-        .map_err(|e| corrupt(*s_off, Some(*s_line), e.to_string()))?;
-    let cadence = Fields::parse([*cadence])
-        .and_then(|f| f.dec("cadence"))
-        .map_err(|e| corrupt(*c_off, Some(*c_line), e.to_string()))?;
-
-    let mut state =
-        WalState { seed, cadence, accepted: Vec::new(), done: HashMap::new(), drained: false };
-    for (i, &(off, line_no, line)) in body.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Err(ParseError { reason: cause }) = parse_line(&mut state, line) {
-            let is_last = i + 1 == body.len();
-            if is_last && !ends_clean {
-                break; // torn tail from a mid-write kill: drop it
-            }
-            return Err(corrupt(off, Some(line_no), cause));
-        }
-    }
-
-    Ok(state)
+    let read = journal::parse::<WalState>(path, &text).map_err(JournalError::Corrupt)?;
+    Ok(WalState { drained: read.drained, ..read.state })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_engine::journal_io::{FaultyJournalIo, RecordingJournalIo};
+    use cds_engine::journal::{drain_ordering_held, StreamJournal};
+    use cds_engine::journal_io::{FaultyJournalIo, JournalOp, RecordingJournalIo};
     use cds_quant::option::PaymentFrequency;
 
     fn tmp(name: &str) -> PathBuf {
@@ -573,7 +409,7 @@ mod tests {
         text.push_str("\ndone seq=0 bits=0x4059000000000000\n");
         std::fs::write(&path, &text).expect("rewrite");
         match read_wal(&path) {
-            Err(WalError::Corrupt(report)) => {
+            Err(JournalError::Corrupt(report)) => {
                 assert_eq!(report.file, path);
                 assert_eq!(report.offset, torn_offset - "accept seq=1 id=2 mat=0x40".len() as u64);
                 assert_eq!(report.line, Some(6));
@@ -631,47 +467,105 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The journal is its own checkpoint: every append is one short
-    /// record, and every cadence window costs the same IO however long
-    /// the history — one journal fsync, no file created or renamed.
+    /// Both journals are their own checkpoint: every append is one
+    /// short record, and every cadence window costs the same IO however
+    /// long the history — one journal fsync, no file created or renamed.
+    /// The server appends an `accept` and a `done` per completion, the
+    /// streaming run one `done`, then its drain.
     #[test]
     fn checkpoint_cost_does_not_grow_with_history() {
         const CADENCE: usize = 4;
+        const COMPLETIONS: u32 = 400;
         let (dir, path, rec, wal) = recorded("cost", CADENCE as u32);
-        for i in 0..400u32 {
+        for i in 0..COMPLETIONS {
             let seq = wal.accept(u64::from(i), &opt(), Priority::High).expect("accept");
             wal.done(seq, 100.0 + f64::from(i)).expect("done");
         }
-        let trace = rec.trace();
-        let [JournalOp::Create { .. }, JournalOp::Append { .. }, body @ ..] = trace.as_slice()
-        else {
-            panic!("trace must open with the journal's create and header: {trace:#?}");
+        let stream_path = dir.join("stream.journal");
+        let stream_rec = Arc::new(RecordingJournalIo::over(Arc::new(OsJournalIo::new())));
+        let stream = StreamJournal {
+            total_options: COMPLETIONS,
+            cadence: CADENCE as u32,
+            fault_seed: None,
+            scenario: None,
+            shed: Vec::new(),
+            completed: (0..COMPLETIONS)
+                .map(|i| (i, 30_000 * u64::from(i), 100.0 + f64::from(i)))
+                .collect(),
         };
-        for op in body {
-            if let JournalOp::Append { path: p, bytes } = op {
-                assert_eq!(*p, path, "append outside the journal");
-                assert!(bytes.len() <= 128, "append of {} bytes", bytes.len());
-                assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
-                assert_eq!(bytes.last(), Some(&b'\n'), "append is not one whole record");
+        stream.write(stream_rec.clone(), &stream_path).expect("stream journal");
+        let stream_trace = stream_rec.trace();
+        // The stream's drain: fsync, `drain` append, fsync.
+        let [stream_body @ .., JournalOp::Fsync { .. }, JournalOp::Append { bytes, .. }, JournalOp::Fsync { .. }] =
+            stream_trace.as_slice()
+        else {
+            panic!("the stream journal must end in its drain: {stream_trace:#?}");
+        };
+        assert!(bytes.starts_with(b"drain commit=400"), "{}", String::from_utf8_lossy(bytes));
+
+        for (trace, journal, per_completion) in
+            [(&rec.trace()[..], &path, 2), (stream_body, &stream_path, 1)]
+        {
+            let [JournalOp::Create { .. }, JournalOp::Append { .. }, body @ ..] = trace else {
+                panic!("trace must open with the journal's create and header: {trace:#?}");
+            };
+            for op in body {
+                if let JournalOp::Append { path: p, bytes } = op {
+                    assert_eq!(p, journal, "append outside the journal");
+                    assert!(bytes.len() <= 128, "append of {} bytes", bytes.len());
+                    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+                    assert_eq!(bytes.last(), Some(&b'\n'), "append is not one whole record");
+                }
+            }
+            let kind = |op: &JournalOp| match op {
+                JournalOp::Create { .. } => "create",
+                JournalOp::Append { .. } => "append",
+                JournalOp::Fsync { path: p } if p == journal => "fsync journal",
+                JournalOp::Fsync { .. } => "fsync other",
+            };
+            let window = per_completion * CADENCE + 1;
+            let windows: Vec<Vec<&str>> =
+                body.chunks(window).map(|w| w.iter().map(kind).collect()).collect();
+            let mut want = vec!["append"; per_completion * CADENCE];
+            want.push("fsync journal");
+            for (i, w) in windows.iter().enumerate() {
+                assert_eq!(
+                    *w,
+                    want,
+                    "{}: cadence window {i} issues different IO",
+                    journal.display()
+                );
+            }
+            assert_eq!(windows.len(), COMPLETIONS as usize / CADENCE, "one window per {CADENCE}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every completion must be the first for an accepted seq and carry
+    /// a finite spread: a second `done` (NaN or not) is corruption, not
+    /// "the last one wins".
+    #[test]
+    fn a_repeated_or_non_finite_done_is_typed_corruption() {
+        let path = tmp("strict-done.wal");
+        let accept =
+            "accept seq=0 id=1 mat=0x4014000000000000 freq=Q rec=0x3fd999999999999a prio=HI";
+        let head = format!("{}\nseed=7\ncadence=4\n{accept}\n", WalState::MAGIC);
+        for (records, needle) in [
+            ("done seq=0 bits=0x4057000000000000\ndone seq=0 bits=0x7ff8000000000000\n", "seq 0"),
+            ("done seq=0 bits=0x4057000000000000\ndone seq=0 bits=0x4058000000000000\n", "twice"),
+            ("done seq=0 bits=0x7ff8000000000000\n", "non-finite"),
+            ("done seq=0 bits=0xfff0000000000000\n", "non-finite"),
+            ("done seq=1 bits=0x4057000000000000\n", "unaccepted seq 1"),
+        ] {
+            std::fs::write(&path, format!("{head}{records}")).expect("write journal");
+            match read_wal(&path) {
+                Err(JournalError::Corrupt(report)) => {
+                    assert!(report.cause.contains(needle), "{records}: {}", report.cause);
+                }
+                other => panic!("{records} must be typed corruption, got {other:?}"),
             }
         }
-        let kind = |op: &JournalOp| match op {
-            JournalOp::Create { .. } => "create",
-            JournalOp::Append { .. } => "append",
-            JournalOp::Fsync { path: p } if *p == path => "fsync journal",
-            JournalOp::Fsync { .. } => "fsync other",
-            JournalOp::Rename { .. } => "rename",
-            JournalOp::SyncDir { .. } => "syncdir",
-        };
-        let windows: Vec<Vec<&str>> =
-            body.chunks(2 * CADENCE + 1).map(|w| w.iter().map(kind).collect()).collect();
-        let mut want = vec!["append"; 2 * CADENCE];
-        want.push("fsync journal");
-        for (i, window) in windows.iter().enumerate() {
-            assert_eq!(*window, want, "cadence window {i} issues different IO");
-        }
-        assert_eq!(windows.len(), 400 / CADENCE, "one window per {CADENCE} completions");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -690,15 +584,15 @@ mod tests {
         wal.accept(10, &opt(), Priority::High).expect("accept");
         wal.accept(11, &opt(), Priority::High).expect("accept");
         match wal.done(0, 100.0) {
-            Err(WalError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::StorageFull),
+            Err(JournalError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::StorageFull),
             other => panic!("expected ENOSPC, got {other:?}"),
         }
         assert!(wal.is_degraded());
         assert!(io.counters().any());
         // Fail-stop: everything after the failure is refused…
-        assert!(matches!(wal.done(1, 101.0), Err(WalError::Degraded)));
-        assert!(matches!(wal.accept(12, &opt(), Priority::High), Err(WalError::Degraded)));
-        assert!(matches!(wal.finalize(), Err(WalError::Degraded)));
+        assert!(matches!(wal.done(1, 101.0), Err(JournalError::Degraded)));
+        assert!(matches!(wal.accept(12, &opt(), Priority::High), Err(JournalError::Degraded)));
+        assert!(matches!(wal.finalize(), Err(JournalError::Degraded)));
         // …so the on-disk journal is a clean resumable prefix.
         let state = read_wal(&path).expect("prefix resumes");
         assert_eq!(state.accepted.len(), 2);
@@ -713,8 +607,10 @@ mod tests {
         let journal = |bits: &str| {
             let accept = "accept seq=0 id=1 mat=0x4014000000000000 freq=Q \
                           rec=0x3fd999999999999a prio=HI";
-            let text =
-                format!("{WAL_HEADER}\nseed=7\ncadence=4\n{accept}\ndone seq=0 bits={bits}\n");
+            let text = format!(
+                "{}\nseed=7\ncadence=4\n{accept}\ndone seq=0 bits={bits}\n",
+                WalState::MAGIC
+            );
             std::fs::write(&path, text).expect("write journal");
             read_wal(&path)
         };
@@ -725,7 +621,7 @@ mod tests {
         // that still has 16 characters, and a decimal.
         for bad in ["0x4059", "0x+405900000000000", "0x", "103.5", "0X4059000000000000"] {
             match journal(bad) {
-                Err(WalError::Corrupt(report)) => {
+                Err(JournalError::Corrupt(report)) => {
                     assert_eq!(report.line, Some(5));
                     let want = format!("field `bits`: bad bit pattern `{bad}`");
                     assert!(report.cause.contains(&want), "{bad}: {}", report.cause);
