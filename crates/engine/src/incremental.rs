@@ -224,7 +224,7 @@ impl IncrementalEngine {
     /// to inserting one by one, far cheaper for large books). Returns
     /// the ids in option order.
     pub fn insert_batch(&mut self, options: &[CdsOption]) -> Vec<u32> {
-        let ids: Vec<u32> = options.iter().map(|&o| self.portfolio.insert(o)).collect();
+        let ids = self.portfolio.insert_batch(options);
         if self.spread_bits.len() < self.portfolio.slab_len() {
             self.spread_bits.resize(self.portfolio.slab_len(), 0);
         }

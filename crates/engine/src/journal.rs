@@ -6,11 +6,15 @@
 //! ## Framing
 //!
 //! ```text
-//! <magic>                      Format::MAGIC
-//! <key>=<value>                one line per Format::HEADER key, in order
-//! <record>                     one line per event; a completion is `done seq=<n> …`
-//! drain commit=<completions>   the terminal record
+//! <magic>                            Format::MAGIC
+//! <key>=<value> sum=<16 hex>         one line per Format::HEADER key, in order
+//! <record> sum=<16 hex>              one line per event; a completion is `done seq=<n> …`
+//! drain commit=<completions> sum=…   the terminal record
 //! ```
+//!
+//! Every line after the magic is sealed ([`seal`]): `sum` is the FNV-1a
+//! hash of the line before it, so a flipped byte cannot read as a
+//! different valid spread, option or header value.
 //!
 //! [`JournalWriter`] appends it with one discipline, which makes every
 //! durable state a prefix of the run:
@@ -31,10 +35,10 @@
 //! [`JournalError::Degraded`] instead of stacking writes after a hole,
 //! so the file stays torn-at-EOF at worst.
 //!
-//! [`parse`] reads a journal back. A torn final line (no trailing
-//! newline) is dropped, but a torn header line is not: it could read
-//! as a shorter, wrong value. Anything else malformed is a typed
-//! [`CorruptionReport`]. Every completion, in either format, must name
+//! [`parse`] reads a journal back, checking each seal first. A torn
+//! final line (no trailing newline) is dropped, but a torn header line
+//! is not: it could read as a shorter, wrong value. Anything else
+//! malformed is a typed [`CorruptionReport`]. Every completion must name
 //! an accepted and unshed sequence number, carry a finite spread and
 //! be the first for its number; a `drain commit=` must count the
 //! completions before it.
@@ -42,10 +46,8 @@
 //! ## The streaming journal
 //!
 //! A streaming run writes one `done seq=<index> cycle=<done cycle>
-//! bits=0x<spread bits> sum=<16 hex>` record per completion, in
-//! completion-cycle order, where `sum` is the FNV-1a hash of the record
-//! before it, so a flipped digit cannot read as a different valid
-//! spread. The header carries `total`, `cadence`, `fault_seed`,
+//! bits=0x<spread bits>` record per completion, in completion-cycle
+//! order. The header carries `total`, `cadence`, `fault_seed`,
 //! `scenario` (empty when unlabelled) and the ascending `shed` set.
 //! [`crate::streaming::resume_streaming_from`] resumes from any prefix
 //! of the text: it replays only the options the prefix has not seen
@@ -162,12 +164,37 @@ pub struct Journal<F> {
     pub drained: bool,
 }
 
-/// The header a [`JournalWriter`] appends: the magic line, then
-/// `key=value` for each of `F::HEADER` with `values` in order.
+/// FNV-1a over a line's text: any one changed byte changes it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A line as the journal stores it: `<line> sum=<16 hex>\n`, the
+/// FNV-1a hash of `line`.
+#[must_use]
+pub fn seal(line: &str) -> String {
+    format!("{line} sum={}\n", bits_to_hex(fnv1a(line.as_bytes())))
+}
+
+/// Check a stored line's seal and return the line without it.
+fn unseal(stored: &str) -> Result<&str, String> {
+    let (line, sum) = stored
+        .rsplit_once(" sum=")
+        .ok_or_else(|| format!("record `{stored}` carries no checksum"))?;
+    if hex_to_bits(sum).map_err(|e| e.in_field("sum").to_string())? != fnv1a(line.as_bytes()) {
+        return Err(format!("record checksum mismatch in `{stored}`"));
+    }
+    Ok(line)
+}
+
+/// The header a [`JournalWriter`] appends: the magic line, then the
+/// sealed `key=value` for each of `F::HEADER` with `values` in order.
 fn header_text<F: Format>(values: &[String]) -> String {
     let mut text = format!("{}\n", F::MAGIC);
     for (key, value) in F::HEADER.iter().zip(values) {
-        text.push_str(&format!("{key}={value}\n"));
+        text.push_str(&seal(&format!("{key}={value}")));
     }
     text
 }
@@ -206,8 +233,10 @@ pub fn parse<F: Format>(file: &Path, text: &str) -> Result<Journal<F>, Corruptio
     }
     let mut values = Vec::with_capacity(F::HEADER.len());
     for (&key, &(off, line_no, line)) in F::HEADER.iter().zip(&header[1..]) {
-        let value = Fields::parse([line]).and_then(|f| f.get(key));
-        values.push(value.map_err(|e| corrupt(off, Some(line_no), e.to_string()))?);
+        let value = unseal(line).and_then(|line| {
+            Fields::parse([line]).and_then(|f| f.get(key)).map_err(|e| e.to_string())
+        });
+        values.push(value.map_err(|cause| corrupt(off, Some(line_no), cause))?);
     }
     let state = F::from_header(&values).map_err(|(key, cause)| {
         let at = F::HEADER.iter().position(|&k| k == key).map_or(0, |i| i + 1);
@@ -232,8 +261,9 @@ pub fn parse<F: Format>(file: &Path, text: &str) -> Result<Journal<F>, Corruptio
 }
 
 impl<F: Format> Journal<F> {
-    /// Check one body record against the shared rules, then apply it.
-    fn record(&mut self, completed: &mut HashSet<u32>, line: &str) -> Result<(), String> {
+    /// Check one stored body line's seal and the shared rules, then apply it.
+    fn record(&mut self, completed: &mut HashSet<u32>, stored: &str) -> Result<(), String> {
+        let line = unseal(stored)?;
         if let Some(rest) = line.strip_prefix("drain ") {
             let commit: usize = match rest.split_whitespace().collect::<Vec<_>>()[..] {
                 [commit] => Fields::parse([commit]).and_then(|f| f.dec("commit")),
@@ -317,7 +347,8 @@ impl JournalWriter {
         })
     }
 
-    /// Append one record (a line without its newline) and flush it.
+    /// Append one record (a line without its newline), sealed, and
+    /// flush it.
     ///
     /// # Errors
     /// [`JournalError::Degraded`] after an earlier failure, else the
@@ -326,7 +357,7 @@ impl JournalWriter {
         if self.degraded {
             return Err(JournalError::Degraded);
         }
-        let result = self.io.append(self.file, format!("{record}\n").as_bytes());
+        let result = self.io.append(self.file, seal(record).as_bytes());
         self.fail_stop(result)
     }
 
@@ -408,13 +439,6 @@ pub struct StreamJournal {
     pub completed: Vec<(u32, Cycle, f64)>,
 }
 
-/// FNV-1a over a record's text: any one changed byte changes it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 impl StreamJournal {
     /// Derive the journal of a finished run. Completions are ordered by
     /// completion cycle, the order a journal on real hardware observes.
@@ -463,9 +487,7 @@ impl StreamJournal {
     }
 
     fn done_record(&(index, cycle, spread): &(u32, Cycle, f64)) -> String {
-        let record = format!("done seq={index} cycle={cycle} bits={}", f64_to_token(spread));
-        let sum = bits_to_hex(fnv1a(record.as_bytes()));
-        format!("{record} sum={sum}")
+        format!("done seq={index} cycle={cycle} bits={}", f64_to_token(spread))
     }
 
     /// The journal as written after its first `completions`
@@ -474,8 +496,7 @@ impl StreamJournal {
     pub fn prefix(&self, completions: usize) -> String {
         let mut text = header_text::<Self>(&self.header_values());
         for c in &self.completed[..completions.min(self.completed.len())] {
-            text.push_str(&Self::done_record(c));
-            text.push('\n');
+            text.push_str(&seal(&Self::done_record(c)));
         }
         text
     }
@@ -484,7 +505,7 @@ impl StreamJournal {
     #[must_use]
     pub fn to_text(&self) -> String {
         let n = self.completed.len();
-        format!("{}{}\n", self.prefix(n), drain_record(n as u32))
+        self.prefix(n) + &seal(&drain_record(n as u32))
     }
 
     /// Persist through the one [`JournalWriter`]: the header, one
@@ -513,7 +534,7 @@ impl StreamJournal {
 }
 
 impl Format for StreamJournal {
-    const MAGIC: &'static str = "cds-stream-journal v1";
+    const MAGIC: &'static str = "cds-stream-journal v2";
     const HEADER: &'static [&'static str] = &["total", "cadence", "fault_seed", "scenario", "shed"];
     type Record = (u32, Cycle, f64);
 
@@ -550,15 +571,11 @@ impl Format for StreamJournal {
     }
 
     fn decode(&self, line: &str) -> Result<Self::Record, String> {
-        let Some((record, sum)) = line.strip_prefix("done ").and(line.rsplit_once(" sum=")) else {
+        let Some(record) = line.strip_prefix("done ") else {
             return Err(format!("unknown journal record `{line}`"));
         };
-        if hex_to_bits(sum).map_err(|e| e.in_field("sum").to_string())? != fnv1a(record.as_bytes())
-        {
-            return Err(format!("record checksum mismatch in `{line}`"));
-        }
         let toks: Vec<&str> = record.split_whitespace().collect();
-        let [_, seq, cycle, bits] = toks[..] else {
+        let [seq, cycle, bits] = toks[..] else {
             return Err(format!("malformed done record `{line}`"));
         };
         let f = Fields::parse([seq, cycle, bits]).map_err(|e| e.to_string())?;
@@ -619,28 +636,46 @@ mod tests {
         }
     }
 
+    /// A journal of the given magic, header values and body records,
+    /// every line after the magic sealed.
+    fn text(magic: &str, header: [&str; 5], records: &[&str]) -> String {
+        let keys = StreamJournal::HEADER.iter().zip(header).map(|(k, v)| format!("{k}={v}"));
+        let lines: Vec<String> = keys.chain(records.iter().map(|r| r.to_string())).collect();
+        lines.iter().fold(format!("{magic}\n"), |text, line| text + &seal(line))
+    }
+
     #[test]
     fn parse_rejects_malformed_input_with_typed_errors() {
-        let head = "cds-stream-journal v1\ntotal=2\ncadence=1\nfault_seed=none\nscenario=\nshed=\n";
+        let ok = ["2", "1", "none", "", ""];
+        let with = |i: usize, value: &'static str| {
+            let mut header = ok;
+            header[i] = value;
+            header
+        };
+        let journal = |records: &[&str]| text(StreamJournal::MAGIC, ok, records);
         let done = |index: u32, spread: f64| StreamJournal::done_record(&(index, 5, spread));
+        let (d0, d1, d2) = (done(0, 1.0), done(1, 1.0), done(2, 1.0));
+        let head = journal(&[]);
         let cases = [
             (String::new(), "missing its header"),
-            ("cds-checkpoint v1\n".to_string() + &head[22..], "bad header"),
-            (head.replace("total=2", "total=2 x=1"), "field `total`"),
-            (head.replace("fault_seed=none", "fault_seed=xyz"), "field `fault_seed`"),
-            (head.replace("scenario=", "scenario=a b"), "single token"),
-            (head.replace("shed=", "shed=1,0"), "ascending"),
-            (head.replace("shed=", "shed=2"), "below 2"),
+            (text("cds-stream-journal v1", ok, &[]), "bad header"),
+            (text(StreamJournal::MAGIC, with(0, "2 x=1"), &[]), "field `total`"),
+            (text(StreamJournal::MAGIC, with(2, "xyz"), &[]), "field `fault_seed`"),
+            (text(StreamJournal::MAGIC, with(3, "a b"), &[]), "single token"),
+            (text(StreamJournal::MAGIC, with(4, "1,0"), &[]), "ascending"),
+            (text(StreamJournal::MAGIC, with(4, "2"), &[]), "below 2"),
             // A torn last header line could read as a shorter value.
-            (head.replace("shed=\n", "shed="), "missing its header"),
-            (format!("{head}nonsense\ndrain commit=0\n"), "unknown journal record"),
-            (format!("{head}{}\n", done(0, 1.0).replace("seq=0", "seq=1")), "checksum"),
-            (format!("{head}{}\n", done(0, 1.0).replace(" sum=", " sum=x")), "field `sum`"),
-            (format!("{head}{}\ndrain commit=1\n", done(2, 1.0)), "unaccepted seq 2"),
-            (format!("{}{}\n", head.replace("shed=", "shed=1"), done(1, 1.0)), "unaccepted seq 1"),
-            (format!("{head}{}\n{}\n", done(0, 1.0), done(0, 2.0)), "completed twice"),
-            (format!("{head}{}\n", done(0, f64::NAN)), "non-finite"),
-            (format!("{head}{}\ndrain commit=2\n", done(0, 1.0)), "disagrees with 1"),
+            (head[..head.len() - 1].to_string(), "missing its header"),
+            (head.replace("total=2", "total=3"), "checksum mismatch"),
+            (format!("{head}drain commit=0\n"), "carries no checksum"),
+            (journal(&["nonsense", "drain commit=0"]), "unknown journal record"),
+            (journal(&[&d0]).replace("seq=0", "seq=1"), "checksum mismatch"),
+            (format!("{head}{d0} sum=x0\n"), "field `sum`"),
+            (journal(&[&d2, "drain commit=1"]), "unaccepted seq 2"),
+            (text(StreamJournal::MAGIC, with(4, "1"), &[&d1]), "unaccepted seq 1"),
+            (journal(&[&d0, &done(0, 2.0)]), "completed twice"),
+            (journal(&[&done(0, f64::NAN)]), "non-finite"),
+            (journal(&[&d0, "drain commit=2"]), "disagrees with 1"),
         ];
         for (text, needle) in cases {
             match StreamJournal::parse(&text) {
@@ -651,7 +686,7 @@ mod tests {
             }
         }
         // A torn final record is dropped, not an error.
-        let text = format!("{head}{}", done(0, 1.0));
+        let text = journal(&[&d0]);
         assert!(parsed(&text[..text.len() - 3]).completed.is_empty());
     }
 

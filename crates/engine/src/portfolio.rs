@@ -1,45 +1,41 @@
 //! Resident portfolio state with a dependency-indexed arrangement.
 //!
 //! The paper's dataflow engines stream *every* option through the full
-//! pricing pipeline on each run; this module is the enabling refactor
-//! for incremental tick repricing: it separates the
-//! resident portfolio — which options are held, and *which curve knots
-//! each of them reads* — from the pricing pass itself.
+//! pricing pipeline on each run; this module separates the resident
+//! portfolio — which options are held, and *which curve knots each of
+//! them reads* — from the pricing pass, so a tick reprices only the
+//! options that read the ticked knot. The read sets come from the
+//! schedule arithmetic the lane kernel executes
+//! (`cds_cpu::lanes::full_points`, `Δ·j` in f64), so they are exact:
 //!
-//! The index is a differential-dataflow-style **arrangement**: for each
-//! curve knot we can produce the exact set of resident options whose
-//! discount factors or survival probabilities read that knot. The read
-//! sets are derived from the same schedule arithmetic the lane kernel
-//! executes (`cds_cpu::lanes::full_points`, `Δ·j` computed in f64), so
-//! the arrangement is exact by construction, not approximate:
+//! * **Interest curve.** A read at `t` touches knot `i` iff `t` is in
+//!   its [`interest_window`]. An option of frequency Δ with `k` full
+//!   points reads the shared lattice times `Δ·1 … Δ·k` and their period
+//!   midpoints, its maturity `m` and its stub midpoint `0.5·(Δ·k + m)`.
+//!   A window that first touches the lattice at point `j` thus affects
+//!   every option of that frequency with `k >= j`, plus those whose `m`
+//!   or stub midpoint lies in the window.
+//! * **Hazard curve.** `cumulative_hazard(t)` sums a *prefix* of the
+//!   curve, so a read at `t` touches knot `i` iff `t > tenor[i-1]`
+//!   ([`hazard_window`]); the largest read is `m`, so a hazard tick
+//!   affects exactly the options with `m > tenor[i-1]`.
 //!
-//! * **Interest curve.** `discount_factor(t)` interpolates linearly, so
-//!   a read at time `t` touches knot `i` iff `t` falls in that knot's
-//!   [`interest_window`]. An option of frequency Δ with `k` full points
-//!   reads the shared lattice times `Δ·1 … Δ·k` and the period
-//!   midpoints, plus two per-option stub times: the maturity `m` and
-//!   the stub midpoint `0.5·(Δ·k + m)`. Lattice reads are shared by
-//!   every option of the same frequency with at least that many points,
-//!   so they are indexed as per-frequency buckets keyed by `k`; the two
-//!   stub reads are indexed in order-preserving `f64::to_bits` B-trees
-//!   for range queries.
-//! * **Hazard curve.** `cumulative_hazard(t)` accumulates a *prefix* of
-//!   the curve, so a read at `t` touches knot `i` iff `t > tenor[i-1]`
-//!   ([`hazard_window`]). An option's largest hazard read is its
-//!   maturity, hence the affected set of a hazard tick is exactly the
-//!   options with `m > tenor[i-1]` — one maturity range query.
-//!
-//! Everything here is about *which* options to reprice; the repricing
-//! itself stays in the lane kernel
-//! ([`cds_cpu::LaneKernel::price_indices_into`]), preserving the
-//! kernel's bit-identity with the scalar reference.
+//! **One sorted column per frequency.** Within a frequency, `k` and the
+//! stub midpoint never fall as `m` rises: `k` counts the `j` with
+//! `Δ·j < m`, and for `m` in `(Δ·k, Δ·(k+1)]` the midpoint is a monotone
+//! f64 expression in `m` that lies in `[Δ·k, Δ·(k+1)]`. So each
+//! frequency keeps one column of live ids sorted by `(m.to_bits(), id)`
+//! and every query is a binary search: a hazard tick's set is a suffix
+//! of each column, an interest tick's the union of at most three ranges
+//! per column (lattice suffix, maturity range, stub-midpoint range). The
+//! repricing itself stays in the lane kernel
+//! ([`cds_cpu::LaneKernel::price_indices_into`]).
 
 use cds_cpu::lanes::{
     first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, ReadWindow,
 };
 use cds_quant::option::CdsOption;
-use std::collections::BTreeSet;
-use std::ops::Bound;
+use std::ops::Range;
 
 /// Frequencies per grid slot, in [`freq_slot`] order.
 const SLOT_PER_YEAR: [u32; 4] = [1, 2, 4, 12];
@@ -75,12 +71,8 @@ pub fn option_reads_hazard(option: &CdsOption, w: &ReadWindow) -> bool {
 struct Meta {
     /// Full schedule points before the stub (`cds_cpu::lanes::full_points`).
     k: u32,
-    /// Frequency slot (index into the per-frequency buckets).
-    slot: u8,
     /// Whether the id is resident (false while on the free list).
     live: bool,
-    /// Position inside `buckets[slot][k]`, for O(1) swap-removal.
-    bucket_pos: u32,
     /// Cached stub-midpoint read time.
     stub_mid: f64,
 }
@@ -99,18 +91,10 @@ pub struct PortfolioState {
     meta: Vec<Meta>,
     free: Vec<u32>,
     live: usize,
-    /// `buckets[slot][k]` = ids of live options with exactly `k` full
-    /// points at that frequency. A tick whose window first touches the
-    /// shared lattice at point `j` affects every bucket with `k >= j`.
-    buckets: [Vec<Vec<u32>>; 4],
-    /// Live ids keyed by `maturity.to_bits()` (order-preserving for the
-    /// positive maturities validation guarantees).
-    by_maturity: BTreeSet<(u64, u32)>,
-    /// Live ids keyed by `stub_mid.to_bits()`.
-    by_stub_mid: BTreeSet<(u64, u32)>,
-    /// Generation stamps for O(1) dedup during affected-set collection.
-    stamp: Vec<u64>,
-    generation: u64,
+    /// `columns[slot]` = live ids of that frequency slot, sorted by
+    /// `(maturity.to_bits(), id)`; `k` and the stub midpoint are
+    /// non-decreasing along it too (module docs).
+    columns: [Vec<u32>; 4],
 }
 
 impl PortfolioState {
@@ -157,6 +141,50 @@ impl PortfolioState {
             .map(move |(id, _)| (id as u32, &self.options[id]))
     }
 
+    /// The live ids of each frequency slot ([`freq_slot`] order), each
+    /// in arrangement order: ascending `(maturity.to_bits(), id)`.
+    pub fn columns(&self) -> &[Vec<u32>; 4] {
+        &self.columns
+    }
+
+    /// Store an option in the slab (recycling the most recently freed
+    /// id), record its metadata and append its id to its column, which
+    /// the caller re-sorts. Returns `(id, slot)`.
+    fn place(&mut self, option: CdsOption) -> (u32, usize) {
+        let k = full_points(&option);
+        let slot = freq_slot(option.frequency);
+        let delta = 1.0 / SLOT_PER_YEAR[slot] as f64;
+        let meta = Meta { k: k as u32, live: true, stub_mid: stub_mid(delta, k, option.maturity) };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.options[id as usize] = option;
+                self.meta[id as usize] = meta;
+                id
+            }
+            None => {
+                self.options.push(option);
+                self.meta.push(meta);
+                (self.options.len() - 1) as u32
+            }
+        };
+        self.live += 1;
+        self.columns[slot].push(id);
+        (id, slot)
+    }
+
+    /// Position of `id` in its column (where it is, or belongs).
+    fn position(&self, slot: usize, id: u32) -> usize {
+        let key = |id: u32| (self.options[id as usize].maturity.to_bits(), id);
+        self.columns[slot].partition_point(|&other| key(other) < key(id))
+    }
+
+    /// First shared lattice point of `column`'s frequency that `w`
+    /// touches, up to the column's largest `k` (its last id's).
+    fn lattice_hit(&self, column: &[u32], per_year: u32, w: &ReadWindow) -> Option<usize> {
+        let kmax = self.meta[*column.last()? as usize].k as usize;
+        first_lattice_point_in(1.0 / per_year as f64, kmax, w)
+    }
+
     /// Insert an option, indexing every curve read it will perform.
     /// Returns its stable id (freed ids are recycled).
     ///
@@ -164,107 +192,77 @@ impl PortfolioState {
     /// Panics on an invalid schedule, with the same wording as the
     /// pricing kernels.
     pub fn insert(&mut self, option: CdsOption) -> u32 {
-        let k = full_points(&option);
-        let slot = freq_slot(option.frequency);
-        let delta = 1.0 / SLOT_PER_YEAR[slot] as f64;
-        let mid = stub_mid(delta, k, option.maturity);
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.options[id as usize] = option;
-                id
-            }
-            None => {
-                self.options.push(option);
-                self.meta.push(Meta { k: 0, slot: 0, live: false, bucket_pos: 0, stub_mid: 0.0 });
-                self.stamp.push(0);
-                (self.options.len() - 1) as u32
-            }
-        };
-        let bucket_by_k = &mut self.buckets[slot];
-        if bucket_by_k.len() <= k {
-            bucket_by_k.resize(k + 1, Vec::new());
-        }
-        let bucket = &mut bucket_by_k[k];
-        bucket.push(id);
-        self.meta[id as usize] = Meta {
-            k: k as u32,
-            slot: slot as u8,
-            live: true,
-            bucket_pos: (bucket.len() - 1) as u32,
-            stub_mid: mid,
-        };
-        self.by_maturity.insert((option.maturity.to_bits(), id));
-        self.by_stub_mid.insert((mid.to_bits(), id));
-        self.live += 1;
+        let (id, slot) = self.place(option);
+        let pos = self.position(slot, id);
+        self.columns[slot][pos..].rotate_right(1);
         id
     }
 
-    /// Remove a resident option, dropping every index entry it owns.
+    /// Insert a batch: the same ids, in option order, as calling
+    /// [`PortfolioState::insert`] on each, but every column is sorted
+    /// once instead of shifted per option.
+    ///
+    /// # Panics
+    /// As [`PortfolioState::insert`].
+    pub fn insert_batch(&mut self, options: &[CdsOption]) -> Vec<u32> {
+        let ids = options.iter().map(|&option| self.place(option).0).collect();
+        let slab = &self.options;
+        for column in &mut self.columns {
+            column.sort_unstable_by_key(|&id| (slab[id as usize].maturity.to_bits(), id));
+        }
+        ids
+    }
+
+    /// Remove a resident option, dropping its column entry.
     /// Returns the option, or `None` if the id is not live.
     pub fn remove(&mut self, id: u32) -> Option<CdsOption> {
         let meta = *self.meta.get(id as usize)?;
         if !meta.live {
             return None;
         }
-        let bucket = &mut self.buckets[meta.slot as usize][meta.k as usize];
-        let pos = meta.bucket_pos as usize;
-        bucket.swap_remove(pos);
-        if let Some(&moved) = bucket.get(pos) {
-            self.meta[moved as usize].bucket_pos = pos as u32;
-        }
-        let option = self.options[id as usize];
-        self.by_maturity.remove(&(option.maturity.to_bits(), id));
-        self.by_stub_mid.remove(&(meta.stub_mid.to_bits(), id));
+        let slot = freq_slot(self.options[id as usize].frequency);
+        let pos = self.position(slot, id);
+        self.columns[slot].remove(pos);
         self.meta[id as usize].live = false;
         self.free.push(id);
         self.live -= 1;
-        Some(option)
+        Some(self.options[id as usize])
     }
 
-    /// Total entries across all index structures — for leak tests: must
-    /// equal `2 * len()` for the B-trees plus `len()` across buckets.
+    /// Total column entries, one per live option (for leak tests).
     pub fn index_entries(&self) -> usize {
-        let bucketed: usize = self.buckets.iter().flat_map(|by_k| by_k.iter().map(Vec::len)).sum();
-        bucketed + self.by_maturity.len() + self.by_stub_mid.len()
+        self.columns.iter().map(Vec::len).sum()
     }
 
     /// Ids of live options affected by a value change at interest-curve
-    /// knot `knot`: shared-lattice readers (per-frequency buckets) plus
-    /// maturity and stub-midpoint range hits, deduplicated and sorted.
+    /// knot `knot`: per column, the lattice suffix `k >= j` plus the
+    /// maturity and stub-midpoint ranges inside the knot's window, each
+    /// id once. Sorted ascending.
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds for `tenors`.
-    pub fn affected_by_interest(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
+    pub fn affected_by_interest(&self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = interest_window(tenors, knot);
         out.clear();
-        self.generation += 1;
-        let generation = self.generation;
-        for (by_k, &per_year) in self.buckets.iter().zip(SLOT_PER_YEAR.iter()) {
-            if by_k.is_empty() {
-                continue;
-            }
-            let delta = 1.0 / per_year as f64;
-            if let Some(j) = first_lattice_point_in(delta, by_k.len() - 1, &w) {
-                for bucket in &by_k[j..] {
-                    for &id in bucket {
-                        if self.stamp[id as usize] != generation {
-                            self.stamp[id as usize] = generation;
-                            out.push(id);
-                        }
-                    }
+        for (column, &per_year) in self.columns.iter().zip(&SLOT_PER_YEAR) {
+            let lattice = self.lattice_hit(column, per_year, &w).map_or(0..0, |j| {
+                column.partition_point(|&id| (self.meta[id as usize].k as usize) < j)..column.len()
+            });
+            let mut ranges = [
+                lattice,
+                in_window(column, &w, |id| self.options[id as usize].maturity),
+                in_window(column, &w, |id| self.meta[id as usize].stub_mid),
+            ];
+            ranges.sort_unstable_by_key(|r| r.start);
+            // Emit the union: each range from where the previous ones
+            // stopped.
+            let mut covered = 0;
+            for r in ranges {
+                let start = r.start.max(covered);
+                if start < r.end {
+                    out.extend_from_slice(&column[start..r.end]);
+                    covered = r.end;
                 }
-            }
-        }
-        for &(_, id) in range_in_window(&self.by_maturity, &w) {
-            if self.stamp[id as usize] != generation {
-                self.stamp[id as usize] = generation;
-                out.push(id);
-            }
-        }
-        for &(_, id) in range_in_window(&self.by_stub_mid, &w) {
-            if self.stamp[id as usize] != generation {
-                self.stamp[id as usize] = generation;
-                out.push(id);
             }
         }
         out.sort_unstable();
@@ -272,15 +270,18 @@ impl PortfolioState {
 
     /// Ids of live options affected by a value change at hazard-curve
     /// knot `knot`: exactly the residents whose maturity exceeds the
-    /// previous tenor (the cumulative hazard is a prefix integral).
-    /// Sorted ascending.
+    /// previous tenor (the cumulative hazard is a prefix integral), a
+    /// suffix of every column. Sorted ascending.
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds for `tenors`.
-    pub fn affected_by_hazard(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
+    pub fn affected_by_hazard(&self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = hazard_window(tenors, knot);
         out.clear();
-        out.extend(range_in_window(&self.by_maturity, &w).map(|&(_, id)| id));
+        for column in &self.columns {
+            let r = in_window(column, &w, |id| self.options[id as usize].maturity);
+            out.extend_from_slice(&column[r]);
+        }
         out.sort_unstable();
     }
 
@@ -293,38 +294,19 @@ impl PortfolioState {
         (0..tenors.len())
             .filter(|&knot| {
                 let w = interest_window(tenors, knot);
-                (0..4).all(|slot| {
-                    let by_k = &self.buckets[slot];
-                    by_k.is_empty() || {
-                        let delta = 1.0 / SLOT_PER_YEAR[slot] as f64;
-                        first_lattice_point_in(delta, by_k.len() - 1, &w).is_none()
-                    }
-                })
+                let mut columns = self.columns.iter().zip(&SLOT_PER_YEAR);
+                columns.all(|(column, &per_year)| self.lattice_hit(column, per_year, &w).is_none())
             })
             .collect()
     }
 }
 
-/// Range query over a `to_bits`-keyed index: live ids whose key time
-/// lies inside the window. Keys are positive finite f64s, for which the
-/// `to_bits` order matches the numeric order.
-fn range_in_window<'s>(
-    index: &'s BTreeSet<(u64, u32)>,
-    w: &ReadWindow,
-) -> impl Iterator<Item = &'s (u64, u32)> {
-    let start = if w.lo <= 0.0 || w.lo == f64::NEG_INFINITY {
-        Bound::Unbounded
-    } else {
-        Bound::Excluded((w.lo.to_bits(), u32::MAX))
-    };
-    let end = if w.hi == f64::INFINITY {
-        Bound::Unbounded
-    } else if w.hi_inclusive {
-        Bound::Included((w.hi.to_bits(), u32::MAX))
-    } else {
-        Bound::Excluded((w.hi.to_bits(), 0))
-    };
-    index.range((start, end))
+/// Positions of `column` whose read time (non-decreasing along the
+/// column) lies inside the window. Both searches span the whole column,
+/// so their first probes share cache lines.
+fn in_window(column: &[u32], w: &ReadWindow, time: impl Fn(u32) -> f64) -> Range<usize> {
+    let start = column.partition_point(|&id| time(id) <= w.lo);
+    start..column.partition_point(|&id| time(id) <= w.lo || w.contains(time(id)))
 }
 
 #[cfg(test)]
@@ -375,18 +357,18 @@ mod tests {
         let mut state = PortfolioState::new();
         let ids: Vec<u32> = options.iter().map(|&o| state.insert(o)).collect();
         assert_eq!(state.len(), 32);
-        assert_eq!(state.index_entries(), 3 * 32);
+        assert_eq!(state.index_entries(), 32);
         for &id in &ids[..16] {
             assert!(state.remove(id).is_some());
             assert!(state.remove(id).is_none(), "double remove must be None");
         }
         assert_eq!(state.len(), 16);
-        assert_eq!(state.index_entries(), 3 * 16);
+        assert_eq!(state.index_entries(), 16);
         // Recycled ids come back from the free list.
         let recycled = state.insert(options[0]);
         assert!(ids[..16].contains(&recycled));
         assert_eq!(state.len(), 17);
-        assert_eq!(state.index_entries(), 3 * 17);
+        assert_eq!(state.index_entries(), 17);
     }
 
     #[test]
@@ -416,10 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn monthly_frequency_uses_the_monthly_bucket() {
+    fn monthly_frequency_uses_the_monthly_column() {
         let mut state = PortfolioState::new();
         let o = CdsOption::new(1.0, PaymentFrequency::Monthly, 0.4);
         state.insert(o);
-        assert_eq!(state.buckets[3].iter().map(Vec::len).sum::<usize>(), 1);
+        assert_eq!(state.columns.iter().map(Vec::len).collect::<Vec<_>>(), [0, 0, 0, 1]);
     }
 }

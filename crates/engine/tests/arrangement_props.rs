@@ -6,13 +6,16 @@
 //!    re-derives the schedule and the interpolation branches
 //!    independently of both the arrangement and `SegmentIndex`.
 //! 2. **Insertion-order stability.** The affected sets (as option
-//!    multisets) do not depend on the order options were inserted.
+//!    multisets) do not depend on the order options were inserted, and
+//!    `insert_batch` hands out the same ids and affected sets as
+//!    repeated `insert`, recycled ids included.
 //! 3. **No leaks.** Removing an option removes every index entry it
 //!    owns; removed options never appear in affected sets and freed ids
 //!    are recycled without ghosts.
 
+use cds_cpu::lanes::full_points;
 use cds_engine::portfolio::PortfolioState;
-use cds_quant::option::{CdsOption, MarketData, PortfolioGenerator};
+use cds_quant::option::{CdsOption, MarketData, PaymentFrequency, PortfolioGenerator};
 use std::collections::BTreeSet;
 
 /// Knot tenors of a curve.
@@ -101,37 +104,85 @@ fn option_key(o: &CdsOption) -> (u64, u32, u64) {
     (o.maturity.to_bits(), o.frequency.per_year(), o.recovery_rate.to_bits())
 }
 
+/// Options whose maturity sits exactly on a boundary a window compares
+/// against — every curve tenor and every lattice time `Δ·j` up to the
+/// curve horizon — and on each one's f64 neighbours, at every frequency.
+fn boundary_options(interest: &[f64], hazard: &[f64]) -> Vec<CdsOption> {
+    let frequencies = [
+        PaymentFrequency::Annual,
+        PaymentFrequency::SemiAnnual,
+        PaymentFrequency::Quarterly,
+        PaymentFrequency::Monthly,
+    ];
+    let mut times = [interest, hazard].concat();
+    let horizon = times.iter().copied().fold(0.0, f64::max);
+    for frequency in frequencies {
+        let delta = 1.0 / frequency.per_year() as f64;
+        times.extend((1..).map(|j| delta * j as f64).take_while(|&t| t <= horizon + delta));
+    }
+    times.sort_by(f64::total_cmp);
+    times.dedup();
+    let mut options = Vec::new();
+    for t in times {
+        for maturity in [t.next_down(), t, t.next_up()] {
+            for frequency in frequencies {
+                options.push(CdsOption::new(maturity, frequency, 0.4));
+            }
+        }
+    }
+    options
+}
+
+/// The stub-midpoint read time, as the pricing pass computes it.
+fn stub_mid(option: &CdsOption) -> f64 {
+    let delta = 1.0 / option.frequency.per_year() as f64;
+    0.5 * (delta * full_points(option) as f64 + option.maturity)
+}
+
 #[test]
 fn affected_sets_equal_recorded_read_sets() {
     for seed in [1u64, 8, 21] {
         let market = MarketData::paper_workload_sized(seed, 48);
         let its = tenors(&market.interest);
         let hts = tenors(&market.hazard);
-        let options = PortfolioGenerator::new(seed.wrapping_mul(31) + 5).portfolio(96);
+        let mut options = PortfolioGenerator::new(seed.wrapping_mul(31) + 5).portfolio(96);
+        options.extend(boundary_options(&its, &hts));
         let mut state = PortfolioState::new();
         let ids: Vec<u32> = options.iter().map(|&o| state.insert(o)).collect();
         let recorded: Vec<_> = options.iter().map(|o| recorded_reads(&its, &hts, o)).collect();
 
+        // The order every query relies on: along each column the
+        // maturity rises strictly by (bits, id), and `k` and the stub
+        // midpoint never fall.
+        for column in state.columns() {
+            let live: Vec<&CdsOption> =
+                column.iter().map(|&id| state.option(id).expect("column id is live")).collect();
+            for (pair, ids) in live.windows(2).zip(column.windows(2)) {
+                let (a, b) = (pair[0], pair[1]);
+                assert!((a.maturity.to_bits(), ids[0]) < (b.maturity.to_bits(), ids[1]));
+                assert!(full_points(a) <= full_points(b), "k falls from {a:?} to {b:?}");
+                assert!(stub_mid(a) <= stub_mid(b), "stub midpoint falls from {a:?} to {b:?}");
+            }
+        }
+
         let mut affected = Vec::new();
-        for knot in 0..its.len() {
-            state.affected_by_interest(&its, knot, &mut affected);
-            for ((&id, o), (interest, _)) in ids.iter().zip(&options).zip(&recorded) {
+        let check = |affected: &[u32], curve: &str, knot: usize, reads: &dyn Fn(usize) -> bool| {
+            assert!(affected.windows(2).all(|w| w[0] < w[1]), "{curve} knot {knot}: not ascending");
+            for (i, (&id, o)) in ids.iter().zip(&options).enumerate() {
                 assert_eq!(
-                    affected.contains(&id),
-                    interest.contains(&knot),
-                    "seed {seed}: interest knot {knot} vs option {o:?}"
+                    affected.binary_search(&id).is_ok(),
+                    reads(i),
+                    "seed {seed}: {curve} knot {knot} vs option {o:?}"
                 );
             }
+        };
+        for knot in 0..its.len() {
+            state.affected_by_interest(&its, knot, &mut affected);
+            check(&affected, "interest", knot, &|i| recorded[i].0.contains(&knot));
         }
         for knot in 0..hts.len() {
             state.affected_by_hazard(&hts, knot, &mut affected);
-            for ((&id, o), (_, hazard)) in ids.iter().zip(&options).zip(&recorded) {
-                assert_eq!(
-                    affected.contains(&id),
-                    hazard.contains(&knot),
-                    "seed {seed}: hazard knot {knot} vs option {o:?}"
-                );
-            }
+            check(&affected, "hazard", knot, &|i| recorded[i].1.contains(&knot));
         }
     }
 }
@@ -144,8 +195,18 @@ fn affected_sets_are_stable_under_insertion_order() {
     let options = PortfolioGenerator::new(77).portfolio(64);
 
     // Three insertion orders: as generated, reversed, and interleaved.
+    // The forward book then takes a remove round and re-inserts the
+    // removed options in reverse, so it hands out recycled ids.
     let mut forward = PortfolioState::new();
-    let fwd_ids: Vec<u32> = options.iter().map(|&o| forward.insert(o)).collect();
+    let mut fwd_pairs: Vec<(u32, CdsOption)> =
+        options.iter().map(|&o| (forward.insert(o), o)).collect();
+    let gone: Vec<usize> = (0..options.len()).step_by(3).collect();
+    for &i in &gone {
+        assert!(forward.remove(fwd_pairs[i].0).is_some());
+    }
+    for &i in gone.iter().rev() {
+        fwd_pairs[i].0 = forward.insert(options[i]);
+    }
     let mut reversed = PortfolioState::new();
     let rev_ids: Vec<u32> = options.iter().rev().map(|&o| reversed.insert(o)).collect();
     let mut interleaved = PortfolioState::new();
@@ -155,10 +216,24 @@ fn affected_sets_are_stable_under_insertion_order() {
             il_pairs.push((interleaved.insert(o), o));
         }
     }
+    // The fourth book takes the forward book's steps through
+    // `insert_batch`: it must hand out the same ids and answer every
+    // knot with the same id sets.
+    let mut batched = PortfolioState::new();
+    let batch_ids = batched.insert_batch(&options);
+    assert_eq!(batch_ids, (0..options.len() as u32).collect::<Vec<_>>());
+    for &i in &gone {
+        assert!(batched.remove(batch_ids[i]).is_some());
+    }
+    let refill: Vec<CdsOption> = gone.iter().rev().map(|&i| options[i]).collect();
+    let refill_ids = batched.insert_batch(&refill);
+    let fwd_refill: Vec<u32> = gone.iter().rev().map(|&i| fwd_pairs[i].0).collect();
+    assert_eq!(refill_ids, fwd_refill, "insert_batch recycled different ids");
 
     let mut a = Vec::new();
     let mut b = Vec::new();
     let mut c = Vec::new();
+    let mut d = Vec::new();
     let keys = |ids: &[u32], opts: &[CdsOption], affected: &Vec<u32>| -> Vec<(u64, u32, u64)> {
         let mut keys: Vec<_> = affected
             .iter()
@@ -171,22 +246,27 @@ fn affected_sets_are_stable_under_insertion_order() {
         keys
     };
     let rev_options: Vec<CdsOption> = options.iter().rev().copied().collect();
+    let (fwd_ids, fwd_options): (Vec<u32>, Vec<CdsOption>) = fwd_pairs.into_iter().unzip();
     let (il_ids, il_options): (Vec<u32>, Vec<CdsOption>) = il_pairs.into_iter().unzip();
     for knot in 0..its.len() {
         forward.affected_by_interest(&its, knot, &mut a);
         reversed.affected_by_interest(&its, knot, &mut b);
         interleaved.affected_by_interest(&its, knot, &mut c);
-        let fwd = keys(&fwd_ids, &options, &a);
+        batched.affected_by_interest(&its, knot, &mut d);
+        let fwd = keys(&fwd_ids, &fwd_options, &a);
         assert_eq!(fwd, keys(&rev_ids, &rev_options, &b), "interest knot {knot} (reversed)");
         assert_eq!(fwd, keys(&il_ids, &il_options, &c), "interest knot {knot} (interleaved)");
+        assert_eq!(a, d, "interest knot {knot} (batched)");
     }
     for knot in 0..hts.len() {
         forward.affected_by_hazard(&hts, knot, &mut a);
         reversed.affected_by_hazard(&hts, knot, &mut b);
         interleaved.affected_by_hazard(&hts, knot, &mut c);
-        let fwd = keys(&fwd_ids, &options, &a);
+        batched.affected_by_hazard(&hts, knot, &mut d);
+        let fwd = keys(&fwd_ids, &fwd_options, &a);
         assert_eq!(fwd, keys(&rev_ids, &rev_options, &b), "hazard knot {knot} (reversed)");
         assert_eq!(fwd, keys(&il_ids, &il_options, &c), "hazard knot {knot} (interleaved)");
+        assert_eq!(a, d, "hazard knot {knot} (batched)");
     }
 }
 
@@ -198,14 +278,14 @@ fn removal_leaves_no_index_entries_behind() {
     let options = PortfolioGenerator::new(123).portfolio(80);
     let mut state = PortfolioState::new();
     let ids: Vec<u32> = options.iter().map(|&o| state.insert(o)).collect();
-    assert_eq!(state.index_entries(), 3 * options.len());
+    assert_eq!(state.index_entries(), options.len());
 
     // Remove a scattered half and verify no affected set mentions them.
     let removed: Vec<u32> = ids.iter().copied().step_by(2).collect();
     for &id in &removed {
         assert!(state.remove(id).is_some());
     }
-    assert_eq!(state.index_entries(), 3 * (options.len() - removed.len()));
+    assert_eq!(state.index_entries(), options.len() - removed.len());
     let mut affected = Vec::new();
     for knot in 0..its.len() {
         state.affected_by_interest(&its, knot, &mut affected);
@@ -235,5 +315,5 @@ fn removal_leaves_no_index_entries_behind() {
     // Recycled slots must behave like fresh ones (no stale entries).
     let reborn = state.insert(options[0]);
     assert!(ids.contains(&reborn), "freed ids should be recycled");
-    assert_eq!(state.index_entries(), 3);
+    assert_eq!(state.index_entries(), 1);
 }

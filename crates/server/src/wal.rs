@@ -256,7 +256,7 @@ pub enum WalRecord {
 }
 
 impl Format for WalState {
-    const MAGIC: &'static str = "cds-server-wal v1";
+    const MAGIC: &'static str = "cds-server-wal v2";
     const HEADER: &'static [&'static str] = &["seed", "cadence"];
     type Record = WalRecord;
 
@@ -296,9 +296,9 @@ impl Format for WalState {
     }
 }
 
-/// Decode one journal record. Every field goes through the strict
-/// codec, so a spread is exactly `0x` + 16 hex digits and a torn write
-/// can never resume as a different (valid, wrong) float.
+/// Decode one journal record, its seal already checked. Every field goes
+/// through the strict codec, so a spread is exactly `0x` + 16 hex digits
+/// and a torn write can never resume as a different (valid, wrong) float.
 fn decode_record(state: &WalState, line: &str) -> Result<WalRecord, ParseError> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     match toks.split_first() {
@@ -347,7 +347,7 @@ pub fn read_wal(path: &Path) -> Result<WalState, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_engine::journal::{drain_ordering_held, StreamJournal};
+    use cds_engine::journal::{drain_ordering_held, seal, StreamJournal};
     use cds_engine::journal_io::{FaultyJournalIo, JournalOp, RecordingJournalIo};
     use cds_quant::option::PaymentFrequency;
 
@@ -360,6 +360,18 @@ mod tests {
     fn opt() -> CdsOption {
         CdsOption::new(5.0, PaymentFrequency::Quarterly, 0.4)
     }
+
+    /// Journal text over `seed=7 cadence=4`: the magic, then every
+    /// header line and record sealed as the writer seals them.
+    fn sealed(records: &[&str]) -> String {
+        ["seed=7", "cadence=4"]
+            .iter()
+            .chain(records)
+            .fold(format!("{}\n", WalState::MAGIC), |text, line| text + &seal(line))
+    }
+
+    const ACCEPT: &str =
+        "accept seq=0 id=1 mat=0x4014000000000000 freq=Q rec=0x3fd999999999999a prio=HI";
 
     #[test]
     fn accept_done_drain_round_trip_bit_exactly() {
@@ -547,22 +559,25 @@ mod tests {
     #[test]
     fn a_repeated_or_non_finite_done_is_typed_corruption() {
         let path = tmp("strict-done.wal");
-        let accept =
-            "accept seq=0 id=1 mat=0x4014000000000000 freq=Q rec=0x3fd999999999999a prio=HI";
-        let head = format!("{}\nseed=7\ncadence=4\n{accept}\n", WalState::MAGIC);
         for (records, needle) in [
-            ("done seq=0 bits=0x4057000000000000\ndone seq=0 bits=0x7ff8000000000000\n", "seq 0"),
-            ("done seq=0 bits=0x4057000000000000\ndone seq=0 bits=0x4058000000000000\n", "twice"),
-            ("done seq=0 bits=0x7ff8000000000000\n", "non-finite"),
-            ("done seq=0 bits=0xfff0000000000000\n", "non-finite"),
-            ("done seq=1 bits=0x4057000000000000\n", "unaccepted seq 1"),
+            (
+                &["done seq=0 bits=0x4057000000000000", "done seq=0 bits=0x7ff8000000000000"][..],
+                "seq 0",
+            ),
+            (
+                &["done seq=0 bits=0x4057000000000000", "done seq=0 bits=0x4058000000000000"],
+                "twice",
+            ),
+            (&["done seq=0 bits=0x7ff8000000000000"], "non-finite"),
+            (&["done seq=0 bits=0xfff0000000000000"], "non-finite"),
+            (&["done seq=1 bits=0x4057000000000000"], "unaccepted seq 1"),
         ] {
-            std::fs::write(&path, format!("{head}{records}")).expect("write journal");
+            std::fs::write(&path, sealed(&[&[ACCEPT], records].concat())).expect("write journal");
             match read_wal(&path) {
                 Err(JournalError::Corrupt(report)) => {
-                    assert!(report.cause.contains(needle), "{records}: {}", report.cause);
+                    assert!(report.cause.contains(needle), "{records:?}: {}", report.cause);
                 }
-                other => panic!("{records} must be typed corruption, got {other:?}"),
+                other => panic!("{records:?} must be typed corruption, got {other:?}"),
             }
         }
         let _ = std::fs::remove_file(&path);
@@ -605,13 +620,8 @@ mod tests {
     fn truncated_bits_never_misparse_as_a_valid_spread() {
         let path = tmp("bits.wal");
         let journal = |bits: &str| {
-            let accept = "accept seq=0 id=1 mat=0x4014000000000000 freq=Q \
-                          rec=0x3fd999999999999a prio=HI";
-            let text = format!(
-                "{}\nseed=7\ncadence=4\n{accept}\ndone seq=0 bits={bits}\n",
-                WalState::MAGIC
-            );
-            std::fs::write(&path, text).expect("write journal");
+            let done = format!("done seq=0 bits={bits}");
+            std::fs::write(&path, sealed(&[ACCEPT, &done])).expect("write journal");
             read_wal(&path)
         };
         let state = journal("0x4059000000000000").expect("full pattern");
@@ -627,6 +637,48 @@ mod tests {
                     assert!(report.cause.contains(&want), "{bad}: {}", report.cause);
                 }
                 other => panic!("`bits={bad}` must be typed corruption, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every single-byte corruption of a real server journal reads back
+    /// as typed corruption: a flipped digit of a spread, a maturity or a
+    /// header value cannot read as a different valid journal. The one
+    /// byte that passes for a torn tail is the final newline, which
+    /// drops the drain record and keeps everything before it intact.
+    #[test]
+    fn every_single_byte_corruption_is_typed_or_a_torn_drain() {
+        let path = tmp("sweep.wal");
+        let wal = WalWriter::create(&path, 42, 2).expect("create");
+        for id in 0..3 {
+            wal.accept(100 + id, &opt(), Priority::High).expect("accept");
+        }
+        wal.done(0, 87.125).expect("done");
+        wal.done(2, f64::from_bits(0x4059_4ccc_cccc_cccd)).expect("done");
+        wal.finalize().expect("finalize");
+        let text = std::fs::read(&path).expect("read back");
+        let view = |state: &WalState| {
+            let mut done: Vec<(u32, u64)> =
+                state.done.iter().map(|(&seq, spread)| (seq, spread.to_bits())).collect();
+            done.sort_unstable();
+            (state.seed, state.cadence, state.accepted.clone(), done)
+        };
+        let clean = read_wal(&path).expect("clean journal");
+        assert!(clean.drained);
+        for i in 0..text.len() {
+            let mut corrupted = text.clone();
+            corrupted[i] = corrupted[i].wrapping_add(1);
+            std::fs::write(&path, &corrupted).expect("rewrite");
+            match read_wal(&path) {
+                Ok(state) if i + 1 == text.len() => {
+                    assert_eq!(view(&state), view(&clean));
+                    assert!(!state.drained, "a torn drain record must not count");
+                }
+                Err(JournalError::Corrupt(_)) => {}
+                other => {
+                    panic!("byte {i} of {}: expected typed corruption, got {other:?}", text.len())
+                }
             }
         }
         let _ = std::fs::remove_file(&path);
