@@ -232,7 +232,7 @@ impl CpuCdsEngine {
     /// ([`crate::lanes`]) — bit-for-bit identical to pricing each option
     /// with [`CpuCdsEngine::price`], just much faster.
     pub fn price_batch(&self, options: &[CdsOption]) -> Vec<f64> {
-        crate::lanes::price_batch_lanes(self, options)
+        self.lane_kernel().price_batch(options)
     }
 
     /// Price a batch through the per-option scalar reference path — the

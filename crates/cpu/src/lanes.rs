@@ -485,12 +485,6 @@ impl CpuCdsEngine {
     }
 }
 
-/// One-shot lane pricing: build a kernel, price, return the spreads.
-/// [`CpuCdsEngine::price_batch`] dispatches here.
-pub fn price_batch_lanes(engine: &CpuCdsEngine, options: &[CdsOption]) -> Vec<f64> {
-    engine.lane_kernel().price_batch(options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,7 +599,7 @@ mod tests {
         let mut out = Vec::new();
         reused.price_into(&short, &mut out);
         reused.price_into(&long, &mut out);
-        let fresh = price_batch_lanes(&engine, &long);
+        let fresh = engine.price_batch(&long);
         assert_eq!(out, fresh);
         assert_eq!(
             out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -643,7 +637,7 @@ mod tests {
                 opts.push(CdsOption { maturity, frequency: f, recovery_rate: 0.4 });
             }
         }
-        let lanes = price_batch_lanes(&engine, &opts);
+        let lanes = engine.price_batch(&opts);
         assert_eq!(
             lanes.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             scalar_bits(&engine, &opts)
@@ -873,7 +867,7 @@ mod tests {
             frequency: PaymentFrequency::Quarterly,
             recovery_rate: 0.4,
         };
-        let _ = price_batch_lanes(&engine, &[o]);
+        let _ = engine.price_batch(&[o]);
     }
 
     #[test]
@@ -883,6 +877,6 @@ mod tests {
         let engine = CpuCdsEngine::new(&market);
         let o =
             CdsOption { maturity: 5.0e6, frequency: PaymentFrequency::Monthly, recovery_rate: 0.4 };
-        let _ = price_batch_lanes(&engine, &[o]);
+        let _ = engine.price_batch(&[o]);
     }
 }

@@ -42,7 +42,6 @@ pub mod journal_io;
 pub mod multi;
 pub mod portfolio;
 pub mod report;
-pub mod retry;
 pub mod route;
 pub mod scrub;
 pub mod stages;
@@ -105,7 +104,6 @@ pub mod prelude {
     pub use crate::multi::MultiEngine;
     pub use crate::portfolio::{option_reads_hazard, option_reads_interest, PortfolioState};
     pub use crate::report::{EngineRunReport, SpreadDelta, TickReport};
-    pub use crate::retry::{RetryPolicy, RetryPolicyError};
     pub use crate::route::PriceRoute;
     pub use crate::scrub::{scrub_spreads, QuarantineRecord, ScrubPolicy, ScrubReport};
     pub use crate::streaming::{

@@ -20,10 +20,9 @@
 //!   Pollaczek–Khinchine wait at that utilisation are **shed** rather
 //!   than admitted, keeping the p99 of admitted traffic bounded at any
 //!   offered load;
-//! * **deadline watchdog** — per-option latency deadline; completions
-//!   over budget are counted as misses, and admitted options that never
-//!   complete (a dropped token, a dead stage) are reported as *lost*
-//!   instead of hanging the run;
+//! * **lost-option detection** — admitted options that never complete
+//!   (a dropped token, a dead stage) are reported as *lost* instead of
+//!   hanging the run;
 //! * **fault injection** — a seeded [`FaultPlan`] forwarded to the
 //!   dataflow simulator for chaos testing.
 
@@ -74,8 +73,6 @@ pub struct StreamingReport {
     pub options_lost: u64,
     /// Original indices of the lost options.
     pub lost_indices: Vec<u32>,
-    /// Completed options whose latency exceeded the policy deadline.
-    pub deadline_misses: u64,
     /// Total faults injected by the policy's fault plan.
     pub faults_injected: u64,
     /// Scrubber outcome when [`StreamingPolicy::scrub`] was set.
@@ -116,30 +113,25 @@ pub struct AdmissionControl {
 impl AdmissionControl {
     /// Derive the queue bound from M/D/1 queueing theory: admit while the
     /// backlog is within the Pollaczek–Khinchine mean wait at
-    /// `target_utilisation` (`Wq = ρ·s / (2(1−ρ))`). Offered load beyond
+    /// utilisation `rho` (`Wq = ρ·s / (2(1−ρ))`). Offered load beyond
     /// that utilisation is shed instead of queued.
     ///
     /// # Panics
-    /// Panics unless `0 < target_utilisation < 1` (at ρ ≥ 1 the M/D/1
-    /// wait is unbounded and no finite queue bound exists).
-    pub fn from_md1(service_cycles_per_option: Cycle, target_utilisation: f64) -> Self {
-        assert!(
-            target_utilisation > 0.0 && target_utilisation < 1.0,
-            "target utilisation must be in (0, 1), got {target_utilisation}"
-        );
+    /// Panics unless `0 < rho < 1` (at ρ ≥ 1 the M/D/1 wait is unbounded
+    /// and no finite queue bound exists).
+    pub fn from_md1(service_cycles_per_option: Cycle, rho: f64) -> Self {
+        assert!(rho > 0.0 && rho < 1.0, "utilisation must be in (0, 1), got {rho}");
         let s = service_cycles_per_option as f64;
-        let wq = target_utilisation * s / (2.0 * (1.0 - target_utilisation));
+        let wq = rho * s / (2.0 * (1.0 - rho));
         AdmissionControl { service_cycles_per_option, max_queue_cycles: wq.ceil() as Cycle }
     }
 }
 
 /// Robustness policy of a streaming run; the default is the historical
-/// behaviour (admit everything, no deadline, no faults).
+/// behaviour (admit everything, no faults, no scrub). Options lost in
+/// flight are always reported ([`StreamingReport::lost_indices`]).
 #[derive(Debug, Clone, Default)]
 pub struct StreamingPolicy {
-    /// Per-option latency deadline; completions over budget count as
-    /// [`StreamingReport::deadline_misses`].
-    pub deadline_cycles: Option<Cycle>,
     /// Ingress load shedding; `None` admits every arrival.
     pub admission: Option<AdmissionControl>,
     /// Seeded fault plan forwarded to the dataflow simulator.
@@ -224,8 +216,8 @@ pub fn run_streaming(
 /// Options are re-validated at the ingress ([`CdsOption::validated`]), the
 /// admission controller sheds arrivals that would exceed the queue bound,
 /// and the watchdog classifies every admitted option as completed (with a
-/// latency and possibly a deadline miss) or lost. Latency percentiles are
-/// computed over completed options only.
+/// latency) or lost. Latency percentiles are computed over completed
+/// options only.
 pub fn run_streaming_with(
     market: Rc<MarketData<f64>>,
     config: &EngineConfig,
@@ -266,7 +258,7 @@ pub fn run_streaming_with(
         return Ok(StreamingReport {
             options_shed: shed_indices.len() as u64,
             shed_indices,
-            ..summarise::<usize>(&[], None)
+            ..summarise::<usize>(&[])
         });
     }
 
@@ -303,7 +295,7 @@ pub fn run_streaming_with(
     let lost_indices: Vec<u32> =
         admitted.iter().zip(&done).filter(|(_, &d)| !d).map(|(&idx, _)| idx as u32).collect();
 
-    let mut summary = summarise(&per_option, policy.deadline_cycles);
+    let mut summary = summarise(&per_option);
 
     // Result-integrity scrub: guard every completed spread, quarantine
     // options tainted by corruption faults, reprice on the CPU fallback.
@@ -378,8 +370,8 @@ pub fn run_streaming_journalled(
 /// and scrub settings. Because per-option pricing is independent of
 /// batch composition, the merged spread set is bit-identical to an
 /// uninterrupted run. Throughput and counters describe the resumed
-/// portion only; latency percentiles and deadline misses are recomputed
-/// over the merged completion set.
+/// portion only; latency percentiles are recomputed over the merged
+/// completion set.
 pub fn resume_streaming_from(
     market: Rc<MarketData<f64>>,
     config: &EngineConfig,
@@ -424,7 +416,6 @@ pub fn resume_streaming_from(
     let rem_opts: Vec<CdsOption> = remaining.iter().map(|&i| options[i as usize]).collect();
     let rem_arrivals: Vec<Cycle> = remaining.iter().map(|&i| arrivals[i as usize]).collect();
     let sub_policy = StreamingPolicy {
-        deadline_cycles: policy.deadline_cycles,
         admission: None, // admission decisions in the journal are final
         fault_plan: policy.fault_plan.clone(),
         scrub: policy.scrub,
@@ -457,29 +448,21 @@ pub fn resume_streaming_from(
         options_lost: sub_lost.len() as u64,
         lost_indices: sub_lost.into_iter().collect(),
         scrub: sub.scrub,
-        ..summarise(&merged, policy.deadline_cycles)
+        ..summarise(&merged)
     })
 }
 
-/// Spans, spreads, latency percentiles and deadline misses of completed
-/// options given as `(index, arrival, completion, spread)` in original
-/// option order. The run-level fields (throughput, counters, shed, lost,
-/// faults, scrub) are left empty for the caller to fill.
-fn summarise<I: Copy>(
-    completed: &[(I, Cycle, Cycle, f64)],
-    deadline_cycles: Option<Cycle>,
-) -> StreamingReport {
+/// Spans, spreads and latency percentiles of completed options given
+/// as `(index, arrival, completion, spread)` in original option order.
+/// The run-level fields (throughput, counters, shed, lost, faults,
+/// scrub) are left empty for the caller to fill.
+fn summarise<I: Copy>(completed: &[(I, Cycle, Cycle, f64)]) -> StreamingReport {
     let mut spans = Vec::with_capacity(completed.len());
     let mut latencies = Vec::with_capacity(completed.len());
     let mut spreads = Vec::with_capacity(completed.len());
-    let mut deadline_misses = 0u64;
     for &(_, arrival, done_at, spread) in completed {
-        let latency = done_at.saturating_sub(arrival);
-        if deadline_cycles.is_some_and(|d| latency > d) {
-            deadline_misses += 1;
-        }
         spans.push((arrival, done_at));
-        latencies.push(latency);
+        latencies.push(done_at.saturating_sub(arrival));
         spreads.push(spread);
     }
     latencies.sort_unstable();
@@ -502,7 +485,6 @@ fn summarise<I: Copy>(
         shed_indices: Vec::new(),
         options_lost: 0,
         lost_indices: Vec::new(),
-        deadline_misses,
         faults_injected: 0,
         scrub: None,
     }
@@ -561,6 +543,9 @@ mod tests {
         // Arrivals far above the engine's ~26.5k opts/s capacity.
         let arrivals = poisson_arrivals(&config, 200_000.0, 48, 3);
         let report = run_streaming(market(), &config, &opts, &arrivals);
+        // Saturation queues work but loses none of it.
+        assert_eq!(report.options_lost, 0);
+        assert_eq!(report.spreads.len(), 48);
         // Later arrivals wait behind earlier ones: p99 >> p50 of light load.
         assert!(report.p99_cycles > 5 * report.p50_cycles.min(30_000), "p99 {}", report.p99_cycles);
         // Throughput approaches the batch steady state.
@@ -779,23 +764,6 @@ mod tests {
         for s in &report.spreads {
             assert!((s - golden).abs() < 1e-7 * (1.0 + golden), "{s} vs {golden}");
         }
-    }
-
-    #[test]
-    fn deadline_watchdog_counts_misses_under_load() {
-        let config = EngineVariant::Vectorised.config();
-        let opts = options(48);
-        let arrivals = poisson_arrivals(&config, 200_000.0, 48, 3);
-        // Deadline below the saturated-queue sojourn: late completions
-        // are flagged, none are lost.
-        let policy = StreamingPolicy { deadline_cycles: Some(30_000), ..Default::default() };
-        let report = match run_streaming_with(market(), &config, &opts, &arrivals, &policy) {
-            Ok(r) => r,
-            Err(e) => panic!("deadline run must succeed: {e}"),
-        };
-        assert!(report.deadline_misses > 0, "saturated run must miss a 30k deadline");
-        assert_eq!(report.options_lost, 0);
-        assert_eq!(report.spreads.len(), 48);
     }
 
     #[test]

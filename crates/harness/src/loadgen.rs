@@ -48,6 +48,9 @@ const ZIPF_S: f64 = 1.1;
 /// A curve tick is interleaved every this many requests.
 const TICK_EVERY: usize = 97;
 
+/// Engine shards the server runs with; fault runs kill one of them.
+const SHARDS: usize = 2;
+
 /// With faults enabled, shard 0 is killed after this fraction of the
 /// run and revived at twice that point.
 const KILL_AT_FRACTION: f64 = 1.0 / 3.0;
@@ -61,8 +64,6 @@ pub struct LoadgenConfig {
     pub requests: usize,
     /// Open-loop arrival rate, requests/second.
     pub rate_per_s: f64,
-    /// Engine shards to serve with.
-    pub shards: usize,
     /// Kill/revive a shard mid-run.
     pub faults: bool,
 }
@@ -73,7 +74,6 @@ impl Default for LoadgenConfig {
             seed: crate::DEFAULT_SEED,
             requests: DEFAULT_REQUESTS,
             rate_per_s: DEFAULT_RATE,
-            shards: 2,
             faults: true,
         }
     }
@@ -202,8 +202,7 @@ pub(crate) fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// latencies are wall-clock: two runs agree on *what* was sent, not on
 /// how long the answers took.
 pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, ServerError> {
-    let handle =
-        serve(ServerConfig { shards: config.shards, seed: config.seed, ..Default::default() })?;
+    let handle = serve(ServerConfig { shards: SHARDS, seed: config.seed, ..Default::default() })?;
     let stream = TcpStream::connect(handle.addr())?;
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;

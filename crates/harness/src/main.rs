@@ -852,7 +852,6 @@ fn cmd_loadgen(args: &Args) -> CliResult {
         requests: args.options.unwrap_or(loadgen::DEFAULT_REQUESTS),
         rate_per_s: args.rate.unwrap_or(loadgen::DEFAULT_RATE),
         faults: !args.no_faults,
-        ..Default::default()
     };
     println!(
         "== Open-loop load generation (seed {}, {} requests at {}/s, faults {}) ==\n",

@@ -232,12 +232,6 @@ impl CdsPricer {
     pub fn price_batch(&self, options: &[CdsOption]) -> Vec<SpreadResult> {
         options.iter().map(|o| self.price(o)).collect()
     }
-
-    /// Fallible batch pricing: stops at the first degenerate or invalid
-    /// contract, reporting its typed error.
-    pub fn try_price_batch(&self, options: &[CdsOption]) -> Result<Vec<SpreadResult>, QuantError> {
-        options.iter().map(|o| self.try_price(o)).collect()
-    }
 }
 
 /// Independent closed-form evaluation of the flat-curve discrete spread,
@@ -455,18 +449,6 @@ mod tests {
     #[should_panic(expected = "degenerate CDS terms")]
     fn infallible_combine_panics_loudly_on_degenerate_terms() {
         combine_terms(&[], 0.40);
-    }
-
-    #[test]
-    fn try_batch_surfaces_first_degenerate_contract() {
-        let pricer = CdsPricer::new(flat_market(0.02, 0.02));
-        let degenerate = vec![CdsOption::new(1e-13, PaymentFrequency::Quarterly, 0.40)];
-        assert!(matches!(
-            pricer.try_price_batch(&degenerate),
-            Err(QuantError::DegenerateOption { .. })
-        ));
-        let sane = vec![CdsOption::new(5.0, PaymentFrequency::Quarterly, 0.40)];
-        assert_eq!(pricer.try_price_batch(&sane).map(|v| v.len()), Ok(1));
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl UlpComparator {
     /// bps of accumulated rounding around 0).
     pub const ENGINE_F64: UlpComparator = UlpComparator { max_ulps: 128, abs_floor: 1e-9 };
 
-    /// Agreement between *independent formulations* of the same quantity
-    /// (e.g. the golden pricer vs the closed-form flat-curve spread, or
-    /// schedule-level identities), which accumulate error differently
-    /// and deserve a wider but still tight budget.
-    pub const CROSS_FORMULATION: UlpComparator =
-        UlpComparator { max_ulps: 1 << 20, abs_floor: 1e-6 };
-
     /// A comparator with an explicit budget.
     #[must_use]
     pub const fn new(max_ulps: u64, abs_floor: f64) -> Self {

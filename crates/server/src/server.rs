@@ -17,11 +17,11 @@
 //! global in-flight cap → per-shard virtual-queue admission (the
 //! engine's M/D/1 [`AdmissionControl`] bound, in microseconds) →
 //! durable WAL accept → deficit-weighted fair dispatch. The hedger
-//! launches one hedged attempt to a different shard after
-//! [`RetryPolicy::hedge_after_micros`] of silence; a dead shard bounces
-//! its quotes back to the hedger, which re-dispatches with jittered
-//! exponential backoff while the deadline budget lasts. The
-//! [`QuoteLedger`] elects exactly one canonical spread per
+//! launches one hedged attempt to a different shard after 20 ms of
+//! silence; a dead shard bounces its quotes back to the hedger, which
+//! re-dispatches with jittered exponential backoff (2 ms, then 4 ms)
+//! for at most three attempts while the 250 ms deadline budget lasts.
+//! The [`QuoteLedger`] elects exactly one canonical spread per
 //! `(tenant, id)` no matter how many attempts race.
 //!
 //! ## Hostile clients
@@ -48,9 +48,9 @@ use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState, DEFA
 use crate::wal::{read_wal, WalFaultSpec, WalWriter};
 use cds_engine::journal::{CorruptionReport, JournalError};
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
-use cds_engine::retry::RetryPolicy;
 use cds_engine::streaming::AdmissionControl;
 use cds_quant::option::CdsOption;
+use dataflow_sim::fault::splitmix64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -63,7 +63,51 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Server configuration; [`Default`] is a sane local test server.
+/// Pricing attempts per quote, the first one included.
+const MAX_ATTEMPTS: u32 = 3;
+/// Per-quote latency budget, microseconds: generous against CPU pricing
+/// times (microseconds) so scheduler noise never trips it.
+const DEADLINE_MICROS: u64 = 250_000;
+/// Nominal backoff before the second attempt, microseconds.
+const BACKOFF_BASE_MICROS: u64 = 2_000;
+/// Growth factor of successive backoffs.
+const BACKOFF_MULTIPLIER: u64 = 2;
+/// Silence after which one hedged attempt races the quote on another
+/// shard, microseconds: a dead shard is hedged around quickly.
+const HEDGE_AFTER_MICROS: u64 = 20_000;
+const _: () = assert!(HEDGE_AFTER_MICROS < DEADLINE_MICROS);
+/// Utilisation at which the M/D/1 admission bound is taken.
+const TARGET_UTILISATION: f64 = 0.9;
+
+/// Nominal backoff before 1-based `attempt`, microseconds: zero before
+/// the first, then `BACKOFF_BASE_MICROS · BACKOFF_MULTIPLIER^(attempt−2)`.
+fn backoff_micros(attempt: u32) -> u64 {
+    match attempt {
+        0 | 1 => 0,
+        k => BACKOFF_BASE_MICROS.saturating_mul(BACKOFF_MULTIPLIER.saturating_pow(k - 2)),
+    }
+}
+
+/// Backoff before `attempt`, jittered deterministically into
+/// `[½·nominal, nominal]` by hashing the request id and attempt: replays
+/// reproduce it, and quotes shed by the same event back off apart.
+fn jittered_backoff_micros(attempt: u32, request_id: u64) -> u64 {
+    let nominal = backoff_micros(attempt);
+    let half = nominal / 2;
+    half + splitmix64(request_id ^ (u64::from(attempt) << 48)) % (nominal - half + 1)
+}
+
+/// Whether `attempt` may still start `elapsed_micros` into the deadline
+/// budget: within the attempt count, and with its backoff fitting what
+/// is left of the budget.
+fn allows_attempt(attempt: u32, elapsed_micros: u64) -> bool {
+    attempt <= MAX_ATTEMPTS
+        && DEADLINE_MICROS.saturating_sub(elapsed_micros) > backoff_micros(attempt)
+}
+
+/// Server configuration; [`Default`] is a sane local test server. The
+/// retry, hedge and deadline schedule and the admission utilisation are
+/// fixed (module docs), not configured.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -74,12 +118,9 @@ pub struct ServerConfig {
     pub seed: u64,
     /// In-flight cap: accepted-but-unanswered quotes beyond this shed.
     pub capacity: u64,
-    /// Virtual-queue service estimate per quote, microseconds.
+    /// Virtual-queue service estimate per quote, microseconds; the
+    /// M/D/1 admission bound is taken at 0.9 utilisation.
     pub service_micros: u64,
-    /// Target utilisation for the M/D/1 admission bound.
-    pub target_utilisation: f64,
-    /// Deadline/backoff/hedge policy (shared with the engine layer).
-    pub retry: RetryPolicy,
     /// Degradation-ladder watermarks.
     pub ladder: LadderConfig,
     /// Write-ahead journal path; `None` serves without durability.
@@ -126,8 +167,6 @@ impl Default for ServerConfig {
             seed: 42,
             capacity: 256,
             service_micros: 200,
-            target_utilisation: 0.9,
-            retry: RetryPolicy::server_default(),
             ladder: LadderConfig::default(),
             journal: None,
             cadence: 64,
@@ -156,16 +195,12 @@ impl ServerConfig {
         if self.service_micros == 0 {
             return Err(ServerError::Config("service estimate must be positive"));
         }
-        if !(self.target_utilisation > 0.0 && self.target_utilisation < 1.0) {
-            return Err(ServerError::Config("target utilisation must be in (0, 1)"));
-        }
         if self.cadence == 0 {
             return Err(ServerError::Config("journal fsync cadence must be at least 1"));
         }
         if self.wal_fault.is_some() && self.journal.is_none() {
             return Err(ServerError::Config("--wal-fault requires a journal"));
         }
-        self.retry.validate().map_err(|_| ServerError::Config("invalid retry policy"))?;
         self.ladder.validate().map_err(ServerError::Config)?;
         if self.read_timeout.is_zero() || self.write_timeout.is_zero() {
             return Err(ServerError::Config("read/write timeouts must be positive"));
@@ -588,13 +623,12 @@ fn hedger(core: Arc<Core>, rx: Receiver<TimerEvent>, senders: Vec<Arc<FairQueue<
             Ok(TimerEvent::Retry { mut job, from_shard }) => {
                 let next_attempt = job.attempt + 1;
                 let elapsed = job.accepted_at.elapsed().as_micros() as u64;
-                if !core.config.retry.allows_attempt(next_attempt as usize, elapsed) {
+                if !allows_attempt(next_attempt, elapsed) {
                     fail_deadline(&core, &job);
                     continue;
                 }
                 core.stats.retries.fetch_add(1, Ordering::Relaxed);
-                let backoff =
-                    core.config.retry.jittered_backoff_micros(next_attempt as usize, job.id);
+                let backoff = jittered_backoff_micros(next_attempt, job.id);
                 job.attempt = next_attempt;
                 order += 1;
                 heap.push(Reverse(Scheduled {
@@ -759,7 +793,7 @@ fn handle_quote(
     }
     senders[home].push(job.tenant.slot, job.tenant.limits.weight, job.clone());
     let _ = timer_tx.send(TimerEvent::Hedge {
-        fire_at: job.accepted_at + Duration::from_micros(core.config.retry.hedge_after_micros),
+        fire_at: job.accepted_at + Duration::from_micros(HEDGE_AFTER_MICROS),
         job,
     });
 }
@@ -1113,7 +1147,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         }
         None => None,
     };
-    let admission = AdmissionControl::from_md1(config.service_micros, config.target_utilisation);
+    let admission = AdmissionControl::from_md1(config.service_micros, TARGET_UTILISATION);
     let book = CurveBook::new(config.seed);
     let shards: Vec<ShardCtl> = (0..config.shards).map(|_| ShardCtl::default()).collect();
     // The registry pre-registers `default` plus every configured
@@ -1214,4 +1248,52 @@ pub fn resume_journal(path: &std::path::Path) -> Result<ResumeReport, ServerErro
         }
     }
     Ok(ResumeReport { spreads, drained: state.drained, repriced })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_grows_exponentially_from_the_base() {
+        assert_eq!(backoff_micros(1), 0);
+        assert_eq!(backoff_micros(2), 2_000);
+        assert_eq!(backoff_micros(3), 4_000);
+        // Saturation, not overflow, at absurd attempt counts.
+        assert_eq!(backoff_micros(10_000), u64::MAX);
+    }
+
+    #[test]
+    fn jitter_is_pinned_deterministic_and_bounded() {
+        // Literals of the `splitmix64(id ^ (attempt << 48))` keying: a
+        // changed key or base moves them.
+        let pinned = [(2, [1_756, 1_743, 1_236, 1_342]), (3, [2_625, 3_317, 2_336, 3_333])];
+        for (attempt, want) in pinned {
+            let nominal = backoff_micros(attempt);
+            for (id, want) in [0u64, 1, 42, u64::MAX].into_iter().zip(want) {
+                let j = jittered_backoff_micros(attempt, id);
+                assert_eq!(j, want, "attempt {attempt} id {id}");
+                assert!(j >= nominal / 2 && j <= nominal, "jitter {j} outside [½, 1]·{nominal}");
+            }
+        }
+        assert_eq!(jittered_backoff_micros(1, 42), 0, "no backoff before the first attempt");
+        let js: std::collections::BTreeSet<u64> =
+            (0..32).map(|id| jittered_backoff_micros(2, id)).collect();
+        assert!(js.len() > 1, "jitter must vary with the request id");
+    }
+
+    #[test]
+    fn attempts_are_gated_by_count_and_budget() {
+        assert!(allows_attempt(1, 0));
+        assert!(allows_attempt(MAX_ATTEMPTS, 0));
+        assert!(!allows_attempt(4, 0), "beyond the attempt count");
+        // The backoff must fit strictly inside what is left of the budget.
+        assert!(allows_attempt(2, DEADLINE_MICROS - 2_001));
+        assert!(!allows_attempt(2, DEADLINE_MICROS - 2_000), "backoff no longer fits");
+        assert!(allows_attempt(3, DEADLINE_MICROS - 4_001));
+        assert!(!allows_attempt(3, DEADLINE_MICROS - 4_000), "backoff no longer fits");
+        assert!(allows_attempt(1, DEADLINE_MICROS - 1));
+        assert!(!allows_attempt(1, DEADLINE_MICROS), "budget spent");
+        assert!(!allows_attempt(1, 2 * DEADLINE_MICROS), "budget overspent");
+    }
 }

@@ -289,7 +289,6 @@ fn server_rejects_invalid_configs_typed() {
         (ServerConfig { shards: 0, ..Default::default() }, "shard"),
         (ServerConfig { capacity: 0, ..Default::default() }, "capacity"),
         (ServerConfig { cadence: 0, ..Default::default() }, "cadence"),
-        (ServerConfig { target_utilisation: 1.0, ..Default::default() }, "utilisation"),
     ] {
         match serve(config) {
             Err(e) => {
