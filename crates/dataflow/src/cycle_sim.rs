@@ -50,8 +50,9 @@ impl CycleSim {
         self
     }
 
-    /// Run the graph to completion.
-    pub fn run(&mut self) -> Result<SimReport, SimError> {
+    /// Run the graph to completion, consuming the simulator like
+    /// [`crate::event_sim::EventSim::run`].
+    pub fn run(mut self) -> Result<SimReport, SimError> {
         crate::graph::validate_topology(&self.processes, &self.stream_names)?;
         let n = self.processes.len();
         let mut done = vec![false; n];
@@ -241,7 +242,7 @@ mod tests {
     #[test]
     fn cycle_budget_trips() {
         let (g, _s) = build(1, 1, 2, 1000);
-        let mut sim = CycleSim::new(g).with_max_cycles(10);
+        let sim = CycleSim::new(g).with_max_cycles(10);
         assert!(matches!(sim.run(), Err(SimError::Runaway { .. })));
     }
 

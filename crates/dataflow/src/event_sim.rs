@@ -53,16 +53,9 @@ impl EventSim {
         self
     }
 
-    /// Reset every process for a fresh invocation (per-option dataflow
-    /// region restart).
-    pub fn reset(&mut self) {
-        for p in &mut self.processes {
-            p.reset();
-        }
-    }
-
-    /// Run the graph to completion.
-    pub fn run(&mut self) -> Result<SimReport, SimError> {
+    /// Run the graph to completion. Consumes the simulator: a built
+    /// graph runs once, and a fresh region invocation is a fresh graph.
+    pub fn run(mut self) -> Result<SimReport, SimError> {
         crate::graph::validate_topology(&self.processes, &self.stream_names)?;
         let n = self.processes.len();
         let mut done = vec![false; n];
@@ -248,8 +241,7 @@ mod tests {
         let (tx, rx) = g.stream::<u64>("s", 4);
         g.add(SourceStage::new("src", (0..10).collect(), Cost::new(1, 1), tx));
         let sink = g.add_counted_sink("sink", rx, 10);
-        let mut sim = EventSim::new(g);
-        let report = ok(sim.run());
+        let report = ok(EventSim::new(g).run());
         assert_eq!(sink.values(), (0..10).collect::<Vec<u64>>());
         // Fully pipelined: token i emitted at cycle i, visible at i+1,
         // last (i=9) consumed at cycle 10.
@@ -263,8 +255,7 @@ mod tests {
         // II=7 source: the dependency-chained hazard accumulation.
         g.add(SourceStage::new("src", (0..4).collect(), Cost::new(7, 7), tx));
         let sink = g.add_counted_sink("sink", rx, 4);
-        let mut sim = EventSim::new(g);
-        let report = ok(sim.run());
+        let report = ok(EventSim::new(g).run());
         let arrivals: Vec<Cycle> = sink.collected().iter().map(|&(_, c)| c).collect();
         assert_eq!(arrivals, vec![7, 14, 21, 28]);
         assert_eq!(report.total_cycles, 28);
@@ -278,8 +269,7 @@ mod tests {
         g.add(SourceStage::new("src", (1..=5).collect(), Cost::new(1, 1), tx));
         g.add(MapStage::new("double", rx, tx2, Some(5), |v| (v * 2, Cost::new(1, 4))));
         let sink = g.add_counted_sink("sink", rx2, 5);
-        let mut sim = EventSim::new(g);
-        ok(sim.run());
+        ok(EventSim::new(g).run());
         assert_eq!(sink.values(), vec![2, 4, 6, 8, 10]);
     }
 
@@ -292,8 +282,7 @@ mod tests {
         g.add(SourceStage::new("src", (0..6).collect(), Cost::new(1, 1), tx));
         g.add(MapStage::new("slow", rx, tx2, Some(6), |v| (v, Cost::new(10, 10))));
         let sink = g.add_counted_sink("sink", rx2, 6);
-        let mut sim = EventSim::new(g);
-        let report = ok(sim.run());
+        let report = ok(EventSim::new(g).run());
         assert_eq!(sink.values(), (0..6).collect::<Vec<u64>>());
         // Throughput bound by the slow stage: ~6 × 10 cycles.
         assert!(report.total_cycles >= 60, "cycles = {}", report.total_cycles);
@@ -316,8 +305,7 @@ mod tests {
             (xs.iter().sum(), Cost::new(1, 1))
         }));
         let sink = g.add_counted_sink("sink", rxo, 3);
-        let mut sim = EventSim::new(g);
-        let report = ok(sim.run());
+        let report = ok(EventSim::new(g).run());
         assert_eq!(sink.values(), vec![0, 2, 4]);
         // Paced by the slow input: last b token at cycle 27.
         assert!(report.total_cycles >= 27);
@@ -329,8 +317,7 @@ mod tests {
         let (tx, rx) = g.stream::<u64>("s", 4);
         g.add(SourceStage::new("src", vec![1, 2, 3], Cost::new(1, 1), tx));
         let sink = g.add_collecting_sink("sink", rx);
-        let mut sim = EventSim::new(g);
-        ok(sim.run());
+        ok(EventSim::new(g).run());
         assert_eq!(sink.values(), vec![1, 2, 3]);
     }
 
@@ -341,8 +328,7 @@ mod tests {
         // Source provides 2 tokens but the sink expects 5.
         g.add(SourceStage::new("src", vec![1, 2], Cost::new(1, 1), tx));
         g.add_counted_sink("sink", rx, 5);
-        let mut sim = EventSim::new(g);
-        match sim.run() {
+        match EventSim::new(g).run() {
             Err(SimError::Deadlock { stuck }) => assert_eq!(stuck, vec!["sink".to_string()]),
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -356,22 +342,8 @@ mod tests {
         let (tx, rx) = g.stream::<u64>("s", 4);
         g.add(SourceStage::new("src", (0..100000).collect(), Cost::new(1, 1), tx));
         g.add_counted_sink("sink", rx, 100000);
-        let mut sim = EventSim::new(g).with_max_events(50);
+        let sim = EventSim::new(g).with_max_events(50);
         assert!(matches!(sim.run(), Err(SimError::Runaway { .. })));
-    }
-
-    #[test]
-    fn reset_allows_second_invocation() {
-        let mut g = GraphBuilder::new();
-        let (tx, rx) = g.stream::<u64>("s", 4);
-        g.add(SourceStage::new("src", vec![7, 8], Cost::new(1, 1), tx));
-        let sink = g.add_counted_sink("sink", rx, 2);
-        let mut sim = EventSim::new(g);
-        let r1 = ok(sim.run());
-        sim.reset();
-        let r2 = ok(sim.run());
-        assert_eq!(r1.total_cycles, r2.total_cycles);
-        assert_eq!(sink.values(), vec![7, 8]);
     }
 
     #[test]
@@ -380,8 +352,7 @@ mod tests {
         let (tx, rx) = g.stream::<u64>("s", 4);
         g.add(SourceStage::new("src", (0..20).collect(), Cost::new(1, 1), tx));
         g.add_counted_sink("sink", rx, 20);
-        let mut sim = EventSim::new(g);
-        let report = ok(sim.run());
+        let report = ok(EventSim::new(g).run());
         let s = &report.streams[0];
         assert_eq!(s.pushes, 20);
         assert_eq!(s.pops, 20);

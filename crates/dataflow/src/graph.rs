@@ -33,7 +33,6 @@ pub struct GraphBuilder {
     stream_stats: Vec<Rc<RefCell<dyn StreamStats>>>,
     stream_names: Vec<String>,
     processes: Vec<Box<dyn Process>>,
-    default_depth: usize,
     faults: Option<(FaultPlan, SharedFaults)>,
 }
 
@@ -44,14 +43,13 @@ impl Default for GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// New empty graph with the Vitis default stream depth of 2.
+    /// New empty graph.
     pub fn new() -> Self {
         GraphBuilder {
             version: Rc::new(Cell::new(0)),
             stream_stats: Vec::new(),
             stream_names: Vec::new(),
             processes: Vec::new(),
-            default_depth: 2,
             faults: None,
         }
     }
@@ -82,21 +80,6 @@ impl GraphBuilder {
         self.stream_stats.push(stats);
         self.stream_names.push(name);
         (tx, rx)
-    }
-
-    /// Create a stream with the builder's default depth.
-    pub fn stream_default<T: 'static>(
-        &mut self,
-        name: impl Into<String>,
-    ) -> (StreamSender<T>, StreamReceiver<T>) {
-        let depth = self.default_depth;
-        self.stream(name, depth)
-    }
-
-    /// Change the default stream depth used by [`GraphBuilder::stream_default`].
-    pub fn set_default_depth(&mut self, depth: usize) {
-        assert!(depth >= 1);
-        self.default_depth = depth;
     }
 
     /// Add a process to the graph.
@@ -133,16 +116,6 @@ impl GraphBuilder {
     /// Number of processes added so far.
     pub fn process_count(&self) -> usize {
         self.processes.len()
-    }
-
-    /// Read-only view of the processes (for static analysis).
-    pub fn processes(&self) -> &[Box<dyn Process>] {
-        &self.processes
-    }
-
-    /// Number of streams created so far.
-    pub fn stream_count(&self) -> usize {
-        self.stream_stats.len()
     }
 
     /// Render the graph topology as Graphviz DOT (used for the paper's
@@ -305,7 +278,6 @@ mod tests {
         g.add(SourceStage::new("src", vec![1, 2, 3], Cost::UNIT, tx));
         let _sink = g.add_counted_sink("sink", rx, 3);
         assert_eq!(g.process_count(), 2);
-        assert_eq!(g.stream_count(), 1);
     }
 
     #[test]
@@ -320,15 +292,5 @@ mod tests {
         assert!(dot.contains("p1 [label=\"sink\"]"));
         assert!(dot.contains("p0 -> p1 [label=\"values\"]"));
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn default_depth_is_vitis_two() {
-        let mut g = GraphBuilder::new();
-        let (_tx, rx) = g.stream_default::<u32>("d");
-        drop(rx);
-        g.set_default_depth(8);
-        let (_tx2, _rx2) = g.stream_default::<u32>("e");
-        assert_eq!(g.stream_count(), 2);
     }
 }

@@ -22,7 +22,14 @@
 //! memory access and PCIe transfer), [`pipeline`] (pipelined-loop timing
 //! algebra), [`region`] (dataflow-region invocation overhead) and
 //! [`graph`] (topology description + Graphviz DOT export used to
-//! regenerate the paper's Figures 1–3).
+//! regenerate the paper's Figures 1–3), plus [`trace`] (per-stage busy
+//! spans and the run counters the engines report).
+//!
+//! A graph is processes, streams and one invocation, as in the HLS
+//! dataflow template: `run` consumes the scheduler, so a built graph runs
+//! once. Re-invoking a region (the paper's per-option engine restarts it
+//! for every option) means building a fresh graph, and the restart's
+//! control overhead is charged by [`region::RegionCost`].
 //!
 //! ```
 //! use dataflow_sim::prelude::*;
@@ -32,8 +39,7 @@
 //! let (tx, rx) = g.stream::<f64>("values", 4);
 //! g.add(SourceStage::new("src", (0..8).map(|i| i as f64).collect(), Cost::new(1, 1), tx));
 //! let sink = g.add_collecting_sink("sink", rx);
-//! let mut sim = EventSim::new(g);
-//! let report = sim.run().unwrap();
+//! let report = EventSim::new(g).run().unwrap();
 //! assert_eq!(sink.values().len(), 8);
 //! assert!(report.total_cycles > 0);
 //! ```
@@ -41,7 +47,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod analysis;
 pub mod clock;
 pub mod cycle_sim;
 pub mod event_sim;

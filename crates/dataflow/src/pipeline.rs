@@ -49,11 +49,6 @@ impl PipelinedLoop {
             self.latency + (trip_count - 1) * self.ii
         }
     }
-
-    /// Steady-state throughput in results per cycle.
-    pub fn throughput(&self) -> f64 {
-        1.0 / self.ii as f64
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
         // "the pipelined loop had an II of seven": one value per 7 cycles.
         let l = PipelinedLoop::dependency_chained_add();
         assert_eq!(l.cycles(1024), 7 + 1023 * 7);
-        assert!((l.throughput() - 1.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub trait Process {
     fn can_finish(&self) -> bool {
         false
     }
-
-    /// Reset to the initial state for a fresh region invocation
-    /// (per-option dataflow mode re-launches the whole region).
-    fn reset(&mut self);
 }
 
 #[cfg(test)]

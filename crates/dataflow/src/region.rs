@@ -44,11 +44,6 @@ impl RegionCost {
         RegionCost { control_overhead, per_process_overhead }
     }
 
-    /// A zero-cost region, useful in unit tests isolating other effects.
-    pub const fn free() -> Self {
-        RegionCost { control_overhead: 0, per_process_overhead: 0 }
-    }
-
     /// Total overhead of one invocation of a region with `processes`
     /// dataflow functions.
     pub fn invocation_overhead(&self, processes: usize) -> Cycle {
@@ -87,11 +82,6 @@ mod tests {
     fn continuous_pays_once() {
         let c = RegionCost::new(100, 6);
         assert_eq!(c.batch_overhead(RegionMode::Continuous, 1000, 8), c.invocation_overhead(8));
-    }
-
-    #[test]
-    fn free_region_costs_nothing() {
-        assert_eq!(RegionCost::free().batch_overhead(RegionMode::PerOption, 500, 10), 0);
     }
 
     #[test]

@@ -16,20 +16,18 @@ use std::rc::Rc;
 pub struct SourceStage<T> {
     name: String,
     values: std::vec::IntoIter<T>,
-    initial: Vec<T>,
     cost: Cost,
     tx: StreamSender<T>,
     next_emit: Cycle,
     pending: Option<T>,
 }
 
-impl<T: Clone> SourceStage<T> {
+impl<T> SourceStage<T> {
     /// Create a source emitting `values` in order through `tx`.
     pub fn new(name: impl Into<String>, values: Vec<T>, cost: Cost, tx: StreamSender<T>) -> Self {
         SourceStage {
             name: name.into(),
-            values: values.clone().into_iter(),
-            initial: values,
+            values: values.into_iter(),
             cost,
             tx,
             next_emit: 0,
@@ -38,7 +36,7 @@ impl<T: Clone> SourceStage<T> {
     }
 }
 
-impl<T: Clone> Process for SourceStage<T> {
+impl<T> Process for SourceStage<T> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -72,12 +70,6 @@ impl<T: Clone> Process for SourceStage<T> {
     fn outputs(&self) -> Vec<StreamId> {
         vec![self.tx.id()]
     }
-
-    fn reset(&mut self) {
-        self.values = self.initial.clone().into_iter();
-        self.next_emit = 0;
-        self.pending = None;
-    }
 }
 
 /// Shared handle to the tokens collected by a [`SinkStage`], with their
@@ -104,11 +96,6 @@ impl<T: Clone> SinkHandle<T> {
     /// True when nothing has been received.
     pub fn is_empty(&self) -> bool {
         self.0.borrow().is_empty()
-    }
-
-    /// Discard collected tokens (used between region invocations).
-    pub fn clear(&self) {
-        self.0.borrow_mut().clear();
     }
 }
 
@@ -187,12 +174,6 @@ impl<T> Process for SinkStage<T> {
 
     fn can_finish(&self) -> bool {
         self.expected.is_none()
-    }
-
-    fn reset(&mut self) {
-        self.busy_until = 0;
-        self.received = 0;
-        self.out.borrow_mut().clear();
     }
 }
 
@@ -312,12 +293,6 @@ where
     fn can_finish(&self) -> bool {
         self.expected.is_none() && self.pending.is_none()
     }
-
-    fn reset(&mut self) {
-        self.busy_until = 0;
-        self.pending = None;
-        self.processed = 0;
-    }
 }
 
 // `Copy` bound keeps pending-output handling simple; all engine tokens are
@@ -392,11 +367,6 @@ impl<T: Clone> Process for TimedSourceStage<T> {
 
     fn outputs(&self) -> Vec<StreamId> {
         vec![self.tx.id()]
-    }
-
-    fn reset(&mut self) {
-        self.pos = 0;
-        self.pending = None;
     }
 }
 
@@ -519,15 +489,6 @@ where
     fn can_finish(&self) -> bool {
         self.expected.is_none() && self.pending.is_none() && self.slots.iter().all(|s| s.is_none())
     }
-
-    fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.busy_until = 0;
-        self.pending = None;
-        self.processed = 0;
-    }
 }
 
 #[cfg(test)]
@@ -572,20 +533,5 @@ mod timed_source_tests {
         let sink = g.add_collecting_sink("sink", rx);
         EventSim::new(g).run().unwrap();
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn reset_replays_schedule() {
-        let mut g = GraphBuilder::new();
-        let (tx, rx) = g.stream::<u32>("s", 4);
-        g.add(TimedSourceStage::new("timed", vec![(7, 5)], 1, tx));
-        let sink = g.add_counted_sink("sink", rx, 1);
-        let mut sim = EventSim::new(g);
-        let r1 = sim.run().unwrap();
-        sink.clear();
-        sim.reset();
-        let r2 = sim.run().unwrap();
-        assert_eq!(r1.total_cycles, r2.total_cycles);
-        assert_eq!(sink.values(), vec![7]);
     }
 }

@@ -85,52 +85,6 @@ impl TraceRecorder {
         }
         out
     }
-
-    /// Drop all recorded spans.
-    pub fn clear(&self) {
-        self.inner.borrow_mut().clear();
-    }
-
-    /// Export the recorded activity as a Value Change Dump: one 1-bit
-    /// `busy` wire per stage, viewable in GTKWave alongside real RTL
-    /// simulations — the bridge between this model and an HLS cosim.
-    pub fn to_vcd(&self, timescale_ns_per_cycle: u32) -> String {
-        let stages = self.stages();
-        let mut out = String::new();
-        out.push_str("$version dataflow-sim trace $end\n");
-        out.push_str(&format!("$timescale {timescale_ns_per_cycle}ns $end\n"));
-        out.push_str("$scope module dataflow $end\n");
-        // VCD identifier codes: printable ASCII starting at '!'.
-        let code = |i: usize| -> char { (33 + i as u8) as char };
-        for (i, stage) in stages.iter().enumerate() {
-            let clean: String =
-                stage.chars().map(|c| if c.is_alphanumeric() { c } else { '_' }).collect();
-            out.push_str(&format!("$var wire 1 {} {clean}_busy $end\n", code(i)));
-        }
-        out.push_str("$upscope $end\n$enddefinitions $end\n");
-        // Merge all span edges into one time-ordered event list.
-        let mut edges: Vec<(Cycle, usize, bool)> = Vec::new();
-        for (i, stage) in stages.iter().enumerate() {
-            for span in self.spans(stage) {
-                edges.push((span.start, i, true));
-                edges.push((span.end, i, false));
-            }
-        }
-        edges.sort_unstable_by_key(|&(t, i, rising)| (t, i, rising));
-        out.push_str("#0\n");
-        for (i, _) in stages.iter().enumerate() {
-            out.push_str(&format!("0{}\n", code(i)));
-        }
-        let mut now = 0;
-        for (t, i, rising) in edges {
-            if t != now {
-                out.push_str(&format!("#{t}\n"));
-                now = t;
-            }
-            out.push_str(&format!("{}{}\n", u8::from(rising), code(i)));
-        }
-        out
-    }
 }
 
 /// Busy/stall occupancy of one traced process over a run.
@@ -359,32 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn vcd_export_well_formed() {
-        let t = TraceRecorder::new();
-        t.record("hazard", 2, 10);
-        t.record("interp", 5, 6);
-        let vcd = t.to_vcd(3);
-        assert!(vcd.contains("$timescale 3ns $end"));
-        assert!(vcd.contains("hazard_busy"));
-        assert!(vcd.contains("interp_busy"));
-        // Initial values, then edges at 2, 5, 6, 10.
-        for marker in ["#0", "#2", "#5", "#6", "#10"] {
-            assert!(vcd.contains(marker), "missing {marker}");
-        }
-        // One rising and one falling edge per stage plus two initial 0s.
-        let zeros = vcd.matches("\n0").count();
-        let ones = vcd.matches("\n1").count();
-        assert_eq!(ones, 2, "rising edges");
-        assert!(zeros >= 4, "falling + initial");
-    }
-
-    #[test]
     fn clones_share_state() {
         let t = TraceRecorder::new();
         let t2 = t.clone();
         t2.record("s", 0, 5);
         assert_eq!(t.busy_cycles("s"), 5);
-        t.clear();
-        assert_eq!(t2.busy_cycles("s"), 0);
+        t.record("s", 10, 12);
+        assert_eq!(t2.spans("s"), vec![Span { start: 0, end: 5 }, Span { start: 10, end: 12 }]);
     }
 }

@@ -106,13 +106,6 @@ impl<T> Process for RoundRobinSplit<T> {
     fn can_finish(&self) -> bool {
         self.expected.is_none() && self.pending.is_none()
     }
-
-    fn reset(&mut self) {
-        self.next_out = 0;
-        self.busy_until = 0;
-        self.pending = None;
-        self.processed = 0;
-    }
 }
 
 /// Re-collects tokens from `V` replica streams in cyclic order,
@@ -209,13 +202,6 @@ impl<T> Process for RoundRobinMerge<T> {
 
     fn can_finish(&self) -> bool {
         self.expected.is_none() && self.pending.is_none()
-    }
-
-    fn reset(&mut self) {
-        self.next_in = 0;
-        self.busy_until = 0;
-        self.pending = None;
-        self.processed = 0;
     }
 }
 

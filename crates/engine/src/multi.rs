@@ -155,8 +155,6 @@ pub struct MultiEngineReport {
     /// Options re-priced on surviving engines after an engine death or a
     /// lost token.
     pub options_retried: u64,
-    /// Options abandoned (only possible when recovery is exhausted).
-    pub options_shed: u64,
     /// True when the run survived an engine death or fell back to the CPU
     /// engine — the result is complete but the deployment is impaired.
     pub degraded: bool,
@@ -307,8 +305,7 @@ impl MultiEngine {
         // Each built engine's region is invoked once; a batch smaller than
         // the deployment leaves the remaining engines without a chunk.
         let engine_processes = g.process_count() / sinks.len();
-        let mut sim = EventSim::new(g);
-        let report = sim.run().map_err(CdsError::Sim)?;
+        let report = EventSim::new(g).run().map_err(CdsError::Sim)?;
         let faults_injected = report.faults.total();
 
         // Harvest round 0: an engine that under-delivered its chunk is
@@ -382,8 +379,7 @@ impl MultiEngine {
                 retry_sinks.push(sink);
             }
             let retry_engine_processes = rg.process_count() / retry_sinks.len();
-            let mut retry_sim = EventSim::new(rg);
-            let retry_report = retry_sim.run().map_err(CdsError::Sim)?;
+            let retry_report = EventSim::new(rg).run().map_err(CdsError::Sim)?;
             for sink in retry_sinks {
                 for (tok, _) in sink.collected() {
                     spreads_by_idx[missing[tok.opt_idx as usize]] = Some(tok.spread_bps);
@@ -427,7 +423,6 @@ impl MultiEngine {
             counters,
             faults_injected,
             options_retried,
-            options_shed: 0,
             degraded,
             scrub: scrub_report,
         })
@@ -446,7 +441,6 @@ impl MultiEngineReport {
             counters: Counters::default(),
             faults_injected: 0,
             options_retried: 0,
-            options_shed: 0,
             degraded: false,
             scrub: None,
         }
@@ -617,7 +611,6 @@ mod tests {
         assert!(report.degraded, "an engine died: the run is degraded");
         assert!(report.options_retried > 0, "the dead engine's chunk must be retried");
         assert!(report.faults_injected > 0);
-        assert_eq!(report.options_shed, 0);
         // Recovery costs time: slower than the fault-free deployment.
         assert!(report.total_seconds > clean.total_seconds);
     }

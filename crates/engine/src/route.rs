@@ -116,12 +116,6 @@ impl PriceRoute {
         }
     }
 
-    /// Find a route by its [`PriceRoute::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<PriceRoute> {
-        PriceRoute::ALL.into_iter().find(|r| r.label() == label)
-    }
-
     /// Price `options` under `market` through this route.
     ///
     /// Returns one spread per option, in input order. Every route
@@ -251,13 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_unique_and_round_trip() {
+    fn labels_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
         for route in PriceRoute::ALL {
             assert!(seen.insert(route.label()), "duplicate label {}", route.label());
-            assert_eq!(PriceRoute::from_label(route.label()), Some(route));
         }
-        assert_eq!(PriceRoute::from_label("no-such-route"), None);
     }
 
     #[test]

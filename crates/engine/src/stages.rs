@@ -162,14 +162,6 @@ impl Process for TimePointGen {
             self.tx_meta.id(),
         ]
     }
-
-    fn reset(&mut self) {
-        self.current.clear();
-        self.pos = 0;
-        self.busy_until = 0;
-        self.emitted_options = 0;
-        self.meta_pending = None;
-    }
 }
 
 /// Duplicates a token stream to two consumers (one output register, one
@@ -231,11 +223,6 @@ impl<T: Copy> Process for TeeStage<T> {
 
     fn outputs(&self) -> Vec<StreamId> {
         vec![self.tx_a.id(), self.tx_b.id()]
-    }
-
-    fn reset(&mut self) {
-        self.busy_until = 0;
-        self.processed = 0;
     }
 }
 
@@ -327,13 +314,6 @@ impl Process for ReduceStage {
 
     fn outputs(&self) -> Vec<StreamId> {
         vec![self.tx.id()]
-    }
-
-    fn reset(&mut self) {
-        self.acc.reset();
-        self.busy_until = 0;
-        self.pending = None;
-        self.emitted_options = 0;
     }
 }
 

@@ -278,8 +278,7 @@ pub fn run_streaming_with(
         0,
         Some(&admitted_arrivals),
     );
-    let mut sim = EventSim::new(g);
-    let report = sim.run().map_err(CdsError::Sim)?;
+    let report = EventSim::new(g).run().map_err(CdsError::Sim)?;
 
     // Watchdog: classify every admitted option as completed or lost.
     let collected = sink.collected();

@@ -61,8 +61,7 @@ pub fn run(
         RegionMode::Continuous => {
             let (g, sink) = build_graph(market, config, options, 0);
             let processes = g.process_count();
-            let mut sim = EventSim::new(g);
-            let report = match sim.run() {
+            let report = match EventSim::new(g).run() {
                 Ok(r) => r,
                 Err(e) => panic!("CDS dataflow graph must not deadlock: {e}"),
             };
@@ -108,8 +107,7 @@ pub fn run(
                     idx as u32,
                 );
                 let processes = g.process_count();
-                let mut sim = EventSim::new(g);
-                let report = match sim.run() {
+                let report = match EventSim::new(g).run() {
                     Ok(r) => r,
                     Err(e) => panic!("CDS dataflow graph must not deadlock: {e}"),
                 };
@@ -184,7 +182,6 @@ pub fn build_graph_into(
         })
         .sum();
     let depth = config.stream_depth;
-    g.set_default_depth(depth);
 
     // Once-per-option input stream (red arrows of Fig 2).
     let (tx_opts, rx_opts) = g.stream::<OptionTok>(format!("{prefix}options"), depth.max(4));
@@ -651,5 +648,32 @@ mod tests {
         for (o, s) in options.iter().zip(&report.spreads) {
             assert!((s - pricer.price(o).spread_bps).abs() < 1e-7);
         }
+    }
+    #[test]
+    fn per_option_mode_rebuilds_the_region_per_option() {
+        // A per-option invocation is a fresh graph: one simulated run plus
+        // one region invocation overhead, so n identical options cost
+        // exactly n one-option runs and restart the region n - 1 times.
+        let market = market();
+        let config = EngineVariant::OptimisedDataflow.config();
+        let single = paper_options(1);
+        let (g, _sink) = build_graph(market.clone(), &config, &single, 0);
+        let processes = g.process_count();
+        let sim_cycles = EventSim::new(g).run().unwrap().total_cycles;
+        let one = run(market.clone(), &config, &single);
+        assert_eq!(
+            one.kernel_cycles,
+            sim_cycles + config.region_cost.invocation_overhead(processes)
+        );
+        assert_eq!(one.counters.region_restarts, 0);
+
+        let n = 5;
+        let options = paper_options(n);
+        let per = run(market.clone(), &config, &options);
+        assert_eq!(per.kernel_cycles, n as u64 * one.kernel_cycles);
+        assert_eq!(per.counters.region_restarts, n as u64 - 1);
+        let inter = run(market, &EngineVariant::InterOption.config(), &options);
+        let bits = |r: &EngineRunReport| r.spreads.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&per), bits(&inter));
     }
 }

