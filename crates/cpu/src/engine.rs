@@ -35,6 +35,10 @@ pub struct CpuBatchStats {
     /// Lane groups launched by the batch kernel, including a final
     /// partial group (0 for scalar paths).
     pub fused_groups: u64,
+    /// `exp`-bound curve reads evaluated: the stub reads computed (three
+    /// per option unless a resident cache supplied some) plus three per
+    /// shared grid point grown.
+    pub curve_reads: u64,
 }
 
 /// Precomputed, cache-friendly CPU pricer.

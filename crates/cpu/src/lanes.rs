@@ -36,6 +36,14 @@
 //! [`LaneKernel::set_hazard_value`]) drops only the grid suffix that
 //! reads the edited knot, found with the same [`ReadWindow`] rule the
 //! incremental arrangement uses.
+//!
+//! The dense ([`LaneKernel::price_into`]), sparse
+//! ([`LaneKernel::price_indices_into`]) and resident
+//! ([`LaneKernel::price_residents_into`]) entry points share one
+//! gather/transcendental/arithmetic core and differ only in where the three stub
+//! reads come from: the first two evaluate them, the third takes them
+//! from a per-resident [`StubReads`] cache and re-evaluates only the
+//! reads a curve edit's window touches ([`Refresh`]).
 
 use crate::engine::{CpuBatchStats, CpuCdsEngine};
 use cds_quant::option::{CdsOption, PaymentFrequency};
@@ -206,6 +214,46 @@ pub fn first_lattice_point_in(delta: f64, k: usize, w: &ReadWindow) -> Option<us
     None
 }
 
+/// An option's three `exp`-bound stub reads: survival and discount
+/// factor at the maturity `m`, and discount factor at the stub midpoint
+/// `0.5·(Δ·k + m)`. Each is a pure function of the engine and the
+/// option, so a cached copy stays exact until an edit lands in its
+/// read window.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StubReads {
+    /// `survival(m)`.
+    pub survival: f64,
+    /// `discount_factor(m)`.
+    pub df: f64,
+    /// `discount_factor(stub midpoint)`.
+    pub df_mid: f64,
+}
+
+/// Which cached [`StubReads`] [`LaneKernel::price_residents_into`]
+/// re-evaluates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Refresh {
+    /// All three (a resident just placed in its slot).
+    All,
+    /// `survival(m)` only: a hazard-knot edit, whose prefix window holds
+    /// the maturity of every option it affects and no discount read.
+    Survival,
+    /// `df(m)` where the window holds `m` and `df(stub midpoint)` where
+    /// it holds the midpoint: an interest-knot edit with this
+    /// [`interest_window`].
+    Discount(ReadWindow),
+}
+
+/// Evaluate all three stub reads on `engine` (the cache-free source).
+#[inline(always)]
+fn fresh_reads(engine: &CpuCdsEngine, _position: usize, t: f64, mid: f64) -> StubReads {
+    StubReads {
+        survival: engine.survival(t),
+        df: engine.discount_factor(t),
+        df_mid: engine.discount_factor(mid),
+    }
+}
+
 /// Shared schedule grid for one payment frequency: point times, survival
 /// probabilities, and prefix sums of the scalar reference's three leg
 /// accumulators after each full point. Index `j` holds the state after
@@ -351,7 +399,16 @@ impl LaneKernel {
     /// Panics on an invalid schedule, with the same message schedule
     /// generation (and the scalar path) would have produced.
     pub fn price_into(&mut self, options: &[CdsOption], out: &mut Vec<f64>) -> CpuBatchStats {
-        self.price_positions_into(options, options.len(), |i| i, out)
+        let mut stats = self.price_positions_into(
+            options,
+            options.len(),
+            |i| i,
+            |_, option| full_points(option),
+            fresh_reads,
+            out,
+        );
+        stats.curve_reads += 3 * stats.options;
+        stats
     }
 
     /// Price a *sparse* selection of `options`: position `j` of `out`
@@ -359,9 +416,9 @@ impl LaneKernel {
     /// identical to gathering the selected options into a dense batch
     /// and calling [`LaneKernel::price_into`] — both entry points run
     /// the same gather/transcendental/arithmetic passes, only the index
-    /// mapping differs. This is the tick-repricing entry point: the
-    /// incremental arrangement hands the kernel the affected ids over
-    /// the resident slab without materialising a gathered copy.
+    /// mapping differs, and every stub read is evaluated afresh. The
+    /// cache-free way to price a subset of a slab without materialising
+    /// a gathered copy (the full-reprice oracle uses it).
     ///
     /// Duplicate indices are allowed (each position prices
     /// independently); indices need not be sorted.
@@ -375,16 +432,116 @@ impl LaneKernel {
         indices: &[u32],
         out: &mut Vec<f64>,
     ) -> CpuBatchStats {
-        self.price_positions_into(options, indices.len(), |i| indices[i] as usize, out)
+        let mut stats = self.price_positions_into(
+            options,
+            indices.len(),
+            |i| indices[i] as usize,
+            |_, option| full_points(option),
+            fresh_reads,
+            out,
+        );
+        stats.curve_reads += 3 * stats.options;
+        stats
     }
 
-    /// Shared core of the dense and sparse entry points: price the `n`
-    /// positions `options[map(0)], …, options[map(n-1)]` into `out`.
+    /// Price resident `options[ids[j]]` into position `j` of `out`,
+    /// taking its full-point count from `ks[ids[j]]` (which must equal
+    /// [`full_points`] of the option, so the schedule was validated when
+    /// it was counted), its three stub reads from `reads[ids[j]]`, and
+    /// re-evaluating only those `refresh` names (the cached value is
+    /// overwritten with the fresh one). The tick-repricing entry point:
+    /// the incremental engine keeps one [`StubReads`] per slab slot and
+    /// passes the refresh a curve edit requires.
+    ///
+    /// Bit-for-bit identical to [`LaneKernel::price_indices_into`]
+    /// provided every read `refresh` skips still equals what the current
+    /// engine would compute — true when the reads were last refreshed
+    /// under an engine that differs from this one only at knots whose
+    /// windows ([`interest_window`], [`hazard_window`]) exclude the
+    /// skipped read times. Only where `k` and the reads come from
+    /// differs; the gather and arithmetic passes are shared.
+    ///
+    /// `stats.curve_reads` counts the reads refreshed plus three per
+    /// grid point the call regrew.
+    ///
+    /// # Panics
+    /// Panics if an id is out of bounds for `options`, `ks` or `reads`.
+    pub fn price_residents_into(
+        &mut self,
+        options: &[CdsOption],
+        ks: &[u32],
+        ids: &[u32],
+        reads: &mut [StubReads],
+        refresh: Refresh,
+        out: &mut Vec<f64>,
+    ) -> CpuBatchStats {
+        // Ids spread thinly over the slab each miss the cache in
+        // `options`, `ks` and `reads`, and the pricing passes meet those
+        // misses one lane at a time. A tight loop that loads them first
+        // lets them overlap. Dense sets ascend through neighbouring lines
+        // the hardware prefetches anyway, so there the extra pass would
+        // only cost (docs/PERFORMANCE.md, "The resident read cache").
+        if ids.len() * 8 < reads.len() {
+            let warmed = ids.iter().fold(0u64, |acc, &id| {
+                let id = id as usize;
+                acc ^ reads[id].df.to_bits() ^ options[id].maturity.to_bits() ^ u64::from(ks[id])
+            });
+            std::hint::black_box(warmed);
+        }
+        let mut refreshed = 0u64;
+        let mut stats = self.price_positions_into(
+            options,
+            ids.len(),
+            |i| ids[i] as usize,
+            |i, option| {
+                let k = ks[ids[i] as usize] as usize;
+                debug_assert_eq!(k, full_points(option), "stale full-point count");
+                k
+            },
+            |engine, i, t, mid| {
+                let cached = &mut reads[ids[i] as usize];
+                match refresh {
+                    Refresh::All => {
+                        *cached = fresh_reads(engine, i, t, mid);
+                        refreshed += 3;
+                    }
+                    Refresh::Survival => {
+                        cached.survival = engine.survival(t);
+                        refreshed += 1;
+                    }
+                    Refresh::Discount(w) => {
+                        if w.contains(t) {
+                            cached.df = engine.discount_factor(t);
+                            refreshed += 1;
+                        }
+                        if w.contains(mid) {
+                            cached.df_mid = engine.discount_factor(mid);
+                            refreshed += 1;
+                        }
+                    }
+                }
+                *cached
+            },
+            out,
+        );
+        stats.curve_reads += refreshed;
+        stats
+    }
+
+    /// Shared core of every entry point: price the `n` positions
+    /// `options[map(0)], …, options[map(n-1)]` into `out`, taking each
+    /// position's full-point count from `k_of(position, option)` and its
+    /// stub reads from `reads(engine, position, maturity, stub
+    /// midpoint)`. `curve_reads` of the result counts only the
+    /// grid points grown (three reads each); the caller adds its stub
+    /// reads.
     fn price_positions_into(
         &mut self,
         options: &[CdsOption],
         n: usize,
         map: impl Fn(usize) -> usize,
+        k_of: impl Fn(usize, &CdsOption) -> usize,
+        mut reads: impl FnMut(&CpuCdsEngine, usize, f64, f64) -> StubReads,
         out: &mut Vec<f64>,
     ) -> CpuBatchStats {
         out.clear();
@@ -392,12 +549,15 @@ impl LaneKernel {
         self.ks.clear();
         self.ks.reserve(n);
         let mut time_points = 0u64;
+        let grid_points = |grids: &[FreqGrid; 4]| grids.iter().map(|g| g.t.len()).sum::<usize>();
+        let before = grid_points(&self.grids);
 
-        // Pass 1: validate, locate each option's last full point, and
-        // grow the shared grids to cover the batch.
+        // Pass 1: locate each option's last full point (computing it
+        // validates the schedule), and grow the shared grids to cover
+        // the batch.
         for i in 0..n {
             let option = &options[map(i)];
-            let k = full_points(option);
+            let k = k_of(i, option);
             self.grids[freq_slot(option.frequency)].ensure(&self.engine, k);
             self.ks.push(k as u32);
             time_points += k as u64 + 1;
@@ -431,16 +591,18 @@ impl LaneKernel {
             }
 
             // Transcendental pass: the three exp-bound curve reads per
-            // lane, free of any cross-lane dependency.
+            // lane, free of any cross-lane dependency (evaluated, or
+            // taken from a resident cache).
             let mut survival = [0.0f64; LANES];
             let mut df = [0.0f64; LANES];
             let mut df_mid = [0.0f64; LANES];
             for lane in 0..active {
                 let t = maturity[lane];
                 let mid = 0.5 * (prev_t[lane] + t);
-                survival[lane] = self.engine.survival(t);
-                df[lane] = self.engine.discount_factor(t);
-                df_mid[lane] = self.engine.discount_factor(mid);
+                let r = reads(&self.engine, base + lane, t, mid);
+                survival[lane] = r.survival;
+                df[lane] = r.df;
+                df_mid[lane] = r.df_mid;
             }
 
             // Arithmetic pass: branch-free per-lane accumulator updates
@@ -466,6 +628,7 @@ impl LaneKernel {
             options: n as u64,
             time_points,
             fused_groups: (n as u64).div_ceil(LANES as u64),
+            curve_reads: 3 * (grid_points(&self.grids) - before) as u64,
         }
     }
 
@@ -561,6 +724,47 @@ mod tests {
     }
 
     #[test]
+    fn resident_reads_price_like_the_sparse_entry_point() {
+        // Refresh::All fills the cache and prices like price_indices_into;
+        // with the cache filled, a refresh that re-evaluates nothing
+        // (an empty discount window) prices the same bits from it.
+        let market = MarketData::paper_workload(7);
+        let engine = CpuCdsEngine::new(&market);
+        let slab = PortfolioGenerator::new(11).portfolio(64);
+        let ids: Vec<u32> = (0..slab.len() as u32).rev().step_by(3).collect();
+        let mut expected = Vec::new();
+        let sparse = engine.lane_kernel().price_indices_into(&slab, &ids, &mut expected);
+        let mut kernel = engine.lane_kernel();
+        let ks: Vec<u32> = slab.iter().map(|o| full_points(o) as u32).collect();
+        let mut reads = vec![StubReads::default(); slab.len()];
+        let mut out = Vec::new();
+        let filled =
+            kernel.price_residents_into(&slab, &ks, &ids, &mut reads, Refresh::All, &mut out);
+        assert_eq!(out, expected);
+        assert_eq!(filled, sparse, "same work, same reads counted");
+        assert_eq!(
+            filled.curve_reads,
+            3 * ids.len() as u64 + 3 * (grid_lens(&kernel).iter().sum::<usize>() as u64 - 4)
+        );
+        let none = ReadWindow { lo: f64::INFINITY, hi: f64::INFINITY, hi_inclusive: false };
+        let cached = kernel.price_residents_into(
+            &slab,
+            &ks,
+            &ids,
+            &mut reads,
+            Refresh::Discount(none),
+            &mut out,
+        );
+        assert_eq!(out, expected);
+        assert_eq!(cached.curve_reads, 0, "warm grids, nothing refreshed");
+        for (id, r) in reads.iter().enumerate() {
+            if !ids.contains(&(id as u32)) {
+                assert_eq!(*r, StubReads::default(), "slot {id} was not priced");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "index out of bounds")]
     fn price_indices_out_of_bounds_panics() {
         let market = MarketData::paper_workload(1);
@@ -617,6 +821,15 @@ mod tests {
         assert_eq!(stats.options, 19);
         assert_eq!(stats.time_points, expected_points);
         assert_eq!(stats.fused_groups, 3); // ceil(19 / 8)
+
+        // A fresh kernel grows each grid to its frequency's longest
+        // schedule: three reads per grown point plus three per option.
+        let mut longest = [0usize; 4];
+        for o in &opts {
+            let slot = freq_slot(o.frequency);
+            longest[slot] = longest[slot].max(full_points(o));
+        }
+        assert_eq!(stats.curve_reads, 3 * 19 + 3 * longest.iter().sum::<usize>() as u64);
     }
 
     #[test]
@@ -754,6 +967,46 @@ mod tests {
                     expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     scalar_bits(&fresh, &book),
                     "{what} knot {knot}: fresh kernel vs scalar"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_refreshed_resident_reads_price_like_a_fresh_kernel_at_every_knot() {
+        // The read cache's exactness argument at the kernel level: after
+        // each accumulated edit, refreshing only the reads in the knot's
+        // window (survival for hazard, in-window discount reads for
+        // interest) and reusing the rest prices the whole book exactly
+        // as a fresh engine and kernel do.
+        let mut market = MarketData::paper_workload_sized(37, 64);
+        let mut book = long_book();
+        book.extend(PortfolioGenerator::new(5).portfolio(64));
+        let ids: Vec<u32> = (0..book.len() as u32).collect();
+        let ks: Vec<u32> = book.iter().map(|o| full_points(o) as u32).collect();
+        let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
+        let mut reads = vec![StubReads::default(); book.len()];
+        let mut out = Vec::new();
+        kernel.price_residents_into(&book, &ks, &ids, &mut reads, Refresh::All, &mut out);
+        for hazard in [false, true] {
+            for knot in 0..64 {
+                let curve = if hazard { &market.hazard } else { &market.interest };
+                let value = curve.points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, hazard, knot, value);
+                let refresh = if hazard {
+                    kernel.set_hazard_value(knot, value);
+                    Refresh::Survival
+                } else {
+                    kernel.set_interest_value(knot, value);
+                    Refresh::Discount(interest_window(kernel.engine().interest_tenors(), knot))
+                };
+                kernel.price_residents_into(&book, &ks, &ids, &mut reads, refresh, &mut out);
+                let expected = CpuCdsEngine::new(&market).lane_kernel().price_batch(&book);
+                let what = if hazard { "hazard" } else { "interest" };
+                assert_eq!(
+                    out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "{what} knot {knot}"
                 );
             }
         }

@@ -49,14 +49,6 @@ impl RegionCost {
     pub fn invocation_overhead(&self, processes: usize) -> Cycle {
         self.control_overhead + self.per_process_overhead * processes as Cycle
     }
-
-    /// Total overhead across a batch of `items` under the given mode.
-    pub fn batch_overhead(&self, mode: RegionMode, items: u64, processes: usize) -> Cycle {
-        match mode {
-            RegionMode::PerOption => self.invocation_overhead(processes) * items,
-            RegionMode::Continuous => self.invocation_overhead(processes),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -67,32 +59,5 @@ mod tests {
     fn invocation_overhead_includes_all_processes() {
         let c = RegionCost::new(100, 6);
         assert_eq!(c.invocation_overhead(8), 100 + 48);
-    }
-
-    #[test]
-    fn per_option_scales_with_items() {
-        let c = RegionCost::new(100, 6);
-        assert_eq!(
-            c.batch_overhead(RegionMode::PerOption, 1000, 8),
-            1000 * c.invocation_overhead(8)
-        );
-    }
-
-    #[test]
-    fn continuous_pays_once() {
-        let c = RegionCost::new(100, 6);
-        assert_eq!(c.batch_overhead(RegionMode::Continuous, 1000, 8), c.invocation_overhead(8));
-    }
-
-    #[test]
-    fn continuous_never_worse_than_per_option() {
-        let c = RegionCost::new(37, 3);
-        for items in [0u64, 1, 2, 100] {
-            assert!(
-                c.batch_overhead(RegionMode::Continuous, items, 5)
-                    <= c.batch_overhead(RegionMode::PerOption, items, 5)
-                        .max(c.invocation_overhead(5))
-            );
-        }
     }
 }

@@ -6,8 +6,9 @@
 //! [`PortfolioState`] arrangement, ingests *value* ticks against
 //! individual curve knots, computes the exact affected set from the
 //! arrangement, reprices only those options through the lane kernel's
-//! sparse entry point, and emits [`SpreadDelta`]s (old bits → new bits)
-//! for the options whose quotes actually moved.
+//! resident entry point ([`LaneKernel::price_residents_into`]), and
+//! emits [`SpreadDelta`]s (old bits → new bits) for the options whose
+//! quotes actually moved.
 //!
 //! # Bit-identity argument
 //!
@@ -29,8 +30,23 @@
 //!    point whose time or period midpoint reads the ticked knot
 //!    ([`cds_cpu::lanes::first_lattice_point_in`]); the kept prefix
 //!    reads only unchanged inputs, and pricing regrows the suffix in
-//!    the scalar order. The result is definitionally equal to a fresh
-//!    engine and kernel — the full reprice.
+//!    the scalar order. Each resident's three stub reads
+//!    ([`StubReads`]: `survival(m)`, `df(m)`, `df(stub_mid)`) are cached
+//!    by id, written in full on insert (a recycled id gets fresh reads),
+//!    and a tick re-evaluates only those in its knot's window: a hazard
+//!    tick `survival(m)` of every affected option (the prefix window
+//!    holds every affected maturity and no discount read), an interest
+//!    tick `df(m)` where the window holds `m` and `df(stub_mid)` where
+//!    it holds the midpoint; an option reached only through the shared
+//!    lattice re-evaluates none and reruns the arithmetic on the regrown
+//!    grid; each option's full-point count comes from the arrangement,
+//!    which computed it with the kernel's own `full_points`. A read is
+//!    a pure function of `(engine, option)` and the windows come from
+//!    the interpolator's branches, so every cached read is refreshed
+//!    exactly when one of its inputs changes and equals what a fresh
+//!    kernel computes. The result is definitionally
+//!    equal to a fresh engine and kernel — the full reprice, which keeps
+//!    no cache.
 //! 3. *Unaffected* options' stored bits stay valid because a value tick
 //!    moves no tenor: segment lookup structures depend only on tenors,
 //!    interest interpolation at a time outside the ticked knot's
@@ -47,6 +63,7 @@
 use crate::error::CdsError;
 use crate::portfolio::PortfolioState;
 use crate::report::{SpreadDelta, TickReport};
+use cds_cpu::lanes::{interest_window, Refresh, StubReads};
 use cds_cpu::{CpuCdsEngine, LaneKernel};
 use cds_quant::curve::Curve;
 use cds_quant::option::{CdsOption, MarketData};
@@ -142,6 +159,10 @@ pub struct IncrementalEngine {
     portfolio: PortfolioState,
     /// Stored spread bits, indexed by portfolio id (stale for dead ids).
     spread_bits: Vec<u64>,
+    /// Each resident's three stub reads under the current engine,
+    /// indexed like `spread_bits`: written on insert, refreshed by a
+    /// tick only where the ticked knot's window holds the read time.
+    reads: Vec<StubReads>,
     epoch: u64,
     affected: Vec<u32>,
     repriced: Vec<f64>,
@@ -156,6 +177,7 @@ impl IncrementalEngine {
             kernel,
             portfolio: PortfolioState::new(),
             spread_bits: Vec::new(),
+            reads: Vec::new(),
             epoch: 0,
             affected: Vec::new(),
             repriced: Vec::new(),
@@ -212,11 +234,7 @@ impl IncrementalEngine {
     /// Panics on an invalid schedule (same wording as the kernels).
     pub fn insert(&mut self, option: CdsOption) -> u32 {
         let id = self.portfolio.insert(option);
-        let bits = self.kernel.engine().price(&option).spread_bps.to_bits();
-        if self.spread_bits.len() <= id as usize {
-            self.spread_bits.resize(id as usize + 1, 0);
-        }
-        self.spread_bits[id as usize] = bits;
+        self.price_new(&[id]);
         id
     }
 
@@ -225,14 +243,28 @@ impl IncrementalEngine {
     /// the ids in option order.
     pub fn insert_batch(&mut self, options: &[CdsOption]) -> Vec<u32> {
         let ids = self.portfolio.insert_batch(options);
-        if self.spread_bits.len() < self.portfolio.slab_len() {
-            self.spread_bits.resize(self.portfolio.slab_len(), 0);
-        }
-        self.kernel.price_indices_into(self.portfolio.raw_options(), &ids, &mut self.repriced);
+        self.price_new(&ids);
+        ids
+    }
+
+    /// Price freshly placed ids through the kernel, writing all three
+    /// stub reads (a recycled id's old reads belong to another option)
+    /// and the spread bits.
+    fn price_new(&mut self, ids: &[u32]) {
+        let slab = self.portfolio.slab_len();
+        self.spread_bits.resize(slab, 0);
+        self.reads.resize(slab, StubReads::default());
+        self.kernel.price_residents_into(
+            self.portfolio.raw_options(),
+            self.portfolio.raw_full_points(),
+            ids,
+            &mut self.reads,
+            Refresh::All,
+            &mut self.repriced,
+        );
         for (&id, &spread) in ids.iter().zip(&self.repriced) {
             self.spread_bits[id as usize] = spread.to_bits();
         }
-        ids
     }
 
     /// Remove a resident option (its spread bits are dropped with it).
@@ -278,6 +310,7 @@ impl IncrementalEngine {
                 epoch: self.epoch,
                 zero_delta: true,
                 affected: 0,
+                curve_reads: 0,
                 deltas: Vec::new(),
             });
         }
@@ -287,21 +320,30 @@ impl IncrementalEngine {
         // knot. Tenors are untouched, so the arrangement and the
         // unaffected options' stored bits both survive the edit.
         let mut affected = std::mem::take(&mut self.affected);
-        match tick.curve {
+        let refresh = match tick.curve {
             CurveKind::Interest => {
                 let value = self.market.interest.points()[tick.knot].value;
                 self.kernel.set_interest_value(tick.knot, value);
                 let tenors = self.kernel.engine().interest_tenors();
-                self.portfolio.affected_by_interest(tenors, tick.knot, &mut affected)
+                self.portfolio.affected_by_interest(tenors, tick.knot, &mut affected);
+                Refresh::Discount(interest_window(tenors, tick.knot))
             }
             CurveKind::Hazard => {
                 let value = self.market.hazard.points()[tick.knot].value;
                 self.kernel.set_hazard_value(tick.knot, value);
                 let tenors = self.kernel.engine().hazard_tenors();
-                self.portfolio.affected_by_hazard(tenors, tick.knot, &mut affected)
+                self.portfolio.affected_by_hazard(tenors, tick.knot, &mut affected);
+                Refresh::Survival
             }
-        }
-        self.kernel.price_indices_into(self.portfolio.raw_options(), &affected, &mut self.repriced);
+        };
+        let stats = self.kernel.price_residents_into(
+            self.portfolio.raw_options(),
+            self.portfolio.raw_full_points(),
+            &affected,
+            &mut self.reads,
+            refresh,
+            &mut self.repriced,
+        );
         let mut deltas = Vec::new();
         for (&id, &spread) in affected.iter().zip(&self.repriced) {
             let new_bits = spread.to_bits();
@@ -312,8 +354,13 @@ impl IncrementalEngine {
             }
         }
         self.epoch += 1;
-        let report =
-            TickReport { epoch: self.epoch, zero_delta: false, affected: affected.len(), deltas };
+        let report = TickReport {
+            epoch: self.epoch,
+            zero_delta: false,
+            affected: affected.len(),
+            curve_reads: stats.curve_reads,
+            deltas,
+        };
         self.affected = affected;
         Ok(report)
     }
@@ -322,6 +369,8 @@ impl IncrementalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portfolio::option_reads_interest;
+    use cds_cpu::lanes::{first_lattice_point_in, freq_slot, full_points, hazard_window};
     use cds_quant::option::PortfolioGenerator;
 
     fn book(seed: u64, residents: usize) -> IncrementalEngine {
@@ -432,6 +481,111 @@ mod tests {
             assert!(live.contains(&d.id));
         }
         assert_bits_match_full(&eng, "after removals + tick");
+    }
+
+    fn tick(eng: &mut IncrementalEngine, curve: CurveKind, knot: usize, factor: f64) -> TickReport {
+        let value = eng.curve_value(curve, knot).unwrap_or(0.0) * factor + 1e-6;
+        match eng.apply_tick(CurveTick { curve, knot, value }) {
+            Ok(r) => r,
+            Err(e) => panic!("{curve} knot {knot}: {e}"),
+        }
+    }
+
+    #[test]
+    fn recycled_id_prices_its_new_option() {
+        // The new option reuses a freed id whose cached reads belong to
+        // the old one. It must price afresh on insert, survive a tick it
+        // does not read, and reprice from its own reads when a hazard
+        // tick (survival refreshed, discount reads reused) and then an
+        // interest tick reach it.
+        let mut eng = book(29, 64);
+        let victim = eng.spreads()[5].0;
+        let old = eng.remove(victim).expect("victim is live");
+        let new = CdsOption { maturity: old.maturity * 0.37 + 0.11, ..old };
+        assert_eq!(eng.insert(new), victim, "the freed id is recycled");
+        assert_bits_match_full(&eng, "recycled id, before any tick");
+
+        let tenors = eng.tenors(CurveKind::Interest).to_vec();
+        let unread = (0..tenors.len())
+            .find(|&k| !option_reads_interest(&new, &interest_window(&tenors, k)))
+            .expect("a 64-knot curve has a knot the option does not read");
+        let report = tick(&mut eng, CurveKind::Interest, unread, 1.01);
+        assert!(report.deltas.iter().all(|d| d.id != victim), "unread knot repriced it");
+        assert_bits_match_full(&eng, &format!("recycled id, unread interest knot {unread}"));
+
+        tick(&mut eng, CurveKind::Hazard, 0, 1.01);
+        assert_bits_match_full(&eng, "recycled id, hazard knot 0");
+        let read = (0..tenors.len())
+            .find(|&k| interest_window(&tenors, k).contains(new.maturity))
+            .expect("some knot reads the maturity");
+        tick(&mut eng, CurveKind::Interest, read, 1.01);
+        assert_bits_match_full(&eng, &format!("recycled id, interest knot {read}"));
+    }
+
+    #[test]
+    fn hazard_tick_reads_survival_per_affected_option_plus_regrown_points() {
+        let mut eng = book(31, 300);
+        let tenors = eng.tenors(CurveKind::Hazard).to_vec();
+        // The grids are as long as each frequency's longest schedule;
+        // a hazard edit drops, and the tick regrows, every point from
+        // the first one past the previous tenor.
+        let mut kmax = [None; 4];
+        for (_, o) in eng.portfolio().iter() {
+            let slot = freq_slot(o.frequency);
+            kmax[slot] = kmax[slot].max(Some(full_points(o)));
+        }
+        for knot in [0, 17, 40, 63] {
+            let w = hazard_window(&tenors, knot);
+            let regrown: usize = kmax
+                .iter()
+                .zip([1.0, 0.5, 0.25, 1.0 / 12.0])
+                .filter_map(|(k, delta)| {
+                    let k = (*k)?;
+                    first_lattice_point_in(delta, k, &w).map(|j| k + 1 - j)
+                })
+                .sum();
+            let report = tick(&mut eng, CurveKind::Hazard, knot, 1.01);
+            assert!(report.affected > 0);
+            assert_eq!(report.curve_reads, (report.affected + 3 * regrown) as u64, "knot {knot}");
+        }
+        assert_bits_match_full(&eng, "after the hazard ticks");
+    }
+
+    #[test]
+    fn lattice_free_interest_tick_reads_only_in_window_stub_times() {
+        // The 1024-knot paper curve: a 64-knot one has no knot clear of
+        // the monthly lattice.
+        let mut eng = IncrementalEngine::new(MarketData::paper_workload(37));
+        eng.insert_batch(&PortfolioGenerator::new(37).portfolio(400));
+        let tenors = eng.tenors(CurveKind::Interest).to_vec();
+        let free = eng.portfolio().lattice_free_interest_knots(&tenors);
+        assert!(free.len() > 100, "{} lattice-free knots", free.len());
+        let mut total = 0;
+        for knot in free {
+            let w = interest_window(&tenors, knot);
+            let in_window: usize = eng
+                .portfolio()
+                .iter()
+                .map(|(_, o)| {
+                    let delta = 1.0 / o.frequency.per_year() as f64;
+                    let mid = 0.5 * (delta * full_points(o) as f64 + o.maturity);
+                    usize::from(w.contains(o.maturity)) + usize::from(w.contains(mid))
+                })
+                .sum();
+            let report = tick(&mut eng, CurveKind::Interest, knot, 1.01);
+            assert_eq!(report.curve_reads, in_window as u64, "knot {knot}");
+            total += in_window;
+        }
+        assert!(total > 100, "only {total} stub reads in lattice-free windows");
+        assert_bits_match_full(&eng, "after the lattice-free ticks");
+        let zero = eng.curve_value(CurveKind::Hazard, 3).unwrap_or(0.0);
+        let report =
+            match eng.apply_tick(CurveTick { curve: CurveKind::Hazard, knot: 3, value: zero }) {
+                Ok(r) => r,
+                Err(e) => panic!("{e}"),
+            };
+        assert!(report.zero_delta);
+        assert_eq!(report.curve_reads, 0);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! frequency keeps one column of live ids sorted by `(m.to_bits(), id)`
 //! and every query is a binary search: a hazard tick's set is a suffix
 //! of each column, an interest tick's the union of at most three ranges
-//! per column (lattice suffix, maturity range, stub-midpoint range). The
-//! repricing itself stays in the lane kernel
-//! ([`cds_cpu::LaneKernel::price_indices_into`]).
+//! per column (lattice suffix, maturity range, stub-midpoint range),
+//! returned in ascending id order. The repricing itself stays in the
+//! lane kernel ([`cds_cpu::LaneKernel::price_residents_into`]).
 
 use cds_cpu::lanes::{
     first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, ReadWindow,
@@ -69,8 +69,6 @@ pub fn option_reads_hazard(option: &CdsOption, w: &ReadWindow) -> bool {
 /// Per-option metadata kept alongside the slab.
 #[derive(Debug, Clone, Copy)]
 struct Meta {
-    /// Full schedule points before the stub (`cds_cpu::lanes::full_points`).
-    k: u32,
     /// Whether the id is resident (false while on the free list).
     live: bool,
     /// Cached stub-midpoint read time.
@@ -88,6 +86,9 @@ pub struct PortfolioState {
     /// Option storage, indexed by id. Freed slots retain stale data and
     /// are never handed out by queries.
     options: Vec<CdsOption>,
+    /// Full schedule points before the stub of each slot's option
+    /// (`cds_cpu::lanes::full_points`), indexed by id.
+    ks: Vec<u32>,
     meta: Vec<Meta>,
     free: Vec<u32>,
     live: usize,
@@ -95,6 +96,9 @@ pub struct PortfolioState {
     /// `(maturity.to_bits(), id)`; `k` and the stub midpoint are
     /// non-decreasing along it too (module docs).
     columns: [Vec<u32>; 4],
+    /// One bit per slab slot, all clear between queries: large affected
+    /// sets are marked here and read back in ascending id order.
+    marks: Vec<u64>,
 }
 
 impl PortfolioState {
@@ -119,11 +123,19 @@ impl PortfolioState {
         self.options.len()
     }
 
-    /// The raw option slab, indexed by id — the slice
-    /// [`cds_cpu::LaneKernel::price_indices_into`] gathers from. Freed
+    /// The raw option slab, indexed by id — the slice the lane kernel's
+    /// sparse and resident entry points gather from. Freed
     /// slots hold stale options; only index it with live ids.
     pub fn raw_options(&self) -> &[CdsOption] {
         &self.options
+    }
+
+    /// `full_points` of each slab slot's option, indexed by id like
+    /// [`PortfolioState::raw_options`] (freed slots hold stale counts) —
+    /// what the lane kernel's resident entry point reads instead of
+    /// recomputing the schedule.
+    pub fn raw_full_points(&self) -> &[u32] {
+        &self.ks
     }
 
     /// The option behind a live id.
@@ -154,15 +166,17 @@ impl PortfolioState {
         let k = full_points(&option);
         let slot = freq_slot(option.frequency);
         let delta = 1.0 / SLOT_PER_YEAR[slot] as f64;
-        let meta = Meta { k: k as u32, live: true, stub_mid: stub_mid(delta, k, option.maturity) };
+        let meta = Meta { live: true, stub_mid: stub_mid(delta, k, option.maturity) };
         let id = match self.free.pop() {
             Some(id) => {
                 self.options[id as usize] = option;
+                self.ks[id as usize] = k as u32;
                 self.meta[id as usize] = meta;
                 id
             }
             None => {
                 self.options.push(option);
+                self.ks.push(k as u32);
                 self.meta.push(meta);
                 (self.options.len() - 1) as u32
             }
@@ -181,7 +195,7 @@ impl PortfolioState {
     /// First shared lattice point of `column`'s frequency that `w`
     /// touches, up to the column's largest `k` (its last id's).
     fn lattice_hit(&self, column: &[u32], per_year: u32, w: &ReadWindow) -> Option<usize> {
-        let kmax = self.meta[*column.last()? as usize].k as usize;
+        let kmax = self.ks[*column.last()? as usize] as usize;
         first_lattice_point_in(1.0 / per_year as f64, kmax, w)
     }
 
@@ -241,31 +255,21 @@ impl PortfolioState {
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds for `tenors`.
-    pub fn affected_by_interest(&self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
+    pub fn affected_by_interest(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = interest_window(tenors, knot);
         out.clear();
         for (column, &per_year) in self.columns.iter().zip(&SLOT_PER_YEAR) {
             let lattice = self.lattice_hit(column, per_year, &w).map_or(0..0, |j| {
-                column.partition_point(|&id| (self.meta[id as usize].k as usize) < j)..column.len()
+                column.partition_point(|&id| (self.ks[id as usize] as usize) < j)..column.len()
             });
-            let mut ranges = [
-                lattice,
-                in_window(column, &w, |id| self.options[id as usize].maturity),
-                in_window(column, &w, |id| self.meta[id as usize].stub_mid),
-            ];
-            ranges.sort_unstable_by_key(|r| r.start);
-            // Emit the union: each range from where the previous ones
-            // stopped.
-            let mut covered = 0;
-            for r in ranges {
-                let start = r.start.max(covered);
-                if start < r.end {
-                    out.extend_from_slice(&column[start..r.end]);
-                    covered = r.end;
-                }
+            let maturity = in_window(column, &w, |id| self.options[id as usize].maturity);
+            let stub = in_window(column, &w, |id| self.meta[id as usize].stub_mid);
+            // Overlapping ranges copy an id twice; ordering keeps it once.
+            for r in [lattice, maturity, stub] {
+                out.extend_from_slice(&column[r]);
             }
         }
-        out.sort_unstable();
+        self.ascending(out);
     }
 
     /// Ids of live options affected by a value change at hazard-curve
@@ -275,14 +279,40 @@ impl PortfolioState {
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds for `tenors`.
-    pub fn affected_by_hazard(&self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
+    pub fn affected_by_hazard(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = hazard_window(tenors, knot);
         out.clear();
         for column in &self.columns {
             let r = in_window(column, &w, |id| self.options[id as usize].maturity);
             out.extend_from_slice(&column[r]);
         }
-        out.sort_unstable();
+        self.ascending(out);
+    }
+
+    /// Put `ids` in ascending order without duplicates. A set much
+    /// smaller than the slab's bitmap is comparison-sorted; a larger one
+    /// is marked in the bitmap and read back, O(ids + slab/64). The
+    /// crossover sits where the two measure equal, near one id per
+    /// eight bitmap words.
+    fn ascending(&mut self, ids: &mut Vec<u32>) {
+        let words = self.options.len().div_ceil(64);
+        if ids.len() * 8 < words {
+            ids.sort_unstable();
+            ids.dedup();
+            return;
+        }
+        self.marks.resize(words, 0);
+        for &id in ids.iter() {
+            self.marks[id as usize / 64] |= 1 << (id % 64);
+        }
+        ids.clear();
+        for (word, bits) in self.marks.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                ids.push(word as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Interest knots whose window contains no shared-lattice read of

@@ -120,6 +120,10 @@ pub struct TickReport {
     /// Number of options whose read set touches the ticked knot (all of
     /// them were repriced; not all necessarily changed spread bits).
     pub affected: usize,
+    /// `exp`-bound curve reads the tick evaluated: the affected options'
+    /// stub reads it refreshed plus three per shared grid point it
+    /// regrew (0 for a zero-delta tick).
+    pub curve_reads: u64,
     /// The options whose spread bits actually changed, in id order.
     pub deltas: Vec<SpreadDelta>,
 }

@@ -65,12 +65,7 @@ pub fn run(
                 Ok(r) => r,
                 Err(e) => panic!("CDS dataflow graph must not deadlock: {e}"),
             };
-            let kernel = report.total_cycles
-                + config.region_cost.batch_overhead(
-                    RegionMode::Continuous,
-                    options.len() as u64,
-                    processes,
-                );
+            let kernel = report.total_cycles + config.region_cost.invocation_overhead(processes);
             let trace = config.trace.clone().unwrap_or_default();
             let counters = Counters::from_run(&trace, &report);
             EngineRunReport::from_cycles_with_counters(

@@ -12,9 +12,13 @@
 //! 3. **No leaks.** Removing an option removes every index entry it
 //!    owns; removed options never appear in affected sets and freed ids
 //!    are recycled without ghosts.
+//! 4. **Ascending, once.** Every affected set is strictly ascending by
+//!    id, through both ordering paths (comparison sort for small sets,
+//!    the slab bitmap for large ones) and across remove/insert rounds,
+//!    so no query sees marks a previous one left behind.
 
-use cds_cpu::lanes::full_points;
-use cds_engine::portfolio::PortfolioState;
+use cds_cpu::lanes::{full_points, hazard_window, interest_window};
+use cds_engine::portfolio::{option_reads_hazard, option_reads_interest, PortfolioState};
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency, PortfolioGenerator};
 use std::collections::BTreeSet;
 
@@ -96,6 +100,11 @@ fn recorded_reads(
         assert!(i <= 4_000_000, "runaway schedule in recorder");
     }
     (interest, hazard)
+}
+
+/// Strictly ascending: sorted, and no id twice.
+fn assert_ascending(ids: &[u32], what: &str) {
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: not strictly ascending");
 }
 
 /// A stable value key for comparing option multisets across differently
@@ -253,6 +262,9 @@ fn affected_sets_are_stable_under_insertion_order() {
         reversed.affected_by_interest(&its, knot, &mut b);
         interleaved.affected_by_interest(&its, knot, &mut c);
         batched.affected_by_interest(&its, knot, &mut d);
+        for ids in [&a, &b, &c, &d] {
+            assert_ascending(ids, &format!("interest knot {knot}"));
+        }
         let fwd = keys(&fwd_ids, &fwd_options, &a);
         assert_eq!(fwd, keys(&rev_ids, &rev_options, &b), "interest knot {knot} (reversed)");
         assert_eq!(fwd, keys(&il_ids, &il_options, &c), "interest knot {knot} (interleaved)");
@@ -263,6 +275,9 @@ fn affected_sets_are_stable_under_insertion_order() {
         reversed.affected_by_hazard(&hts, knot, &mut b);
         interleaved.affected_by_hazard(&hts, knot, &mut c);
         batched.affected_by_hazard(&hts, knot, &mut d);
+        for ids in [&a, &b, &c, &d] {
+            assert_ascending(ids, &format!("hazard knot {knot}"));
+        }
         let fwd = keys(&fwd_ids, &fwd_options, &a);
         assert_eq!(fwd, keys(&rev_ids, &rev_options, &b), "hazard knot {knot} (reversed)");
         assert_eq!(fwd, keys(&il_ids, &il_options, &c), "hazard knot {knot} (interleaved)");
@@ -316,4 +331,65 @@ fn removal_leaves_no_index_entries_behind() {
     let reborn = state.insert(options[0]);
     assert!(ids.contains(&reborn), "freed ids should be recycled");
     assert_eq!(state.index_entries(), 1);
+}
+
+#[test]
+fn affected_sets_stay_exact_and_ascending_through_both_orderings() {
+    // 4096 residents on the 1024-knot paper curve: lattice-free interest
+    // knots affect a handful of options (the comparison-sorted path),
+    // hazard knots most of the book (the bitmap path). A remove/insert
+    // round in between recycles ids, and every set must still be
+    // exactly the live readers, strictly ascending.
+    let market = MarketData::paper_workload(3);
+    let its = tenors(&market.interest);
+    let hts = tenors(&market.hazard);
+    let mut state = PortfolioState::new();
+    let mut live: Vec<(u32, CdsOption)> = Vec::new();
+    let options = PortfolioGenerator::new(41).portfolio(4096);
+    for (id, o) in state.insert_batch(&options).into_iter().zip(options) {
+        live.push((id, o));
+    }
+    let interest_knots = state.lattice_free_interest_knots(&its);
+    let hazard_knots: Vec<usize> = (0..hts.len()).step_by(64).collect();
+    let mut affected = Vec::new();
+    let (mut small, mut large) = (0, 0);
+    for round in 0..2 {
+        for (curve, knots) in [("interest", &interest_knots), ("hazard", &hazard_knots)] {
+            for &knot in knots {
+                let reads: Box<dyn Fn(&CdsOption) -> bool> = if curve == "interest" {
+                    let w = interest_window(&its, knot);
+                    state.affected_by_interest(&its, knot, &mut affected);
+                    Box::new(move |o| option_reads_interest(o, &w))
+                } else {
+                    let w = hazard_window(&hts, knot);
+                    state.affected_by_hazard(&hts, knot, &mut affected);
+                    Box::new(move |o| option_reads_hazard(o, &w))
+                };
+                let what = format!("round {round}, {curve} knot {knot}");
+                assert_ascending(&affected, &what);
+                let mut expected: Vec<u32> =
+                    live.iter().filter(|(_, o)| reads(o)).map(|&(id, _)| id).collect();
+                expected.sort_unstable();
+                assert_eq!(affected, expected, "{what}");
+                match affected.len() {
+                    0 => {}
+                    n if n * 8 < state.slab_len().div_ceil(64) => small += 1,
+                    _ => large += 1,
+                }
+            }
+        }
+        // Remove every third resident, then insert as many new options
+        // one at a time: they take the freed ids back.
+        let gone: Vec<(u32, CdsOption)> = live.iter().copied().step_by(3).collect();
+        live.retain(|(id, _)| !gone.iter().any(|(g, _)| g == id));
+        for &(id, _) in &gone {
+            assert!(state.remove(id).is_some());
+        }
+        for o in PortfolioGenerator::new(43 + round).portfolio(gone.len()) {
+            let id = state.insert(o);
+            assert!(gone.iter().any(|&(g, _)| g == id), "id {id} was not recycled");
+            live.push((id, o));
+        }
+    }
+    assert!(small > 0 && large > 0, "{small} small and {large} large sets: one path untested");
 }

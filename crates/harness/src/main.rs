@@ -18,6 +18,7 @@
 //!   streaming           Poisson-arrival latency sweep (AAT further work)
 //!   validate            independent cross-checks (MC, schedulers, bootstrap, M/D/1)
 //!   ablation-curve      constant-data size sweep
+//!   ablation-restart    dataflow-region restart overhead sweep
 //!   trace               stage occupancy Gantt of the vectorised engine
 //!   host-cpu            measure the real CPU engine on this machine
 //!   bench               machine-readable benchmark ladder (BENCH.json)
@@ -603,6 +604,11 @@ fn cmd_bench_tick_storm(args: &Args) -> CliResult {
         ratio(report.min_tick_speedup),
         report.free_knots,
         report.mean_affected
+    );
+    println!(
+        "hot hazard-mid ticks vs full reprice: {} (required ≥ {})",
+        ratio(report.hazard_mid_speedup),
+        ratio(report.min_hazard_speedup)
     );
     println!(
         "bitwise clean: {} mismatches vs full reprice; zero-delta contract: {}\n",

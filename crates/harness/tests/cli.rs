@@ -180,22 +180,23 @@ fn throughput_check_against_impossible_baseline_exits_1() {
 }
 
 /// A tick-storm baseline with controllable floors: permissive
-/// (`min_speedup` 0, rate floors near zero) passes on any machine,
-/// impossible (`min_speedup` astronomically high) fails on all of them —
-/// the ratio gate is machine-independent, so both verdicts are
-/// deterministic.
+/// (`min_speedup` 0 for both ratios, rate floors near zero) passes on
+/// any machine, impossible (`min_speedup` astronomically high) fails on
+/// all of them — the ratio gates are machine-independent, so both
+/// verdicts are deterministic.
 fn tick_storm_baseline(rate_floor: f64, min_speedup: f64) -> String {
     format!(
         concat!(
-            "{{\"schema_version\": 1, \"seed\": 42, \"residents\": 512, ",
+            "{{\"schema_version\": 2, \"seed\": 42, \"residents\": 512, ",
             "\"knots\": 1024, \"free_knots\": 1, \"mean_affected\": 1.0, ",
             "\"incremental_speedup\": 1.0, \"min_tick_speedup\": {}, ",
+            "\"hazard_mid_speedup\": 1.0, \"min_hazard_speedup\": {}, ",
             "\"bit_mismatches\": 0, \"zero_delta_clean\": true, \"rows\": [",
             "{{\"name\": \"full/reprice\", \"per_second\": {}}}, ",
             "{{\"name\": \"incremental/off-lattice-1pt\", \"per_second\": {}}}, ",
             "{{\"name\": \"incremental/hazard-mid\", \"per_second\": {}}}]}}"
         ),
-        min_speedup, rate_floor, rate_floor, rate_floor
+        min_speedup, min_speedup, rate_floor, rate_floor, rate_floor
     )
 }
 
