@@ -63,6 +63,15 @@ fn schedule_panic(reason: &'static str) -> ! {
     panic!("option failed schedule generation: {e}");
 }
 
+/// Schedule period `Δ` of each grid slot ([`freq_slot`] order): the
+/// same f64 values `1.0 / per_year as f64` gives, so every `Δ·i` the
+/// kernel's count, its grids and the incremental arrangement index
+/// compute from it is the scalar loop's.
+pub const SLOT_DELTA: [f64; 4] = [1.0, 1.0 / 2.0, 1.0 / 4.0, 1.0 / 12.0];
+
+/// Payments per year of each grid slot, as f64 (exact).
+const SLOT_PER_YEAR: [f64; 4] = [1.0, 2.0, 4.0, 12.0];
+
 /// Number of *full* schedule points before the maturity stub, i.e. the
 /// largest `k` with `Δ·k < maturity` (0 when the maturity falls inside
 /// the first period). The scalar loop visits points `1..=k` and then the
@@ -73,6 +82,15 @@ fn schedule_panic(reason: &'static str) -> ! {
 /// walks — a reimplementation that disagreed by one boundary comparison
 /// would silently under- or over-invalidate.
 ///
+/// Table-driven: `Δ` and the payments per year come from
+/// [`SLOT_DELTA`] and `SLOT_PER_YEAR` by [`freq_slot`], so the count
+/// costs no division and no branch on the frequency. It starts from the
+/// truncated estimate `maturity · per_year` and nudges it with the
+/// scalar loop's own comparison (`Δ·i` in f64), so boundary maturities
+/// resolve identically; except at exact lattice maturities neither
+/// nudge takes a step. Tests check it against the division-based body
+/// it replaced at every `Δ·j` and its f64 neighbours.
+///
 /// Validation (and its panic wording) mirrors
 /// `PaymentSchedule::generate`, and the guard trips in exactly the same
 /// cases as the streaming scalar loop: a schedule is rejected iff
@@ -82,30 +100,40 @@ fn schedule_panic(reason: &'static str) -> ! {
 /// Panics on an invalid schedule (non-positive/non-finite maturity, or
 /// more than 4M points), matching the scalar path.
 pub fn full_points(option: &CdsOption) -> usize {
-    if option.maturity <= 0.0 || !option.maturity.is_finite() {
+    let maturity = option.maturity;
+    if maturity <= 0.0 || !maturity.is_finite() {
         schedule_panic("maturity must be positive and finite");
     }
-    let maturity = option.maturity;
-    let per_year = option.frequency.per_year();
-    let delta = 1.0 / per_year as f64;
+    let slot = freq_slot(option.frequency);
+    let (delta, per_year) = (SLOT_DELTA[slot], SLOT_PER_YEAR[slot]);
     // Coarse early reject: far beyond the guard, the float-faithful
-    // adjustment below would crawl and the `as usize` cast could
+    // adjustment below would crawl and the `as u32` cast could
     // saturate. 4.1M leaves a margin of ~100k points — astronomically
     // more than one ULP of drift — so every schedule rejected here is
     // one the exact rule below would reject too.
-    if maturity * per_year as f64 > 4_100_000.0 {
+    if maturity * per_year > 4_100_000.0 {
         schedule_panic("schedule too long");
     }
     // Float-faithful k: start from the truncated estimate, then nudge
     // with the *same comparison* the scalar loop performs (`Δ·i`
     // computed in f64), so boundary maturities resolve identically.
-    let mut k = (maturity * per_year as f64) as usize;
-    while k > 0 && delta * k as f64 >= maturity {
+    // Below the early reject the estimate fits a u32, whose conversion
+    // to f64 is one instruction (a usize's is several without
+    // AVX-512). The first down-step is peeled off its loop: as one
+    // countable loop it is vectorised into 16-wide blocks, which every
+    // option with a few dozen full points entered on the common path
+    // where no step is taken.
+    let mut k = (maturity * per_year) as u32;
+    if k > 0 && delta * f64::from(k) >= maturity {
         k -= 1;
+        while k > 0 && delta * f64::from(k) >= maturity {
+            k -= 1;
+        }
     }
-    while delta * ((k + 1) as f64) < maturity {
+    while delta * f64::from(k + 1) < maturity {
         k += 1;
     }
+    let k = k as usize;
     if k + 1 > MAX_SCHEDULE_POINTS {
         schedule_panic("schedule too long");
     }
@@ -117,11 +145,11 @@ pub fn full_points(option: &CdsOption) -> usize {
 /// `cds-engine` so its per-frequency buckets line up with the kernel's
 /// grids.
 pub fn freq_slot(frequency: PaymentFrequency) -> usize {
-    match frequency.per_year() {
-        1 => 0,
-        2 => 1,
-        4 => 2,
-        _ => 3,
+    match frequency {
+        PaymentFrequency::Annual => 0,
+        PaymentFrequency::SemiAnnual => 1,
+        PaymentFrequency::Quarterly => 2,
+        PaymentFrequency::Monthly => 3,
     }
 }
 
@@ -270,9 +298,9 @@ struct FreqGrid {
 }
 
 impl FreqGrid {
-    fn new(per_year: u32) -> Self {
+    fn new(slot: usize) -> Self {
         FreqGrid {
-            delta: 1.0 / per_year as f64,
+            delta: SLOT_DELTA[slot],
             t: vec![0.0],
             surv: vec![1.0],
             premium: vec![0.0],
@@ -347,11 +375,7 @@ pub struct LaneKernel {
 impl LaneKernel {
     /// Create a kernel with empty grids that owns `engine`.
     pub fn new(engine: CpuCdsEngine) -> Self {
-        LaneKernel {
-            engine,
-            grids: [FreqGrid::new(1), FreqGrid::new(2), FreqGrid::new(4), FreqGrid::new(12)],
-            ks: Vec::new(),
-        }
+        LaneKernel { engine, grids: std::array::from_fn(FreqGrid::new), ks: Vec::new() }
     }
 
     /// The engine this kernel prices against.
@@ -1131,5 +1155,170 @@ mod tests {
         let o =
             CdsOption { maturity: 5.0e6, frequency: PaymentFrequency::Monthly, recovery_rate: 0.4 };
         let _ = engine.price_batch(&[o]);
+    }
+
+    /// The `full_points` body before the count became table-driven,
+    /// kept verbatim as the reference the table-driven count must equal
+    /// bit for bit, panics and their messages included.
+    fn reference_full_points(option: &CdsOption) -> usize {
+        if option.maturity <= 0.0 || !option.maturity.is_finite() {
+            schedule_panic("maturity must be positive and finite");
+        }
+        let maturity = option.maturity;
+        let per_year = option.frequency.per_year();
+        let delta = 1.0 / per_year as f64;
+        if maturity * per_year as f64 > 4_100_000.0 {
+            schedule_panic("schedule too long");
+        }
+        let mut k = (maturity * per_year as f64) as usize;
+        while k > 0 && delta * k as f64 >= maturity {
+            k -= 1;
+        }
+        while delta * ((k + 1) as f64) < maturity {
+            k += 1;
+        }
+        if k + 1 > MAX_SCHEDULE_POINTS {
+            schedule_panic("schedule too long");
+        }
+        k
+    }
+
+    fn option(maturity: f64, frequency: PaymentFrequency) -> CdsOption {
+        CdsOption { maturity, frequency, recovery_rate: 0.4 }
+    }
+
+    /// The f64 just below and just above `x` (`x > 0`), and `x`.
+    fn with_neighbours(x: f64) -> [f64; 3] {
+        [f64::from_bits(x.to_bits() - 1), x, f64::from_bits(x.to_bits() + 1)]
+    }
+
+    /// `f`'s count, or its panic message.
+    fn outcome(f: fn(&CdsOption) -> usize, o: &CdsOption) -> Result<usize, String> {
+        std::panic::catch_unwind(|| f(o)).map_err(|payload| match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(_) => "non-string panic".to_string(),
+        })
+    }
+
+    /// Compare the count with the reference at every lattice maturity
+    /// `Δ·j` (the scalar loop's f64 product) for `j` in `js`, and at
+    /// both its f64 neighbours. Both must return a count here.
+    fn assert_counts_match_reference(js: std::ops::Range<usize>) {
+        for f in PaymentFrequency::ALL {
+            let delta = 1.0 / f.per_year() as f64;
+            for j in js.clone() {
+                for m in with_neighbours(delta * j as f64) {
+                    let o = option(m, f);
+                    assert_eq!(full_points(&o), reference_full_points(&o), "{f:?} j={j} m={m:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_tables_equal_the_divided_frequencies() {
+        for f in PaymentFrequency::ALL {
+            let slot = freq_slot(f);
+            assert_eq!(SLOT_DELTA[slot].to_bits(), (1.0 / f.per_year() as f64).to_bits(), "{f:?}");
+            assert_eq!(SLOT_PER_YEAR[slot].to_bits(), (f.per_year() as f64).to_bits(), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn full_points_matches_reference_at_lattice_maturities() {
+        assert_counts_match_reference(1..65_537);
+    }
+
+    /// Around the 4M-point guard the two must agree on the count, on
+    /// whether to panic and on the message.
+    #[test]
+    fn full_points_matches_reference_around_the_guard() {
+        for f in PaymentFrequency::ALL {
+            let delta = 1.0 / f.per_year() as f64;
+            for j in MAX_SCHEDULE_POINTS - 8..=MAX_SCHEDULE_POINTS + 8 {
+                for m in with_neighbours(delta * j as f64) {
+                    let o = option(m, f);
+                    assert_eq!(
+                        outcome(full_points, &o),
+                        outcome(reference_full_points, &o),
+                        "{f:?} j={j} m={m:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every lattice maturity below the guard, in release only (48M
+    /// counts each side):
+    /// `cargo test --release -p cds-cpu -- --ignored`.
+    #[test]
+    #[ignore = "release-only sweep of every lattice maturity up to the 4M guard"]
+    fn full_points_matches_reference_up_to_the_guard() {
+        assert_counts_match_reference(1..MAX_SCHEDULE_POINTS);
+    }
+
+    /// The scalar oracle prices the longest schedule the guard admits
+    /// and rejects the next lattice maturity, as the count does.
+    #[test]
+    #[ignore = "release-only: walks 4M-point scalar schedules"]
+    fn guard_maturities_price_like_scalar() {
+        let engine = CpuCdsEngine::new(&MarketData::paper_workload(1));
+        for f in PaymentFrequency::ALL {
+            let delta = 1.0 / f.per_year() as f64;
+            let longest = option(delta * MAX_SCHEDULE_POINTS as f64, f);
+            assert_eq!(engine.price(&longest).time_points, full_points(&longest) + 1, "{f:?}");
+            let next = option(delta * (MAX_SCHEDULE_POINTS + 1) as f64, f);
+            let scalar = std::panic::catch_unwind(|| engine.price(&next).spread_bps);
+            assert!(scalar.is_err(), "{f:?}: scalar priced a schedule past the guard");
+        }
+    }
+
+    #[test]
+    fn guard_admits_exactly_four_million_points() {
+        let too_long = "option failed schedule generation: invalid CDS option: schedule too long";
+        for f in PaymentFrequency::ALL {
+            let delta = 1.0 / f.per_year() as f64;
+            let longest = option(delta * MAX_SCHEDULE_POINTS as f64, f);
+            assert_eq!(full_points(&longest) + 1, MAX_SCHEDULE_POINTS, "{f:?}");
+            assert_eq!(reference_full_points(&longest) + 1, MAX_SCHEDULE_POINTS, "{f:?}");
+            let next = option(delta * (MAX_SCHEDULE_POINTS + 1) as f64, f);
+            assert_eq!(outcome(full_points, &next), Err(too_long.to_string()), "{f:?}");
+            assert_eq!(outcome(reference_full_points, &next), Err(too_long.to_string()), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_maturities_panic_like_the_reference() {
+        let invalid =
+            "option failed schedule generation: invalid CDS option: maturity must be positive and finite";
+        for f in PaymentFrequency::ALL {
+            for m in
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0, -f64::MIN_POSITIVE]
+            {
+                let o = option(m, f);
+                assert_eq!(outcome(full_points, &o), Err(invalid.to_string()), "{f:?} m={m}");
+                assert_eq!(outcome(reference_full_points, &o), Err(invalid.to_string()), "{f:?}");
+            }
+        }
+    }
+
+    /// Pass 1 counts in batch order, so the first invalid option
+    /// decides which message a batch panics with.
+    #[test]
+    fn first_invalid_option_in_a_batch_decides_the_panic() {
+        let engine = CpuCdsEngine::new(&MarketData::paper_workload(1));
+        let valid = option(5.0, PaymentFrequency::Quarterly);
+        let non_finite = option(f64::INFINITY, PaymentFrequency::Monthly);
+        let too_long = option(5.0e6, PaymentFrequency::Annual);
+        for (batch, expected) in [
+            ([valid, non_finite, too_long], "maturity must be positive and finite"),
+            ([valid, too_long, non_finite], "schedule too long"),
+        ] {
+            let message = std::panic::catch_unwind(|| engine.price_batch(&batch))
+                .expect_err("an invalid batch priced")
+                .downcast::<String>()
+                .expect("schedule panics carry a formatted message");
+            assert!(message.ends_with(expected), "{message} should end with {expected}");
+        }
     }
 }

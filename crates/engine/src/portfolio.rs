@@ -33,12 +33,10 @@
 
 use cds_cpu::lanes::{
     first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, ReadWindow,
+    SLOT_DELTA,
 };
 use cds_quant::option::CdsOption;
 use std::ops::Range;
-
-/// Frequencies per grid slot, in [`freq_slot`] order.
-const SLOT_PER_YEAR: [u32; 4] = [1, 2, 4, 12];
 
 /// The stub-midpoint read time of an option with `k` full points, using
 /// the lane kernel's exact expression (`prev_t` is the shared grid time
@@ -165,8 +163,7 @@ impl PortfolioState {
     fn place(&mut self, option: CdsOption) -> (u32, usize) {
         let k = full_points(&option);
         let slot = freq_slot(option.frequency);
-        let delta = 1.0 / SLOT_PER_YEAR[slot] as f64;
-        let meta = Meta { live: true, stub_mid: stub_mid(delta, k, option.maturity) };
+        let meta = Meta { live: true, stub_mid: stub_mid(SLOT_DELTA[slot], k, option.maturity) };
         let id = match self.free.pop() {
             Some(id) => {
                 self.options[id as usize] = option;
@@ -194,9 +191,9 @@ impl PortfolioState {
 
     /// First shared lattice point of `column`'s frequency that `w`
     /// touches, up to the column's largest `k` (its last id's).
-    fn lattice_hit(&self, column: &[u32], per_year: u32, w: &ReadWindow) -> Option<usize> {
+    fn lattice_hit(&self, column: &[u32], delta: f64, w: &ReadWindow) -> Option<usize> {
         let kmax = self.ks[*column.last()? as usize] as usize;
-        first_lattice_point_in(1.0 / per_year as f64, kmax, w)
+        first_lattice_point_in(delta, kmax, w)
     }
 
     /// Insert an option, indexing every curve read it will perform.
@@ -258,8 +255,8 @@ impl PortfolioState {
     pub fn affected_by_interest(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = interest_window(tenors, knot);
         out.clear();
-        for (column, &per_year) in self.columns.iter().zip(&SLOT_PER_YEAR) {
-            let lattice = self.lattice_hit(column, per_year, &w).map_or(0..0, |j| {
+        for (column, &delta) in self.columns.iter().zip(&SLOT_DELTA) {
+            let lattice = self.lattice_hit(column, delta, &w).map_or(0..0, |j| {
                 column.partition_point(|&id| (self.ks[id as usize] as usize) < j)..column.len()
             });
             let maturity = in_window(column, &w, |id| self.options[id as usize].maturity);
@@ -324,8 +321,8 @@ impl PortfolioState {
         (0..tenors.len())
             .filter(|&knot| {
                 let w = interest_window(tenors, knot);
-                let mut columns = self.columns.iter().zip(&SLOT_PER_YEAR);
-                columns.all(|(column, &per_year)| self.lattice_hit(column, per_year, &w).is_none())
+                let mut columns = self.columns.iter().zip(&SLOT_DELTA);
+                columns.all(|(column, &delta)| self.lattice_hit(column, delta, &w).is_none())
             })
             .collect()
     }

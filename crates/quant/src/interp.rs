@@ -50,10 +50,15 @@ fn segment<F: CdsFloat>(x0: F, x1: F, y0: F, y1: F, x: F) -> F {
 /// A query is quantised onto one of `2(n−1)` equal-width buckets
 /// spanning `[xs[0], xs[n−1]]` with a single subtract-multiply-cast;
 /// the bucket's precomputed starting segment is then advanced forward
-/// by at most a few knots (zero for near-uniform tables such as the
-/// paper's 1024 evenly spaced tenors). There is no data-dependent
-/// branch *tree*: the per-query cost is O(1) expected, independent of
-/// the table size, with one perfectly predictable advance loop.
+/// by at most a few knots. On evenly spaced tables such as the paper's
+/// 1024 tenors, a segment spans two buckets: the start of an odd bucket
+/// is already the query's segment, and the start of an even bucket is
+/// one segment low, so a query advances once or not at all, about half
+/// the time each. That first step is therefore a select, not a branch
+/// (a branch would be mispredicted on about half of the reads); the
+/// loop after it takes a step only on non-uniform tables, so on uniform
+/// ones its test is perfectly predictable. The per-query cost is O(1)
+/// expected, independent of the table size.
 ///
 /// The construction stores, for each bucket `b`, the largest segment
 /// index `i` whose left knot quantises strictly below `b` — using the
@@ -125,6 +130,10 @@ impl SegmentIndex {
             let b = (((x - self.x0) * self.inv_width) as usize).min(self.start.len() - 1);
             self.start[b] as usize
         };
+        // `lo <= last` always, so `xs[lo + 1]` is in bounds. Even buckets
+        // of a uniform table take this step; computing it as a select
+        // keeps a coin-flip branch off every read.
+        lo += usize::from((lo < last) & (xs[lo + 1] < x));
         while lo < last && xs[lo + 1] < x {
             lo += 1;
         }
@@ -235,6 +244,34 @@ mod tests {
                     binary_search(&xs, &ys, x).to_bits()
                 );
             }
+        }
+    }
+
+    /// The paper's evenly spaced 1,024 tenors, where every even bucket
+    /// starts one segment low: `locate` must find the segment a
+    /// `partition_point` search finds, and interpolation must equal
+    /// `binary_search` bit for bit, at every knot, every bucket edge and
+    /// the f64 neighbours of both.
+    #[test]
+    fn segment_index_on_the_paper_tenors_matches_partition_point() {
+        let market = crate::option::MarketData::paper_workload(1);
+        let points = market.interest.points();
+        let xs: Vec<f64> = points.iter().map(|p| p.tenor).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p.value).collect();
+        let idx = SegmentIndex::new(&xs);
+        let edges = (0..=idx.start.len()).map(|b| idx.x0 + b as f64 / idx.inv_width);
+        let mut probes = Vec::new();
+        for x in xs.iter().copied().chain(edges) {
+            probes.extend([f64::from_bits(x.to_bits() - 1), x, f64::from_bits(x.to_bits() + 1)]);
+        }
+        let last = xs[xs.len() - 1];
+        for x in probes {
+            if xs[0] < x && x < last {
+                let want = xs.partition_point(|&k| k < x) - 1;
+                assert_eq!(idx.locate(&xs, x), want, "x={x:e}");
+            }
+            let (a, b) = (idx.interpolate(&xs, &ys, x), binary_search(&xs, &ys, x));
+            assert_eq!(a.to_bits(), b.to_bits(), "x={x:e}: {a} vs {b}");
         }
     }
 
