@@ -20,7 +20,7 @@
 
 use cds_quant::cds::SpreadResult;
 use cds_quant::interp::SegmentIndex;
-use cds_quant::option::{CdsOption, MarketData};
+use cds_quant::option::{CdsOption, CurveKind, MarketData};
 use cds_quant::QuantError;
 
 /// Work accounting of one lane-kernel batch
@@ -32,9 +32,6 @@ pub struct CpuBatchStats {
     pub options: u64,
     /// Total schedule time points evaluated across the batch.
     pub time_points: u64,
-    /// Lane groups launched by the batch kernel, including a final
-    /// partial group (0 for scalar paths).
-    pub fused_groups: u64,
     /// `exp`-bound curve reads evaluated: the stub reads computed (three
     /// per option unless a resident cache supplied some) plus three per
     /// shared grid point grown.
@@ -81,7 +78,7 @@ impl CpuCdsEngine {
     /// Recompute `hazard_cumulative[from..]`, resuming the running sum
     /// from the stored entry before `from`. One trapezoidal pass,
     /// identical quadrature to `Curve::integral`; the construction and
-    /// [`CpuCdsEngine::set_hazard_value`] both run it, so an edited
+    /// a hazard [`CpuCdsEngine::set_value`] both run it, so an edited
     /// table is bit-identical to a freshly built one.
     fn accumulate_hazard_from(&mut self, from: usize) {
         let (ts, vs) = (&self.hazard_tenors, &self.hazard_values);
@@ -96,37 +93,32 @@ impl CpuCdsEngine {
         }
     }
 
-    /// Replace the value at interest knot `knot` in place. O(1): tenors
-    /// and the segment index are untouched, and no table is derived
-    /// from interest values. The result is bit-identical to
-    /// [`CpuCdsEngine::new`] on the edited market.
+    /// Replace the value at knot `knot` of `curve` in place. An
+    /// interest edit is O(1): tenors and the segment index are
+    /// untouched, and no table is derived from interest values. A hazard
+    /// edit recomputes the cumulative-hazard table from that knot on,
+    /// O(knots − `knot`); entries below it are sums of unchanged terms.
+    /// Either way the result is bit-identical to [`CpuCdsEngine::new`]
+    /// on the edited market.
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds.
-    pub fn set_interest_value(&mut self, knot: usize, value: f64) {
-        self.interest_values[knot] = value;
+    pub fn set_value(&mut self, curve: CurveKind, knot: usize, value: f64) {
+        match curve {
+            CurveKind::Interest => self.interest_values[knot] = value,
+            CurveKind::Hazard => {
+                self.hazard_values[knot] = value;
+                self.accumulate_hazard_from(knot);
+            }
+        }
     }
 
-    /// Replace the value at hazard knot `knot` in place and recompute
-    /// the cumulative-hazard table from that knot on. O(knots −
-    /// `knot`); bit-identical to [`CpuCdsEngine::new`] on the edited
-    /// market, since entries below `knot` are sums of unchanged terms.
-    ///
-    /// # Panics
-    /// Panics if `knot` is out of bounds.
-    pub fn set_hazard_value(&mut self, knot: usize, value: f64) {
-        self.hazard_values[knot] = value;
-        self.accumulate_hazard_from(knot);
-    }
-
-    /// Interest-curve tenors (fixed for the engine's lifetime).
-    pub fn interest_tenors(&self) -> &[f64] {
-        &self.interest_tenors
-    }
-
-    /// Hazard-curve tenors (fixed for the engine's lifetime).
-    pub fn hazard_tenors(&self) -> &[f64] {
-        &self.hazard_tenors
+    /// Tenors of one curve (fixed for the engine's lifetime).
+    pub fn tenors(&self, curve: CurveKind) -> &[f64] {
+        match curve {
+            CurveKind::Interest => &self.interest_tenors,
+            CurveKind::Hazard => &self.hazard_tenors,
+        }
     }
 
     /// Cumulative hazard at `t` from the precomputed table.
@@ -259,12 +251,12 @@ pub(crate) mod tests {
     /// edit test).
     pub(crate) fn edited_market(
         market: &MarketData<f64>,
-        hazard: bool,
+        curve: CurveKind,
         knot: usize,
         value: f64,
     ) -> MarketData<f64> {
         let mut out = market.clone();
-        let curve = if hazard { &mut out.hazard } else { &mut out.interest };
+        let curve = out.curve_mut(curve);
         let mut points = curve.points().to_vec();
         points[knot].value = value;
         *curve = Curve::new(points).unwrap_or_else(|e| panic!("knot {knot} = {value}: {e}"));
@@ -291,19 +283,13 @@ pub(crate) mod tests {
         // bit for bit.
         let mut market = MarketData::paper_workload_sized(31, 64);
         let mut engine = CpuCdsEngine::new(&market);
-        for hazard in [false, true] {
+        for curve in [CurveKind::Interest, CurveKind::Hazard] {
             for knot in 0..64 {
-                let curve = if hazard { &market.hazard } else { &market.interest };
-                let value = curve.points()[knot].value * 1.07 + 1e-5;
-                market = edited_market(&market, hazard, knot, value);
-                if hazard {
-                    engine.set_hazard_value(knot, value);
-                } else {
-                    engine.set_interest_value(knot, value);
-                }
+                let value = market.curve(curve).points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, curve, knot, value);
+                engine.set_value(curve, knot, value);
                 let fresh = CpuCdsEngine::new(&market);
-                let what = if hazard { "hazard" } else { "interest" };
-                assert_eq!(table_bits(&engine), table_bits(&fresh), "{what} knot {knot}");
+                assert_eq!(table_bits(&engine), table_bits(&fresh), "{curve} knot {knot}");
             }
         }
     }

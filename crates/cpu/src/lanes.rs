@@ -8,8 +8,8 @@
 //! 1. **Shared schedule grids.** Every option of a given payment
 //!    frequency visits the same regular schedule points `Δ, 2Δ, …`; only
 //!    the final stub at the maturity differs. The kernel therefore
-//!    builds, once per frequency, a `FreqGrid`: the point times, the
-//!    survival probabilities at those points, and — crucially — the
+//!    builds, once per frequency, a `FreqGrid`: the survival
+//!    probabilities at those points and — crucially — the
 //!    *running prefix sums* of the three leg accumulators (premium
 //!    annuity, protection leg, accrual), computed with exactly the
 //!    scalar reference's expressions in exactly its left-to-right order.
@@ -32,10 +32,21 @@
 //! grids extend lazily as longer maturities appear and are retained
 //! across batches, so a steady-state [`LaneKernel::price_into`] call
 //! performs no heap allocation at all. A curve point edit
-//! ([`LaneKernel::set_interest_value`],
-//! [`LaneKernel::set_hazard_value`]) drops only the grid suffix that
-//! reads the edited knot, found with the same [`ReadWindow`] rule the
-//! incremental arrangement uses.
+//! ([`LaneKernel::set_value`]) drops only the grid suffix that reads the
+//! edited knot, found with the same [`ReadWindow`] rule the incremental
+//! arrangement uses.
+//!
+//! **Read times, defined once.** Every curve read time outside the
+//! scalar oracle is one of three expressions, each written once here: a
+//! lattice point `lattice_time` (`Δ·j`), a period midpoint `period_mid`,
+//! or a stub midpoint [`stub_mid`]. The grids and the gather call them,
+//! and the arrangement in `cds-engine` reaches them through
+//! [`first_lattice_point_in`] and [`stub_mid`], so a time the kernel
+//! reads and a time the arrangement indexes are the same f64 by
+//! construction. [`CpuCdsEngine::price`]
+//! keeps its own copies on purpose: it is the independent oracle that
+//! catches a wrong definition, and [`full_points`] keeps its `u32`
+//! arithmetic for speed (same values).
 //!
 //! The dense ([`LaneKernel::price_into`]), sparse
 //! ([`LaneKernel::price_indices_into`]) and resident
@@ -46,7 +57,7 @@
 //! reads a curve edit's window touches ([`Refresh`]).
 
 use crate::engine::{CpuBatchStats, CpuCdsEngine};
-use cds_quant::option::{CdsOption, PaymentFrequency};
+use cds_quant::option::{CdsOption, CurveKind, PaymentFrequency};
 use cds_quant::QuantError;
 
 /// Lane width of the stub kernel: eight 64-bit lanes, matching one
@@ -153,6 +164,27 @@ pub fn freq_slot(frequency: PaymentFrequency) -> usize {
     }
 }
 
+/// Full schedule point `j` of the frequency with period `delta`: the
+/// time `Δ·j` (0 for `j = 0`).
+#[inline(always)]
+fn lattice_time(delta: f64, j: usize) -> f64 {
+    delta * j as f64
+}
+
+/// Midpoint of schedule period `j` (from point `j - 1` to point `j`),
+/// where the protection and accrual legs read the discount curve.
+#[inline(always)]
+fn period_mid(delta: f64, j: usize) -> f64 {
+    0.5 * (lattice_time(delta, j - 1) + lattice_time(delta, j))
+}
+
+/// Midpoint of the stub period of an option with `k` full points and
+/// maturity `maturity`: from point `k` to the maturity.
+#[inline(always)]
+pub fn stub_mid(delta: f64, k: usize, maturity: f64) -> f64 {
+    0.5 * (lattice_time(delta, k) + maturity)
+}
+
 /// The time window within which a curve read touches one specific
 /// knot: `lo < t`, and `t < hi` or `t <= hi` depending on
 /// [`ReadWindow::hi_inclusive`].
@@ -221,15 +253,15 @@ pub fn hazard_window(tenors: &[f64], knot: usize) -> ReadWindow {
     ReadWindow { lo, hi: f64::INFINITY, hi_inclusive: true }
 }
 
-/// Smallest `j in 1..=k` whose full point `Δ·j` or period midpoint
-/// `0.5·(Δ·(j-1) + Δ·j)` lands in `w`, if any, with the kernel's f64
-/// expressions. Every option of this frequency with at least `j` full
-/// points shares that read, and grid point `j` (with every prefix sum
-/// after it) is the first one a value change inside `w` invalidates.
+/// Smallest `j in 1..=k` whose full point `lattice_time` or period
+/// midpoint `period_mid` lands in `w`, if any. Every option of this
+/// frequency with at least `j` full points shares that read, and grid
+/// point `j` (with every prefix sum after it) is the first one a value
+/// change inside `w` invalidates.
 pub fn first_lattice_point_in(delta: f64, k: usize, w: &ReadWindow) -> Option<usize> {
     for j in 1..=k {
-        let t = delta * j as f64;
-        let mid = 0.5 * (delta * (j - 1) as f64 + t);
+        let t = lattice_time(delta, j);
+        let mid = period_mid(delta, j);
         if w.contains(mid) || w.contains(t) {
             return Some(j);
         }
@@ -243,8 +275,8 @@ pub fn first_lattice_point_in(delta: f64, k: usize, w: &ReadWindow) -> Option<us
 }
 
 /// An option's three `exp`-bound stub reads: survival and discount
-/// factor at the maturity `m`, and discount factor at the stub midpoint
-/// `0.5·(Δ·k + m)`. Each is a pure function of the engine and the
+/// factor at the maturity `m`, and discount factor at its
+/// [`stub_mid`]. Each is a pure function of the engine and the
 /// option, so a cached copy stays exact until an edit lands in its
 /// read window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -282,15 +314,14 @@ fn fresh_reads(engine: &CpuCdsEngine, _position: usize, t: f64, mid: f64) -> Stu
     }
 }
 
-/// Shared schedule grid for one payment frequency: point times, survival
-/// probabilities, and prefix sums of the scalar reference's three leg
+/// Shared schedule grid for one payment frequency: survival
+/// probabilities and prefix sums of the scalar reference's three leg
 /// accumulators after each full point. Index `j` holds the state after
-/// `j` full points (`j = 0` is the pre-loop state: `t = 0`, survival 1,
-/// all sums 0).
+/// `j` full points, at time `lattice_time(delta, j)` (`j = 0` is the
+/// pre-loop state: survival 1, all sums 0).
 #[derive(Debug, Clone)]
 struct FreqGrid {
     delta: f64,
-    t: Vec<f64>,
     surv: Vec<f64>,
     premium: Vec<f64>,
     protection: Vec<f64>,
@@ -301,7 +332,6 @@ impl FreqGrid {
     fn new(slot: usize) -> Self {
         FreqGrid {
             delta: SLOT_DELTA[slot],
-            t: vec![0.0],
             surv: vec![1.0],
             premium: vec![0.0],
             protection: vec![0.0],
@@ -316,18 +346,15 @@ impl FreqGrid {
     /// values, a lazily grown grid is bit-identical to one built in a
     /// single pass.
     fn ensure(&mut self, engine: &CpuCdsEngine, k: usize) {
-        while self.t.len() <= k {
-            let j = self.t.len();
-            let t = self.delta * j as f64;
-            let prev_t = self.t[j - 1];
+        while self.surv.len() <= k {
+            let j = self.surv.len();
+            let t = lattice_time(self.delta, j);
             let prev_survival = self.surv[j - 1];
             let survival = engine.survival(t);
-            let period = t - prev_t;
-            let mid = 0.5 * (prev_t + t);
+            let period = t - lattice_time(self.delta, j - 1);
             let df = engine.discount_factor(t);
-            let df_mid = engine.discount_factor(mid);
+            let df_mid = engine.discount_factor(period_mid(self.delta, j));
             let d_pd = prev_survival - survival;
-            self.t.push(t);
             self.surv.push(survival);
             self.premium.push(self.premium[j - 1] + period * df * survival);
             self.protection.push(self.protection[j - 1] + df_mid * d_pd);
@@ -341,8 +368,7 @@ impl FreqGrid {
     /// so the grid stays bit-identical to one built on the edited
     /// engine.
     fn truncate_reads(&mut self, w: &ReadWindow) {
-        if let Some(j) = first_lattice_point_in(self.delta, self.t.len() - 1, w) {
-            self.t.truncate(j);
+        if let Some(j) = first_lattice_point_in(self.delta, self.surv.len() - 1, w) {
             self.surv.truncate(j);
             self.premium.truncate(j);
             self.protection.truncate(j);
@@ -354,11 +380,10 @@ impl FreqGrid {
 /// Reusable lane-kernel scratch that owns its engine.
 ///
 /// Grids cache curve-dependent values, so the invariant is: the
-/// engine changes only through [`LaneKernel::set_interest_value`] and
-/// [`LaneKernel::set_hazard_value`], each of which truncates every grid
-/// at its first point that reads the edited knot. Every retained grid
-/// point is therefore always the one a fresh kernel on the current
-/// engine would compute. Build one with [`CpuCdsEngine::lane_kernel`]
+/// engine changes only through [`LaneKernel::set_value`], which
+/// truncates every grid at its first point that reads the edited knot.
+/// Every retained grid point is therefore always the one a fresh kernel
+/// on the current engine would compute. Build one with [`CpuCdsEngine::lane_kernel`]
 /// (or [`LaneKernel::new`]) and feed it batches; grids and per-option
 /// scratch are retained and grown lazily, so steady-state pricing
 /// allocates nothing.
@@ -383,33 +408,25 @@ impl LaneKernel {
         &self.engine
     }
 
-    /// Replace the value at interest knot `knot`
-    /// ([`CpuCdsEngine::set_interest_value`]) and drop every grid point
-    /// from the first one whose time or period midpoint falls in the
-    /// knot's [`interest_window`]. Later pricing regrows the dropped
-    /// suffix, bit-identical to a fresh kernel on the edited engine.
+    /// Replace the value at knot `knot` of `curve`
+    /// ([`CpuCdsEngine::set_value`]) and drop every grid point from the
+    /// first one whose time or period midpoint falls in the knot's
+    /// window ([`interest_window`] or [`hazard_window`]). Later pricing
+    /// regrows the dropped suffix, bit-identical to a fresh kernel on
+    /// the edited engine. Returns the window, which also says which
+    /// cached stub reads the edit invalidated.
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds.
-    pub fn set_interest_value(&mut self, knot: usize, value: f64) {
-        self.engine.set_interest_value(knot, value);
-        let w = interest_window(self.engine.interest_tenors(), knot);
+    pub fn set_value(&mut self, curve: CurveKind, knot: usize, value: f64) -> ReadWindow {
+        self.engine.set_value(curve, knot, value);
+        let tenors = self.engine.tenors(curve);
+        let w = match curve {
+            CurveKind::Interest => interest_window(tenors, knot),
+            CurveKind::Hazard => hazard_window(tenors, knot),
+        };
         self.grids.iter_mut().for_each(|grid| grid.truncate_reads(&w));
-    }
-
-    /// Replace the value at hazard knot `knot`
-    /// ([`CpuCdsEngine::set_hazard_value`]) and drop every grid point
-    /// from the first one past `tenor[knot-1]` (every point when `knot`
-    /// is 0), the [`hazard_window`] a survival read of that knot lies
-    /// in. Later pricing regrows the dropped suffix, bit-identical to a
-    /// fresh kernel on the edited engine.
-    ///
-    /// # Panics
-    /// Panics if `knot` is out of bounds.
-    pub fn set_hazard_value(&mut self, knot: usize, value: f64) {
-        self.engine.set_hazard_value(knot, value);
-        let w = hazard_window(self.engine.hazard_tenors(), knot);
-        self.grids.iter_mut().for_each(|grid| grid.truncate_reads(&w));
+        w
     }
 
     /// Price `options` into `out` (cleared and resized), returning the
@@ -573,7 +590,7 @@ impl LaneKernel {
         self.ks.clear();
         self.ks.reserve(n);
         let mut time_points = 0u64;
-        let grid_points = |grids: &[FreqGrid; 4]| grids.iter().map(|g| g.t.len()).sum::<usize>();
+        let grid_points = |grids: &[FreqGrid; 4]| grids.iter().map(|g| g.surv.len()).sum::<usize>();
         let before = grid_points(&self.grids);
 
         // Pass 1: locate each option's last full point (computing it
@@ -597,6 +614,7 @@ impl LaneKernel {
             let mut maturity = [0.0f64; LANES];
             let mut recovery = [0.0f64; LANES];
             let mut prev_t = [0.0f64; LANES];
+            let mut mid = [0.0f64; LANES];
             let mut prev_survival = [1.0f64; LANES];
             let mut premium = [0.0f64; LANES];
             let mut protection = [0.0f64; LANES];
@@ -607,7 +625,8 @@ impl LaneKernel {
                 let grid = &self.grids[freq_slot(option.frequency)];
                 maturity[lane] = option.maturity;
                 recovery[lane] = option.recovery_rate;
-                prev_t[lane] = grid.t[k];
+                prev_t[lane] = lattice_time(grid.delta, k);
+                mid[lane] = stub_mid(grid.delta, k, option.maturity);
                 prev_survival[lane] = grid.surv[k];
                 premium[lane] = grid.premium[k];
                 protection[lane] = grid.protection[k];
@@ -621,9 +640,7 @@ impl LaneKernel {
             let mut df = [0.0f64; LANES];
             let mut df_mid = [0.0f64; LANES];
             for lane in 0..active {
-                let t = maturity[lane];
-                let mid = 0.5 * (prev_t[lane] + t);
-                let r = reads(&self.engine, base + lane, t, mid);
+                let r = reads(&self.engine, base + lane, maturity[lane], mid[lane]);
                 survival[lane] = r.survival;
                 df[lane] = r.df;
                 df_mid[lane] = r.df_mid;
@@ -651,7 +668,6 @@ impl LaneKernel {
         CpuBatchStats {
             options: n as u64,
             time_points,
-            fused_groups: (n as u64).div_ceil(LANES as u64),
             curve_reads: 3 * (grid_points(&self.grids) - before) as u64,
         }
     }
@@ -844,7 +860,6 @@ mod tests {
         let expected_points: u64 = opts.iter().map(|o| engine.price(o).time_points as u64).sum();
         assert_eq!(stats.options, 19);
         assert_eq!(stats.time_points, expected_points);
-        assert_eq!(stats.fused_groups, 3); // ceil(19 / 8)
 
         // A fresh kernel grows each grid to its frequency's longest
         // schedule: three reads per grown point plus three per option.
@@ -954,7 +969,7 @@ mod tests {
     }
 
     fn grid_lens(kernel: &LaneKernel) -> Vec<usize> {
-        kernel.grids.iter().map(|g| g.t.len()).collect()
+        kernel.grids.iter().map(|g| g.surv.len()).collect()
     }
 
     #[test]
@@ -968,29 +983,23 @@ mod tests {
         let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
         let mut out = Vec::new();
         kernel.price_into(&book, &mut out);
-        for hazard in [false, true] {
+        for curve in [CurveKind::Interest, CurveKind::Hazard] {
             for knot in 0..64 {
-                let curve = if hazard { &market.hazard } else { &market.interest };
-                let value = curve.points()[knot].value * 1.07 + 1e-5;
-                market = edited_market(&market, hazard, knot, value);
-                if hazard {
-                    kernel.set_hazard_value(knot, value);
-                } else {
-                    kernel.set_interest_value(knot, value);
-                }
+                let value = market.curve(curve).points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, curve, knot, value);
+                kernel.set_value(curve, knot, value);
                 kernel.price_into(&book, &mut out);
                 let fresh = CpuCdsEngine::new(&market);
                 let expected = fresh.lane_kernel().price_batch(&book);
-                let what = if hazard { "hazard" } else { "interest" };
                 assert_eq!(
                     out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    "{what} knot {knot}"
+                    "{curve} knot {knot}"
                 );
                 assert_eq!(
                     expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     scalar_bits(&fresh, &book),
-                    "{what} knot {knot}: fresh kernel vs scalar"
+                    "{curve} knot {knot}: fresh kernel vs scalar"
                 );
             }
         }
@@ -1012,25 +1021,21 @@ mod tests {
         let mut reads = vec![StubReads::default(); book.len()];
         let mut out = Vec::new();
         kernel.price_residents_into(&book, &ks, &ids, &mut reads, Refresh::All, &mut out);
-        for hazard in [false, true] {
+        for curve in [CurveKind::Interest, CurveKind::Hazard] {
             for knot in 0..64 {
-                let curve = if hazard { &market.hazard } else { &market.interest };
-                let value = curve.points()[knot].value * 1.07 + 1e-5;
-                market = edited_market(&market, hazard, knot, value);
-                let refresh = if hazard {
-                    kernel.set_hazard_value(knot, value);
-                    Refresh::Survival
-                } else {
-                    kernel.set_interest_value(knot, value);
-                    Refresh::Discount(interest_window(kernel.engine().interest_tenors(), knot))
+                let value = market.curve(curve).points()[knot].value * 1.07 + 1e-5;
+                market = edited_market(&market, curve, knot, value);
+                let w = kernel.set_value(curve, knot, value);
+                let refresh = match curve {
+                    CurveKind::Interest => Refresh::Discount(w),
+                    CurveKind::Hazard => Refresh::Survival,
                 };
                 kernel.price_residents_into(&book, &ks, &ids, &mut reads, refresh, &mut out);
                 let expected = CpuCdsEngine::new(&market).lane_kernel().price_batch(&book);
-                let what = if hazard { "hazard" } else { "interest" };
                 assert_eq!(
                     out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                     expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    "{what} knot {knot}"
+                    "{curve} knot {knot}"
                 );
             }
         }
@@ -1046,14 +1051,15 @@ mod tests {
         for (knot, point) in market.hazard.points().iter().enumerate() {
             kernel.price_into(&book, &mut out);
             let before = grid_lens(&kernel);
-            kernel.set_hazard_value(knot, point.value * 1.5);
+            let w = kernel.set_value(CurveKind::Hazard, knot, point.value * 1.5);
+            assert_eq!(w, hazard_window(&tenors, knot));
             for (grid, &len) in kernel.grids.iter().zip(&before) {
                 let kept = if knot == 0 {
                     1
                 } else {
                     (0..len).filter(|&j| grid.delta * j as f64 <= tenors[knot - 1]).count()
                 };
-                assert_eq!(grid.t.len(), kept, "knot {knot}, delta {}", grid.delta);
+                assert_eq!(grid.surv.len(), kept, "knot {knot}, delta {}", grid.delta);
             }
         }
     }
@@ -1080,13 +1086,13 @@ mod tests {
                     .grids
                     .iter()
                     .map(|g| {
-                        (1..g.t.len()).find(|&j| {
+                        (1..g.surv.len()).find(|&j| {
                             let t = g.delta * j as f64;
                             w.contains(t) || w.contains(0.5 * (g.delta * (j - 1) as f64 + t))
                         })
                     })
                     .collect();
-                kernel.set_interest_value(knot, point.value + 0.001);
+                assert_eq!(kernel.set_value(CurveKind::Interest, knot, point.value + 0.001), w);
                 if first_read.iter().all(Option::is_none) {
                     free += 1;
                     assert_eq!(grid_lens(&kernel), before, "lattice-free knot {knot}");
@@ -1111,24 +1117,18 @@ mod tests {
         let book = long_book();
         let mut warm = LaneKernel::new(CpuCdsEngine::new(&market));
         warm.price_batch(&book);
-        for hazard in [false, true] {
-            let curve = if hazard { &market.hazard } else { &market.interest };
-            for (knot, point) in curve.points().iter().enumerate() {
+        for curve in [CurveKind::Interest, CurveKind::Hazard] {
+            for (knot, point) in market.curve(curve).points().iter().enumerate() {
                 let value = point.value * 1.07 + 1e-5;
                 let mut mutant = warm.clone();
-                if hazard {
-                    mutant.engine.set_hazard_value(knot, value);
-                } else {
-                    mutant.engine.set_interest_value(knot, value);
-                }
+                mutant.engine.set_value(curve, knot, value);
                 let stale = mutant.price_batch(&book);
-                let fresh = CpuCdsEngine::new(&edited_market(&market, hazard, knot, value))
+                let fresh = CpuCdsEngine::new(&edited_market(&market, curve, knot, value))
                     .lane_kernel()
                     .price_batch(&book);
-                let what = if hazard { "hazard" } else { "interest" };
                 assert!(
                     stale.iter().zip(&fresh).any(|(s, f)| s.to_bits() != f.to_bits()),
-                    "{what} knot {knot}: stale grid suffix went uncaught"
+                    "{curve} knot {knot}: stale grid suffix went uncaught"
                 );
             }
         }

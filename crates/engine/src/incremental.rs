@@ -20,42 +20,35 @@
 //!    and the lane kernel is bit-identical to the scalar reference
 //!    (pinned by the `lane_vs_scalar` suite).
 //! 2. *Affected* options are repriced by one long-lived kernel that is
-//!    edited in place, not rebuilt. The engine edit
-//!    ([`CpuCdsEngine::set_interest_value`] /
-//!    [`CpuCdsEngine::set_hazard_value`]) writes the value read back
-//!    from the edited market and recomputes the cumulative-hazard
-//!    suffix with the constructor's own left-to-right pass, so the
-//!    engine equals [`CpuCdsEngine::new`] on the new market bit for
-//!    bit. The kernel then truncates each frequency grid at its first
-//!    point whose time or period midpoint reads the ticked knot
-//!    ([`cds_cpu::lanes::first_lattice_point_in`]); the kept prefix
-//!    reads only unchanged inputs, and pricing regrows the suffix in
-//!    the scalar order. Each resident's three stub reads
-//!    ([`StubReads`]: `survival(m)`, `df(m)`, `df(stub_mid)`) are cached
-//!    by id, written in full on insert (a recycled id gets fresh reads),
-//!    and a tick re-evaluates only those in its knot's window: a hazard
-//!    tick `survival(m)` of every affected option (the prefix window
-//!    holds every affected maturity and no discount read), an interest
-//!    tick `df(m)` where the window holds `m` and `df(stub_mid)` where
-//!    it holds the midpoint; an option reached only through the shared
-//!    lattice re-evaluates none and reruns the arithmetic on the regrown
-//!    grid; each option's full-point count comes from the arrangement,
-//!    which computed it with the kernel's own `full_points`. A read is
-//!    a pure function of `(engine, option)` and the windows come from
-//!    the interpolator's branches, so every cached read is refreshed
-//!    exactly when one of its inputs changes and equals what a fresh
-//!    kernel computes. The result is definitionally
-//!    equal to a fresh engine and kernel — the full reprice, which keeps
-//!    no cache.
+//!    edited in place, not rebuilt. [`LaneKernel::set_value`] writes the
+//!    value read back from the edited market into the engine
+//!    ([`CpuCdsEngine::set_value`] recomputes the cumulative-hazard
+//!    suffix with the constructor's own pass, so the engine equals
+//!    [`CpuCdsEngine::new`] on the new market bit for bit) and truncates
+//!    each frequency grid at its first point that reads the knot's
+//!    window; pricing regrows the suffix in the scalar order. Each
+//!    resident's three stub reads ([`StubReads`]) are cached by id,
+//!    written in full on insert, and a tick re-evaluates those in the
+//!    window `set_value` returned: `survival(m)` of every affected
+//!    option on a hazard tick (its prefix window holds every affected
+//!    maturity and no discount read), and `df(m)` or `df(stub_mid)`
+//!    where the window holds that time on an interest tick.
+//!    Every read time — lattice point, period midpoint, stub midpoint —
+//!    has one definition (`cds_cpu::lanes::{lattice_time, period_mid,
+//!    stub_mid}`) that the grids, the gather, the truncation and the
+//!    arrangement all call, and each option's full-point count is the
+//!    kernel's own `full_points`, stored by the arrangement. So a read
+//!    is refreshed exactly when one of its inputs changes, and the
+//!    result equals a fresh engine and kernel — the full reprice, which
+//!    keeps no cache.
 //! 3. *Unaffected* options' stored bits stay valid because a value tick
 //!    moves no tenor: segment lookup structures depend only on tenors,
-//!    interest interpolation at a time outside the ticked knot's
-//!    [`cds_cpu::lanes::interest_window`] touches only unchanged
-//!    knots, and the cumulative-hazard prefix below the ticked knot is
-//!    a left-to-right sum of unchanged terms. The windows are derived
-//!    from the interpolator's own branch structure, so "outside the
-//!    window" is exactly "reads no changed input", and the arrangement
-//!    and the grid truncation use the same windows.
+//!    and a read outside the ticked knot's window
+//!    ([`cds_cpu::lanes::interest_window`],
+//!    [`cds_cpu::lanes::hazard_window`], derived from the interpolator's
+//!    own branches) reads no changed input. The arrangement and the
+//!    grid truncation test the same read times against the same
+//!    windows.
 //!
 //! The differential fuzz suite and the `tick-storm` bench gate verify
 //! the claim wholesale against real full reprices.
@@ -63,47 +56,11 @@
 use crate::error::CdsError;
 use crate::portfolio::PortfolioState;
 use crate::report::{SpreadDelta, TickReport};
-use cds_cpu::lanes::{interest_window, Refresh, StubReads};
+use cds_cpu::lanes::{Refresh, StubReads};
 use cds_cpu::{CpuCdsEngine, LaneKernel};
 use cds_quant::curve::Curve;
+pub use cds_quant::option::CurveKind;
 use cds_quant::option::{CdsOption, MarketData};
-
-/// Which curve a tick targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CurveKind {
-    /// The interest (discount) curve.
-    Interest,
-    /// The hazard (default intensity) curve.
-    Hazard,
-}
-
-impl CurveKind {
-    /// Stable lower-case wire name (`interest` / `hazard`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CurveKind::Interest => "interest",
-            CurveKind::Hazard => "hazard",
-        }
-    }
-}
-
-impl std::fmt::Display for CurveKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for CurveKind {
-    type Err = &'static str;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interest" => Ok(CurveKind::Interest),
-            "hazard" => Ok(CurveKind::Hazard),
-            _ => Err("curve must be `interest` or `hazard`"),
-        }
-    }
-}
 
 /// One curve point tick: replace the *value* at an existing knot.
 /// Tenors are immutable — the term structure's shape is fixed at boot,
@@ -125,10 +82,7 @@ pub struct CurveTick {
 /// replaced; every other point and every tenor stays bit-identical.
 /// On error `market` is unchanged and the message says why.
 pub fn edit_curve_point(market: &mut MarketData<f64>, tick: CurveTick) -> Result<bool, String> {
-    let target = match tick.curve {
-        CurveKind::Interest => &mut market.interest,
-        CurveKind::Hazard => &mut market.hazard,
-    };
+    let target = market.curve_mut(tick.curve);
     let Some(old) = target.points().get(tick.knot) else {
         return Err(format!(
             "knot {} out of bounds for the {} curve ({} knots)",
@@ -212,19 +166,12 @@ impl IncrementalEngine {
 
     /// Tenors of one curve (immutable for the engine's lifetime).
     pub fn tenors(&self, curve: CurveKind) -> &[f64] {
-        match curve {
-            CurveKind::Interest => self.kernel.engine().interest_tenors(),
-            CurveKind::Hazard => self.kernel.engine().hazard_tenors(),
-        }
+        self.kernel.engine().tenors(curve)
     }
 
     /// Current value at a curve knot, if the knot exists.
     pub fn curve_value(&self, curve: CurveKind, knot: usize) -> Option<f64> {
-        let points = match curve {
-            CurveKind::Interest => self.market.interest.points(),
-            CurveKind::Hazard => self.market.hazard.points(),
-        };
-        points.get(knot).map(|p| p.value)
+        self.market.curve(curve).points().get(knot).map(|p| p.value)
     }
 
     /// Insert one option, price it under the current epoch, and return
@@ -320,18 +267,15 @@ impl IncrementalEngine {
         // knot. Tenors are untouched, so the arrangement and the
         // unaffected options' stored bits both survive the edit.
         let mut affected = std::mem::take(&mut self.affected);
+        let value = self.market.curve(tick.curve).points()[tick.knot].value;
+        let w = self.kernel.set_value(tick.curve, tick.knot, value);
+        let tenors = self.kernel.engine().tenors(tick.curve);
         let refresh = match tick.curve {
             CurveKind::Interest => {
-                let value = self.market.interest.points()[tick.knot].value;
-                self.kernel.set_interest_value(tick.knot, value);
-                let tenors = self.kernel.engine().interest_tenors();
                 self.portfolio.affected_by_interest(tenors, tick.knot, &mut affected);
-                Refresh::Discount(interest_window(tenors, tick.knot))
+                Refresh::Discount(w)
             }
             CurveKind::Hazard => {
-                let value = self.market.hazard.points()[tick.knot].value;
-                self.kernel.set_hazard_value(tick.knot, value);
-                let tenors = self.kernel.engine().hazard_tenors();
                 self.portfolio.affected_by_hazard(tenors, tick.knot, &mut affected);
                 Refresh::Survival
             }
@@ -370,7 +314,9 @@ impl IncrementalEngine {
 mod tests {
     use super::*;
     use crate::portfolio::option_reads_interest;
-    use cds_cpu::lanes::{first_lattice_point_in, freq_slot, full_points, hazard_window};
+    use cds_cpu::lanes::{
+        first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window,
+    };
     use cds_quant::option::PortfolioGenerator;
 
     fn book(seed: u64, residents: usize) -> IncrementalEngine {
@@ -623,13 +569,5 @@ mod tests {
             assert_eq!(a.tenor.to_bits(), b.tenor.to_bits(), "tenor {i} moved");
             assert_eq!(i == 3, a.value.to_bits() != b.value.to_bits(), "knot {i}");
         }
-    }
-
-    #[test]
-    fn curve_kind_wire_round_trip() {
-        for kind in [CurveKind::Interest, CurveKind::Hazard] {
-            assert_eq!(kind.as_str().parse::<CurveKind>(), Ok(kind));
-        }
-        assert!("INTEREST".parse::<CurveKind>().is_err());
     }
 }

@@ -5,13 +5,14 @@
 //! portfolio — which options are held, and *which curve knots each of
 //! them reads* — from the pricing pass, so a tick reprices only the
 //! options that read the ticked knot. The read sets come from the
-//! schedule arithmetic the lane kernel executes
-//! (`cds_cpu::lanes::full_points`, `Δ·j` in f64), so they are exact:
+//! lane kernel's own schedule count (`cds_cpu::lanes::full_points`) and
+//! read-time definitions (`lattice_time`, `period_mid`, [`stub_mid`]),
+//! so they are exact:
 //!
 //! * **Interest curve.** A read at `t` touches knot `i` iff `t` is in
 //!   its [`interest_window`]. An option of frequency Δ with `k` full
 //!   points reads the shared lattice times `Δ·1 … Δ·k` and their period
-//!   midpoints, its maturity `m` and its stub midpoint `0.5·(Δ·k + m)`.
+//!   midpoints, its maturity `m` and its stub midpoint.
 //!   A window that first touches the lattice at point `j` thus affects
 //!   every option of that frequency with `k >= j`, plus those whose `m`
 //!   or stub midpoint lies in the window.
@@ -32,18 +33,11 @@
 //! lane kernel ([`cds_cpu::LaneKernel::price_residents_into`]).
 
 use cds_cpu::lanes::{
-    first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, ReadWindow,
-    SLOT_DELTA,
+    first_lattice_point_in, freq_slot, full_points, hazard_window, interest_window, stub_mid,
+    ReadWindow, SLOT_DELTA,
 };
 use cds_quant::option::CdsOption;
 use std::ops::Range;
-
-/// The stub-midpoint read time of an option with `k` full points, using
-/// the lane kernel's exact expression (`prev_t` is the shared grid time
-/// `Δ·k` computed in f64).
-fn stub_mid(delta: f64, k: usize, maturity: f64) -> f64 {
-    0.5 * (delta * k as f64 + maturity)
-}
 
 /// Does this option's pricing pass read interest-curve time window `w`?
 /// Single-option reference version of the arrangement query (the index
@@ -51,7 +45,7 @@ fn stub_mid(delta: f64, k: usize, maturity: f64) -> f64 {
 /// arrangement's tests check the index against it.
 pub fn option_reads_interest(option: &CdsOption, w: &ReadWindow) -> bool {
     let k = full_points(option);
-    let delta = 1.0 / option.frequency.per_year() as f64;
+    let delta = SLOT_DELTA[freq_slot(option.frequency)];
     first_lattice_point_in(delta, k, w).is_some()
         || w.contains(option.maturity)
         || w.contains(stub_mid(delta, k, option.maturity))
@@ -69,7 +63,7 @@ pub fn option_reads_hazard(option: &CdsOption, w: &ReadWindow) -> bool {
 struct Meta {
     /// Whether the id is resident (false while on the free list).
     live: bool,
-    /// Cached stub-midpoint read time.
+    /// Cached [`stub_mid`] read time.
     stub_mid: f64,
 }
 

@@ -102,6 +102,61 @@ pub struct MarketData<F: CdsFloat = f64> {
     pub hazard: Curve<F>,
 }
 
+/// Which of the two [`MarketData`] curves a point edit targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CurveKind {
+    /// The interest (discount) curve.
+    Interest,
+    /// The hazard (default intensity) curve.
+    Hazard,
+}
+
+impl CurveKind {
+    /// Stable lower-case wire name (`interest` / `hazard`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CurveKind::Interest => "interest",
+            CurveKind::Hazard => "hazard",
+        }
+    }
+}
+
+impl std::fmt::Display for CurveKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for CurveKind {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "interest" => Ok(CurveKind::Interest),
+            "hazard" => Ok(CurveKind::Hazard),
+            _ => Err("curve must be `interest` or `hazard`"),
+        }
+    }
+}
+
+impl<F: CdsFloat> MarketData<F> {
+    /// The curve of this kind.
+    pub fn curve(&self, kind: CurveKind) -> &Curve<F> {
+        match kind {
+            CurveKind::Interest => &self.interest,
+            CurveKind::Hazard => &self.hazard,
+        }
+    }
+
+    /// The curve of this kind, mutably.
+    pub fn curve_mut(&mut self, kind: CurveKind) -> &mut Curve<F> {
+        match kind {
+            CurveKind::Interest => &mut self.interest,
+            CurveKind::Hazard => &mut self.hazard,
+        }
+    }
+}
+
 /// Internal invariant: generator-produced curve points are valid by
 /// construction.
 fn built_curve<F: CdsFloat>(points: Vec<CurvePoint<F>>, what: &str) -> Curve<F> {
@@ -269,6 +324,14 @@ impl PortfolioGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn curve_kind_wire_round_trip() {
+        for kind in [CurveKind::Interest, CurveKind::Hazard] {
+            assert_eq!(kind.as_str().parse::<CurveKind>(), Ok(kind));
+        }
+        assert!("INTEREST".parse::<CurveKind>().is_err());
+    }
 
     #[test]
     fn frequency_per_year() {

@@ -14,8 +14,6 @@ options:
   --shards <n>              engine shards (default 4)
   --seed <n>                boot curve epoch seed (default 42)
   --capacity <n>            in-flight quote cap (default 256)
-  --conn-capacity <n>       per-connection in-flight cap (default 256)
-  --service-micros <n>      admission service estimate per quote (default 200)
   --journal <path>          write-ahead journal path (durability off when absent)
   --cadence <n>             completions per journal fsync (default 64)
   --wal-fault <kind>@<n>    inject a journal storage fault (testing): kind is
@@ -23,12 +21,9 @@ options:
                             (fsyncs lie from fsync index n); requires --journal
   --drain-deadline-ms <n>   drain budget before checkpointing pending (default 5000)
   --read-timeout-ms <n>     accepted-stream read timeout (default 100)
-  --write-timeout-ms <n>    accepted-stream write timeout (default 2000)
   --idle-timeout-ms <n>     close connections with no complete request line
                             for this long (slowloris reaper, default 30000)
   --max-line-bytes <n>      request-line byte cap (default 1024, min 64)
-  --max-tenants <n>         tenant registry bound (default 64)
-  --tenant-default <spec>   limits for default/self-registered tenants
   --tenant <name>=<spec>    per-tenant limit override (repeatable)
 
 <spec> is <rate_per_s>:<burst>:<max_inflight>:<weight>, e.g. 500:32:64:2.
@@ -79,9 +74,6 @@ fn main() -> ExitCode {
             "--shards" => parse_flag(&mut args, "--shards").map(|v| config.shards = v),
             "--seed" => parse_flag(&mut args, "--seed").map(|v| config.seed = v),
             "--capacity" => parse_flag(&mut args, "--capacity").map(|v| config.capacity = v),
-            "--service-micros" => {
-                parse_flag(&mut args, "--service-micros").map(|v| config.service_micros = v)
-            }
             "--journal" => {
                 parse_flag(&mut args, "--journal").map(|v: String| config.journal = Some(v.into()))
             }
@@ -91,24 +83,13 @@ fn main() -> ExitCode {
             }
             "--drain-deadline-ms" => parse_flag(&mut args, "--drain-deadline-ms")
                 .map(|v: u64| config.drain_deadline = Duration::from_millis(v)),
-            "--conn-capacity" => {
-                parse_flag(&mut args, "--conn-capacity").map(|v| config.conn_capacity = v)
-            }
             "--read-timeout-ms" => parse_flag(&mut args, "--read-timeout-ms")
                 .map(|v: u64| config.read_timeout = Duration::from_millis(v)),
-            "--write-timeout-ms" => parse_flag(&mut args, "--write-timeout-ms")
-                .map(|v: u64| config.write_timeout = Duration::from_millis(v)),
             "--idle-timeout-ms" => parse_flag(&mut args, "--idle-timeout-ms")
                 .map(|v: u64| config.idle_timeout = Duration::from_millis(v)),
             "--max-line-bytes" => {
                 parse_flag(&mut args, "--max-line-bytes").map(|v| config.max_line_bytes = v)
             }
-            "--max-tenants" => {
-                parse_flag(&mut args, "--max-tenants").map(|v| config.max_tenants = v)
-            }
-            "--tenant-default" => parse_flag(&mut args, "--tenant-default")
-                .and_then(|v: String| parse_limits(&v))
-                .map(|limits| config.tenant_defaults = limits),
             "--tenant" => parse_flag(&mut args, "--tenant").and_then(|v: String| {
                 let Some((name, spec)) = v.split_once('=') else {
                     return Err(format!(

@@ -44,7 +44,7 @@ use crate::proto::{
     QuoteRequest, Request, Response, ShardState, StatsReply, DEFAULT_MAX_LINE_BYTES,
 };
 use crate::snapshot::{CurveBook, EpochSnapshot};
-use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState, DEFAULT_MAX_TENANTS};
+use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState};
 use crate::wal::{read_wal, WalFaultSpec, WalWriter};
 use cds_engine::journal::{CorruptionReport, JournalError};
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
@@ -78,6 +78,17 @@ const HEDGE_AFTER_MICROS: u64 = 20_000;
 const _: () = assert!(HEDGE_AFTER_MICROS < DEADLINE_MICROS);
 /// Utilisation at which the M/D/1 admission bound is taken.
 const TARGET_UTILISATION: f64 = 0.9;
+/// Virtual-queue service estimate per quote, microseconds.
+const SERVICE_MICROS: u64 = 200;
+/// Per-connection in-flight cap: one client cannot occupy the whole
+/// global capacity through a single pipelined connection.
+const CONN_CAPACITY: u64 = 256;
+/// Tenant-registry size bound: hostile `TENANT` binds cannot grow
+/// memory past it.
+const MAX_TENANTS: usize = 64;
+/// Write timeout on accepted streams: a consumer slower than this
+/// mid-reply is disconnected instead of pinning the writer thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Nominal backoff before 1-based `attempt`, microseconds: zero before
 /// the first, then `BACKOFF_BASE_MICROS · BACKOFF_MULTIPLIER^(attempt−2)`.
@@ -106,8 +117,10 @@ fn allows_attempt(attempt: u32, elapsed_micros: u64) -> bool {
 }
 
 /// Server configuration; [`Default`] is a sane local test server. The
-/// retry, hedge and deadline schedule and the admission utilisation are
-/// fixed (module docs), not configured.
+/// retry, hedge and deadline schedule, the admission service estimate
+/// and utilisation, the per-connection in-flight cap, the write
+/// timeout, the tenant-table bound and the default tenant limits are
+/// fixed constants, not configured.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -118,9 +131,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// In-flight cap: accepted-but-unanswered quotes beyond this shed.
     pub capacity: u64,
-    /// Virtual-queue service estimate per quote, microseconds; the
-    /// M/D/1 admission bound is taken at 0.9 utilisation.
-    pub service_micros: u64,
     /// Degradation-ladder watermarks.
     pub ladder: LadderConfig,
     /// Write-ahead journal path; `None` serves without durability.
@@ -138,25 +148,14 @@ pub struct ServerConfig {
     /// Read timeout on accepted streams; doubles as the poll cadence
     /// for the shutdown flag and the idle reaper.
     pub read_timeout: Duration,
-    /// Write timeout on accepted streams; a consumer slower than this
-    /// mid-reply is disconnected instead of pinning the writer thread.
-    pub write_timeout: Duration,
     /// Close a connection that completes no request line for this long
     /// (slowloris reaper; byte trickle does not reset it).
     pub idle_timeout: Duration,
     /// Request-line byte cap; longer lines get one typed `ERR` and the
     /// excess is discarded unbuffered.
     pub max_line_bytes: usize,
-    /// Per-connection in-flight cap (one client cannot occupy the whole
-    /// global capacity through a single pipelined connection).
-    pub conn_capacity: u64,
-    /// Limits for `default` and self-registered tenants.
-    pub tenant_defaults: TenantLimits,
     /// Boot-time per-tenant limit overrides.
     pub tenant_overrides: Vec<(String, TenantLimits)>,
-    /// Tenant-registry size bound (hostile `TENANT` binds cannot grow
-    /// memory past it).
-    pub max_tenants: usize,
 }
 
 impl Default for ServerConfig {
@@ -166,20 +165,15 @@ impl Default for ServerConfig {
             shards: 4,
             seed: 42,
             capacity: 256,
-            service_micros: 200,
             ladder: LadderConfig::default(),
             journal: None,
             cadence: 64,
             wal_fault: None,
             drain_deadline: Duration::from_secs(5),
             read_timeout: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            conn_capacity: 256,
-            tenant_defaults: TenantLimits::default(),
             tenant_overrides: Vec::new(),
-            max_tenants: DEFAULT_MAX_TENANTS,
         }
     }
 }
@@ -192,9 +186,6 @@ impl ServerConfig {
         if self.capacity == 0 {
             return Err(ServerError::Config("in-flight capacity must be at least 1"));
         }
-        if self.service_micros == 0 {
-            return Err(ServerError::Config("service estimate must be positive"));
-        }
         if self.cadence == 0 {
             return Err(ServerError::Config("journal fsync cadence must be at least 1"));
         }
@@ -202,8 +193,8 @@ impl ServerConfig {
             return Err(ServerError::Config("--wal-fault requires a journal"));
         }
         self.ladder.validate().map_err(ServerError::Config)?;
-        if self.read_timeout.is_zero() || self.write_timeout.is_zero() {
-            return Err(ServerError::Config("read/write timeouts must be positive"));
+        if self.read_timeout.is_zero() {
+            return Err(ServerError::Config("read timeout must be positive"));
         }
         if self.idle_timeout.is_zero() {
             return Err(ServerError::Config("idle timeout must be positive"));
@@ -211,13 +202,6 @@ impl ServerConfig {
         if self.max_line_bytes < 64 {
             return Err(ServerError::Config("max_line_bytes must be at least 64"));
         }
-        if self.conn_capacity == 0 {
-            return Err(ServerError::Config("per-connection capacity must be at least 1"));
-        }
-        if self.max_tenants == 0 {
-            return Err(ServerError::Config("max_tenants must be at least 1"));
-        }
-        self.tenant_defaults.validate().map_err(ServerError::Tenant)?;
         for (name, limits) in &self.tenant_overrides {
             if !crate::proto::valid_tenant_name(name) {
                 return Err(ServerError::Tenant(TenantError::BadName(name.clone())));
@@ -734,7 +718,7 @@ fn handle_quote(
     };
     // Per-connection in-flight cap (a single pipelined connection
     // cannot occupy the whole global capacity).
-    if ctx.conn_inflight.fetch_add(1, Ordering::SeqCst) >= core.config.conn_capacity {
+    if ctx.conn_inflight.fetch_add(1, Ordering::SeqCst) >= CONN_CAPACITY {
         ctx.conn_inflight.fetch_sub(1, Ordering::SeqCst);
         release_tenant();
         core.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -901,7 +885,7 @@ fn handle_conn(
 ) {
     let Ok(write_half) = stream.try_clone() else { return };
     let _ = stream.set_read_timeout(Some(core.config.read_timeout));
-    let _ = write_half.set_write_timeout(Some(core.config.write_timeout));
+    let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
     let (resp_tx, resp_rx) = channel::<String>();
     let writer = thread::spawn(move || {
         let mut out = write_half;
@@ -1147,12 +1131,12 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         }
         None => None,
     };
-    let admission = AdmissionControl::from_md1(config.service_micros, TARGET_UTILISATION);
+    let admission = AdmissionControl::from_md1(SERVICE_MICROS, TARGET_UTILISATION);
     let book = CurveBook::new(config.seed);
     let shards: Vec<ShardCtl> = (0..config.shards).map(|_| ShardCtl::default()).collect();
     // The registry pre-registers `default` plus every configured
     // override; buckets start full at server-relative time zero.
-    let tenants = TenantRegistry::new(config.tenant_defaults, config.max_tenants, 0)?;
+    let tenants = TenantRegistry::new(TenantLimits::default(), MAX_TENANTS, 0)?;
     for (name, limits) in &config.tenant_overrides {
         tenants.register(name, *limits, 0)?;
     }

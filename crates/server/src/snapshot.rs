@@ -80,9 +80,8 @@ impl CurveBook {
     /// epoch-swap half of the incremental tick path, through the same
     /// [`edit_curve_point`] as `IncrementalEngine::apply_tick`. The new
     /// engine is the previous one with that knot edited in place
-    /// ([`CpuCdsEngine::set_interest_value`] /
-    /// [`CpuCdsEngine::set_hazard_value`]), bit-identical to a fresh
-    /// build on the new curves. Returns the new epoch number and
+    /// ([`CpuCdsEngine::set_value`]), bit-identical to a fresh build on
+    /// the new curves. Returns the new epoch number and
     /// whether the tick was zero-delta (identical value bits
     /// re-published; the engine is reused unedited).
     ///
@@ -101,14 +100,7 @@ impl CurveBook {
         let next = self.epoch.load(Ordering::Acquire) + 1;
         let mut engine = prev.engine.clone();
         if !zero_delta {
-            match curve {
-                CurveKind::Interest => {
-                    engine.set_interest_value(knot, market.interest.points()[knot].value)
-                }
-                CurveKind::Hazard => {
-                    engine.set_hazard_value(knot, market.hazard.points()[knot].value)
-                }
-            }
+            engine.set_value(curve, knot, market.curve(curve).points()[knot].value);
         }
         let snapshot = Arc::new(EpochSnapshot { epoch: next, seed: prev.seed, market, engine });
         *lock_recover(&self.slot) = snapshot;
@@ -223,11 +215,7 @@ mod tests {
         for curve in [CurveKind::Interest, CurveKind::Hazard] {
             for knot in [0, 1, n / 2, n - 2, n - 1] {
                 let before = book.current();
-                let points = match curve {
-                    CurveKind::Interest => before.market.interest.points(),
-                    CurveKind::Hazard => before.market.hazard.points(),
-                };
-                let value = points[knot].value * 1.3;
+                let value = before.market.curve(curve).points()[knot].value * 1.3;
                 let (_, zero) =
                     book.publish_point(curve, knot, value).unwrap_or_else(|e| panic!("{e}"));
                 assert!(!zero);

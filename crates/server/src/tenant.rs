@@ -34,10 +34,6 @@ use crate::proto::valid_tenant_name;
 /// always slot 0.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Hard ceiling on distinct tenant names the registry will ever hold
-/// unless configured lower.
-pub const DEFAULT_MAX_TENANTS: usize = 64;
-
 /// Per-tenant limits. The defaults are deliberately generous — a
 /// single-tenant deployment (every existing test, loadgen run, and
 /// chaos scenario) must never observe a throttle.
