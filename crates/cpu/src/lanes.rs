@@ -711,6 +711,13 @@ mod tests {
             let lanes: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
             assert_eq!(lanes, scalar_bits(&engine, batch), "batch len {n}");
         }
+        // A mixed book in one batch: every frequency and many maturities
+        // share the grid, so a read time off by one ulp in any period
+        // shows here even when a small pool never reaches that period.
+        let book = PortfolioGenerator::new(23).portfolio(4096);
+        kernel.price_into(&book, &mut out);
+        let lanes: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(lanes, scalar_bits(&engine, &book), "mixed book of {}", book.len());
     }
 
     #[test]

@@ -71,11 +71,8 @@ pub struct TimePointTerms<F: CdsFloat = f64> {
 /// stream between each other.
 pub fn time_point_terms<F: CdsFloat>(
     market: &MarketData<F>,
-    maturity: F,
-    payments_per_year: u32,
     schedule: &PaymentSchedule<F>,
 ) -> Vec<TimePointTerms<F>> {
-    let _ = (maturity, payments_per_year); // schedule already encodes both
     let mut prev_t = F::ZERO;
     let mut prev_survival = F::ONE;
     let mut out = Vec::with_capacity(schedule.len());
@@ -115,7 +112,7 @@ pub fn try_price_cds(
     option: &CdsOption,
 ) -> Result<SpreadResult, QuantError> {
     let schedule = PaymentSchedule::generate(option.maturity, option.frequency.per_year())?;
-    let terms = time_point_terms(market, option.maturity, option.frequency.per_year(), &schedule);
+    let terms = time_point_terms(market, &schedule);
     try_combine_terms(&terms, option.recovery_rate)
 }
 
@@ -127,7 +124,7 @@ pub fn price_cds_with_schedule(
     schedule: &PaymentSchedule<f64>,
     recovery_rate: f64,
 ) -> SpreadResult {
-    let terms = time_point_terms(market, 0.0, 0, schedule);
+    let terms = time_point_terms(market, schedule);
     combine_terms(&terms, recovery_rate)
 }
 
@@ -183,7 +180,7 @@ pub fn price_cds_generic<F: CdsFloat>(
         Ok(s) => s,
         Err(e) => panic!("valid parameters yield a schedule: {e}"),
     };
-    let terms = time_point_terms(market, maturity, payments_per_year, &schedule);
+    let terms = time_point_terms(market, &schedule);
     let mut premium = F::ZERO;
     let mut protection = F::ZERO;
     let mut accrual = F::ZERO;
@@ -346,7 +343,7 @@ mod tests {
             Ok(s) => s,
             Err(e) => panic!("schedule parameters are valid: {e}"),
         };
-        let terms = time_point_terms(&market, 6.0, 4, &schedule);
+        let terms = time_point_terms(&market, &schedule);
         assert_eq!(terms.len(), 24);
         // Survival decreasing, default prob increasing, all terms finite
         // and non-negative.

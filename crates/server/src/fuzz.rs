@@ -8,10 +8,12 @@
 //! `ERR`), blank lines yield none, and nothing crashes, hangs, or
 //! wedges the connection.
 //!
-//! The generator is deterministic in its seed (splitmix64, the same
-//! generator family the fault plans use) so the same corpus is replayed
+//! The generator is deterministic in its seed (the fault plans'
+//! [`splitmix64`] over a stepped state) so the same corpus is replayed
 //! by `tests/hostile_clients.rs` and the `server/protocol-fuzz`
 //! isolation scenario.
+
+use dataflow_sim::fault::splitmix64;
 
 /// What a fuzz line exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +50,16 @@ pub struct FuzzLine {
     pub expect_reply: bool,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// The next draw: [`splitmix64`] of the state, which then steps by the
+/// generator's golden-ratio increment.
+fn next(state: &mut u64) -> u64 {
+    let draw = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    draw
 }
 
 fn pick<'a, T>(state: &mut u64, items: &'a [T]) -> &'a T {
-    &items[(splitmix64(state) % items.len() as u64) as usize]
+    &items[(next(state) % items.len() as u64) as usize]
 }
 
 /// Deterministically generate `n` hostile newline-terminated lines for
@@ -86,24 +88,24 @@ fn gen_line(state: &mut u64, max_line_bytes: usize) -> FuzzLine {
     let mut bytes = match kind {
         FuzzKind::GarbageVerb => {
             // '#' prefix guarantees no collision with a real verb.
-            let len = 1 + (splitmix64(state) % 24) as usize;
+            let len = 1 + (next(state) % 24) as usize;
             let mut b = vec![b'#'];
             for _ in 0..len {
-                b.push(b'!' + (splitmix64(state) % 90) as u8); // printable ASCII
+                b.push(b'!' + (next(state) % 90) as u8); // printable ASCII
             }
             b
         }
         FuzzKind::NonUtf8 => {
-            let len = 1 + (splitmix64(state) % 16) as usize;
+            let len = 1 + (next(state) % 16) as usize;
             let mut b = b"QUOTE ".to_vec();
             for _ in 0..len {
                 // Continuation/invalid bytes: never valid UTF-8 here.
-                b.push(0xF8 + (splitmix64(state) % 8) as u8);
+                b.push(0xF8 + (next(state) % 8) as u8);
             }
             b
         }
         FuzzKind::Oversized => {
-            let extra = 1 + (splitmix64(state) % (max_line_bytes as u64 + 1)) as usize;
+            let extra = 1 + (next(state) % (max_line_bytes as u64 + 1)) as usize;
             vec![b'A'; max_line_bytes + extra]
         }
         FuzzKind::BadArity => pick(
@@ -144,10 +146,10 @@ fn gen_line(state: &mut u64, max_line_bytes: usize) -> FuzzLine {
         )
         .to_vec(),
         FuzzKind::ControlBytes => {
-            let len = 1 + (splitmix64(state) % 12) as usize;
+            let len = 1 + (next(state) % 12) as usize;
             let mut b = Vec::new();
             for _ in 0..len {
-                b.push((splitmix64(state) % 32) as u8); // C0 controls incl. NUL
+                b.push((next(state) % 32) as u8); // C0 controls incl. NUL
             }
             b.retain(|&c| c != b'\n' && c != b'\r');
             if b.iter().all(|c| c.is_ascii_whitespace()) {
@@ -156,7 +158,7 @@ fn gen_line(state: &mut u64, max_line_bytes: usize) -> FuzzLine {
             b
         }
         FuzzKind::WhitespaceOnly => {
-            let len = (splitmix64(state) % 8) as usize;
+            let len = (next(state) % 8) as usize;
             vec![b' '; len]
         }
         FuzzKind::BadTenant => pick(
@@ -200,7 +202,7 @@ pub fn torn_lines(seed: u64, n: usize) -> Vec<Vec<u8>> {
                     b"STATS",
                 ],
             );
-            let cut = 1 + (splitmix64(&mut state) % (full.len() as u64 - 1)) as usize;
+            let cut = 1 + (next(&mut state) % (full.len() as u64 - 1)) as usize;
             full[..cut].to_vec()
         })
         .collect()
@@ -216,6 +218,20 @@ mod tests {
         assert_eq!(fuzz_lines(7, 64, 256), fuzz_lines(7, 64, 256));
         assert_eq!(torn_lines(7, 16), torn_lines(7, 16));
         assert_ne!(fuzz_lines(7, 64, 256), fuzz_lines(8, 64, 256));
+    }
+
+    #[test]
+    fn corpus_bytes_are_pinned() {
+        // FNV-1a over the first 256 lines for one seed: the hash moves
+        // if the generator's stream changes, which would change what
+        // `hostile_clients` and the protocol-fuzz scenario replay.
+        let hash = fuzz_lines(42, 256, 256)
+            .iter()
+            .flat_map(|l| &l.bytes)
+            .fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            });
+        assert_eq!(hash, 0xF5BB_CF31_D2BD_AE0D);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //!
 //! - one **acceptor** owning the listener; it also runs the drain state
 //!   machine,
-//! - one **shard worker** per shard, each owning the receiving end of
-//!   its ingestion queue (quotes are homed by `id % shards`),
-//! - one **hedger/timer** thread running the deadline-aware retry and
-//!   hedging schedule,
+//! - one **shard worker** per shard, each popping its own ingestion
+//!   queue (quotes are homed by `id % shards`),
+//! - one **hedger/timer** thread running the hedge and retry schedule,
 //! - a reader + writer thread pair per connection.
+//!
+//! The shard queues and the hedger's timer sender live in the shared
+//! `Core`, so every thread reaches them through it; the hedger exits
+//! once `shutdown` is set.
 //!
 //! ## Request life cycle
 //!
@@ -16,13 +19,24 @@
 //! ladder observation → tenant in-flight quota → per-connection cap →
 //! global in-flight cap → per-shard virtual-queue admission (the
 //! engine's M/D/1 [`AdmissionControl`] bound, in microseconds) →
-//! durable WAL accept → deficit-weighted fair dispatch. The hedger
-//! launches one hedged attempt to a different shard after 20 ms of
-//! silence; a dead shard bounces its quotes back to the hedger, which
-//! re-dispatches with jittered exponential backoff (2 ms, then 4 ms)
-//! for at most three attempts while the 250 ms deadline budget lasts.
-//! The [`QuoteLedger`] elects exactly one canonical spread per
-//! `(tenant, id)` no matter how many attempts race.
+//! durable WAL accept → deficit-weighted fair dispatch. `admit` runs
+//! these gates and yields either the accepted job or a `Refusal`;
+//! `refuse` is the one step that applies a refusal: it bumps the
+//! refusal's counter, releases the reservations taken so far and sends
+//! the reply. `Client::release` is the one function that undoes a
+//! quote's tenant, connection and global in-flight reservations, and
+//! `price_and_complete` the one step that prices a quote and answers
+//! it, on a shard, in the hedger, or inline on the CPU fallback. A quote
+//! is answered, and its reservations released, once: by whichever
+//! attempt wins its `done` latch.
+//!
+//! The hedger launches one hedged attempt to a different shard after
+//! 20 ms of silence. A dead shard bounces its quotes: the shard worker
+//! schedules the next attempt with the hedger after a jittered
+//! exponential backoff (2 ms, then 4 ms), for at most three attempts
+//! while the 250 ms deadline budget lasts, and refuses the quote once
+//! either runs out. The [`QuoteLedger`] elects exactly one canonical
+//! spread per `(tenant, id)` no matter how many attempts race.
 //!
 //! ## Hostile clients
 //!
@@ -51,14 +65,13 @@ use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
 use cds_engine::streaming::AdmissionControl;
 use cds_quant::option::CdsOption;
 use dataflow_sim::fault::splitmix64;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -288,6 +301,10 @@ struct Core {
     stats: Stats,
     ladder: Mutex<DegradationLadder>,
     shards: Vec<ShardCtl>,
+    /// Each shard's ingestion queue, indexed like `shards`.
+    queues: Vec<FairQueue<Job>>,
+    /// The hedger's inbox: an action and the instant it falls due.
+    timer: Sender<(Instant, Action)>,
     tenants: TenantRegistry,
     wal: Option<WalWriter>,
     wal_degraded: AtomicBool,
@@ -304,6 +321,17 @@ impl Core {
 
     fn dead_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.dead.load(Ordering::Relaxed)).count()
+    }
+
+    /// The shard a quote id is homed on.
+    fn home(&self, id: u64) -> usize {
+        (id % self.shards.len() as u64) as usize
+    }
+
+    /// Queue `job` on `shard`, charged to its tenant's fair share.
+    fn dispatch(&self, shard: usize, job: Job) {
+        let (slot, weight) = (job.client.tenant.slot, job.client.tenant.limits.weight);
+        self.queues[shard].push(slot, weight, job);
     }
 
     fn telemetry(&self) -> LadderTelemetry {
@@ -328,11 +356,6 @@ impl Core {
 
     fn rung(&self) -> Rung {
         Rung::from_index(self.stats.rung.load(Ordering::Relaxed) as usize)
-    }
-
-    /// Client back-off hint: the admission bound expressed in ms.
-    fn retry_after_ms(&self) -> u64 {
-        (self.admission.max_queue_cycles / 1000).max(1)
     }
 
     /// Per-shard virtual-queue admission (the M/D/1 bound, in µs).
@@ -377,6 +400,31 @@ impl Core {
         }
     }
 
+    /// Apply a `FAULT` command to its shard.
+    fn fault(&self, cmd: FaultCmd) -> Response {
+        let (FaultCmd::Kill { shard } | FaultCmd::Revive { shard } | FaultCmd::Stall { shard, .. }) =
+            cmd;
+        let Some(ctl) = self.shards.get(shard) else {
+            let reason = format!("no such shard {shard} (have {})", self.shards.len());
+            return Response::Error { id: None, reason };
+        };
+        match cmd {
+            FaultCmd::Kill { .. } => ctl.dead.store(true, Ordering::SeqCst),
+            FaultCmd::Revive { .. } => ctl.dead.store(false, Ordering::SeqCst),
+            FaultCmd::Stall { millis, .. } => {
+                ctl.stall_micros.store(millis * 1000, Ordering::SeqCst)
+            }
+        }
+        let state = if ctl.dead.load(Ordering::Relaxed) {
+            ShardState::Dead
+        } else if ctl.stall_micros.load(Ordering::Relaxed) > 0 {
+            ShardState::Stalled
+        } else {
+            ShardState::Live
+        };
+        Response::FaultAck { shard, state }
+    }
+
     fn stats_reply(&self) -> StatsReply {
         StatsReply {
             rung: self.rung().index() as u8,
@@ -398,11 +446,79 @@ impl Core {
             tenants: self.tenants.len() as u64,
         }
     }
+
+    fn drain_summary(&self) -> DrainSummary {
+        DrainSummary {
+            accepted: self.stats.accepted.load(Ordering::Relaxed),
+            completed: self.stats.completed.load(Ordering::Relaxed),
+            pending: self.stats.inflight.load(Ordering::SeqCst),
+        }
+    }
+}
+
+/// Who a quote answers to: its connection's bound tenant, in-flight
+/// counter and response channel. A job keeps the ones it was admitted
+/// under.
+#[derive(Clone)]
+struct Client {
+    tenant: Arc<TenantState>,
+    inflight: Arc<AtomicU64>,
+    resp: Sender<String>,
+}
+
+impl Client {
+    fn reply(&self, response: &Response) {
+        let _ = self.resp.send(format_response(response));
+    }
+
+    /// Undo the in-flight reservations a quote `held`: the one place
+    /// the tenant, connection and global reservations are released.
+    fn release(&self, core: &Core, held: Held) {
+        if held == Held::All {
+            core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+        if held != Held::Nothing {
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+            self.tenant.release_inflight();
+        }
+    }
+}
+
+/// The in-flight reservations a quote holds. Admission takes the tenant
+/// quota and the connection cap, then the global cap.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Held {
+    Nothing,
+    TenantAndConn,
+    All,
+}
+
+/// A quote answered without being priced: the `STATS` counter it
+/// bumps, the reservations it holds, and its reply line.
+struct Refusal<'c> {
+    counter: Option<&'c AtomicU64>,
+    held: Held,
+    line: String,
+}
+
+impl<'c> Refusal<'c> {
+    fn new(counter: Option<&'c AtomicU64>, held: Held, reply: &Response) -> Self {
+        Refusal { counter, held, line: format_response(reply) }
+    }
+}
+
+/// The refusal step: count the refusal, release what it held, reply.
+fn refuse(core: &Core, client: &Client, refusal: Refusal<'_>) {
+    if let Some(counter) = refusal.counter {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    client.release(core, refusal.held);
+    let _ = client.resp.send(refusal.line);
 }
 
 /// One in-flight quote attempt; hedges and retries clone it, sharing
-/// the `done` latch, the hedge flag, and the tenant/connection
-/// reservations (released exactly once, by whoever wins the latch).
+/// the `done` latch, the hedge flag, and the client's reservations
+/// (released exactly once, by whoever wins the latch).
 #[derive(Clone)]
 struct Job {
     seq: u32,
@@ -412,54 +528,36 @@ struct Job {
     attempt: u32,
     hedge_launched: Arc<AtomicBool>,
     done: Arc<AtomicBool>,
-    tenant: Arc<TenantState>,
-    conn_inflight: Arc<AtomicU64>,
-    resp: Sender<String>,
+    client: Client,
 }
 
-enum TimerEvent {
-    /// Arm the hedge timer for a freshly dispatched quote.
-    Hedge { job: Job, fire_at: Instant },
-    /// A shard refused a quote (dead); decide retry-vs-fail now.
-    Retry { job: Job, from_shard: usize },
+/// What the hedger does when an entry falls due.
+enum Action {
+    /// Race one hedged attempt on another shard.
+    Hedge(Job),
+    /// Re-dispatch a bounced quote to a live shard other than `avoid`.
+    Retry { job: Job, avoid: usize },
 }
 
-enum TimerAction {
-    LaunchHedge(Job),
-    Dispatch { job: Job, avoid: usize },
-}
-
-struct Scheduled {
-    fire_at: Instant,
-    order: u64,
-    action: TimerAction,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_at == other.fire_at && self.order == other.order
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.fire_at, self.order).cmp(&(other.fire_at, other.order))
-    }
-}
-
-fn complete(core: &Core, job: &Job, spread: f64, epoch: u64, shard: Option<usize>) {
-    let (canonical, cached) = match core.ledger.record(job.tenant.slot as u64, job.id, spread) {
-        RecordOutcome::First => (spread, false),
-        RecordOutcome::Duplicate { spread } => {
-            core.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            (spread, true)
-        }
-    };
+/// The pricing step: price `job` at the newest epoch on `shard` (`None`
+/// when priced inline), elect its canonical spread, and, if this
+/// attempt wins the `done` latch, journal, count, release and reply.
+fn price_and_complete(
+    core: &Core,
+    job: &Job,
+    cached: &mut Arc<EpochSnapshot>,
+    shard: Option<usize>,
+) {
+    core.book.refresh(cached);
+    let spread = cached.engine.price(&job.option).spread_bps;
+    let (canonical, from_ledger) =
+        match core.ledger.record(job.client.tenant.slot as u64, job.id, spread) {
+            RecordOutcome::First => (spread, false),
+            RecordOutcome::Duplicate { spread } => {
+                core.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                (spread, true)
+            }
+        };
     if !job.done.swap(true, Ordering::SeqCst) {
         if let Some(wal) = &core.wal {
             if let Err(e) = wal.done(job.seq, canonical) {
@@ -467,31 +565,34 @@ fn complete(core: &Core, job: &Job, spread: f64, epoch: u64, shard: Option<usize
             }
         }
         core.stats.completed.fetch_add(1, Ordering::Relaxed);
-        core.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-        job.tenant.release_inflight();
-        job.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.resp.send(format_response(&Response::Quote(QuoteReply {
+        job.client.release(core, Held::All);
+        job.client.reply(&Response::Quote(QuoteReply {
             id: job.id,
             spread_bps: canonical,
-            epoch,
+            epoch: cached.epoch,
             shard,
             attempts: job.attempt,
             hedged: job.hedge_launched.load(Ordering::Relaxed),
-            cached,
-        })));
+            cached: from_ledger,
+        }));
     }
 }
 
-fn fail_deadline(core: &Core, job: &Job) {
-    if !job.done.swap(true, Ordering::SeqCst) {
-        core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        core.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-        job.tenant.release_inflight();
-        job.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.resp.send(format_response(&Response::Error {
-            id: Some(job.id),
-            reason: "deadline budget exhausted".to_string(),
-        }));
+/// A dead `shard` bounces `job`: schedule its next attempt elsewhere
+/// after a jittered backoff, or refuse it once the attempt count or the
+/// deadline budget is spent.
+fn retry(core: &Core, mut job: Job, shard: usize) {
+    let attempt = job.attempt + 1;
+    if allows_attempt(attempt, job.accepted_at.elapsed().as_micros() as u64) {
+        core.stats.retries.fetch_add(1, Ordering::Relaxed);
+        job.attempt = attempt;
+        let due = Instant::now() + Duration::from_micros(jittered_backoff_micros(attempt, job.id));
+        let _ = core.timer.send((due, Action::Retry { job, avoid: shard }));
+    } else if !job.done.swap(true, Ordering::SeqCst) {
+        let reply =
+            Response::Error { id: Some(job.id), reason: "deadline budget exhausted".to_string() };
+        let counter = Some(&core.stats.deadline_misses);
+        refuse(core, &job.client, Refusal::new(counter, Held::All, &reply));
     }
 }
 
@@ -508,10 +609,11 @@ fn next_live(core: &Core, start: usize, avoid: Option<usize>) -> Option<usize> {
         })
 }
 
-fn shard_worker(core: Arc<Core>, k: usize, rx: Arc<FairQueue<Job>>, timer_tx: Sender<TimerEvent>) {
+fn shard_worker(core: Arc<Core>, k: usize) {
     let mut cached: Arc<EpochSnapshot> = core.book.current();
+    let queue = &core.queues[k];
     loop {
-        match rx.pop_timeout(Duration::from_millis(50)) {
+        match queue.pop_timeout(Duration::from_millis(50)) {
             Some(job) => {
                 if core.shutdown.load(Ordering::Relaxed) {
                     // The drain deadline already passed: this quote is
@@ -526,19 +628,16 @@ fn shard_worker(core: Arc<Core>, k: usize, rx: Arc<FairQueue<Job>>, timer_tx: Se
                     thread::sleep(Duration::from_micros(stall));
                 }
                 if core.shards[k].dead.load(Ordering::Relaxed) {
-                    // Bounce to the hedger for a budgeted retry elsewhere.
-                    let _ = timer_tx.send(TimerEvent::Retry { job, from_shard: k });
-                    continue;
+                    retry(&core, job, k);
+                } else {
+                    price_and_complete(&core, &job, &mut cached, Some(k));
                 }
-                core.book.refresh(&mut cached);
-                let spread = cached.engine.price(&job.option).spread_bps;
-                complete(&core, &job, spread, cached.epoch, Some(k));
             }
             None => {
                 if core.shutdown.load(Ordering::Relaxed) {
                     // Release anything still queued (journalled as
                     // pending) so held response senders drop.
-                    rx.clear();
+                    queue.clear();
                     break;
                 }
             }
@@ -546,216 +645,136 @@ fn shard_worker(core: Arc<Core>, k: usize, rx: Arc<FairQueue<Job>>, timer_tx: Se
     }
 }
 
-fn hedger(core: Arc<Core>, rx: Receiver<TimerEvent>, senders: Vec<Arc<FairQueue<Job>>>) {
+fn hedger(core: Arc<Core>, inbox: Receiver<(Instant, Action)>) {
     let mut cached: Arc<EpochSnapshot> = core.book.current();
-    let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-    let mut order = 0u64;
-    loop {
-        // Fire everything due.
+    // Keyed by due instant, then arrival: entries due together fire in
+    // the order they came.
+    let mut due: BTreeMap<(Instant, u64), Action> = BTreeMap::new();
+    let mut arrivals = 0u64;
+    // Anything still scheduled at shutdown is a pending quote the drain
+    // deadline already gave up on; it lives on in the journal, not here.
+    while !core.shutdown.load(Ordering::Relaxed) {
         let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse(s)| s.fire_at <= now) {
-            let Some(Reverse(s)) = heap.pop() else { break };
-            match s.action {
-                TimerAction::LaunchHedge(job) => {
-                    if job.done.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let home = (job.id % core.shards.len() as u64) as usize;
+        while due.first_key_value().is_some_and(|(&(at, _), _)| at <= now) {
+            let Some((_, action)) = due.pop_first() else { break };
+            match action {
+                Action::Hedge(job) | Action::Retry { job, .. }
+                    if job.done.load(Ordering::SeqCst) => {}
+                Action::Hedge(mut job) => {
+                    let home = core.home(job.id);
                     // Hedge only to a *different* live shard.
                     if let Some(target) = next_live(&core, home + 1, Some(home)) {
                         core.stats.hedges.fetch_add(1, Ordering::Relaxed);
                         job.hedge_launched.store(true, Ordering::Relaxed);
-                        let mut hedge = job.clone();
-                        hedge.attempt = job.attempt + 1;
-                        senders[target].push(hedge.tenant.slot, hedge.tenant.limits.weight, hedge);
+                        job.attempt += 1;
+                        core.dispatch(target, job);
                     }
                 }
-                TimerAction::Dispatch { job, avoid } => {
-                    if job.done.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    match next_live(&core, avoid + 1, Some(avoid)) {
-                        Some(target) => {
-                            senders[target].push(job.tenant.slot, job.tenant.limits.weight, job);
-                        }
-                        None => {
-                            // Every shard is dead: price inline on the
-                            // CPU path, which is bit-identical and
-                            // cannot die with the shards.
-                            core.book.refresh(&mut cached);
-                            let spread = cached.engine.price(&job.option).spread_bps;
-                            complete(&core, &job, spread, cached.epoch, None);
-                        }
-                    }
-                }
+                Action::Retry { job, avoid } => match next_live(&core, avoid + 1, Some(avoid)) {
+                    Some(target) => core.dispatch(target, job),
+                    // Every shard is dead: price inline on the CPU path,
+                    // which is bit-identical and cannot die with the shards.
+                    None => price_and_complete(&core, &job, &mut cached, None),
+                },
             }
         }
-        let wait = heap
-            .peek()
-            .map(|Reverse(s)| s.fire_at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok(TimerEvent::Hedge { job, fire_at }) => {
-                order += 1;
-                heap.push(Reverse(Scheduled {
-                    fire_at,
-                    order,
-                    action: TimerAction::LaunchHedge(job),
-                }));
-            }
-            Ok(TimerEvent::Retry { mut job, from_shard }) => {
-                let next_attempt = job.attempt + 1;
-                let elapsed = job.accepted_at.elapsed().as_micros() as u64;
-                if !allows_attempt(next_attempt, elapsed) {
-                    fail_deadline(&core, &job);
-                    continue;
-                }
-                core.stats.retries.fetch_add(1, Ordering::Relaxed);
-                let backoff = jittered_backoff_micros(next_attempt, job.id);
-                job.attempt = next_attempt;
-                order += 1;
-                heap.push(Reverse(Scheduled {
-                    fire_at: Instant::now() + Duration::from_micros(backoff),
-                    order,
-                    action: TimerAction::Dispatch { job, avoid: from_shard },
-                }));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Anything still scheduled at shutdown is a pending
-                // quote the drain deadline already gave up on; it lives
-                // on in the journal, not in this heap.
-                if core.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+        let wait = due
+            .first_key_value()
+            .map_or(Duration::from_millis(50), |(&(at, _), _)| {
+                at.saturating_duration_since(Instant::now())
+            })
+            .clamp(Duration::from_millis(1), Duration::from_millis(50));
+        if let Ok((at, action)) = inbox.recv_timeout(wait) {
+            arrivals += 1;
+            due.insert((at, arrivals), action);
         }
     }
 }
 
-/// Per-connection request context: the bound tenant and the
-/// connection's own in-flight reservation counter.
-struct ConnCtx {
-    tenant: Arc<TenantState>,
-    conn_inflight: Arc<AtomicU64>,
+/// Per-connection request state: who its quotes answer to, and the
+/// curve snapshot it prices inline with.
+struct Conn {
+    client: Client,
+    cached: Arc<EpochSnapshot>,
 }
 
-fn handle_quote(
-    core: &Arc<Core>,
+/// Run a quote through the admission gates in order. `Ok` is the
+/// durably accepted job and the ladder rung it was admitted at; `Err`
+/// is the refusal of the first gate that stopped it.
+fn admit<'c>(
+    core: &'c Core,
+    client: &Client,
     q: &QuoteRequest,
-    ctx: &ConnCtx,
-    cached: &mut Arc<EpochSnapshot>,
-    senders: &[Arc<FairQueue<Job>>],
-    timer_tx: &Sender<TimerEvent>,
-    resp: &Sender<String>,
-) {
-    let reply = |r: Response| {
-        let _ = resp.send(format_response(&r));
-    };
+) -> Result<(Job, Rung), Refusal<'c>> {
+    let stats = &core.stats;
     if core.draining.load(Ordering::Relaxed) {
-        core.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Reject {
-            id: q.id,
-            retry_after_ms: core.config.drain_deadline.as_millis() as u64,
-            rung: core.rung(),
-        });
-        return;
+        let retry_after_ms = core.config.drain_deadline.as_millis() as u64;
+        let reply = Response::Reject { id: q.id, retry_after_ms, rung: core.rung() };
+        return Err(Refusal::new(Some(&stats.rejected), Held::Nothing, &reply));
     }
-    let option = match CdsOption::validated(q.maturity, q.frequency, q.recovery) {
-        Ok(o) => o,
-        Err(e) => {
-            reply(Response::Error { id: Some(q.id), reason: format!("invalid quote: {e}") });
-            return;
-        }
-    };
-    let tenant_slot = ctx.tenant.slot as u64;
+    let option = CdsOption::validated(q.maturity, q.frequency, q.recovery).map_err(|e| {
+        let reply = Response::Error { id: Some(q.id), reason: format!("invalid quote: {e}") };
+        Refusal::new(None, Held::Nothing, &reply)
+    })?;
+    let tenant = &client.tenant;
     // Idempotent duplicate of an already answered id (within this
     // tenant's id space): serve from the ledger without re-pricing,
     // re-journalling, or charging the token bucket.
-    if let Some(spread) = core.ledger.get(tenant_slot, q.id) {
-        core.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Quote(QuoteReply {
+    if let Some(spread_bps) = core.ledger.get(tenant.slot as u64, q.id) {
+        let reply = Response::Quote(QuoteReply {
             id: q.id,
-            spread_bps: spread,
+            spread_bps,
             epoch: core.book.epoch(),
             shard: None,
             attempts: 0,
             hedged: false,
             cached: true,
-        }));
-        return;
+        });
+        return Err(Refusal::new(Some(&stats.dedup_hits), Held::Nothing, &reply));
     }
+    let throttle = |retry_after_ms| {
+        let reply = Response::Throttle { id: q.id, retry_after_ms, tenant: tenant.name.clone() };
+        Refusal::new(Some(&stats.throttled), Held::Nothing, &reply)
+    };
     // Tenant token bucket, before the ladder sees the quote: throttled
     // traffic never becomes queue pressure for other tenants.
-    if let Err(retry_after_ms) = ctx.tenant.try_take_token(core.now_micros()) {
-        core.stats.throttled.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Throttle { id: q.id, retry_after_ms, tenant: ctx.tenant.name.clone() });
-        return;
-    }
+    tenant.try_take_token(core.now_micros()).map_err(throttle)?;
     // One ladder observation per quote decision.
     let rung = lock_recover(&core.ladder).observe(&core.telemetry());
-    core.stats.rung.store(rung.index() as u64, Ordering::Relaxed);
+    stats.rung.store(rung.index() as u64, Ordering::Relaxed);
+    // Client back-off hint: the admission bound expressed in ms.
+    let retry_after_ms = (core.admission.max_queue_cycles / 1000).max(1);
     if rung == Rung::RejectRetryAfter {
-        core.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Reject { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
+        let reply = Response::Reject { id: q.id, retry_after_ms, rung };
+        return Err(Refusal::new(Some(&stats.rejected), Held::Nothing, &reply));
     }
+    let shed = |held| {
+        Refusal::new(Some(&stats.shed), held, &Response::Shed { id: q.id, retry_after_ms, rung })
+    };
     if rung >= Rung::ShedLowPriority && q.priority == Priority::Low {
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
+        return Err(shed(Held::Nothing));
     }
     // Tenant in-flight quota: the bulkhead that keeps one tenant from
     // occupying the shared capacity below.
-    if let Err(retry_after_ms) = ctx.tenant.try_reserve_inflight() {
-        core.stats.throttled.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Throttle { id: q.id, retry_after_ms, tenant: ctx.tenant.name.clone() });
-        return;
-    }
-    let release_tenant = || {
-        ctx.tenant.release_inflight();
-    };
+    tenant.try_reserve_inflight().map_err(throttle)?;
     // Per-connection in-flight cap (a single pipelined connection
     // cannot occupy the whole global capacity).
-    if ctx.conn_inflight.fetch_add(1, Ordering::SeqCst) >= CONN_CAPACITY {
-        ctx.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        release_tenant();
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
+    if client.inflight.fetch_add(1, Ordering::SeqCst) >= CONN_CAPACITY {
+        return Err(shed(Held::TenantAndConn));
     }
-    let release_all = || {
-        ctx.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        release_tenant();
-    };
-    // Reserve a global in-flight slot (slow-consumer / overload bound).
-    if core.stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity {
-        core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-        release_all();
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
-    }
-    let home = (q.id % core.shards.len() as u64) as usize;
-    if !core.admit_virtual(home) {
-        core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-        release_all();
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
+    // A global in-flight slot (slow-consumer / overload bound), then the
+    // home shard's virtual queue.
+    if stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity
+        || !core.admit_virtual(core.home(q.id))
+    {
+        return Err(shed(Held::All));
     }
     // Write-ahead: the acceptance is durable before any dispatch.
-    let seq = match core.accept_seq(q.id, &option, q.priority) {
-        Ok(seq) => seq,
-        Err(e) => {
-            core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-            release_all();
-            reply(Response::Error { id: Some(q.id), reason: format!("journal: {e}") });
-            return;
-        }
-    };
-    core.stats.accepted.fetch_add(1, Ordering::Relaxed);
+    let seq = core.accept_seq(q.id, &option, q.priority).map_err(|e| {
+        let reply = Response::Error { id: Some(q.id), reason: format!("journal: {e}") };
+        Refusal::new(None, Held::All, &reply)
+    })?;
+    stats.accepted.fetch_add(1, Ordering::Relaxed);
     let job = Job {
         seq,
         id: q.id,
@@ -764,125 +783,70 @@ fn handle_quote(
         attempt: 1,
         hedge_launched: Arc::new(AtomicBool::new(false)),
         done: Arc::new(AtomicBool::new(false)),
-        tenant: Arc::clone(&ctx.tenant),
-        conn_inflight: Arc::clone(&ctx.conn_inflight),
-        resp: resp.clone(),
+        client: client.clone(),
     };
-    if rung >= Rung::CpuFallback || core.dead_shards() == core.shards.len() {
-        // CPU fallback: price inline, bit-identical to the shard path.
-        core.book.refresh(cached);
-        let spread = cached.engine.price(&job.option).spread_bps;
-        complete(core, &job, spread, cached.epoch, None);
-        return;
-    }
-    senders[home].push(job.tenant.slot, job.tenant.limits.weight, job.clone());
-    let _ = timer_tx.send(TimerEvent::Hedge {
-        fire_at: job.accepted_at + Duration::from_micros(HEDGE_AFTER_MICROS),
-        job,
-    });
+    Ok((job, rung))
 }
 
-fn handle_request(
-    core: &Arc<Core>,
-    line: &str,
-    ctx: &mut ConnCtx,
-    cached: &mut Arc<EpochSnapshot>,
-    senders: &[Arc<FairQueue<Job>>],
-    timer_tx: &Sender<TimerEvent>,
-    resp: &Sender<String>,
-) {
-    let reply = |r: Response| {
-        let _ = resp.send(format_response(&r));
-    };
-    match parse_request(line) {
-        Err(e) => reply(Response::Error { id: None, reason: e.reason }),
-        Ok(Request::Ping) => reply(Response::Pong),
-        Ok(Request::Stats) => reply(Response::Stats(core.stats_reply())),
+fn handle_quote(core: &Core, conn: &mut Conn, q: &QuoteRequest) {
+    match admit(core, &conn.client, q) {
+        Err(refusal) => refuse(core, &conn.client, refusal),
+        // CPU fallback: price inline, bit-identical to the shard path.
+        Ok((job, rung)) if rung >= Rung::CpuFallback || core.dead_shards() == core.shards.len() => {
+            price_and_complete(core, &job, &mut conn.cached, None);
+        }
+        Ok((job, _)) => {
+            core.dispatch(core.home(job.id), job.clone());
+            let hedge_at = job.accepted_at + Duration::from_micros(HEDGE_AFTER_MICROS);
+            let _ = core.timer.send((hedge_at, Action::Hedge(job)));
+        }
+    }
+}
+
+fn handle_request(core: &Core, conn: &mut Conn, line: &str) {
+    let reply = match parse_request(line) {
+        Err(e) => Response::Error { id: None, reason: e.reason },
+        Ok(Request::Quote(q)) => return handle_quote(core, conn, &q),
+        Ok(Request::Ping) => Response::Pong,
+        Ok(Request::Stats) => Response::Stats(core.stats_reply()),
         Ok(Request::Drain) => {
             core.draining.store(true, Ordering::SeqCst);
-            reply(Response::DrainAck);
+            Response::DrainAck
         }
         Ok(Request::Tenant { name }) => match core.tenants.bind(&name, core.now_micros()) {
             Ok(tenant) => {
-                ctx.tenant = tenant;
-                reply(Response::TenantAck { name });
+                conn.client.tenant = tenant;
+                Response::TenantAck { name }
             }
-            Err(e) => reply(Response::Error { id: None, reason: e.to_string() }),
+            Err(e) => Response::Error { id: None, reason: e.to_string() },
         },
-        Ok(Request::Tick { seed }) => {
-            let epoch = core.book.publish(seed);
-            reply(Response::TickAck { epoch });
-        }
+        Ok(Request::Tick { seed }) => Response::TickAck { epoch: core.book.publish(seed) },
         Ok(Request::TickPoint { curve, knot, value }) => {
             match core.book.publish_point(curve, knot, value) {
-                Ok((epoch, zero_delta)) => reply(Response::TickPointAck { epoch, zero_delta }),
-                Err(reason) => reply(Response::Error { id: None, reason }),
+                Ok((epoch, zero_delta)) => Response::TickPointAck { epoch, zero_delta },
+                Err(reason) => Response::Error { id: None, reason },
             }
         }
-        Ok(Request::Fault(cmd)) => {
-            let shard = match cmd {
-                FaultCmd::Kill { shard }
-                | FaultCmd::Revive { shard }
-                | FaultCmd::Stall { shard, .. } => shard,
-            };
-            let Some(ctl) = core.shards.get(shard) else {
-                reply(Response::Error {
-                    id: None,
-                    reason: format!("no such shard {shard} (have {})", core.shards.len()),
-                });
-                return;
-            };
-            match cmd {
-                FaultCmd::Kill { .. } => ctl.dead.store(true, Ordering::SeqCst),
-                FaultCmd::Revive { .. } => ctl.dead.store(false, Ordering::SeqCst),
-                FaultCmd::Stall { millis, .. } => {
-                    ctl.stall_micros.store(millis * 1000, Ordering::SeqCst)
-                }
-            }
-            let state = if ctl.dead.load(Ordering::Relaxed) {
-                ShardState::Dead
-            } else if ctl.stall_micros.load(Ordering::Relaxed) > 0 {
-                ShardState::Stalled
-            } else {
-                ShardState::Live
-            };
-            reply(Response::FaultAck { shard, state });
-        }
-        Ok(Request::Quote(q)) => handle_quote(core, &q, ctx, cached, senders, timer_tx, resp),
-    }
+        Ok(Request::Fault(cmd)) => core.fault(cmd),
+    };
+    conn.client.reply(&reply);
 }
 
 /// Decode and dispatch one complete raw request line. Non-UTF-8 bytes
 /// get a typed `ERR`; blank lines are skipped silently (no reply owed).
-#[allow(clippy::too_many_arguments)]
-fn process_line(
-    core: &Arc<Core>,
-    bytes: &[u8],
-    ctx: &mut ConnCtx,
-    cached: &mut Arc<EpochSnapshot>,
-    senders: &[Arc<FairQueue<Job>>],
-    timer_tx: &Sender<TimerEvent>,
-    resp: &Sender<String>,
-) {
+fn process_line(core: &Core, conn: &mut Conn, bytes: &[u8]) {
     match decode_line(bytes) {
-        Err(e) => {
-            let _ = resp.send(format_response(&Response::Error { id: None, reason: e.reason }));
-        }
+        Err(e) => conn.client.reply(&Response::Error { id: None, reason: e.reason }),
         Ok(s) => {
             let line = s.trim();
             if !line.is_empty() {
-                handle_request(core, line, ctx, cached, senders, timer_tx, resp);
+                handle_request(core, conn, line);
             }
         }
     }
 }
 
-fn handle_conn(
-    core: Arc<Core>,
-    stream: TcpStream,
-    senders: Vec<Arc<FairQueue<Job>>>,
-    timer_tx: Sender<TimerEvent>,
-) {
+fn handle_conn(core: Arc<Core>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let _ = stream.set_read_timeout(Some(core.config.read_timeout));
     let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -900,11 +864,14 @@ fn handle_conn(
         }
         let _ = out.shutdown(std::net::Shutdown::Both);
     });
-    let mut ctx = ConnCtx {
-        tenant: core.tenants.default_tenant(),
-        conn_inflight: Arc::new(AtomicU64::new(0)),
+    let mut conn = Conn {
+        client: Client {
+            tenant: core.tenants.default_tenant(),
+            inflight: Arc::new(AtomicU64::new(0)),
+            resp: resp_tx,
+        },
+        cached: core.book.current(),
     };
-    let mut cached = core.book.current();
     let max_line = core.config.max_line_bytes;
     let mut input = stream;
     let mut chunk = vec![0u8; 4096];
@@ -926,7 +893,7 @@ fn handle_conn(
                 // EOF without a trailing newline: serve the bounded
                 // partial line, then close.
                 if !discarding && !acc.is_empty() {
-                    process_line(&core, &acc, &mut ctx, &mut cached, &senders, &timer_tx, &resp_tx);
+                    process_line(&core, &mut conn, &acc);
                 }
                 break;
             }
@@ -942,13 +909,13 @@ fn handle_conn(
                 if last_line.elapsed() >= core.config.idle_timeout {
                     // Idle/slowloris reaper: no complete line for a
                     // whole idle window — say why, then hang up.
-                    let _ = resp_tx.send(format_response(&Response::Error {
+                    conn.client.reply(&Response::Error {
                         id: None,
                         reason: format!(
                             "idle timeout: no complete request line in {}ms",
                             core.config.idle_timeout.as_millis()
                         ),
-                    }));
+                    });
                     break;
                 }
                 continue;
@@ -963,13 +930,11 @@ fn handle_conn(
                 // Tail of an oversized line; its ERR is already sent.
                 discarding = false;
             } else if acc.len() + head.len() > max_line {
-                let _ = resp_tx.send(format_response(&Response::Error {
-                    id: None,
-                    reason: oversize_error(max_line).reason,
-                }));
+                conn.client
+                    .reply(&Response::Error { id: None, reason: oversize_error(max_line).reason });
             } else {
                 acc.extend_from_slice(head);
-                process_line(&core, &acc, &mut ctx, &mut cached, &senders, &timer_tx, &resp_tx);
+                process_line(&core, &mut conn, &acc);
             }
             acc.clear();
             last_line = Instant::now();
@@ -978,10 +943,8 @@ fn handle_conn(
             if acc.len() + rest.len() > max_line {
                 // Cap crossed mid-line: one ERR now, then discard until
                 // the newline finally shows up.
-                let _ = resp_tx.send(format_response(&Response::Error {
-                    id: None,
-                    reason: oversize_error(max_line).reason,
-                }));
+                conn.client
+                    .reply(&Response::Error { id: None, reason: oversize_error(max_line).reason });
                 acc.clear();
                 discarding = true;
             } else {
@@ -989,7 +952,7 @@ fn handle_conn(
             }
         }
     }
-    drop(resp_tx);
+    drop(conn);
     // The writer drains any remaining in-flight responses for jobs that
     // still hold clones of the sender; it exits when the last clone drops.
     let _ = writer.join();
@@ -1007,12 +970,7 @@ pub struct DrainSummary {
     pub pending: u64,
 }
 
-fn acceptor(
-    core: Arc<Core>,
-    listener: TcpListener,
-    senders: Vec<Arc<FairQueue<Job>>>,
-    timer_tx: Sender<TimerEvent>,
-) -> DrainSummary {
+fn acceptor(core: Arc<Core>, listener: TcpListener) -> DrainSummary {
     let _ = listener.set_nonblocking(true);
     while !core.draining.load(Ordering::Relaxed) && !core.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -1021,9 +979,7 @@ fn acceptor(
                 // ~40ms to every reply on the wire.
                 let _ = stream.set_nodelay(true);
                 let core = core.clone();
-                let senders = senders.clone();
-                let timer_tx = timer_tx.clone();
-                thread::spawn(move || handle_conn(core, stream, senders, timer_tx));
+                thread::spawn(move || handle_conn(core, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));
@@ -1047,11 +1003,7 @@ fn acceptor(
         }
     }
     core.shutdown.store(true, Ordering::SeqCst);
-    DrainSummary {
-        accepted: core.stats.accepted.load(Ordering::Relaxed),
-        completed: core.stats.completed.load(Ordering::Relaxed),
-        pending: core.stats.inflight.load(Ordering::SeqCst),
-    }
+    core.drain_summary()
 }
 
 /// A running server; drop does **not** stop it — call
@@ -1094,14 +1046,7 @@ impl ServerHandle {
 
     /// Block until the server drains and every service thread exits.
     pub fn wait(self) -> DrainSummary {
-        let summary = match self.acceptor.join() {
-            Ok(s) => s,
-            Err(_) => DrainSummary {
-                accepted: self.core.stats.accepted.load(Ordering::Relaxed),
-                completed: self.core.stats.completed.load(Ordering::Relaxed),
-                pending: self.core.stats.inflight.load(Ordering::Relaxed),
-            },
-        };
+        let summary = self.acceptor.join().unwrap_or_else(|_| self.core.drain_summary());
         for w in self.workers {
             let _ = w.join();
         }
@@ -1134,6 +1079,8 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let admission = AdmissionControl::from_md1(SERVICE_MICROS, TARGET_UTILISATION);
     let book = CurveBook::new(config.seed);
     let shards: Vec<ShardCtl> = (0..config.shards).map(|_| ShardCtl::default()).collect();
+    let queues: Vec<FairQueue<Job>> = (0..config.shards).map(|_| FairQueue::default()).collect();
+    let (timer, inbox) = channel();
     // The registry pre-registers `default` plus every configured
     // override; buckets start full at server-relative time zero.
     let tenants = TenantRegistry::new(TenantLimits::default(), MAX_TENANTS, 0)?;
@@ -1147,6 +1094,8 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         stats: Stats::default(),
         ladder: Mutex::new(ladder),
         shards,
+        queues,
+        timer,
         tenants,
         wal,
         wal_degraded: AtomicBool::new(false),
@@ -1157,27 +1106,22 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         config,
     });
 
-    let senders: Vec<Arc<FairQueue<Job>>> =
-        (0..core.config.shards).map(|_| Arc::new(FairQueue::default())).collect();
-    let (timer_tx, timer_rx) = channel::<TimerEvent>();
-
-    let mut workers = Vec::with_capacity(core.config.shards);
-    for (k, rx) in senders.iter().cloned().enumerate() {
-        let core = core.clone();
-        let timer_tx = timer_tx.clone();
-        workers.push(thread::spawn(move || shard_worker(core, k, rx, timer_tx)));
-    }
+    let workers = (0..core.config.shards)
+        .map(|k| {
+            let core = core.clone();
+            thread::spawn(move || shard_worker(core, k))
+        })
+        .collect();
     let hedger_handle = {
         let core = core.clone();
-        let senders = senders.clone();
-        thread::spawn(move || hedger(core, timer_rx, senders))
+        thread::spawn(move || hedger(core, inbox))
     };
 
     let listener = TcpListener::bind(&core.config.addr)?;
     let addr = listener.local_addr()?;
     let acceptor_handle = {
         let core = core.clone();
-        thread::spawn(move || acceptor(core, listener, senders, timer_tx))
+        thread::spawn(move || acceptor(core, listener))
     };
 
     Ok(ServerHandle { addr, core, acceptor: acceptor_handle, workers, hedger: hedger_handle })

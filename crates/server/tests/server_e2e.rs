@@ -347,3 +347,128 @@ fn drain_deadline_checkpoints_stuck_quotes_as_pending() {
     }
     let _ = std::fs::remove_file(&journal);
 }
+
+#[test]
+fn refusals_release_what_they_reserved() {
+    // Three tenants refused at three gates while every shard is stalled:
+    // `q` at its in-flight quota, `v` at the home shard's virtual queue
+    // (a pipelined burst homed on shard 0), and `default` at the global
+    // capacity. Once the shards resume, nothing may stay reserved.
+    const CAPACITY: u64 = 48;
+    let limits = |max_inflight| cds_server::tenant::TenantLimits {
+        rate_per_s: 1e6,
+        burst: 1e6,
+        max_inflight,
+        weight: 1,
+    };
+    let handle = serve(ServerConfig {
+        shards: 2,
+        seed: 42,
+        capacity: CAPACITY,
+        // The ladder stays healthy until the global cap is full.
+        ladder: cds_server::ladder::LadderConfig {
+            shed_watermark: 0.99,
+            reject_watermark: 1.0,
+            recovery_observations: 1,
+        },
+        tenant_overrides: vec![("q".to_string(), limits(2)), ("v".to_string(), limits(32))],
+        ..Default::default()
+    })
+    .expect("serve");
+    let quote_line = |id: u64| format!("QUOTE {id} {} Q {}", f64_to_token(5.0), f64_to_token(0.4));
+    let recv = |client: &mut Client| {
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).expect("recv");
+        parse_response(reply.trim()).unwrap_or_else(|e| panic!("bad reply `{reply}`: {e}"))
+    };
+    // Every quote sent so far has passed or failed admission.
+    let mut sent = 0u64;
+    let settle = |sent: u64| {
+        let t0 = std::time::Instant::now();
+        loop {
+            let s = handle.stats();
+            if s.accepted + s.shed + s.throttled + s.rejected == sent {
+                return s;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(10), "quotes never settled: {s:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut admin = Client::connect(handle.addr());
+    for shard in 0..2 {
+        admin.roundtrip(&format!("FAULT STALL {shard} 1500"));
+    }
+
+    // Tenant quota: two quotes in flight, the next two throttled.
+    let mut q = Client::connect(handle.addr());
+    assert_eq!(q.roundtrip("TENANT q"), Response::TenantAck { name: "q".to_string() });
+    for id in 0..4u64 {
+        writeln!(q.writer, "{}", quote_line(100 + id)).expect("send");
+        q.writer.flush().expect("flush");
+        sent += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for _ in 0..2 {
+        assert!(matches!(recv(&mut q), Response::Throttle { .. }), "quota must throttle");
+    }
+    settle(sent);
+
+    // Virtual queue: a burst homed on shard 0 outruns its 200 us service
+    // estimate long before `v` fills its quota or the global cap.
+    let mut v = Client::connect(handle.addr());
+    assert_eq!(v.roundtrip("TENANT v"), Response::TenantAck { name: "v".to_string() });
+    let burst: String = (0..64u64).map(|i| quote_line(1000 + 2 * i) + "\n").collect();
+    v.writer.write_all(burst.as_bytes()).expect("send");
+    v.writer.flush().expect("flush");
+    sent += 64;
+    let before_global = settle(sent);
+    assert!(before_global.shed > 0, "the burst must meet the virtual queue: {before_global:?}");
+    assert!(before_global.inflight < CAPACITY);
+    std::thread::sleep(Duration::from_millis(5));
+
+    // Global capacity: fill it at a pace the virtual queues admit, then
+    // two more quotes are shed at the cap (the third would meet the
+    // ladder's reject rung, which reserves nothing).
+    let mut g = Client::connect(handle.addr());
+    let fill = CAPACITY - before_global.inflight;
+    for i in 0..fill + 2 {
+        if i == fill {
+            assert_eq!(settle(sent).inflight, CAPACITY);
+        }
+        writeln!(g.writer, "{}", quote_line(5000 + i)).expect("send");
+        g.writer.flush().expect("flush");
+        sent += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for _ in 0..2 {
+        assert!(matches!(recv(&mut g), Response::Shed { .. }), "the full cap must shed");
+    }
+    let refused = settle(sent);
+    assert_eq!(refused.shed, before_global.shed + 2);
+
+    // Resume the shards and collect every outstanding reply.
+    for shard in 0..2 {
+        admin.roundtrip(&format!("FAULT STALL {shard} 0"));
+    }
+    for _ in 0..2 {
+        expect_quote(recv(&mut q));
+    }
+    for _ in 0..64 {
+        let reply = recv(&mut v);
+        assert!(matches!(
+            reply,
+            Response::Quote(_) | Response::Shed { .. } | Response::Throttle { .. }
+        ));
+    }
+    for _ in 0..fill {
+        expect_quote(recv(&mut g));
+    }
+    let stats = admin.stats();
+    assert_eq!(stats.inflight, 0, "a refusal kept a reservation: {stats:?}");
+    assert_eq!(stats.accepted, stats.completed, "{stats:?}");
+    for (client, id) in [(&mut q, 9001), (&mut v, 9002), (&mut g, 9003)] {
+        expect_quote(client.quote(id, 5.0, 0.4));
+    }
+    admin.roundtrip("DRAIN");
+    assert_eq!(handle.wait().pending, 0);
+}
