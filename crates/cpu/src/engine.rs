@@ -36,6 +36,10 @@ pub struct CpuBatchStats {
     /// per option unless a resident cache supplied some) plus three per
     /// shared grid point grown.
     pub curve_reads: u64,
+    /// Threads the stub passes ran on: 1 on the serial path, 2 when a
+    /// large resident set split ([`crate::LaneKernel::price_residents_into`]),
+    /// 0 when there was nothing to price.
+    pub threads: u64,
 }
 
 /// Precomputed, cache-friendly CPU pricer.

@@ -57,8 +57,10 @@
 //! reads a curve edit's window touches ([`Refresh`]).
 
 use crate::engine::{CpuBatchStats, CpuCdsEngine};
+use crate::parallel::fan_out;
 use cds_quant::option::{CdsOption, CurveKind, PaymentFrequency};
 use cds_quant::QuantError;
+use std::sync::OnceLock;
 
 /// Lane width of the stub kernel: eight 64-bit lanes, matching one
 /// AVX-512 register (two AVX2 registers), the width the paper's
@@ -149,6 +151,39 @@ pub fn full_points(option: &CdsOption) -> usize {
         schedule_panic("schedule too long");
     }
     k
+}
+
+/// Resident sets at least this long, strictly ascending, are priced in
+/// parts on [`split_parts`] threads. Seven times a sparse tick's largest
+/// affected set on the 262k-option `ticks` book (p99 2,287, max 2,375
+/// ids), below its smallest hot one (65,342), and past where a second
+/// thread starts to pay for its ~35 µs spawn and join (4k–8k ids;
+/// docs/PERFORMANCE.md, "A hot tick on two cores").
+const SPLIT_MIN_IDS: usize = 16_384;
+
+/// Parts a large resident set is priced in: the host's available
+/// parallelism, capped at 2. Read once, when a split is first
+/// considered, never while a kernel or engine is built.
+fn split_parts() -> usize {
+    static PARTS: OnceLock<usize> = OnceLock::new();
+    *PARTS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(2)))
+}
+
+/// `out` cleared and resized to `n` zeros, as a slice.
+fn sized(out: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    out.clear();
+    out.resize(n, 0.0);
+    out
+}
+
+/// One part of a resident pass: positions `first..first + out.len()`
+/// of the id set, whose cached reads sit in `reads`, the slab's read
+/// column from slot `offset` on.
+struct ResidentPart<'a> {
+    first: usize,
+    offset: usize,
+    reads: &'a mut [StubReads],
+    out: &'a mut [f64],
 }
 
 /// Map a payment frequency to its grid slot (annual, semi-annual,
@@ -440,14 +475,19 @@ impl LaneKernel {
     /// Panics on an invalid schedule, with the same message schedule
     /// generation (and the scalar path) would have produced.
     pub fn price_into(&mut self, options: &[CdsOption], out: &mut Vec<f64>) -> CpuBatchStats {
-        let mut stats = self.price_positions_into(
-            options,
-            options.len(),
-            |i| i,
-            |_, option| full_points(option),
-            fresh_reads,
-            out,
-        );
+        self.price_slice_into(options, sized(out, options.len()))
+    }
+
+    /// [`LaneKernel::price_into`] into a slice as long as `options`: the
+    /// form a chunk of [`crate::price_parallel`] writes its share of one
+    /// output vector with.
+    pub(crate) fn price_slice_into(
+        &mut self,
+        options: &[CdsOption],
+        out: &mut [f64],
+    ) -> CpuBatchStats {
+        let mut stats =
+            self.price_positions_into(options, |i| i, |_, option| full_points(option), out);
         stats.curve_reads += 3 * stats.options;
         stats
     }
@@ -473,14 +513,10 @@ impl LaneKernel {
         indices: &[u32],
         out: &mut Vec<f64>,
     ) -> CpuBatchStats {
-        let mut stats = self.price_positions_into(
-            options,
-            indices.len(),
-            |i| indices[i] as usize,
-            |_, option| full_points(option),
-            fresh_reads,
-            out,
-        );
+        let out = sized(out, indices.len());
+        let map = |i: usize| indices[i] as usize;
+        let mut stats =
+            self.price_positions_into(options, map, |_, option| full_points(option), out);
         stats.curve_reads += 3 * stats.options;
         stats
     }
@@ -501,6 +537,12 @@ impl LaneKernel {
     /// windows ([`interest_window`], [`hazard_window`]) exclude the
     /// skipped read times. Only where `k` and the reads come from
     /// differs; the gather and arithmetic passes are shared.
+    ///
+    /// A strictly ascending set of at least `SPLIT_MIN_IDS` ids is
+    /// priced in two parts on two threads when the host has two cores
+    /// (`stats.threads` says how many ran). Pass 1 grows the grids over
+    /// the whole set first, so both parts read the same complete grids
+    /// and every option goes through the same passes as in one part.
     ///
     /// `stats.curve_reads` counts the reads refreshed plus three per
     /// grid point the call regrew.
@@ -529,8 +571,45 @@ impl LaneKernel {
             });
             std::hint::black_box(warmed);
         }
-        let mut refreshed = 0u64;
-        let mut stats = self.price_positions_into(
+        // Each part owns the reads window from its first id up to the
+        // next part's, so only a strictly ascending set can be cut.
+        let parts = if ids.len() >= SPLIT_MIN_IDS && ids.windows(2).all(|w| w[0] < w[1]) {
+            split_parts()
+        } else {
+            1
+        };
+        self.price_residents_in_parts(
+            options,
+            ks,
+            ids,
+            reads,
+            refresh,
+            sized(out, ids.len()),
+            parts,
+        )
+    }
+
+    /// [`LaneKernel::price_residents_into`] in at most `parts` parts cut
+    /// at lane-group boundaries. The serial step (pass 1) runs on
+    /// `&mut self`; each part's stub passes read the kernel through
+    /// `&self` and write only their own range of `out` and their own
+    /// window of `reads`. One part runs on the calling thread, exactly
+    /// as the serial path always has.
+    ///
+    /// With more than one part `ids` must be strictly ascending: part
+    /// `p` owns `reads[ids[first_p]..ids[first_{p+1}]]`.
+    #[allow(clippy::too_many_arguments)]
+    fn price_residents_in_parts(
+        &mut self,
+        options: &[CdsOption],
+        ks: &[u32],
+        ids: &[u32],
+        reads: &mut [StubReads],
+        refresh: Refresh,
+        out: &mut [f64],
+        parts: usize,
+    ) -> CpuBatchStats {
+        let mut stats = self.locate(
             options,
             ids.len(),
             |i| ids[i] as usize,
@@ -539,8 +618,50 @@ impl LaneKernel {
                 debug_assert_eq!(k, full_points(option), "stale full-point count");
                 k
             },
+        );
+        let n = ids.len();
+        let part_len = n.div_ceil(LANES).div_ceil(parts.max(1)) * LANES;
+        if n <= part_len {
+            stats.threads = u64::from(n > 0);
+            let whole = ResidentPart { first: 0, offset: 0, reads, out };
+            stats.curve_reads += self.price_resident_part(options, ids, refresh, whole);
+            return stats;
+        }
+        let mut pieces = Vec::with_capacity(parts);
+        let (mut out_rest, mut reads_rest, mut first, mut offset) = (out, reads, 0, 0);
+        while first < n {
+            let end = (first + part_len).min(n);
+            let (out, rest) = out_rest.split_at_mut(end - first);
+            let window = if end < n { ids[end] as usize - offset } else { reads_rest.len() };
+            let (reads, rest_reads) = reads_rest.split_at_mut(window);
+            pieces.push(ResidentPart { first, offset, reads, out });
+            (out_rest, reads_rest, first, offset) = (rest, rest_reads, end, offset + window);
+        }
+        stats.threads = pieces.len() as u64;
+        let kernel = &*self;
+        let refreshed =
+            fan_out(pieces, |part| kernel.price_resident_part(options, ids, refresh, part));
+        stats.curve_reads += refreshed.iter().sum::<u64>();
+        stats
+    }
+
+    /// The stub passes of one [`ResidentPart`]. Returns the reads
+    /// `refresh` re-evaluated.
+    fn price_resident_part(
+        &self,
+        options: &[CdsOption],
+        ids: &[u32],
+        refresh: Refresh,
+        part: ResidentPart<'_>,
+    ) -> u64 {
+        let ResidentPart { first, offset, reads, out } = part;
+        let mut refreshed = 0u64;
+        self.price_stubs(
+            options,
+            first,
+            |i| ids[i] as usize,
             |engine, i, t, mid| {
-                let cached = &mut reads[ids[i] as usize];
+                let cached = &mut reads[ids[i] as usize - offset];
                 match refresh {
                     Refresh::All => {
                         *cached = fresh_reads(engine, i, t, mid);
@@ -565,37 +686,45 @@ impl LaneKernel {
             },
             out,
         );
-        stats.curve_reads += refreshed;
+        refreshed
+    }
+
+    /// Shared core of the cache-free entry points: price the positions
+    /// `options[map(0)], …, options[map(out.len() - 1)]` into `out`,
+    /// taking each position's full-point count from `k_of(position,
+    /// option)` and evaluating its three stub reads afresh.
+    /// `curve_reads` of the result counts only the grid points grown
+    /// (three reads each); the caller adds its stub reads.
+    fn price_positions_into(
+        &mut self,
+        options: &[CdsOption],
+        map: impl Fn(usize) -> usize,
+        k_of: impl Fn(usize, &CdsOption) -> usize,
+        out: &mut [f64],
+    ) -> CpuBatchStats {
+        let mut stats = self.locate(options, out.len(), &map, k_of);
+        stats.threads = u64::from(!out.is_empty());
+        self.price_stubs(options, 0, map, fresh_reads, out);
         stats
     }
 
-    /// Shared core of every entry point: price the `n` positions
-    /// `options[map(0)], …, options[map(n-1)]` into `out`, taking each
-    /// position's full-point count from `k_of(position, option)` and its
-    /// stub reads from `reads(engine, position, maturity, stub
-    /// midpoint)`. `curve_reads` of the result counts only the
-    /// grid points grown (three reads each); the caller adds its stub
-    /// reads.
-    fn price_positions_into(
+    /// Pass 1, the serial step of every entry point: locate each of the
+    /// `n` positions' last full point (computing it validates the
+    /// schedule) into `self.ks`, and grow the shared grids to cover them
+    /// all. `curve_reads` of the result counts three reads per grid
+    /// point grown; `threads` is left to the caller.
+    fn locate(
         &mut self,
         options: &[CdsOption],
         n: usize,
         map: impl Fn(usize) -> usize,
         k_of: impl Fn(usize, &CdsOption) -> usize,
-        mut reads: impl FnMut(&CpuCdsEngine, usize, f64, f64) -> StubReads,
-        out: &mut Vec<f64>,
     ) -> CpuBatchStats {
-        out.clear();
-        out.resize(n, 0.0);
         self.ks.clear();
         self.ks.reserve(n);
         let mut time_points = 0u64;
         let grid_points = |grids: &[FreqGrid; 4]| grids.iter().map(|g| g.surv.len()).sum::<usize>();
         let before = grid_points(&self.grids);
-
-        // Pass 1: locate each option's last full point (computing it
-        // validates the schedule), and grow the shared grids to cover
-        // the batch.
         for i in 0..n {
             let option = &options[map(i)];
             let k = k_of(i, option);
@@ -603,9 +732,30 @@ impl LaneKernel {
             self.ks.push(k as u32);
             time_points += k as u64 + 1;
         }
+        CpuBatchStats {
+            options: n as u64,
+            time_points,
+            curve_reads: 3 * (grid_points(&self.grids) - before) as u64,
+            threads: 0,
+        }
+    }
 
-        // Pass 2: stub evaluation in lane groups. Tail lanes of the
-        // final partial group keep neutral values and are never stored.
+    /// Passes 2–4 over positions `first..first + out.len()` located by
+    /// [`LaneKernel::locate`]: gather, stub reads (`reads(engine,
+    /// position, maturity, stub midpoint)`, evaluated or cached) and
+    /// arithmetic, in lane groups from `first`. Reads the kernel only,
+    /// so disjoint position ranges can run side by side.
+    fn price_stubs(
+        &self,
+        options: &[CdsOption],
+        first: usize,
+        map: impl Fn(usize) -> usize,
+        mut reads: impl FnMut(&CpuCdsEngine, usize, f64, f64) -> StubReads,
+        out: &mut [f64],
+    ) {
+        // Tail lanes of the final partial group keep neutral values and
+        // are never stored.
+        let n = out.len();
         let mut base = 0usize;
         while base < n {
             let active = (n - base).min(LANES);
@@ -620,8 +770,8 @@ impl LaneKernel {
             let mut protection = [0.0f64; LANES];
             let mut accrual = [0.0f64; LANES];
             for lane in 0..active {
-                let option = &options[map(base + lane)];
-                let k = self.ks[base + lane] as usize;
+                let option = &options[map(first + base + lane)];
+                let k = self.ks[first + base + lane] as usize;
                 let grid = &self.grids[freq_slot(option.frequency)];
                 maturity[lane] = option.maturity;
                 recovery[lane] = option.recovery_rate;
@@ -640,7 +790,7 @@ impl LaneKernel {
             let mut df = [0.0f64; LANES];
             let mut df_mid = [0.0f64; LANES];
             for lane in 0..active {
-                let r = reads(&self.engine, base + lane, maturity[lane], mid[lane]);
+                let r = reads(&self.engine, first + base + lane, maturity[lane], mid[lane]);
                 survival[lane] = r.survival;
                 df[lane] = r.df;
                 df_mid[lane] = r.df_mid;
@@ -663,12 +813,6 @@ impl LaneKernel {
             }
 
             base += active;
-        }
-
-        CpuBatchStats {
-            options: n as u64,
-            time_points,
-            curve_reads: 3 * (grid_points(&self.grids) - before) as u64,
         }
     }
 
@@ -807,6 +951,75 @@ mod tests {
         for (id, r) in reads.iter().enumerate() {
             if !ids.contains(&(id as u32)) {
                 assert_eq!(*r, StubReads::default(), "slot {id} was not priced");
+            }
+        }
+    }
+
+    /// The resident pass cut into 2 and 3 parts prices every length
+    /// 0..=40 (parts of whole lane groups, the last one ending mid
+    /// group) under each refresh exactly like one part, leaves the same
+    /// reads in every slot and counts the same work.
+    #[test]
+    fn resident_parts_price_like_one_part() {
+        let mut book = long_book();
+        book.extend(PortfolioGenerator::new(5).portfolio(24));
+        let ks: Vec<u32> = book.iter().map(|o| full_points(o) as u32).collect();
+        let all: Vec<u32> = (0..book.len() as u32).collect();
+        let market = MarketData::paper_workload_sized(37, 64);
+        let mut kernel = LaneKernel::new(CpuCdsEngine::new(&market));
+        let mut filled = vec![StubReads::default(); book.len()];
+        kernel.price_residents_into(&book, &ks, &all, &mut filled, Refresh::All, &mut Vec::new());
+        // Each case: the kernel and the reads the pass starts from.
+        let mut hazard = kernel.clone();
+        hazard.set_value(CurveKind::Hazard, 0, market.hazard.points()[0].value * 1.3);
+        let mut interest = kernel.clone();
+        let knot = 40;
+        let w = interest.set_value(
+            CurveKind::Interest,
+            knot,
+            market.interest.points()[knot].value + 0.01,
+        );
+        let cases = [
+            (kernel, vec![StubReads::default(); book.len()], Refresh::All),
+            (hazard, filled.clone(), Refresh::Survival),
+            (interest, filled, Refresh::Discount(w)),
+        ];
+        for (base, start_reads, refresh) in &cases {
+            for n in 0..=40usize {
+                // Strictly ascending with gaps, so part windows hold
+                // slots no part prices.
+                let ids: Vec<u32> = (0..n).map(|j| (j * 3 / 2 + 1) as u32).collect();
+                let mut serial = base.clone();
+                let mut serial_reads = start_reads.clone();
+                let mut expected = vec![0.0; n];
+                let one = serial.price_residents_in_parts(
+                    &book,
+                    &ks,
+                    &ids,
+                    &mut serial_reads,
+                    *refresh,
+                    &mut expected,
+                    1,
+                );
+                assert_eq!(one.threads, u64::from(n > 0));
+                for parts in [2, 3] {
+                    let mut split = base.clone();
+                    let mut reads = start_reads.clone();
+                    let mut out = vec![0.0; n];
+                    let stats = split.price_residents_in_parts(
+                        &book, &ks, &ids, &mut reads, *refresh, &mut out, parts,
+                    );
+                    let what = format!("{refresh:?}, {n} ids, {parts} parts");
+                    assert_eq!(
+                        out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                        expected.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                        "{what}"
+                    );
+                    assert_eq!(reads, serial_reads, "{what}: cached reads");
+                    let groups = n.div_ceil(LANES);
+                    let ran = groups.div_ceil(groups.div_ceil(parts).max(1));
+                    assert_eq!(stats, CpuBatchStats { threads: ran as u64, ..one }, "{what}");
+                }
             }
         }
     }

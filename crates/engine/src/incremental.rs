@@ -41,6 +41,10 @@
 //!    is refreshed exactly when one of its inputs changes, and the
 //!    result equals a fresh engine and kernel — the full reprice, which
 //!    keeps no cache.
+//!    A large ascending affected set reprices on two threads; pass 1
+//!    grows the grids over the whole set before the split, and each
+//!    half runs every option through the same passes, so the split
+//!    changes no bit (`TickReport::threads` says whether it ran).
 //! 3. *Unaffected* options' stored bits stay valid because a value tick
 //!    moves no tenor: segment lookup structures depend only on tenors,
 //!    and a read outside the ticked knot's window
@@ -258,6 +262,7 @@ impl IncrementalEngine {
                 zero_delta: true,
                 affected: 0,
                 curve_reads: 0,
+                threads: 0,
                 deltas: Vec::new(),
             });
         }
@@ -303,6 +308,7 @@ impl IncrementalEngine {
             zero_delta: false,
             affected: affected.len(),
             curve_reads: stats.curve_reads,
+            threads: stats.threads as usize,
             deltas,
         };
         self.affected = affected;
@@ -532,6 +538,74 @@ mod tests {
             };
         assert!(report.zero_delta);
         assert_eq!(report.curve_reads, 0);
+    }
+
+    /// Parts a large ascending set splits into on this host.
+    fn host_parts() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(2))
+    }
+
+    #[test]
+    fn large_affected_sets_split_and_stay_bit_equal_to_full_reprice() {
+        // Above the kernel's split threshold: the fresh book's insert and
+        // the hot ticks run on every available core (up to two), and
+        // each result is checked against the serial, cache-free oracle.
+        let mut eng = book(43, 20_480);
+        assert_bits_match_full(&eng, "fresh insert_batch");
+        for knot in [0, 20, 0] {
+            let report = tick(&mut eng, CurveKind::Hazard, knot, 1.01);
+            assert!(report.affected > 16_384, "hazard knot {knot}: {}", report.affected);
+            assert_eq!(report.threads, host_parts(), "hazard knot {knot}");
+            assert_bits_match_full(&eng, &format!("hazard knot {knot}"));
+        }
+        // Knot 1's window holds early lattice reads of every frequency.
+        let report = tick(&mut eng, CurveKind::Interest, 1, 1.01);
+        assert!(report.affected > 16_384, "interest knot 1: {}", report.affected);
+        assert_eq!(report.threads, host_parts());
+        assert_bits_match_full(&eng, "lattice interest knot 1");
+
+        // Freed ids are recycled last-freed first, so a large batch
+        // into them is priced in descending id order: the serial path.
+        let victims: Vec<u32> = eng.spreads().iter().map(|&(id, _)| id).take(17_000).collect();
+        for &id in &victims {
+            assert!(eng.remove(id).is_some());
+        }
+        let fresh = PortfolioGenerator::new(47).portfolio(victims.len());
+        let ids = eng.insert_batch(&fresh);
+        assert!(ids.windows(2).all(|w| w[0] > w[1]), "recycled ids descend");
+        assert_bits_match_full(&eng, "insert_batch over recycled ids");
+        let report = tick(&mut eng, CurveKind::Hazard, 0, 1.01);
+        assert_eq!(report.threads, host_parts());
+        assert_bits_match_full(&eng, "hazard knot 0 after recycling");
+    }
+
+    /// The production-sized split path: the 262,144-resident book of
+    /// the `ticks` benchmark, hot hazard ticks across the curve, every
+    /// spread bit against the full reprice. Release only:
+    /// `cargo test --release -p cds-engine -- --ignored`.
+    #[test]
+    #[ignore = "release-only: hot ticks on a 262,144-option book"]
+    fn hot_ticks_on_the_production_book_stay_bit_equal_to_full_reprice() {
+        let mut eng = IncrementalEngine::new(MarketData::paper_workload(1));
+        eng.insert_batch(&PortfolioGenerator::new(1).portfolio(262_144));
+        assert_bits_match_full(&eng, "fresh insert_batch");
+        let knots = eng.tenors(CurveKind::Hazard).len();
+        for knot in [0, knots / 4, knots / 2, 3 * knots / 4, 0] {
+            let report = tick(&mut eng, CurveKind::Hazard, knot, 1.01);
+            if report.affected >= 16_384 {
+                assert_eq!(report.threads, host_parts(), "hazard knot {knot}");
+            }
+            assert_bits_match_full(&eng, &format!("hazard knot {knot}"));
+        }
+    }
+
+    #[test]
+    fn small_affected_sets_stay_on_one_thread() {
+        let mut eng = book(7, 257);
+        assert_eq!(tick(&mut eng, CurveKind::Hazard, 0, 1.01).threads, 1);
+        let same = eng.curve_value(CurveKind::Hazard, 0).unwrap_or(0.0);
+        let zero = eng.apply_tick(CurveTick { curve: CurveKind::Hazard, knot: 0, value: same });
+        assert_eq!(zero.map(|r| r.threads).ok(), Some(0), "a zero-delta tick prices nothing");
     }
 
     #[test]

@@ -124,6 +124,10 @@ pub struct TickReport {
     /// stub reads it refreshed plus three per shared grid point it
     /// regrew (0 for a zero-delta tick).
     pub curve_reads: u64,
+    /// Threads the reprice ran on: 2 when a large affected set split
+    /// across two cores ([`cds_cpu::LaneKernel::price_residents_into`]),
+    /// 1 on the serial path, 0 when nothing repriced.
+    pub threads: usize,
     /// The options whose spread bits actually changed, in id order.
     pub deltas: Vec<SpreadDelta>,
 }

@@ -606,8 +606,10 @@ fn cmd_bench_tick_storm(args: &Args) -> CliResult {
         report.mean_affected
     );
     println!(
-        "hot hazard-mid ticks vs full reprice: {} (required ≥ {})",
+        "hot hazard-mid ticks vs full reprice: {} on {} thread(s) against a serial full reprice \
+         (required ≥ {})",
         ratio(report.hazard_mid_speedup),
+        report.hazard_mid_threads,
         ratio(report.min_hazard_speedup)
     );
     println!(

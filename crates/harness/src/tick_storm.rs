@@ -113,6 +113,10 @@ pub struct TickStormReport {
     pub min_tick_speedup: f64,
     /// Hot hazard-mid ticks/s over full reprices/s.
     pub hazard_mid_speedup: f64,
+    /// Threads a hot hazard-mid tick repriced on (the most any measured
+    /// one used). The full reprice it is divided by stays serial, so
+    /// read the speedup against this count. Reported, never gated.
+    pub hazard_mid_threads: usize,
     /// The floor `hazard_mid_speedup` is gated against
     /// ([`MIN_HAZARD_SPEEDUP`]).
     pub min_hazard_speedup: f64,
@@ -145,6 +149,7 @@ impl TickStormReport {
             ("incremental_speedup", Json::Number(self.incremental_speedup)),
             ("min_tick_speedup", Json::Number(self.min_tick_speedup)),
             ("hazard_mid_speedup", Json::Number(self.hazard_mid_speedup)),
+            ("hazard_mid_threads", Json::Number(self.hazard_mid_threads as f64)),
             ("min_hazard_speedup", Json::Number(self.min_hazard_speedup)),
             ("bit_mismatches", Json::Number(self.bit_mismatches as f64)),
             ("zero_delta_clean", Json::Bool(self.zero_delta_clean)),
@@ -237,6 +242,7 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
     let hazard_mid = engine.tenors(CurveKind::Hazard).len() / 2;
     let hazard_base = engine.curve_value(CurveKind::Hazard, hazard_mid).unwrap_or(0.01);
     let mut hn = 0u64;
+    let mut hazard_mid_threads = 0;
     let hazard_rate = rate(
         || {
             let value = hazard_base * (1.0 + 1e-9 * (hn + 1) as f64) + 1e-12;
@@ -247,6 +253,7 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
                     if report.zero_delta {
                         dirty_ticks += 1;
                     }
+                    hazard_mid_threads = hazard_mid_threads.max(report.threads);
                 }
                 Err(_) => dirty_ticks += 1,
             }
@@ -284,6 +291,7 @@ pub fn run_with(seed: u64, residents: usize, min_sample: Duration) -> TickStormR
         incremental_speedup: off_lattice / full_passes,
         min_tick_speedup: MIN_TICK_SPEEDUP,
         hazard_mid_speedup: hazard_rate / full_passes,
+        hazard_mid_threads,
         min_hazard_speedup: MIN_HAZARD_SPEEDUP,
         bit_mismatches,
         zero_delta_clean: probe_clean && dirty_ticks == 0,
@@ -317,6 +325,7 @@ mod tests {
         assert!(r.incremental_speedup > 0.0);
         assert_eq!(r.min_tick_speedup, MIN_TICK_SPEEDUP);
         assert!(r.hazard_mid_speedup > 0.0);
+        assert_eq!(r.hazard_mid_threads, 1, "512 residents are far below the split threshold");
         assert_eq!(r.min_hazard_speedup, MIN_HAZARD_SPEEDUP);
         assert_eq!(r.bit_mismatches, 0, "storm left bit-divergent spreads");
         assert!(r.zero_delta_clean, "zero-delta contract violated");

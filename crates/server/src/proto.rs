@@ -184,8 +184,16 @@ pub struct StatsReply {
     pub accepted: u64,
     /// Quotes completed (priced and answered).
     pub completed: u64,
-    /// Quotes shed (low-priority or backpressure).
+    /// Quotes shed: the sum of the four gates below.
     pub shed: u64,
+    /// Low-priority quotes shed by the ladder's shed rung.
+    pub shed_ladder: u64,
+    /// Quotes shed at the per-connection in-flight cap.
+    pub shed_conn: u64,
+    /// Quotes shed at the global in-flight cap.
+    pub shed_global: u64,
+    /// Quotes shed by the home shard's virtual queue.
+    pub shed_queue: u64,
     /// Quotes rejected (reject rung or draining).
     pub rejected: u64,
     /// Hedged attempts launched.
@@ -467,13 +475,18 @@ pub fn format_response(resp: &Response) -> String {
             format!("OK FAULT shard={shard} state={}", state.name())
         }
         Response::Stats(s) => format!(
-            "OK STATS rung={} accepted={} completed={} shed={} rejected={} hedges={} \
-             retries={} dedup={} deadline_misses={} inflight={} dead_shards={} shards={} \
-             epoch={} draining={} throttled={} tenants={}",
+            "OK STATS rung={} accepted={} completed={} shed={} shed_ladder={} shed_conn={} \
+             shed_global={} shed_queue={} rejected={} hedges={} retries={} dedup={} \
+             deadline_misses={} inflight={} dead_shards={} shards={} epoch={} draining={} \
+             throttled={} tenants={}",
             Rung::from_index(s.rung as usize).name(),
             s.accepted,
             s.completed,
             s.shed,
+            s.shed_ladder,
+            s.shed_conn,
+            s.shed_global,
+            s.shed_queue,
             s.rejected,
             s.hedges,
             s.retries,
@@ -583,6 +596,10 @@ pub fn parse_response(line: &str) -> Result<Response, ParseError> {
                 accepted: field("accepted")?,
                 completed: field("completed")?,
                 shed: field("shed")?,
+                shed_ladder: field("shed_ladder")?,
+                shed_conn: field("shed_conn")?,
+                shed_global: field("shed_global")?,
+                shed_queue: field("shed_queue")?,
                 rejected: field("rejected")?,
                 hedges: field("hedges")?,
                 retries: field("retries")?,
@@ -692,7 +709,11 @@ mod tests {
                 rung: 2,
                 accepted: 10,
                 completed: 8,
-                shed: 1,
+                shed: 10,
+                shed_ladder: 1,
+                shed_conn: 2,
+                shed_global: 3,
+                shed_queue: 4,
                 rejected: 1,
                 hedges: 2,
                 retries: 3,

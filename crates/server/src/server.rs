@@ -273,7 +273,11 @@ impl From<TenantError> for ServerError {
 struct Stats {
     accepted: AtomicU64,
     completed: AtomicU64,
-    shed: AtomicU64,
+    /// Sheds by gate, in [`admit`]'s order; `STATS` `shed` is their sum.
+    shed_ladder: AtomicU64,
+    shed_conn: AtomicU64,
+    shed_global: AtomicU64,
+    shed_queue: AtomicU64,
     rejected: AtomicU64,
     hedges: AtomicU64,
     retries: AtomicU64,
@@ -426,11 +430,19 @@ impl Core {
     }
 
     fn stats_reply(&self) -> StatsReply {
+        let s = &self.stats;
+        let sheds @ [shed_ladder, shed_conn, shed_global, shed_queue] =
+            [&s.shed_ladder, &s.shed_conn, &s.shed_global, &s.shed_queue]
+                .map(|c| c.load(Ordering::Relaxed));
         StatsReply {
             rung: self.rung().index() as u8,
             accepted: self.stats.accepted.load(Ordering::Relaxed),
             completed: self.stats.completed.load(Ordering::Relaxed),
-            shed: self.stats.shed.load(Ordering::Relaxed),
+            shed: sheds.iter().sum(),
+            shed_ladder,
+            shed_conn,
+            shed_global,
+            shed_queue,
             rejected: self.stats.rejected.load(Ordering::Relaxed),
             hedges: self.stats.hedges.load(Ordering::Relaxed),
             retries: self.stats.retries.load(Ordering::Relaxed),
@@ -748,11 +760,11 @@ fn admit<'c>(
         let reply = Response::Reject { id: q.id, retry_after_ms, rung };
         return Err(Refusal::new(Some(&stats.rejected), Held::Nothing, &reply));
     }
-    let shed = |held| {
-        Refusal::new(Some(&stats.shed), held, &Response::Shed { id: q.id, retry_after_ms, rung })
+    let shed = |counter, held| {
+        Refusal::new(Some(counter), held, &Response::Shed { id: q.id, retry_after_ms, rung })
     };
     if rung >= Rung::ShedLowPriority && q.priority == Priority::Low {
-        return Err(shed(Held::Nothing));
+        return Err(shed(&stats.shed_ladder, Held::Nothing));
     }
     // Tenant in-flight quota: the bulkhead that keeps one tenant from
     // occupying the shared capacity below.
@@ -760,14 +772,15 @@ fn admit<'c>(
     // Per-connection in-flight cap (a single pipelined connection
     // cannot occupy the whole global capacity).
     if client.inflight.fetch_add(1, Ordering::SeqCst) >= CONN_CAPACITY {
-        return Err(shed(Held::TenantAndConn));
+        return Err(shed(&stats.shed_conn, Held::TenantAndConn));
     }
     // A global in-flight slot (slow-consumer / overload bound), then the
     // home shard's virtual queue.
-    if stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity
-        || !core.admit_virtual(core.home(q.id))
-    {
-        return Err(shed(Held::All));
+    if stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity {
+        return Err(shed(&stats.shed_global, Held::All));
+    }
+    if !core.admit_virtual(core.home(q.id)) {
+        return Err(shed(&stats.shed_queue, Held::All));
     }
     // Write-ahead: the acceptance is durable before any dispatch.
     let seq = core.accept_seq(q.id, &option, q.priority).map_err(|e| {

@@ -423,6 +423,7 @@ fn refusals_release_what_they_reserved() {
     sent += 64;
     let before_global = settle(sent);
     assert!(before_global.shed > 0, "the burst must meet the virtual queue: {before_global:?}");
+    assert_eq!(before_global.shed, before_global.shed_queue, "{before_global:?}");
     assert!(before_global.inflight < CAPACITY);
     std::thread::sleep(Duration::from_millis(5));
 
@@ -445,6 +446,13 @@ fn refusals_release_what_they_reserved() {
     }
     let refused = settle(sent);
     assert_eq!(refused.shed, before_global.shed + 2);
+    // STATS says which gate shed each quote.
+    assert_eq!(refused.shed_global, 2, "{refused:?}");
+    assert!(refused.shed_queue > 0, "{refused:?}");
+    assert_eq!(
+        refused.shed,
+        refused.shed_ladder + refused.shed_conn + refused.shed_global + refused.shed_queue
+    );
 
     // Resume the shards and collect every outstanding reply.
     for shard in 0..2 {
